@@ -9,19 +9,23 @@ base task plus the client's edit batch (see ``POST /delta`` in
 incremental (the point of the subsystem)
     Patch the stored steady-state reuse distances through the last batch
     (:meth:`repro.delta.state.ReuseState.apply`), seed a
-    :class:`~repro.core.method_b.MethodB` with the patched array, and run
-    the untouched legacy prediction/advice code on top.  The seeded array
-    is byte-identical to a fresh stack pass, so the wire result is
+    :class:`~repro.core.method_b.MethodB` with the patched array, and
+    hand it to :meth:`repro.ladder.Ladder.model_result` — the code that
+    builds every tier-1/2 result from a model.  The seeded array is
+    byte-identical to a fresh stack pass, so the wire result is
     byte-identical to full re-evaluation — only cheaper.
 
 fallback (conservative, always correct)
-    Full re-evaluation through the legacy paths, taken when the patch
+    The ladder's tier 2 on the materialized chain, taken when the patch
     budget overflows (class-3 structures whose reuse windows span the
     trace), when the trace is interleaved (``num_threads > 1``), or when
     the model is non-periodic (``iterations < 2`` — except ``advise``,
     whose advisor always prices with the default periodic model).  The
     fallback *reason* travels back to the daemon for the
     ``repro_delta_fallback_total`` metric family.
+
+``classify`` reads dims and pattern structure only: it materializes the
+chain (validating every batch) and answers at the ladder's tier 0.
 
 Reuse states live in a worker-local LRU keyed by the matrix spec and
 line size.  The pool's fork workers are long-lived, so a chain of deltas
@@ -37,12 +41,10 @@ from collections import OrderedDict
 from dataclasses import replace
 
 from ..analysis.report import canonical_json
-from ..core.classification import classify
 from ..core.method_b import MethodB
-from ..core.advisor import recommend_from_predictions
-from ..core.analytic import stream_misses
+from ..ladder.engine import Ladder, has_ladder_flags
+from ..ladder.tier0 import dims_from_task
 from ..spmv.csr import CSRMatrix
-from ..spmv.sector_policy import SectorPolicy
 from .delta import MatrixDelta
 from .state import BudgetExceeded, ReuseState, full_reuse_state
 
@@ -80,18 +82,8 @@ def chain_drift(spec: dict, base_nnz: int) -> float:
     return chain_edits(spec) / max(base_nnz, 1)
 
 
-def _materialize_chain(setup_fields: dict, spec: dict) -> CSRMatrix:
-    """Apply a batch chain to the base pattern (validating every batch)."""
-    from ..service.protocol import matrix_from_task, matrix_name
-
-    matrix = matrix_from_task({"matrix": spec["base"], "setup": setup_fields})
-    for batch in spec["batches"]:
-        matrix = MatrixDelta.from_dict(batch).apply(matrix).matrix
-    return replace(matrix, name=matrix_name({"matrix": spec}))
-
-
 def _patched_state(
-    task: dict, spec: dict, line_size: int, budget: int
+    task: dict, name: str, line_size: int, budget: int
 ) -> tuple[CSRMatrix, ReuseState, str]:
     """The patched pattern + distances, via the warmest available prefix.
 
@@ -101,8 +93,9 @@ def _patched_state(
     :class:`BudgetExceeded` when the last batch's patch outgrows
     ``budget`` — the caller falls back to full re-evaluation.
     """
-    from ..service.protocol import matrix_from_task, matrix_name
+    from ..service.protocol import matrix_from_task
 
+    spec = task["matrix"]
     full_key = _spec_key(spec, line_size)
     cached = _state_cache.get(full_key)
     if cached is not None:
@@ -122,19 +115,16 @@ def _patched_state(
         prefix_matrix, prefix_state = cached
         source = "warm"
     else:
-        if len(batches) == 1:
-            prefix_matrix = matrix_from_task(
-                {"matrix": spec["base"], "setup": task["setup"]}
-            )
-        else:
-            prefix_matrix = _materialize_chain(task["setup"], prefix_spec)
+        prefix_matrix = matrix_from_task(
+            {"matrix": prefix_spec, "setup": task["setup"]}
+        )
         prefix_state = full_reuse_state(prefix_matrix, line_size)
         _cache_put(prefix_key, prefix_matrix, prefix_state)
         source = "cold"
 
     application = MatrixDelta.from_dict(batches[-1]).apply(prefix_matrix)
     state = prefix_state.apply(application, budget)
-    matrix = replace(application.matrix, name=matrix_name(task))
+    matrix = replace(application.matrix, name=name)
     _cache_put(full_key, matrix, state)
     return matrix, state, source
 
@@ -154,60 +144,6 @@ def seeded_model(matrix: CSRMatrix, machine, state: ReuseState,
     return model
 
 
-def _predict_result(model: MethodB, task: dict, name: str) -> dict:
-    predictions = []
-    for entry in task["policies"]:
-        prediction = model.predict(SectorPolicy.from_dict(entry))
-        predictions.append({
-            "policy": prediction.policy.to_dict(),
-            "l2_misses": int(prediction.l2_misses),
-            "per_array": {k: int(v) for k, v in prediction.per_array.items()},
-        })
-    return {"name": name, "method": "B", "predictions": predictions}
-
-
-def _advise_result(model: MethodB, task: dict, machine) -> dict:
-    # mirrors SectorAdvisor.recommend with the seeded model in place of
-    # the fresh one it would build (byte-identical: same candidate field,
-    # same ranking, same miss queries — only the stack pass is pre-paid)
-    matrix = model.matrix
-    way_options = tuple(task["way_options"])
-    num_cmgs = -(-1 // machine.cores_per_cmg)
-    cls = classify(matrix, machine, max(way_options), num_cmgs)
-    streams = stream_misses(matrix, machine.line_size)
-    return recommend_from_predictions(
-        machine=machine,
-        num_threads=1,
-        way_options=way_options,
-        consider_isolate_x=task["consider_isolate_x"],
-        min_ways=task["min_sector1_ways_with_prefetch"],
-        matrix_class=cls,
-        nnz=matrix.nnz,
-        streams=streams,
-        per_array_fn=lambda policy: model.predict(policy).per_array,
-        x_misses_fn=model.x_misses,
-    ).to_dict()
-
-
-def _legacy_result(task: dict, matrix: CSRMatrix, machine, setup) -> dict:
-    """Full re-evaluation on the materialized pattern (the fallback)."""
-    endpoint = task["endpoint"]
-    if endpoint == "predict":
-        model = MethodB(matrix, machine, num_threads=setup.num_threads,
-                        iterations=setup.iterations)
-        return _predict_result(model, task, matrix.name)
-    from ..core.advisor import SectorAdvisor
-
-    advisor = SectorAdvisor(
-        machine,
-        num_threads=setup.num_threads,
-        way_options=tuple(task["way_options"]),
-        consider_isolate_x=task["consider_isolate_x"],
-        min_sector1_ways_with_prefetch=task["min_sector1_ways_with_prefetch"],
-    )
-    return advisor.recommend(matrix).to_dict()
-
-
 def evaluate_delta_task(task: dict) -> tuple[dict, dict | None, dict]:
     """Price one delta task; returns ``(result, fidelity, meta)``.
 
@@ -218,19 +154,18 @@ def evaluate_delta_task(task: dict) -> tuple[dict, dict | None, dict]:
     (``accuracy``/``max_tier`` flags), handled in
     :mod:`repro.delta.ladder`.
     """
-    from ..service.protocol import matrix_from_task, setup_from_task
+    from ..service.protocol import matrix_from_task, matrix_name, setup_from_task
 
-    if task.get("accuracy") is not None or task.get("max_tier") is not None:
+    if has_ladder_flags(task):
         from .ladder import answer_delta_task
 
         return answer_delta_task(task)
 
     setup = setup_from_task(task)
-    machine = setup.machine()
+    ladder = Ladder(setup)
+    machine = ladder.machine
     endpoint = task["endpoint"]
     spec = task["matrix"]
-    from ..ladder.tier0 import dims_from_task
-
     base_dims = dims_from_task(
         {"matrix": spec["base"], "setup": task["setup"]}, machine
     )
@@ -239,51 +174,31 @@ def evaluate_delta_task(task: dict) -> tuple[dict, dict | None, dict]:
         "edits": chain_edits(spec),
         "drift": chain_drift(spec, base_dims.nnz),
     }
+    name = matrix_name(task)
 
     if endpoint == "classify":
         # the taxonomy reads dims and pattern structure, never the stack
         # pass — applying the chain is the whole cost
-        matrix = matrix_from_task(task)
-        num_cmgs = -(-setup.num_threads // machine.cores_per_cmg)
-        result = {
-            "name": matrix.name,
-            "num_cmgs": num_cmgs,
-            "classes": {
-                str(ways): classify(matrix, machine, ways, num_cmgs).value
-                for ways in task["way_options"]
-            },
-        }
-        meta.update(path="incremental", reason="structural")
-        return result, None, meta
-
-    budget = int(task.get("delta_budget", DEFAULT_BUDGET))
-    reason = None
-    if setup.num_threads != 1:
-        reason = "threads"
+        path, reason = "incremental", "structural"
+    elif setup.num_threads != 1:
+        path, reason = "fallback", "threads"
     elif endpoint == "predict" and setup.iterations < 2:
-        reason = "iterations"
-
-    if reason is None:
+        path, reason = "fallback", "iterations"
+    else:
+        budget = int(task.get("delta_budget", DEFAULT_BUDGET))
         try:
             matrix, state, source = _patched_state(
-                task, spec, machine.line_size, budget
+                task, name, machine.line_size, budget
             )
         except BudgetExceeded as exc:
-            reason = "budget"
-            meta["work"] = exc.work
-            meta["budget"] = exc.budget
-
-    if reason is not None:
-        matrix = matrix_from_task(task)
-        result = _legacy_result(task, matrix, machine, setup)
-        meta.update(path="fallback", reason=reason)
-        return result, None, meta
-
-    iterations = setup.iterations if endpoint == "predict" else 2
-    model = seeded_model(matrix, machine, state, iterations=iterations)
-    if endpoint == "predict":
-        result = _predict_result(model, task, matrix.name)
-    else:
-        result = _advise_result(model, task, machine)
-    meta.update(path="incremental", state=source)
-    return result, None, meta
+            meta.update(work=exc.work, budget=exc.budget)
+            path, reason = "fallback", "budget"
+        else:
+            iterations = setup.iterations if endpoint == "predict" else 2
+            model = seeded_model(matrix, machine, state, iterations=iterations)
+            meta.update(path="incremental", state=source)
+            return ladder.model_result(task, model), None, meta
+    meta.update(path=path, reason=reason)
+    answer = ladder.answer_task(task, name,
+                                lambda: matrix_from_task(task, name))
+    return answer.result, None, meta

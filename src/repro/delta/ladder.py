@@ -135,7 +135,8 @@ def answer_delta_task(task: dict) -> tuple[dict, dict, dict]:
     if allowed == 3 and accuracy is not None and tier2_bound > accuracy:
         # only the simulator can meet this SLO: the generic ladder runs
         # it on the materialized pattern (patch savings are noise there)
-        answer = ladder.answer_task(task, name, lambda: matrix_from_task(task))
+        answer = ladder.answer_task(task, name,
+                                    lambda: matrix_from_task(task, name))
         fidelity = answer.fidelity()
         fidelity["drift"] = drift
         meta.update(path="ladder", reason="slo-needs-simulation")

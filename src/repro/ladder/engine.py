@@ -19,13 +19,19 @@ tier  engine                                       bound
 Bounds are floored relative errors against tier-3 ground truth (see
 :mod:`repro.ladder.calibration` for the metric and the composition).
 ``classify`` is closed-form exact, so it always answers at tier 0 with
-bound 0.  With no SLO the ladder answers at ``min(2, max_tier)`` — the
-historical default fidelity — so legacy requests are byte-identical.
+bound 0.  With no SLO the ladder answers at ``min(2, max_tier)``, the
+default fidelity.  This is the only answer path: the service worker
+sends every classify/predict/advise task through :meth:`Ladder.answer_task`
+(a plain request is a tier-2 answer without fidelity metadata), and the
+delta engine prices its patched stack pass through
+:meth:`Ladder.model_result`, the same code that builds tier-1/2 results.
 
-Each tier evaluation runs under an ``obs`` span named ``ladder.tier<N>``,
-so per-tier self seconds flow into the service's per-phase metrics and
-the absence of a ``method_b.stack_pass`` span is observable evidence that
-a cheap tier answered.
+Each tier evaluation of a ladder-flagged request runs under an ``obs``
+span named ``ladder.tier<N>``, so per-tier self seconds flow into the
+service's per-phase metrics and the absence of a ``method_b.stack_pass``
+span is observable evidence that a cheap tier answered.  A plain request
+opens no tier span, so its model spans sit directly under the worker's
+root in traces and phase metrics.
 """
 
 from __future__ import annotations
@@ -34,11 +40,12 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from ..core.advisor import SectorAdvisor, recommend_from_predictions
+from ..core.advisor import recommend_from_predictions
 from ..core.analytic import method_b_scale_factors, stream_misses
 from ..core.classification import MatrixClass, classify
 from ..core.method_b import MethodB
 from ..machine.a64fx import A64FX
+from ..obs.tracer import NULL_SPAN
 from ..obs.tracer import span as obs_span
 from ..spmv.csr import CSRMatrix
 from ..spmv.sector_policy import (
@@ -123,6 +130,34 @@ class _Request:
     way_options: tuple[int, ...] = ()
     consider_isolate_x: bool = True
     min_ways: int = 4
+    #: open a ``ladder.tier<N>`` span per evaluated tier
+    tier_spans: bool = True
+
+    @classmethod
+    def from_task(cls, task: dict, dims: MatrixDims, name: str,
+                  materialize: Callable[[], CSRMatrix]) -> "_Request":
+        """The request a canonical service task asks (see service.protocol)."""
+        return cls(
+            endpoint=task["endpoint"],
+            dims=dims,
+            name=name,
+            materialize=materialize,
+            policy_dicts=tuple(task.get("policies") or ()),
+            way_options=tuple(task.get("way_options") or ()),
+            consider_isolate_x=task.get("consider_isolate_x", True),
+            min_ways=task.get("min_sector1_ways_with_prefetch", 4),
+            tier_spans=has_ladder_flags(task),
+        )
+
+
+def has_ladder_flags(task: dict) -> bool:
+    """Whether a canonical task carries ``accuracy``/``max_tier``.
+
+    A plain task is answered at tier 2 like ``max_tier: 2``, but keeps
+    the plain wire and trace shapes: no fidelity metadata and no
+    ``ladder.tier<N>`` span between the worker's root and the model.
+    """
+    return task.get("accuracy") is not None or task.get("max_tier") is not None
 
 
 class Ladder:
@@ -166,58 +201,74 @@ class Ladder:
         dicts) parameterize ``predict``; ``way_options`` & friends
         parameterize ``classify``/``advise``.
         """
+        return self._answer(
+            _Request(
+                endpoint=endpoint,
+                dims=dims,
+                name=name,
+                materialize=_memoize(materialize),
+                policy_dicts=tuple(policies or ()),
+                way_options=tuple(way_options or ()),
+                consider_isolate_x=consider_isolate_x,
+                min_ways=min_sector1_ways_with_prefetch,
+            ),
+            accuracy, max_tier,
+        )
+
+    def answer_task(self, task: dict, name: str,
+                    materialize: Callable[[], CSRMatrix]) -> LadderAnswer:
+        """Answer a canonical service task (see service.protocol).
+
+        ``name`` is the task's ``matrix_name``, computed once by the
+        caller.  Dims come from the materialized matrix, so a malformed
+        inline matrix fails exactly as a direct model call would and COO
+        duplicates count once; only a named matrix reads the per-process
+        dims memo, seeded by this same build on its first touch.
+        """
+        materialize = _memoize(materialize)
+        dims = (dims_from_task(task, self.machine, materialize)
+                if task["matrix"]["kind"] == "named"
+                else MatrixDims.of(materialize()))
+        return self._answer(
+            _Request.from_task(task, dims, name, materialize),
+            task.get("accuracy"), task.get("max_tier", 3),
+        )
+
+    def model_result(self, task: dict, model: MethodB) -> dict:
+        """The predict/advise result of a task priced by a prepared model:
+        the tier-2 answer when the caller supplies the stack pass (the
+        delta engine seeds it with patched distances)."""
+        matrix = model.matrix
+        return self._model_result(
+            _Request.from_task(task, MatrixDims.of(matrix), matrix.name,
+                               lambda: matrix),
+            model,
+        )
+
+    def _answer(self, request: _Request, accuracy: float | None,
+                max_tier: int) -> LadderAnswer:
+        endpoint = request.endpoint
         if endpoint not in ("classify", "predict", "advise"):
             raise ValueError(f"no ladder for endpoint {endpoint!r}")
         if max_tier not in TIERS:
             raise ValueError(f"max_tier must be one of {TIERS}")
         if accuracy is not None and accuracy <= 0:
             raise ValueError("accuracy SLO must be positive")
-        request = _Request(
-            endpoint=endpoint,
-            dims=dims,
-            name=name,
-            materialize=_memoize(materialize),
-            policy_dicts=tuple(policies or ()),
-            way_options=tuple(way_options or ()),
-            consider_isolate_x=consider_isolate_x,
-            min_ways=min_sector1_ways_with_prefetch,
-        )
         if endpoint == "classify":
             # closed-form exact: bound 0 satisfies every SLO at tier 0
             started = time.perf_counter()
-            with obs_span("ladder.tier0", endpoint=endpoint):
+            with self._tier_span(0, request):
                 result, _ = self._evaluate(0, request)
             cost = time.perf_counter() - started
             return LadderAnswer(
                 result=result, endpoint=endpoint, tier=0, error_bound=0.0,
                 cost_seconds=cost,
-                predicted_cost_seconds=self.predicted_cost(0, dims.nnz, 1),
+                predicted_cost_seconds=self.predicted_cost(
+                    0, request.dims.nnz, 1),
                 tiers_tried=(0,), tier_bounds=(0.0,),
                 accuracy_slo=accuracy, slo_met=True,
             )
         return self._escalate(request, accuracy, max_tier)
-
-    def answer_task(self, task: dict, name: str,
-                    materialize: Callable[[], CSRMatrix]) -> LadderAnswer:
-        """Adapter from a canonical service task (see service.protocol)."""
-        endpoint = task["endpoint"]
-        dims = dims_from_task(task, self.machine)
-        kwargs: dict = {}
-        if endpoint == "predict":
-            kwargs["policies"] = task["policies"]
-        elif endpoint in ("classify", "advise"):
-            kwargs["way_options"] = task["way_options"]
-        if endpoint == "advise":
-            kwargs["consider_isolate_x"] = task["consider_isolate_x"]
-            kwargs["min_sector1_ways_with_prefetch"] = (
-                task["min_sector1_ways_with_prefetch"]
-            )
-        return self.answer(
-            endpoint, dims, materialize, name=name,
-            accuracy=task.get("accuracy"),
-            max_tier=task.get("max_tier", 3),
-            **kwargs,
-        )
 
     def predicted_cost(self, tier: int, nnz: int, num_policies: int) -> float:
         return self.cost_models[tier].predict_seconds(nnz, num_policies)
@@ -316,7 +367,7 @@ class Ladder:
                     and self.apriori_bound(candidate, request) > accuracy):
                 continue  # this tier cannot satisfy the SLO: skip past it
             started = time.perf_counter()
-            with obs_span(f"ladder.tier{candidate}", endpoint=request.endpoint):
+            with self._tier_span(candidate, request):
                 result, model = self._evaluate(candidate, request)
             total_cost += time.perf_counter() - started
             posterior = self._posterior_bound(candidate, request, model)
@@ -342,60 +393,28 @@ class Ladder:
         )
 
     # -- tier evaluation -----------------------------------------------
+    @staticmethod
+    def _tier_span(tier: int, request: _Request):
+        if not request.tier_spans:
+            return NULL_SPAN
+        return obs_span(f"ladder.tier{tier}", endpoint=request.endpoint)
+
     def _evaluate(
         self, tier: int, request: _Request
     ) -> tuple[dict, SampledMethodB | None]:
         threads = self.setup.num_threads
-        if request.endpoint == "classify":
+        endpoint = request.endpoint
+        if endpoint == "classify":
             return closed_classify(
                 request.dims, self.machine, threads,
                 list(request.way_options), request.name,
             ), None
-        if request.endpoint == "predict":
-            return self._evaluate_predict(tier, request)
-        return self._evaluate_advise(tier, request)
-
-    def _evaluate_predict(
-        self, tier: int, request: _Request
-    ) -> tuple[dict, SampledMethodB | None]:
-        threads = self.setup.num_threads
         if tier == 0:
-            return closed_predict(
-                request.dims, self.machine, threads,
-                list(request.policy_dicts), request.name,
-            ), None
-        matrix = request.materialize()
-        if tier == 3:
-            return simulated_predict(
-                matrix, self.machine, self.setup.sim_config(),
-                list(request.policy_dicts), matrix.name,
-            ), None
-        if tier == 1:
-            model: SampledMethodB | MethodB = SampledMethodB(
-                matrix, self.machine, num_threads=threads,
-                rate=self.sampling_rate,
-            )
-        else:
-            model = MethodB(matrix, self.machine, num_threads=threads,
-                            iterations=self.setup.iterations)
-        predictions = []
-        for entry in request.policy_dicts:
-            prediction = model.predict(SectorPolicy.from_dict(entry))
-            predictions.append({
-                "policy": prediction.policy.to_dict(),
-                "l2_misses": int(prediction.l2_misses),
-                "per_array": {k: int(v)
-                              for k, v in prediction.per_array.items()},
-            })
-        result = {"name": matrix.name, "method": "B",
-                  "predictions": predictions}
-        return result, (model if tier == 1 else None)
-
-    def _evaluate_advise(
-        self, tier: int, request: _Request
-    ) -> tuple[dict, SampledMethodB | None]:
-        threads = self.setup.num_threads
-        if tier == 0:
+            if endpoint == "predict":
+                return closed_predict(
+                    request.dims, self.machine, threads,
+                    list(request.policy_dicts), request.name,
+                ), None
             return closed_advise(
                 request.dims, self.machine, threads,
                 list(request.way_options),
@@ -403,39 +422,63 @@ class Ladder:
                 min_sector1_ways_with_prefetch=request.min_ways,
             ).to_dict(), None
         matrix = request.materialize()
-        if tier == 2:
-            advisor = SectorAdvisor(
-                self.machine,
-                num_threads=threads,
-                way_options=tuple(request.way_options),
-                consider_isolate_x=request.consider_isolate_x,
-                min_sector1_ways_with_prefetch=request.min_ways,
-            )
-            return advisor.recommend(matrix).to_dict(), None
-        cmgs = num_cmgs(self.machine, threads)
-        cls = classify(matrix, self.machine, max(request.way_options), cmgs)
         if tier == 3:
+            if endpoint == "predict":
+                return simulated_predict(
+                    matrix, self.machine, self.setup.sim_config(),
+                    list(request.policy_dicts), matrix.name,
+                ), None
             return simulated_recommendation(
                 matrix, self.machine, self.setup.sim_config(), threads,
                 tuple(request.way_options), request.consider_isolate_x,
-                request.min_ways, cls,
+                request.min_ways, self._matrix_class(matrix, request),
             ).to_dict(), None
-        model = SampledMethodB(
-            matrix, self.machine, num_threads=threads, rate=self.sampling_rate
-        )
-        recommendation = recommend_from_predictions(
+        if tier == 1:
+            model: SampledMethodB | MethodB = SampledMethodB(
+                matrix, self.machine, num_threads=threads,
+                rate=self.sampling_rate,
+            )
+        else:
+            # the advisor always prices with the two-iteration periodic
+            # model, whatever iteration count the setup measures
+            model = MethodB(matrix, self.machine, num_threads=threads,
+                            iterations=(self.setup.iterations
+                                        if endpoint == "predict" else 2))
+        return (self._model_result(request, model),
+                model if tier == 1 else None)
+
+    def _matrix_class(self, matrix: CSRMatrix, request: _Request):
+        cmgs = num_cmgs(self.machine, self.setup.num_threads)
+        return classify(matrix, self.machine, max(request.way_options), cmgs)
+
+    def _model_result(self, request: _Request,
+                      model: SampledMethodB | MethodB) -> dict:
+        """A tier-1/2 predict or advise result from a stack-pass model."""
+        matrix = model.matrix
+        if request.endpoint == "predict":
+            predictions = []
+            for entry in request.policy_dicts:
+                prediction = model.predict(SectorPolicy.from_dict(entry))
+                predictions.append({
+                    "policy": prediction.policy.to_dict(),
+                    "l2_misses": int(prediction.l2_misses),
+                    "per_array": {k: int(v)
+                                  for k, v in prediction.per_array.items()},
+                })
+            return {"name": matrix.name, "method": "B",
+                    "predictions": predictions}
+        return recommend_from_predictions(
             machine=self.machine,
-            num_threads=threads,
+            num_threads=self.setup.num_threads,
             way_options=tuple(request.way_options),
             consider_isolate_x=request.consider_isolate_x,
             min_ways=request.min_ways,
-            matrix_class=cls,
+            matrix_class=self._matrix_class(matrix, request),
             nnz=matrix.nnz,
             streams=stream_misses(matrix, self.machine.line_size),
             per_array_fn=lambda policy: model.predict(policy).per_array,
             x_misses_fn=model.x_misses,
-        )
-        return recommendation.to_dict(), model
+        ).to_dict()
 
 
 def _memoize(materialize: Callable[[], CSRMatrix]) -> Callable[[], CSRMatrix]:
@@ -455,23 +498,15 @@ def tier2_apriori_bound(task: dict, machine: A64FX, setup,
     """Tier-2 bound of a canonical task from dims alone (event-loop cheap).
 
     The daemon uses this to decide whether a cached tier-2 result (stored
-    under the plain request key by legacy and ladder requests alike)
+    under the plain request key by plain and ladder requests alike)
     satisfies a ladder request's SLO without any evaluation.  ``classify``
     tasks are closed-form exact: bound 0.
     """
     endpoint = task["endpoint"]
     if endpoint == "classify":
         return 0.0
-    ladder = Ladder(setup, calibration=calibration)
-    dims = dims_from_task(task, machine)
-    request = _Request(
-        endpoint=endpoint,
-        dims=dims,
-        name="",
-        materialize=lambda: (_ for _ in ()).throw(RuntimeError("dims only")),
-        policy_dicts=tuple(task.get("policies") or ()),
-        way_options=tuple(task.get("way_options") or ()),
-        consider_isolate_x=task.get("consider_isolate_x", True),
-        min_ways=task.get("min_sector1_ways_with_prefetch", 4),
+    request = _Request.from_task(
+        task, dims_from_task(task, machine), "",
+        lambda: (_ for _ in ()).throw(RuntimeError("dims only")),
     )
-    return ladder.apriori_bound(2, request)
+    return Ladder(setup, calibration=calibration).apriori_bound(2, request)

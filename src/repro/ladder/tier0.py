@@ -31,6 +31,7 @@ are memoized) and inline matrices pay none.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from ..core.advisor import Recommendation, recommend_from_predictions
 from ..core.analytic import (
@@ -219,12 +220,19 @@ def closed_advise(
 # ----------------------------------------------------------------------
 
 #: (collection, scale, name) -> MatrixDims; named specs are materialized
-#: once ever to learn their dims, inline matrices never are.
+#: once per process to learn their dims, inline matrices never are.
 _named_dims: dict[tuple[str, int, str], MatrixDims] = {}
 
 
-def dims_from_task(task: dict, machine: A64FX) -> MatrixDims:
-    """Dims of a canonical task's matrix without a pool evaluation."""
+def dims_from_task(task: dict, machine: A64FX,
+                   materialize: Callable[[], object] | None = None,
+                   ) -> MatrixDims:
+    """Dims of a canonical task's matrix without a pool evaluation.
+
+    The first touch of a named matrix builds it to learn its dims; a
+    caller about to build it anyway passes its own (memoized)
+    ``materialize`` so that one build serves both.
+    """
     spec = task["matrix"]
     if spec["kind"] == "delta":
         # an edit batch moves nnz by its insert/delete counts and nothing
@@ -244,16 +252,13 @@ def dims_from_task(task: dict, machine: A64FX) -> MatrixDims:
     key = (spec["collection"], task["setup"]["scale"], spec["name"])
     dims = _named_dims.get(key)
     if dims is None:
-        from ..matrices.collection import collection
+        if materialize is None:
+            from ..service.protocol import matrix_from_task
 
-        for candidate in collection(spec["collection"], machine=machine):
-            if candidate.name == spec["name"]:
-                dims = MatrixDims.of(candidate.materialize())
-                break
-        else:
-            raise KeyError(f"matrix {spec['name']!r} not in the "
-                           f"{spec['collection']!r} collection")
-        _named_dims[key] = dims
+            def materialize():
+                return matrix_from_task(task)
+
+        dims = _named_dims[key] = MatrixDims.of(materialize())
     return dims
 
 

@@ -54,7 +54,7 @@ from ..experiments.pool import (
     unregister_parent_socket,
 )
 from ..ladder.calibration import DEFAULT_CALIBRATION
-from ..ladder.engine import tier2_apriori_bound
+from ..ladder.engine import has_ladder_flags, tier2_apriori_bound
 from ..ladder.tier0 import dims_from_task, num_cmgs
 from ..obs import events as obs_events
 from ..obs.audit import AccuracyAuditor, compare_results
@@ -346,34 +346,17 @@ class LocalityService:
                                        f"{method} not supported"), False
         if path == "/shutdown":
             return 200, {"ok": True, "status": "shutting down"}, True
-        if path == "/cache/peek":
-            try:
-                payload = json.loads(body.decode() or "{}")
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                return 400, _error_payload("cache/peek", "BadJSON", str(exc)), False
-            status, response = self._handle_cache_peek(payload)
-            return status, response, False
-        if path == "/delta":
-            try:
-                payload = json.loads(body.decode() or "{}")
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                return 400, _error_payload("delta", "BadJSON", str(exc)), False
-            if isinstance(payload, dict) and "trace_context" not in payload:
-                header_ctx = TraceContext.from_header(
-                    (headers or {}).get(TRACE_HEADER.lower())
-                )
-                if header_ctx is not None:
-                    payload["trace_context"] = header_ctx.to_dict()
-            status, response = await self._handle_delta(payload)
-            return status, response, False
-        endpoint = path.lstrip("/")
-        if endpoint not in ENDPOINTS:
-            return 404, _error_payload(endpoint, "NotFound",
-                                       f"no such endpoint {endpoint!r}"), False
+        target = path.lstrip("/")
+        if target not in ENDPOINTS and target not in ("cache/peek", "delta"):
+            return 404, _error_payload(target, "NotFound",
+                                       f"no such endpoint {target!r}"), False
         try:
             payload = json.loads(body.decode() or "{}")
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            return 400, _error_payload(endpoint, "BadJSON", str(exc)), False
+            return 400, _error_payload(target, "BadJSON", str(exc)), False
+        if target == "cache/peek":
+            status, response = self._handle_cache_peek(payload)
+            return status, response, False
         if isinstance(payload, dict) and "trace_context" not in payload:
             # transports that only see headers (the gateway forward, any
             # standard HTTP client) propagate context via X-Repro-Trace;
@@ -383,7 +366,10 @@ class LocalityService:
             )
             if header_ctx is not None:
                 payload["trace_context"] = header_ctx.to_dict()
-        status, response = await self._handle_model(endpoint, payload)
+        if target == "delta":
+            status, response = await self._handle_delta(payload)
+        else:
+            status, response = await self._handle_model(target, payload)
         return status, response, False
 
     # ------------------------------------------------------------------
@@ -397,7 +383,7 @@ class LocalityService:
         this replica owned before a membership change; it sends the task
         verbatim and we recompute the key, so a peek can never answer a
         different question than the one being asked.  Only the plain-key
-        entry is consulted (the one legacy and tier-2 ladder answers
+        entry is consulted (the one plain and tier-2 ladder answers
         share); a miss just means the caller evaluates — exactly what it
         would have done anyway.
         """
@@ -492,15 +478,10 @@ class LocalityService:
                 task.pop("x_test_sleep", None)
                 task.pop("x_test_crash", None)
             if endpoint not in ("sweep", "optimize"):
-                # daemon-wide ladder defaults fill in only what the request
-                # left unsaid; they don't enter the cache key (every tier
-                # answers the same question).  optimize is excluded: its
-                # screening tiers are fixed by the search and its accuracy
-                # (confirmation SLO) is part of the cached search config
-                if "accuracy" not in task and self.config.default_accuracy is not None:
-                    task["accuracy"] = self.config.default_accuracy
-                if "max_tier" not in task and self.config.default_max_tier is not None:
-                    task["max_tier"] = self.config.default_max_tier
+                # optimize is excluded: its screening tiers are fixed by
+                # the search and its accuracy (confirmation SLO) is part
+                # of the cached search config
+                self._ladder_defaults(task)
             if endpoint == "optimize":
                 cap = self.config.max_optimize_budget_seconds
                 _require_budget(task["budget_seconds"], cap)
@@ -519,11 +500,7 @@ class LocalityService:
                 # re-derive the key)
                 self.registry.put(key, task)
         except RequestError as exc:
-            seconds = time.perf_counter() - started
-            self.metrics.observe_request(endpoint, "error", seconds)
-            obs_events.emit("request", endpoint=endpoint, status="rejected",
-                            seconds=seconds, error=str(exc))
-            return exc.status, _error_payload(endpoint, "RequestError", str(exc))
+            return self._rejected(endpoint, started, exc)
         return await self._finish_task(endpoint, task, key, peer, plan, started)
 
     async def _handle_delta(self, payload: object) -> tuple[int, dict]:
@@ -567,24 +544,37 @@ class LocalityService:
                 )
             task = derive_delta_task(stored, normalized,
                                      self.config.delta_budget)
-            if "accuracy" not in task and self.config.default_accuracy is not None:
-                task["accuracy"] = self.config.default_accuracy
-            if "max_tier" not in task and self.config.default_max_tier is not None:
-                task["max_tier"] = self.config.default_max_tier
+            self._ladder_defaults(task)
             key = request_key(task)
             self.registry.put(key, task)
         except RequestError as exc:
-            seconds = time.perf_counter() - started
-            self.metrics.observe_request("delta", "error", seconds)
-            obs_events.emit("request", endpoint="delta", status="rejected",
-                            seconds=seconds, error=str(exc))
-            return exc.status, _error_payload("delta", "RequestError", str(exc))
+            return self._rejected("delta", started, exc)
         envelope = {"delta": {
             "base": base_key,
             "chain_length": len(task["matrix"]["batches"]),
         }}
         return await self._finish_task(endpoint, task, key, None, None,
                                        started, envelope=envelope)
+
+    def _ladder_defaults(self, task: dict) -> None:
+        """Fill in the daemon-wide ladder defaults the request left unsaid.
+
+        They don't enter the cache key: every tier answers the same
+        question.
+        """
+        if "accuracy" not in task and self.config.default_accuracy is not None:
+            task["accuracy"] = self.config.default_accuracy
+        if "max_tier" not in task and self.config.default_max_tier is not None:
+            task["max_tier"] = self.config.default_max_tier
+
+    def _rejected(self, endpoint: str, started: float,
+                  exc: RequestError) -> tuple[int, dict]:
+        """Count, log and answer a request refused before evaluation."""
+        seconds = time.perf_counter() - started
+        self.metrics.observe_request(endpoint, "error", seconds)
+        obs_events.emit("request", endpoint=endpoint, status="rejected",
+                        seconds=seconds, error=str(exc))
+        return exc.status, _error_payload(endpoint, "RequestError", str(exc))
 
     async def _finish_task(
         self, endpoint: str, task: dict, key: str, peer: dict | None,
@@ -739,22 +729,16 @@ class LocalityService:
         join another request's in-flight future: their perturbed outcome
         must not leak into healthy responses.
         """
-        if endpoint != "optimize" and (
-            task.get("accuracy") is not None or task.get("max_tier") is not None
-        ):
+        if endpoint != "optimize" and has_ladder_flags(task):
             return await self._resolve_ladder(endpoint, task, key, plan,
                                               tracer=tracer)
         disk_path, disk_format = self._disk_entry(task, key)
-        corrupt_rule = self._fire(plan, "cache.disk_read") if disk_path else None
         with _span(tracer, "cache.lookup") as sp:
-            result, tier = self.cache.get(key, disk_path,
-                                          corrupt_read=corrupt_rule is not None)
+            result, tier = self._cache_read(key, disk_path, plan)
             sp.annotate(tier=tier or "miss")
         if result is not None:
             # cache hits bypass admission control: they cost no pool slot,
             # so an open breaker or a saturated queue does not refuse them
-            if tier == "disk":
-                self.cache.promote(key, canonical_json(result).encode())
             return result, tier, None, _embedded_fidelity(endpoint, result)
 
         chaos = plan is not None
@@ -780,28 +764,118 @@ class LocalityService:
                 if fetched is not None:
                     # adopt the peer's answer into our own tiers so the
                     # next hit is local — this replica owns the key now
-                    self.cache.put(
-                        key,
-                        canonical_json(fetched).encode(),
-                        disk_path,
-                        disk_text=(json.dumps(fetched)
-                                   if disk_format == "record" else None),
-                    )
+                    self._cache_write(key, fetched, disk_path, disk_format)
                     return (fetched, "peer", None,
                             _embedded_fidelity(endpoint, fetched))
 
+        payload = await self._run(endpoint, task, plan, tracer,
+                                  lead=None if chaos else key)
+        result = payload["result"]
+        if endpoint == "optimize":
+            # counts per-strategy outcomes, the predicted-improvement
+            # histogram, and the search's ladder answers (asserting "no
+            # exact pass until confirmation" straight off /metrics)
+            self.metrics.observe_optimize(result)
+        if not chaos:
+            self._cache_write(key, result, disk_path, disk_format)
+        return result, None, payload.get("trace"), _embedded_fidelity(endpoint, result)
+
+    async def _resolve_ladder(
+        self, endpoint: str, task: dict, key: str,
+        plan: faults.FaultPlan | None, tracer: Tracer | None = None,
+    ) -> tuple[dict, str | None, dict | None, dict]:
+        """Resolve a fidelity-ladder request (``accuracy``/``max_tier`` set).
+
+        Cache policy: tier-2 answers live under the *plain* request key —
+        byte-identical to plain results, so ladder and plain requests
+        warm one entry — and a cached one serves any SLO the tier-2 bound
+        satisfies.  Tier-3 answers live under the suffixed ``<key>.t3``
+        (a different wire payload: ``"method": "sim"``, simulated counts).
+        Tier-0/1 answers are cheap approximations: recomputing beats
+        caching, and they must never shadow an exact entry.  Ladder
+        requests skip coalescing — two requests with different SLOs
+        legitimately need different evaluations, and fidelity metadata is
+        per-request.
+        """
+        accuracy = task.get("accuracy")
+        disk_path, _ = self._disk_entry(task, key)
+        t3_key = f"{key}.t3"
+        t3_path, _ = self._disk_entry(task, t3_key)
+        with _span(tracer, "cache.lookup") as sp:
+            if accuracy is None or self._tier2_bound(task) <= accuracy:
+                result, tier = self._cache_read(key, disk_path, plan)
+                if result is not None:
+                    sp.annotate(tier=tier)
+                    return result, tier, None, self._cached_fidelity(2, task)
+            result, tier = self._cache_read(t3_key, t3_path, faultable=False)
+            if result is not None:
+                sp.annotate(tier=tier)
+                return result, tier, None, self._cached_fidelity(3, task)
+            sp.annotate(tier="miss")
+
+        payload = await self._run(endpoint, task, plan, tracer)
+        result = payload["result"]
+        fidelity = payload.get("fidelity") or {}
+        answered = fidelity.get("tier")
+        if answered is not None:
+            self.metrics.observe_ladder(endpoint, answered,
+                                        fidelity.get("escalations", 0))
+        if plan is None:
+            if answered == 2:
+                self._cache_write(key, result, disk_path)
+            elif answered == 3:
+                self._cache_write(t3_key, result, t3_path)
+            if answered in (0, 1):
+                self._offer_audit(endpoint, task, key, answered, result)
+        return result, None, payload.get("trace"), fidelity
+
+    def _cache_read(self, key: str, disk_path: Path | None,
+                    plan: faults.FaultPlan | None = None,
+                    faultable: bool = True) -> tuple[dict | None, str | None]:
+        """Both cache tiers for one key; a disk hit is promoted to memory.
+
+        A faultable disk read fires the ``cache.disk_read`` site against
+        ``plan`` (or the ambient daemon plan); a rule there corrupts it.
+        """
+        corrupt = (faultable and disk_path is not None
+                   and self._fire(plan, "cache.disk_read") is not None)
+        result, tier = self.cache.get(key, disk_path, corrupt_read=corrupt)
+        if tier == "disk":
+            self.cache.promote(key, canonical_json(result).encode())
+        return result, tier
+
+    def _cache_write(self, key: str, result: dict, disk_path: Path | None,
+                     disk_format: str | None = None) -> None:
+        self.cache.put(
+            key,
+            canonical_json(result).encode(),
+            disk_path,
+            # sweep records keep the store_record byte format so batch
+            # sweeps and the daemon share one disk cache
+            disk_text=json.dumps(result) if disk_format == "record" else None,
+        )
+
+    async def _run(self, endpoint: str, task: dict,
+                   plan: faults.FaultPlan | None, tracer: Tracer | None,
+                   lead: str | None = None) -> dict:
+        """Admit, evaluate and account one fresh evaluation.
+
+        ``lead`` is the key this evaluation leads for coalescing: once
+        admitted it registers the in-flight future duplicate requests
+        wait on.  Breaker accounting, per-phase metrics and delta
+        metadata are recorded here for every evaluation.
+        """
         await self._admit(endpoint, plan)
         breaker = self.breakers[endpoint]
         future = None
-        if not chaos:
+        if lead is not None:
             future = asyncio.get_running_loop().create_future()
-            self._inflight[key] = future
+            self._inflight[lead] = future
         try:
             payload = await self._evaluate(endpoint, task, tracer=tracer)
-            result = payload["result"]
             breaker.record_success()
             if future is not None:
-                future.set_result(result)
+                future.set_result(payload["result"])
         except _EvaluationError as exc:
             # only server-side failures count against the breaker; a 4xx
             # means the machinery worked and the request was at fault
@@ -815,93 +889,10 @@ class LocalityService:
             raise
         finally:
             if future is not None:
-                self._inflight.pop(key, None)
+                self._inflight.pop(lead, None)
         self.metrics.observe_phases(endpoint, payload.get("phase_seconds", {}))
         self._observe_delta(endpoint, task, payload)
-        if endpoint == "optimize":
-            # counts per-strategy outcomes, the predicted-improvement
-            # histogram, and the search's ladder answers (asserting "no
-            # exact pass until confirmation" straight off /metrics)
-            self.metrics.observe_optimize(result)
-        if not chaos:
-            self.cache.put(
-                key,
-                canonical_json(result).encode(),
-                disk_path,
-                # sweep records keep the store_record byte format so batch
-                # sweeps and the daemon share one disk cache
-                disk_text=json.dumps(result) if disk_format == "record" else None,
-            )
-        return result, None, payload.get("trace"), _embedded_fidelity(endpoint, result)
-
-    async def _resolve_ladder(
-        self, endpoint: str, task: dict, key: str,
-        plan: faults.FaultPlan | None, tracer: Tracer | None = None,
-    ) -> tuple[dict, str | None, dict | None, dict]:
-        """Resolve a fidelity-ladder request (``accuracy``/``max_tier`` set).
-
-        Cache policy: tier-2 answers live under the *plain* request key —
-        byte-identical to legacy results, so ladder and legacy requests
-        warm one entry — and a cached one serves any SLO the tier-2 bound
-        satisfies.  Tier-3 answers live under the suffixed ``<key>.t3``
-        (a different wire payload: ``"method": "sim"``, simulated counts).
-        Tier-0/1 answers are cheap approximations: recomputing beats
-        caching, and they must never shadow an exact entry.  Ladder
-        requests skip coalescing — two requests with different SLOs
-        legitimately need different evaluations, and fidelity metadata is
-        per-request.
-        """
-        accuracy = task.get("accuracy")
-        disk_path, _ = self._disk_entry(task, key)
-        with _span(tracer, "cache.lookup") as sp:
-            if accuracy is None or self._tier2_bound(task) <= accuracy:
-                corrupt_rule = (self._fire(plan, "cache.disk_read")
-                                if disk_path else None)
-                result, tier = self.cache.get(
-                    key, disk_path, corrupt_read=corrupt_rule is not None)
-                if result is not None:
-                    sp.annotate(tier=tier)
-                    if tier == "disk":
-                        self.cache.promote(key, canonical_json(result).encode())
-                    return result, tier, None, self._cached_fidelity(2, task)
-            t3_key = f"{key}.t3"
-            t3_path = (self.cache.cache_dir / f"{t3_key}.{endpoint}.json"
-                       if self.cache.cache_dir is not None else None)
-            result, tier = self.cache.get(t3_key, t3_path)
-            if result is not None:
-                sp.annotate(tier=tier)
-                if tier == "disk":
-                    self.cache.promote(t3_key, canonical_json(result).encode())
-                return result, tier, None, self._cached_fidelity(3, task)
-            sp.annotate(tier="miss")
-
-        await self._admit(endpoint, plan)
-        breaker = self.breakers[endpoint]
-        try:
-            payload = await self._evaluate(endpoint, task, tracer=tracer)
-            result = payload["result"]
-            breaker.record_success()
-        except _EvaluationError as exc:
-            if exc.status >= 500:
-                breaker.record_failure()
-            else:
-                breaker.record_success()
-            raise
-        self.metrics.observe_phases(endpoint, payload.get("phase_seconds", {}))
-        self._observe_delta(endpoint, task, payload)
-        fidelity = payload.get("fidelity") or {}
-        answered = fidelity.get("tier")
-        if answered is not None:
-            self.metrics.observe_ladder(endpoint, answered,
-                                        fidelity.get("escalations", 0))
-        if plan is None:
-            if answered == 2:
-                self.cache.put(key, canonical_json(result).encode(), disk_path)
-            elif answered == 3:
-                self.cache.put(t3_key, canonical_json(result).encode(), t3_path)
-            if answered in (0, 1):
-                self._offer_audit(endpoint, task, key, answered, result)
-        return result, None, payload.get("trace"), fidelity
+        return payload
 
     def _observe_delta(self, endpoint: str, task: dict,
                        payload: dict) -> None:
@@ -994,9 +985,9 @@ class LocalityService:
     async def _audit_once(self, item: dict) -> None:
         """Re-answer one sampled delivery exactly and score the error.
 
-        The reference pass is the stripped task on the legacy path —
-        byte-identical to a tier-2 ladder answer — served from the shared
-        plain-key cache when a legacy or escalated request already warmed
+        The reference pass is the stripped task as a plain request — the
+        tier-2 ladder answer — served from the shared plain-key cache
+        when a plain or escalated request already warmed
         it, and cached back otherwise (an audit evaluation is a normal
         exact answer; wasting it would be a shame).
         """
@@ -1010,8 +1001,7 @@ class LocalityService:
             if reference is None:
                 payload = await self._evaluate(endpoint, task)
                 reference = payload["result"]
-                self.cache.put(key, canonical_json(reference).encode(),
-                               disk_path)
+                self._cache_write(key, reference, disk_path)
             setup = setup_from_task(task)
             machine = setup.machine()
             dims = dims_from_task(task, machine)

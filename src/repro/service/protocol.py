@@ -452,7 +452,7 @@ def request_key(task: dict) -> str:
     ``max_tier`` are excluded too: every tier answers the *same* question,
     so a ladder request whose SLO a cached exact (tier-2) result satisfies
     should hit that entry, and a ladder answer that escalated to tier 2
-    warms the cache for legacy requests (the daemon decides per tier what
+    warms the cache for plain requests (the daemon decides per tier what
     to read and write — see :mod:`repro.service.app`).  ``optimize`` is
     the exception: its ``accuracy`` shapes the *search* (the confirmation
     tier is part of the result), so it stays in the key alongside the
@@ -505,10 +505,15 @@ def matrix_name(task: dict) -> str:
     return f"inline-{digest}"
 
 
-def matrix_from_task(task: dict) -> CSRMatrix:
-    """Materialize a task's matrix (runs inside a pool worker)."""
+def matrix_from_task(task: dict, name: str | None = None) -> CSRMatrix:
+    """Materialize a task's matrix (runs inside a pool worker).
+
+    ``name`` is the task's :func:`matrix_name` when the caller already
+    holds it: hashing an inline matrix costs about as much as building it.
+    """
     spec = task["matrix"]
-    name = matrix_name(task)
+    if name is None:
+        name = matrix_name(task)
     if spec["kind"] == "delta":
         # base pattern plus the accumulated edit chain, every batch
         # validated against the pattern it lands on

@@ -2,15 +2,18 @@
 
 :func:`evaluate` is the only function the daemon submits to the process
 pool.  It receives a canonical task (see :mod:`repro.service.protocol`),
-rebuilds the matrix and machine, runs the requested model, and returns a
-plain-JSON payload: ``{"result": ...}`` on success or ``{"error": ...}``
-on failure.  Exceptions are caught *inside* the worker — the same fault
-isolation the sweep engine uses — so a pathological matrix produces a
-structured error response instead of a dead worker.
+runs the requested model, and returns a plain-JSON payload:
+``{"result": ...}`` on success or ``{"error": ...}`` on failure.
+Exceptions are caught *inside* the worker — the same fault isolation the
+sweep engine uses — so a pathological matrix produces a structured error
+response instead of a dead worker.
 
-Every result payload round-trips through the shared ``to_dict`` wire
-format, which is what makes service responses byte-identical to direct
-:class:`~repro.core.SectorAdvisor` / :class:`~repro.core.MethodB` calls.
+There is one answer path per kind of task: classify/predict/advise go
+through :meth:`repro.ladder.Ladder.answer_task` (a plain request is its
+tier-2 answer, byte-identical to direct :class:`~repro.core.MethodB` /
+:class:`~repro.core.SectorAdvisor` calls), delta chains through
+:func:`repro.delta.engine.evaluate_delta_task`, ``optimize`` through the
+reordering search and ``sweep`` through the experiment measurement.
 """
 
 from __future__ import annotations
@@ -20,15 +23,12 @@ import os
 import time
 import traceback
 
-from ..core.advisor import SectorAdvisor
-from ..core.classification import classify
-from ..core.method_b import MethodB
 from ..experiments.common import measure_matrix
+from ..ladder.engine import Ladder, has_ladder_flags
 from ..obs import events as obs_events
 from ..obs.context import new_span_id
 from ..obs.tracer import Tracer, installed
 from ..resilience import faults
-from ..spmv.sector_policy import SectorPolicy
 from .protocol import matrix_from_task, matrix_name, setup_from_task
 
 
@@ -122,89 +122,31 @@ def _test_hooks(task: dict) -> None:
 def _dispatch(task: dict) -> tuple[dict, dict | None, dict | None]:
     """Run one task; returns ``(result, fidelity, delta_meta)``.
 
-    Tasks whose matrix spec is a delta chain (derived by ``POST /delta``)
-    route through :func:`repro.delta.engine.evaluate_delta_task`: the
-    result stays byte-identical to full re-evaluation of the edited
-    pattern, while the incremental-vs-fallback metadata rides back to the
-    daemon as the third slot (``payload["delta"]``, outside the cached
-    result).  Everything else dispatches through :func:`_dispatch_model`
-    with no delta metadata.
+    ``fidelity`` is set for ladder-flagged tasks (``accuracy``/
+    ``max_tier``) and ``optimize``; ``delta_meta`` (incremental vs
+    fallback) only for delta chains, whose result stays byte-identical
+    to full re-evaluation of the edited pattern.
     """
-    if task.get("matrix", {}).get("kind") == "delta":
+    if task["matrix"]["kind"] == "delta":
         from ..delta.engine import evaluate_delta_task
 
         return evaluate_delta_task(task)
-    result, fidelity = _dispatch_model(task)
-    return result, fidelity, None
-
-
-def _dispatch_model(task: dict) -> tuple[dict, dict | None]:
-    """Run one non-delta task; returns ``(result, fidelity_or_None)``.
-
-    Tasks carrying the fidelity-ladder flags (``accuracy``/``max_tier``)
-    route through :class:`repro.ladder.Ladder` — the matrix is only
-    materialized if an escalated tier needs it — and come back with
-    fidelity metadata.  Legacy tasks take the historical direct paths
-    (byte-identical results, no metadata).
-    """
-    setup = setup_from_task(task)
-
-    if task["endpoint"] == "optimize":
-        # dispatched before the ladder branch: optimize's "accuracy" is a
-        # confirmation SLO consumed by the search itself, not a request to
-        # answer the whole task through the ladder
+    endpoint = task["endpoint"]
+    if endpoint == "optimize":
+        # optimize's "accuracy" is a confirmation SLO consumed by the
+        # search itself, not a request to answer the task on the ladder
         from ..optimize import optimize_task
 
         result = optimize_task(task)
-        return result, result["fidelity"]
-
-    if task.get("accuracy") is not None or task.get("max_tier") is not None:
-        from ..ladder import Ladder
-
-        answer = Ladder(setup).answer_task(
-            task, matrix_name(task), lambda: matrix_from_task(task)
-        )
-        return answer.result, answer.fidelity()
-
-    machine = setup.machine()
-    matrix = matrix_from_task(task)
-    endpoint = task["endpoint"]
-
-    if endpoint == "classify":
-        num_cmgs = -(-setup.num_threads // machine.cores_per_cmg)
-        return {
-            "name": matrix.name,
-            "num_cmgs": num_cmgs,
-            "classes": {
-                str(ways): classify(matrix, machine, ways, num_cmgs).value
-                for ways in task["way_options"]
-            },
-        }, None
-
-    if endpoint == "predict":
-        model = MethodB(matrix, machine, num_threads=setup.num_threads,
-                        iterations=setup.iterations)
-        predictions = []
-        for entry in task["policies"]:
-            prediction = model.predict(SectorPolicy.from_dict(entry))
-            predictions.append({
-                "policy": prediction.policy.to_dict(),
-                "l2_misses": int(prediction.l2_misses),
-                "per_array": {k: int(v) for k, v in prediction.per_array.items()},
-            })
-        return {"name": matrix.name, "method": "B", "predictions": predictions}, None
-
-    if endpoint == "advise":
-        advisor = SectorAdvisor(
-            machine,
-            num_threads=setup.num_threads,
-            way_options=tuple(task["way_options"]),
-            consider_isolate_x=task["consider_isolate_x"],
-            min_sector1_ways_with_prefetch=task["min_sector1_ways_with_prefetch"],
-        )
-        return advisor.recommend(matrix).to_dict(), None
-
+        return result, result["fidelity"], None
+    setup = setup_from_task(task)
+    # hashed once: the ladder and the matrix builder share the name
+    name = matrix_name(task)
     if endpoint == "sweep":
-        return measure_matrix(matrix, setup).to_dict(), None
-
-    raise ValueError(f"unknown endpoint {endpoint!r}")
+        return measure_matrix(matrix_from_task(task, name),
+                              setup).to_dict(), None, None
+    answer = Ladder(setup).answer_task(
+        task, name, lambda: matrix_from_task(task, name)
+    )
+    return (answer.result,
+            answer.fidelity() if has_ladder_flags(task) else None, None)

@@ -192,13 +192,19 @@ def test_rebalanced_keys_fill_from_peers_not_reevaluation(tmp_path):
         gateway_config={"probe_interval_seconds": 0.2},
     ) as harness:
         client = harness.client(timeout=120.0)
-        list(client.batch("advise", _items(), window=2, setup=SETUP))
-        harness.kill_replica(0)
+        first = list(client.batch("advise", _items(), window=2, setup=SETUP))
+        # ring placement hashes ephemeral ports: kill the replica that owns
+        # the first key, so at least one key must be refilled from a peer
+        owner = harness.gateway.membership.owner(
+            next(line["key"] for line in first if line.get("index") == 0))
+        victim = next(r.index for r in harness.replicas
+                      if (r.host, r.port) == (owner.host, owner.port))
+        harness.kill_replica(victim)
         # interim owners evaluate and cache the dead replica's keys
         down = list(client.batch("advise", _items(), window=2, setup=SETUP))
         assert down[-1]["batch"]["errors"] == 0
 
-        harness.restart_replica(0, clear_cache=True)
+        harness.restart_replica(victim, clear_cache=True)
         assert harness.wait_alive(3, deadline_seconds=15.0)
         lines = list(client.batch("advise", _items(), window=2, setup=SETUP))
         *item_lines, tail = lines
@@ -207,12 +213,12 @@ def test_rebalanced_keys_fill_from_peers_not_reevaluation(tmp_path):
                        if line["cached"] == "peer"]
         assert peer_served, "no key was served by peer warm-cache fill"
         assert client.metrics()["peer_hints"] >= len(peer_served)
-        fills = harness.replica_client(0).metrics()["peer_fill"]
+        fills = harness.replica_client(victim).metrics()["peer_fill"]
         assert fills.get("hit", 0) >= len(peer_served)
         # some interim owner answered the peeks
         peeks = sum(
             harness.replica_client(i).metrics()["cache_peek"].get("hit", 0)
-            for i in (1, 2)
+            for i in range(3) if i != victim
         )
         assert peeks >= len(peer_served)
         client.close()

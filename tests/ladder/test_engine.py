@@ -6,14 +6,18 @@ Three acceptance families live here:
   tiers whose a-priori bound cannot satisfy the SLO, stops at the first
   posterior bound that does, honours ``max_tier``, and reports honest
   ``slo_met`` / fidelity metadata (property-tested over SLOs);
-* byte-identity — tier 2 reproduces the legacy ``MethodB`` /
+* byte-identity — tier 2 reproduces the direct ``MethodB`` /
   ``SectorAdvisor`` answers exactly and tier 3 the raw simulator counts,
-  so the ladder changes *selection*, never *answers*;
+  so the ladder changes *selection*, never *answers*; a service
+  evaluation hashes an inline matrix once and builds any matrix once;
 * calibration — the tier-1 statistical bound covers the sampled-vs-exact
   deviation across generator matrices of all four paper classes, and
   every tier's observed error against simulated ground truth stays
   within its reported bound on small class-1/class-2 matrices.
 """
+
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,7 +28,10 @@ from repro.experiments import ExperimentSetup
 from repro.ladder import Ladder, MatrixDims, SampledMethodB, build_sim
 from repro.ladder import tier0 as ladder_tier0
 from repro.matrices import banded, random_uniform
+from repro.matrices.collection import MatrixSpec
 from repro.resilience import degraded
+from repro.service import matrix_payload, protocol, worker
+from repro.service.protocol import normalize_request
 from repro.spmv.sector_policy import SectorPolicy, listing1_policy
 
 try:
@@ -193,6 +200,64 @@ def test_tier2_advise_is_byte_identical_to_advisor():
         consider_isolate_x=True, min_sector1_ways_with_prefetch=4,
     ).recommend(matrix)
     assert answer.result == direct.to_dict()
+
+
+# -- one hash, one build per service evaluation -------------------------
+
+def _count_builds(monkeypatch) -> Counter:
+    """Count matrix-name hashes, ``matrix_from_task`` calls and named
+    collection builds during the test (every binding site patched)."""
+    calls: Counter = Counter()
+    real_hashlib = protocol.hashlib
+
+    def sha256(data):
+        calls["hash"] += 1
+        return real_hashlib.sha256(data)
+
+    real_build = protocol.matrix_from_task
+
+    def matrix_from_task(*args, **kwargs):
+        calls["matrix_from_task"] += 1
+        return real_build(*args, **kwargs)
+
+    real_materialize = MatrixSpec.materialize
+
+    def materialize(spec):
+        calls["named_build"] += 1
+        return real_materialize(spec)
+
+    monkeypatch.setattr(protocol, "hashlib", SimpleNamespace(sha256=sha256))
+    monkeypatch.setattr(protocol, "matrix_from_task", matrix_from_task)
+    monkeypatch.setattr(worker, "matrix_from_task", matrix_from_task)
+    monkeypatch.setattr(MatrixSpec, "materialize", materialize)
+    return calls
+
+
+def test_inline_task_is_hashed_and_built_once(monkeypatch):
+    matrix = banded(1_500, 12, 4, seed=8)
+    task = normalize_request("predict", {
+        "matrix": matrix_payload(matrix), "setup": {"num_threads": 8},
+        "max_tier": 2,
+    })
+    calls = _count_builds(monkeypatch)
+    payload = worker.evaluate(task)
+    assert payload["fidelity"]["tier"] == 2
+    assert calls["hash"] == 1
+    assert calls["matrix_from_task"] == 1
+
+
+@pytest.mark.parametrize("flags", [{}, {"max_tier": 2}])
+def test_named_task_builds_its_matrix_once(monkeypatch, flags):
+    task = normalize_request("advise", {
+        "matrix": {"name": "banded_001", "collection": "tiny"},
+        "setup": {"num_threads": 8}, **flags,
+    })
+    monkeypatch.setattr(ladder_tier0, "_named_dims", {})
+    calls = _count_builds(monkeypatch)
+    payload = worker.evaluate(task)
+    assert "error" not in payload, payload
+    assert calls["named_build"] == 1
+    assert calls["hash"] == 0
 
 
 def test_tier3_predict_matches_raw_simulator():

@@ -12,9 +12,30 @@ Prometheus).
 
 import pytest
 
+from repro.analysis.report import canonical_json
+from repro.core.advisor import SectorAdvisor
+from repro.core.classification import classify
+from repro.core.method_b import MethodB
+from repro.delta import engine as delta_engine
+from repro.delta.delta import MatrixDelta
 from repro.matrices import banded
 from repro.obs.prometheus import parse_prometheus_text
-from repro.service import ServiceError, matrix_payload
+from repro.service import (
+    ServiceClient,
+    ServiceConfig,
+    ServiceError,
+    ServiceThread,
+    matrix_payload,
+)
+from repro.service.protocol import (
+    derive_delta_task,
+    matrix_from_task,
+    normalize_delta,
+    normalize_request,
+    setup_from_task,
+)
+from repro.service.worker import evaluate
+from repro.spmv.sector_policy import SectorPolicy
 
 from .conftest import SETUP
 
@@ -130,3 +151,138 @@ def test_ladder_metrics_families_in_prometheus(client):
     buckets = parsed["repro_ladder_escalations_bucket"]
     counts = [v for lbl, v in buckets]
     assert counts == sorted(counts)  # cumulative histogram is monotone
+
+
+# ----------------------------------------------------------------------
+# one answer path: plain == max_tier 2 == the direct library call
+# ----------------------------------------------------------------------
+
+ROUTE_MATRIX = banded(720, 12, 5, seed=41)
+
+
+def _coo_with_duplicates(matrix, copies: int = 16) -> dict:
+    """COO triplets of ``matrix``, every entry sent ``copies`` times.
+
+    The summed pattern (duplicates count once) is what every route
+    prices; counting the raw triplets would move this class-1 matrix
+    into class 2.
+    """
+    rows = [r for r in range(matrix.num_rows)
+            for _ in range(matrix.rowptr[r], matrix.rowptr[r + 1])]
+    cols = matrix.colidx.tolist()
+    return {"coo": {"num_rows": matrix.num_rows, "num_cols": matrix.num_cols,
+                    "rows": rows * copies, "cols": cols * copies}}
+
+
+ROUTE_SPECS = {
+    "csr": matrix_payload(ROUTE_MATRIX),
+    "coo": _coo_with_duplicates(ROUTE_MATRIX),
+    "named": {"name": "banded_001", "collection": "tiny"},
+}
+
+
+def _library_answer(task: dict) -> dict:
+    """The task's answer from the core models, no service code involved."""
+    setup = setup_from_task(task)
+    machine = setup.machine()
+    matrix = matrix_from_task(task)
+    if task["endpoint"] == "classify":
+        cmgs = -(-setup.num_threads // machine.cores_per_cmg)
+        return {"name": matrix.name, "num_cmgs": cmgs, "classes": {
+            str(ways): classify(matrix, machine, ways, cmgs).value
+            for ways in task["way_options"]}}
+    if task["endpoint"] == "predict":
+        model = MethodB(matrix, machine, num_threads=setup.num_threads,
+                        iterations=setup.iterations)
+        predictions = []
+        for entry in task["policies"]:
+            prediction = model.predict(SectorPolicy.from_dict(entry))
+            predictions.append({
+                "policy": prediction.policy.to_dict(),
+                "l2_misses": int(prediction.l2_misses),
+                "per_array": {k: int(v)
+                              for k, v in prediction.per_array.items()},
+            })
+        return {"name": matrix.name, "method": "B", "predictions": predictions}
+    return SectorAdvisor(
+        machine, num_threads=setup.num_threads,
+        way_options=tuple(task["way_options"]),
+        consider_isolate_x=task["consider_isolate_x"],
+        min_sector1_ways_with_prefetch=task["min_sector1_ways_with_prefetch"],
+    ).recommend(matrix).to_dict()
+
+
+def _assert_one_answer(plain: dict, task: dict) -> dict:
+    """A plain envelope's result equals a fresh ``max_tier: 2`` evaluation
+    of the same task and the library call; returns that evaluation."""
+    assert plain["ok"], plain
+    assert "fidelity" not in plain
+    capped = evaluate(dict(task, max_tier=2))
+    assert "error" not in capped, capped
+    assert capped["fidelity"]["tier"] == (0 if task["endpoint"] == "classify"
+                                          else 2)
+    expected = canonical_json(_library_answer(task))
+    assert canonical_json(plain["result"]) == expected
+    assert canonical_json(capped["result"]) == expected
+    return capped
+
+
+@pytest.mark.parametrize("kind", sorted(ROUTE_SPECS))
+@pytest.mark.parametrize("endpoint", ["classify", "predict", "advise"])
+def test_plain_request_is_the_tier2_answer(client, endpoint, kind):
+    payload = {"matrix": ROUTE_SPECS[kind], "setup": dict(SETUP)}
+    plain = client.request("POST", f"/{endpoint}", payload)
+    _assert_one_answer(plain, normalize_request(endpoint, payload))
+
+
+#: (endpoint, setup, daemon delta budget) -> the path that prices it
+DELTA_ROUTES = [
+    ("advise", {"num_threads": 1}, None, ("incremental", None)),
+    ("predict", {"num_threads": 1}, None, ("incremental", None)),
+    ("classify", {"num_threads": 1}, None, ("incremental", "structural")),
+    ("predict", {"num_threads": 1}, 1, ("fallback", "budget")),
+    ("advise", {"num_threads": 8}, None, ("fallback", "threads")),
+    ("predict", {"num_threads": 1, "iterations": 1}, None,
+     ("fallback", "iterations")),
+]
+
+
+@pytest.mark.parametrize("endpoint,setup,budget,route", DELTA_ROUTES,
+                         ids=[f"{e}-{r[1] or r[0]}"
+                              for e, _, _, r in DELTA_ROUTES])
+def test_delta_chain_is_the_tier2_answer(client, tmp_path, endpoint, setup,
+                                         budget, route):
+    payload = {"matrix": matrix_payload(ROUTE_MATRIX), "setup": setup}
+    # far-off-band columns: the reuse windows they dirty overflow a
+    # 1-element budget, while the default budget patches them
+    batch = {"inserts": [[9, 700, 1.0], [500, 3, 1.0]],
+             "deletes": [[300, int(ROUTE_MATRIX.colidx[
+                 ROUTE_MATRIX.rowptr[300]])]]}
+
+    def chain(daemon: ServiceClient):
+        base = daemon.request("POST", f"/{endpoint}", payload)
+        return base, daemon.delta(base["key"], **batch)
+
+    if budget is None:
+        base, delta = chain(client)
+    else:
+        # forked workers would inherit this process's warm reuse states
+        delta_engine._state_cache.clear()
+        config = ServiceConfig(jobs=1, cache_dir=str(tmp_path),
+                               delta_budget=budget)
+        with ServiceThread(config) as (host, port), \
+                ServiceClient(host, port, timeout=120.0) as small_budget:
+            base, delta = chain(small_budget)
+    assert (delta["delta"]["path"], delta["delta"].get("reason")) == route
+    stored = normalize_request(endpoint, payload)
+    task = derive_delta_task(
+        stored, normalize_delta({"base": base["key"], "delta": batch}),
+        budget if budget is not None else ServiceConfig().delta_budget)
+    capped = _assert_one_answer(delta, task)
+    if endpoint != "classify":  # a capped classify delta answers at tier 0
+        assert capped["delta"]["path"] == route[0]
+    edited = MatrixDelta.from_dict(batch).apply(ROUTE_MATRIX).matrix
+    full = client.request("POST", f"/{endpoint}",
+                          {"matrix": matrix_payload(edited), "setup": setup})
+    assert {k: v for k, v in full["result"].items() if k != "name"} == \
+        {k: v for k, v in delta["result"].items() if k != "name"}
