@@ -26,7 +26,14 @@ the single source of membership truth — replicas hold no cluster state,
 so there is no split brain to reconcile.
 
 ``POST /batch`` streams a whole collection sweep back as NDJSON with a
-bounded in-flight window (:mod:`repro.cluster.batch`).
+bounded in-flight window (:mod:`repro.cluster.batch`), plugged into the
+shared connection loop through :meth:`ClusterGateway.stream`.
+
+The HTTP side is the server shell in :mod:`repro.service.httpd`, the
+same one the replica daemons run: this module adds only the gateway's
+routes, its ``/healthz`` and ``/metrics`` content (the
+:data:`GATEWAY_FAMILIES` table next to :class:`GatewayMetrics`) and the
+membership probe loop.
 """
 
 from __future__ import annotations
@@ -34,31 +41,30 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
-import signal
-import threading
 import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from urllib.parse import parse_qs
+from typing import Iterator
 
-from ..experiments.pool import (
-    register_parent_socket,
-    unregister_parent_socket,
-)
 from ..obs import events as obs_events
-from ..obs.context import TRACE_HEADER, TraceContext
+from ..obs.context import TraceContext
 from ..obs.events import DEFAULT_MAX_BYTES, EventLog
 from ..obs.histogram import LatencyHistogram
+from ..obs.prometheus import Family, Sample, render
 from ..obs.traces import TraceBuffer
-from ..obs.tracer import NULL_SPAN, Tracer
+from ..obs.tracer import Tracer
 from ..obs.tree import TraceTree
 from ..service.httpd import (
+    HttpApp,
     ParsedRequest,
-    PayloadTooLarge,
+    ServerThread,
+    error_payload,
     finish_chunked_response,
-    read_request,
+    json_body,
     request_bytes,
+    request_span,
     respond,
+    serve,
     start_chunked_response,
     write_chunk,
 )
@@ -73,8 +79,8 @@ from .batch import BatchItem, normalize_batch
 from .membership import MembershipController
 from .ring import DEFAULT_VNODES
 
-__all__ = ["ClusterGateway", "GatewayConfig", "GatewayThread",
-           "render_gateway_prometheus", "run_gateway"]
+__all__ = ["GATEWAY_FAMILIES", "ClusterGateway", "GatewayConfig",
+           "GatewayThread", "render_gateway_prometheus", "run_gateway"]
 
 
 @dataclass(frozen=True)
@@ -169,8 +175,63 @@ class GatewayMetrics:
         }
 
 
-class ClusterGateway:
-    """Transport-agnostic gateway logic: route, fail over, stream."""
+def _membership_changes(membership: dict) -> Iterator[Sample]:
+    yield "", {"kind": "ejection"}, membership.get("ejections", 0)
+    yield "", {"kind": "readmission"}, membership.get("readmissions", 0)
+
+
+#: the gateway's exposition (``GET /metrics?format=prometheus``)
+GATEWAY_FAMILIES = (
+    Family("uptime_seconds", "gauge", "Gateway uptime.", "uptime_seconds",
+           as_float=True),
+    Family("routed_total", "counter",
+           "Forwards answered, by endpoint and replica.",
+           "routed.*.*", ("endpoint", "replica")),
+    Family("failovers_total", "counter",
+           "Forwards retried on the next replica after a dead socket.",
+           "failovers"),
+    Family("delta_retargets_total", "counter",
+           "Delta forwards retried on another replica after a registry 404 "
+           "(chained base keys can hash away from their chain root's owner).",
+           "delta_retargets"),
+    Family("requests_exhausted_total", "counter",
+           "Requests every candidate replica failed (lost work).", "exhausted"),
+    Family("peer_hints_total", "counter",
+           "Forwards carrying a warm-cache peer hint.", "peer_hints"),
+    Family("bad_requests_total", "counter",
+           "Requests rejected at the gateway without a forward.",
+           "bad_requests"),
+    Family("batches_total", "counter", "Batch requests accepted.",
+           "batch.batches"),
+    Family("batch_items_total", "counter",
+           "Batch items streamed, by terminal status.",
+           "batch.items.*", ("status",)),
+    Family("batch_inflight_peak", "gauge",
+           "Peak concurrent in-flight batch items.", "batch.inflight_peak"),
+    # a bool leaf is exposed as 1/0
+    Family("replica_up", "gauge",
+           "Replica liveness in the ring (1 = in, 0 = ejected).",
+           "membership.replicas.*.healthy", ("replica",)),
+    Family("membership_changes_total", "counter",
+           "Ring membership transitions, by kind.",
+           "membership", ("kind",), sampler=_membership_changes),
+    Family("request_latency_seconds", "histogram",
+           "Gateway round-trip latency by endpoint.",
+           "latency_seconds.*", ("endpoint",)),
+)
+
+
+def render_gateway_prometheus(snapshot: dict, prefix: str = "repro_gateway") -> str:
+    """Prometheus text exposition of the gateway snapshot."""
+    return render(GATEWAY_FAMILIES, snapshot, prefix)
+
+
+class ClusterGateway(HttpApp):
+    """Gateway logic behind the server shell: route, fail over, stream."""
+
+    role = "gateway"
+    post_routes = frozenset(ENDPOINTS) | {"delta"}
+    render_metrics = staticmethod(render_gateway_prometheus)
 
     def __init__(self, config: GatewayConfig) -> None:
         self.config = config
@@ -196,6 +257,25 @@ class ClusterGateway:
             obs_events.emit("gateway.stop")
             obs_events.install(self._previous_event_log)
             self._event_log.close()
+
+    def health(self) -> dict:
+        alive = len(self.membership.alive)
+        return {
+            "ok": alive > 0,
+            "status": "healthy" if alive else "no live replicas",
+            "role": "gateway",
+            "replicas": {"alive": alive,
+                         "total": len(self.membership.replicas)},
+        }
+
+    def metrics_snapshot(self) -> dict:
+        return self.metrics.snapshot(self.membership)
+
+    def background(self) -> list:
+        return [self.probe_loop()]
+
+    def start_fields(self) -> dict:
+        return {"replicas": len(self.config.replicas)}
 
     # ------------------------------------------------------------------
     # routing
@@ -237,7 +317,7 @@ class ClusterGateway:
                     hinted["peer"] = {"host": peer.host, "port": peer.port}
                     body = json.dumps(hinted).encode()
                     self.metrics.peer_hints += 1
-            forward = _span(tracer, "gateway.forward", replica=replica.node)
+            forward = request_span(tracer, "gateway.forward", replica=replica.node)
             with forward:
                 try:
                     status, response = await request_bytes(
@@ -281,24 +361,16 @@ class ClusterGateway:
             self.metrics.routed[endpoint][replica.node] += 1
             return status, response, (forward if tracer is not None else None)
 
-    async def _handle_model(
-        self, endpoint: str, body: bytes,
-        headers: dict[str, str] | None = None,
+    async def post(
+        self, endpoint: str, body: bytes, headers: dict[str, str],
     ) -> tuple[int, dict | bytes]:
+        """Validate one model or ``/delta`` request and route it."""
         started = time.perf_counter()
         try:
-            payload = json.loads(body.decode() or "{}")
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            payload = json_body(body, headers)
+        except ValueError as exc:
             self.metrics.bad_requests += 1
-            return 400, _error_payload(endpoint, "BadJSON", str(exc))
-        if isinstance(payload, dict) and "trace_context" not in payload:
-            # an X-Repro-Trace header is the out-of-band form of the same
-            # hop; an explicit JSON trace_context wins over it
-            header_ctx = TraceContext.from_header(
-                (headers or {}).get(TRACE_HEADER.lower())
-            )
-            if header_ctx is not None:
-                payload["trace_context"] = header_ctx.to_dict()
+            return 400, error_payload(endpoint, "BadJSON", str(exc))
         try:
             if endpoint == "delta":
                 # a delta must land on the replica that answered — and so
@@ -314,7 +386,7 @@ class ClusterGateway:
                 key = request_key(task)
         except RequestError as exc:
             self.metrics.bad_requests += 1
-            return exc.status, _error_payload(endpoint, "RequestError", str(exc))
+            return exc.status, error_payload(endpoint, "RequestError", str(exc))
         # this gateway hop of the distributed trace: child of the caller's
         # context when one came in, a fresh root otherwise (minted when the
         # request wants a trace or an event log needs correlation)
@@ -423,6 +495,15 @@ class ClusterGateway:
     # ------------------------------------------------------------------
     # batch streaming
     # ------------------------------------------------------------------
+    async def stream(self, request: ParsedRequest,
+                     writer: asyncio.StreamWriter) -> bool:
+        """``POST /batch``: stream the answers back as NDJSON."""
+        path = request.target.partition("?")[0].rstrip("/")
+        if request.method != "POST" or path != "/batch":
+            return False
+        await self._stream_batch(writer, request.body)
+        return True
+
     async def _stream_batch(
         self, writer: asyncio.StreamWriter, body: bytes
     ) -> None:
@@ -432,13 +513,13 @@ class ClusterGateway:
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             self.metrics.bad_requests += 1
             await respond(writer, 400,
-                          _error_payload("batch", "BadJSON", str(exc)),
+                          error_payload("batch", "BadJSON", str(exc)),
                           close=True)
             return
         except RequestError as exc:
             self.metrics.bad_requests += 1
             await respond(writer, exc.status,
-                          _error_payload("batch", "RequestError", str(exc)),
+                          error_payload("batch", "RequestError", str(exc)),
                           close=True)
             return
 
@@ -535,121 +616,6 @@ class ClusterGateway:
             envelope["ok"] = False
         return envelope
 
-    # ------------------------------------------------------------------
-    # HTTP surface
-    # ------------------------------------------------------------------
-    async def handle_request(
-        self, method: str, target: str, body: bytes,
-        headers: dict[str, str] | None = None,
-    ) -> tuple[int, dict | str | bytes, bool]:
-        path, _, query_string = target.partition("?")
-        path = path.rstrip("/") or "/"
-        if method == "GET":
-            if path == "/healthz":
-                alive = len(self.membership.alive)
-                return 200, {
-                    "ok": alive > 0,
-                    "status": "healthy" if alive else "no live replicas",
-                    "role": "gateway",
-                    "replicas": {"alive": alive,
-                                 "total": len(self.membership.replicas)},
-                }, False
-            if path == "/metrics":
-                fmt = (parse_qs(query_string).get("format") or ["json"])[-1]
-                if fmt not in ("json", "prometheus"):
-                    return 400, _error_payload(
-                        "metrics", "BadFormat",
-                        f"unknown metrics format {fmt!r} "
-                        "(expected 'json' or 'prometheus')",
-                    ), False
-                snapshot = self.metrics.snapshot(self.membership)
-                if fmt == "prometheus":
-                    return 200, render_gateway_prometheus(snapshot), False
-                return 200, snapshot, False
-            if path == "/debug/traces":
-                query = parse_qs(query_string)
-                try:
-                    limit = int((query.get("limit") or ["10"])[-1])
-                except ValueError:
-                    return 400, _error_payload(
-                        "debug/traces", "BadLimit",
-                        "limit must be an integer"), False
-                endpoint = (query.get("endpoint") or [None])[-1]
-                snapshot = self.traces.snapshot(limit=limit, endpoint=endpoint)
-                snapshot["ok"] = True
-                return 200, snapshot, False
-            return 404, _error_payload(path, "NotFound",
-                                       f"no such path {path!r}"), False
-        if method != "POST":
-            return 405, _error_payload(path, "MethodNotAllowed",
-                                       f"{method} not supported"), False
-        if path == "/shutdown":
-            return 200, {"ok": True, "status": "shutting down"}, True
-        endpoint = path.lstrip("/")
-        if endpoint not in ENDPOINTS and endpoint != "delta":
-            return 404, _error_payload(endpoint, "NotFound",
-                                       f"no such endpoint {endpoint!r}"), False
-        status, payload = await self._handle_model(endpoint, body, headers)
-        return status, payload, False
-
-    async def handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        shutdown = False
-        # in thread mode the gateway shares its process with replica
-        # daemons whose pool workers fork at arbitrary moments; register
-        # the accepted socket so those workers close their inherited copy
-        # (see repro.experiments.pool.register_parent_socket)
-        conn_sock = writer.get_extra_info("socket")
-        if conn_sock is not None:
-            register_parent_socket(conn_sock)
-        try:
-            while True:
-                try:
-                    request = await read_request(reader,
-                                                 self.config.max_body_bytes)
-                except PayloadTooLarge as exc:
-                    await respond(writer, 413,
-                                  _error_payload(exc.target, "PayloadTooLarge",
-                                                 str(exc)),
-                                  close=True)
-                    return
-                if request is None:
-                    return
-                if request.malformed:
-                    await respond(writer, 400,
-                                  _error_payload("", "BadRequest",
-                                                 "malformed request line"),
-                                  close=True)
-                    return
-                path = request.target.partition("?")[0].rstrip("/")
-                if request.method == "POST" and path == "/batch":
-                    await self._stream_batch(writer, request.body)
-                    return  # a stream always closes the connection
-                status, payload, shutdown = await self.handle_request(
-                    request.method, request.target, request.body,
-                    request.headers,
-                )
-                close = request.close or shutdown
-                await respond(writer, status, payload, close=close)
-                if close:
-                    return
-        except (ConnectionError, OSError, asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            # loop teardown cancels handlers parked on an idle keep-alive
-            # socket; exiting cleanly here keeps the streams machinery
-            # from logging the cancellation as an error
-            pass
-        finally:
-            if conn_sock is not None:
-                unregister_parent_socket(conn_sock)
-            with contextlib.suppress(Exception):
-                writer.close()
-                await writer.wait_closed()
-            if shutdown:
-                self.shutdown_event.set()
-
     async def probe_loop(self) -> None:
         """Background membership maintenance (see module docstring)."""
         interval = self.config.probe_interval_seconds
@@ -672,82 +638,12 @@ def _find_node(node, name: str):
     return None
 
 
-def _span(tracer: Tracer | None, name: str, **attrs):
-    """A span on the request's tracer, or the shared no-op (same helper
-    the service layer uses)."""
-    return tracer.span(name, **attrs) if tracer is not None else NULL_SPAN
-
-
-def _error_payload(endpoint: str, error_type: str, message: str) -> dict:
-    return {"ok": False, "endpoint": endpoint,
-            "error": {"type": error_type, "message": message}}
-
-
 def _error_bytes(endpoint: str, error_type: str, message: str) -> bytes:
-    return json.dumps(_error_payload(endpoint, error_type, message)).encode()
+    return json.dumps(error_payload(endpoint, error_type, message)).encode()
 
 
 def _ndjson(payload: dict) -> bytes:
     return json.dumps(payload).encode() + b"\n"
-
-
-def render_gateway_prometheus(snapshot: dict, prefix: str = "repro_gateway") -> str:
-    """Prometheus text exposition of the gateway snapshot."""
-    from ..obs.prometheus import _Writer
-
-    w = _Writer(prefix)
-    name = w.family("uptime_seconds", "gauge", "Gateway uptime.")
-    w.sample(name, float(snapshot.get("uptime_seconds", 0.0)))
-    name = w.family("routed_total", "counter",
-                    "Forwards answered, by endpoint and replica.")
-    for endpoint, replicas in sorted(snapshot.get("routed", {}).items()):
-        for replica, count in sorted(replicas.items()):
-            w.sample(name, count, endpoint=endpoint, replica=replica)
-    name = w.family("failovers_total", "counter",
-                    "Forwards retried on the next replica after a dead socket.")
-    w.sample(name, snapshot.get("failovers", 0))
-    name = w.family("delta_retargets_total", "counter",
-                    "Delta forwards retried on another replica after a "
-                    "registry 404 (chained base keys can hash away from "
-                    "their chain root's owner).")
-    w.sample(name, snapshot.get("delta_retargets", 0))
-    name = w.family("requests_exhausted_total", "counter",
-                    "Requests every candidate replica failed (lost work).")
-    w.sample(name, snapshot.get("exhausted", 0))
-    name = w.family("peer_hints_total", "counter",
-                    "Forwards carrying a warm-cache peer hint.")
-    w.sample(name, snapshot.get("peer_hints", 0))
-    name = w.family("bad_requests_total", "counter",
-                    "Requests rejected at the gateway without a forward.")
-    w.sample(name, snapshot.get("bad_requests", 0))
-    batch = snapshot.get("batch", {})
-    name = w.family("batches_total", "counter", "Batch requests accepted.")
-    w.sample(name, batch.get("batches", 0))
-    name = w.family("batch_items_total", "counter",
-                    "Batch items streamed, by terminal status.")
-    for status, count in sorted(batch.get("items", {}).items()):
-        w.sample(name, count, status=status)
-    name = w.family("batch_inflight_peak", "gauge",
-                    "Peak concurrent in-flight batch items.")
-    w.sample(name, batch.get("inflight_peak", 0))
-    membership = snapshot.get("membership", {})
-    name = w.family("replica_up", "gauge",
-                    "Replica liveness in the ring (1 = in, 0 = ejected).")
-    for node, state in sorted(membership.get("replicas", {}).items()):
-        w.sample(name, 1 if state.get("healthy") else 0, replica=node)
-    name = w.family("membership_changes_total", "counter",
-                    "Ring membership transitions, by kind.")
-    w.sample(name, membership.get("ejections", 0), kind="ejection")
-    w.sample(name, membership.get("readmissions", 0), kind="readmission")
-    name = w.family("request_latency_seconds", "histogram",
-                    "Gateway round-trip latency by endpoint.")
-    for endpoint, hist in sorted(snapshot.get("latency_seconds", {}).items()):
-        for bound, cumulative in hist.get("buckets", {}).items():
-            w.sample(f"{name}_bucket", cumulative, endpoint=endpoint, le=bound)
-        w.sample(f"{name}_sum", float(hist.get("sum_seconds", 0.0)),
-                 endpoint=endpoint)
-        w.sample(f"{name}_count", hist.get("count", 0), endpoint=endpoint)
-    return "\n".join(w.lines) + "\n"
 
 
 async def run_gateway(
@@ -763,39 +659,11 @@ async def run_gateway(
     ephemeral port announced on stdout as ``repro-gateway listening on
     http://HOST:PORT``.
     """
-    gateway = ClusterGateway(config)
-    server = await asyncio.start_server(gateway.handle_connection, host, port)
-    # same fork hygiene as run_server: replica evaluator workers forked in
-    # this process must not keep the gateway port alive after shutdown
-    listeners = list(server.sockets)
-    for sock in listeners:
-        register_parent_socket(sock)
-    actual_port = server.sockets[0].getsockname()[1]
-    if announce:
-        print(f"repro-gateway listening on http://{host}:{actual_port}",
-              flush=True)
-    obs_events.emit("gateway.start", host=host, port=actual_port,
-                    replicas=len(config.replicas))
-    loop = asyncio.get_running_loop()
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        with contextlib.suppress(NotImplementedError, RuntimeError, ValueError):
-            loop.add_signal_handler(sig, gateway.shutdown_event.set)
-    prober = asyncio.ensure_future(gateway.probe_loop())
-    if ready is not None:
-        ready(gateway, host, actual_port, loop)
-    try:
-        async with server:
-            await gateway.shutdown_event.wait()
-    finally:
-        for sock in listeners:
-            unregister_parent_socket(sock)
-        prober.cancel()
-        with contextlib.suppress(asyncio.CancelledError):
-            await prober
-        gateway.close()
+    await serve(ClusterGateway(config), host, port, ready=ready,
+                announce=announce)
 
 
-class GatewayThread:
+class GatewayThread(ServerThread):
     """An in-process gateway on a background thread (tests, benches).
 
     >>> with GatewayThread(GatewayConfig(replicas=((h1, p1), (h2, p2)))) \\
@@ -803,54 +671,8 @@ class GatewayThread:
     ...     ServiceClient(host, port).health()
     """
 
-    def __init__(
-        self,
-        config: GatewayConfig,
-        host: str = "127.0.0.1",
-        port: int = 0,
-    ) -> None:
-        self.config = config
-        self._host = host
-        self._port = port
-        self._ready = threading.Event()
-        self._thread: threading.Thread | None = None
-        self.gateway: ClusterGateway | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self.address: tuple[str, int] | None = None
+    app_class = ClusterGateway
 
-    def _on_ready(self, gateway, host, port, loop) -> None:
-        self.gateway = gateway
-        self.address = (host, port)
-        self._loop = loop
-        self._ready.set()
-
-    def start(self) -> tuple[str, int]:
-        if self._thread is not None:
-            raise RuntimeError("gateway thread already started")
-        self._thread = threading.Thread(
-            target=lambda: asyncio.run(
-                run_gateway(self.config, self._host, self._port,
-                            ready=self._on_ready, announce=False)
-            ),
-            name="repro-gateway",
-            daemon=True,
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout=30):
-            raise RuntimeError("gateway thread failed to start")
-        return self.address
-
-    def stop(self, timeout: float = 30.0) -> None:
-        if self._thread is None:
-            return
-        if self._loop is not None and self.gateway is not None:
-            with contextlib.suppress(RuntimeError):
-                self._loop.call_soon_threadsafe(self.gateway.shutdown_event.set)
-        self._thread.join(timeout=timeout)
-        self._thread = None
-
-    def __enter__(self) -> tuple[str, int]:
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
+    @property
+    def gateway(self) -> ClusterGateway | None:
+        return self.app

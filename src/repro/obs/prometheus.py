@@ -1,10 +1,15 @@
-"""Prometheus text exposition of the service metrics snapshot.
+"""Prometheus text exposition, declared once per metric family.
 
-:func:`render_prometheus` turns the JSON snapshot of
-:class:`repro.service.metrics.ServiceMetrics` into the Prometheus text
-format (version 0.0.4): one ``# HELP``/``# TYPE`` pair per metric family,
-cumulative ``_bucket{le=...}`` histogram series reusing the existing
-``le``-convention buckets, counters suffixed ``_total``.
+Each family of the daemon's (:data:`SERVICE_FAMILIES`) and the
+gateway's (``repro.cluster.gateway.GATEWAY_FAMILIES``) exposition is one
+:class:`Family` row: name, type, help, where its samples sit in the JSON
+``/metrics`` snapshot, and its label names.  :func:`render` walks any
+table into the Prometheus text format (version 0.0.4): one ``# HELP``/
+``# TYPE`` pair per family, cumulative ``_bucket{le=...}`` histogram
+series reusing the snapshot's ``le``-convention buckets, counters
+suffixed ``_total``.  :func:`render_prometheus` is the daemon's table
+through it.  The operator catalogue in ``docs/OPERATIONS.md`` is checked
+against the same tables by the tests.
 
 :func:`parse_prometheus_text` is the matching strict reader used by the
 tests (and usable against any exposition text): it validates line syntax,
@@ -15,6 +20,8 @@ consistency, raising ``ValueError`` on the first violation.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
+from typing import Callable, Iterator
 
 _NAME = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _SAMPLE = re.compile(
@@ -24,6 +31,9 @@ _SAMPLE = re.compile(
 )
 _LABEL = re.compile(r'^(?P<key>[a-zA-Z_][a-zA-Z0-9_]*)="(?P<value>(?:[^"\\]|\\.)*)"$')
 
+#: one exposition sample: (name suffix, labels, value)
+Sample = tuple[str, dict, object]
+
 
 def _escape(value: str) -> str:
     return (
@@ -31,24 +41,9 @@ def _escape(value: str) -> str:
     )
 
 
-def _labels(**labels) -> str:
+def _labels(labels: dict) -> str:
     inner = ",".join(f'{k}="{_escape(v)}"' for k, v in labels.items())
     return f"{{{inner}}}" if inner else ""
-
-
-class _Writer:
-    def __init__(self, prefix: str = "repro") -> None:
-        self.prefix = prefix
-        self.lines: list[str] = []
-
-    def family(self, name: str, kind: str, help_text: str) -> str:
-        full = f"{self.prefix}_{name}"
-        self.lines.append(f"# HELP {full} {help_text}")
-        self.lines.append(f"# TYPE {full} {kind}")
-        return full
-
-    def sample(self, name: str, value, **labels) -> None:
-        self.lines.append(f"{name}{_labels(**labels)} {_format_value(value)}")
 
 
 def _format_value(value) -> str:
@@ -59,250 +54,249 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def render_prometheus(snapshot: dict, prefix: str = "repro") -> str:
-    """The ``/metrics`` snapshot in Prometheus text-exposition format."""
-    w = _Writer(prefix)
+def _lookup(snapshot: dict, path: str):
+    """The snapshot value at a dotted ``path`` (None when absent)."""
+    node = snapshot
+    for step in path.split("."):
+        node = node.get(step) if isinstance(node, dict) else None
+    return node
 
-    name = w.family("uptime_seconds", "gauge", "Daemon uptime.")
-    w.sample(name, float(snapshot.get("uptime_seconds", 0.0)))
 
-    name = w.family("requests_total", "counter",
-                    "Terminal request count by endpoint and status.")
-    for endpoint, statuses in sorted(snapshot.get("requests", {}).items()):
-        for status, count in sorted(statuses.items()):
-            w.sample(name, count, endpoint=endpoint, status=status)
+@dataclass(frozen=True)
+class Family:
+    """One metric family: how it is exposed and where its samples live.
 
-    name = w.family("evaluations_total", "counter",
-                    "Model evaluations actually performed.")
-    for endpoint, count in sorted(snapshot.get("evaluations", {}).items()):
-        w.sample(name, count, endpoint=endpoint)
+    ``path`` walks the snapshot one dotted step at a time; a ``*`` step
+    fans out over that level's keys, in sorted order, each becoming the
+    value of the next name in ``labels``.  A missing key reads as an
+    empty level, or 0 at the leaf.  A ``histogram`` leaf is a
+    :class:`~repro.obs.histogram.LatencyHistogram` snapshot.  ``when``
+    is a path that must hold a truthy value for the family to be
+    exposed at all.  ``sampler`` replaces the walk for the few families
+    that are not a plain read: it gets the value at ``path`` and yields
+    ``(suffix, labels, value)``; ``labels`` then only documents them.
+    """
 
-    name = w.family("coalesced_total", "counter",
-                    "Requests that piggybacked on an in-flight evaluation.")
-    for endpoint, count in sorted(snapshot.get("coalesced", {}).items()):
-        w.sample(name, count, endpoint=endpoint)
+    name: str
+    kind: str
+    help: str
+    path: str
+    labels: tuple[str, ...] = ()
+    as_float: bool = False
+    when: str | None = None
+    sampler: Callable[[object], Iterator[Sample]] | None = None
 
-    name = w.family("cache_served_total", "counter",
-                    "Requests served from a cache tier.")
-    for endpoint, tiers in sorted(snapshot.get("cache_served", {}).items()):
-        for tier, count in sorted(tiers.items()):
-            w.sample(name, count, endpoint=endpoint, tier=tier)
+    def samples(self, snapshot: dict) -> Iterator[Sample]:
+        if self.sampler is not None:
+            yield from self.sampler(_lookup(snapshot, self.path) or {})
+            return
+        for labels, leaf in _walk(snapshot, self.path.split("."), self.labels, {}):
+            if self.kind == "histogram":
+                yield from _histogram(labels, leaf)
+            else:
+                yield "", labels, float(leaf) if self.as_float else leaf
 
-    name = w.family("degraded_total", "counter",
-                    "Requests answered from the analytic degraded path.")
-    for endpoint, reasons in sorted(snapshot.get("degraded", {}).items()):
-        for reason, count in sorted(reasons.items()):
-            w.sample(name, count, endpoint=endpoint, reason=reason)
 
-    ladder = snapshot.get("ladder", {})
-    name = w.family("ladder_answers_total", "counter",
-                    "Fidelity-ladder answers by endpoint and delivered tier.")
-    for endpoint, tiers in sorted(ladder.get("answers", {}).items()):
-        for tier, count in sorted(tiers.items()):
-            w.sample(name, count, endpoint=endpoint, tier=tier)
-    escalations = ladder.get("escalations", {})
-    if escalations:
-        name = w.family("ladder_escalations", "histogram",
-                        "Tiers climbed per fidelity-ladder answer.")
-        cumulative, total = 0, 0
-        for bound in ("0", "1", "2", "3"):
-            cumulative += int(escalations.get(bound, 0))
-            w.sample(f"{name}_bucket", cumulative, le=bound)
-        count = sum(int(v) for v in escalations.values())
-        w.sample(f"{name}_bucket", count, le="+Inf")
-        total = sum(int(k) * int(v) for k, v in escalations.items())
-        w.sample(f"{name}_sum", float(total))
-        w.sample(f"{name}_count", count)
+def _walk(node, steps: list[str], names: tuple[str, ...],
+          labels: dict) -> Iterator[tuple[dict, object]]:
+    if not steps:
+        yield labels, node
+        return
+    step, rest = steps[0], steps[1:]
+    if step == "*":
+        for key, child in sorted(node.items()):
+            yield from _walk(child, rest, names[1:], {**labels, names[0]: key})
+    else:
+        yield from _walk(node.get(step, {} if rest else 0), rest, names, labels)
 
-    audit = snapshot.get("audit")
-    if audit:
-        name = w.family("audit_observed_error", "gauge",
-                        "Observed floored relative error of audited "
-                        "cheap-tier answers vs tier 2, by class, tier "
-                        "and quantile.")
-        for cls_value, tiers in sorted(audit.get("observed_error", {}).items()):
-            for tier, entry in sorted(tiers.items()):
-                for quantile, value in sorted(
-                    entry.get("quantiles", {}).items()
-                ):
-                    w.sample(name, float(value), **{
-                        "class": cls_value, "tier": tier,
-                        "quantile": quantile,
-                    })
-        name = w.family("audit_samples_total", "counter",
-                        "Audited answers recorded, by class and tier.")
-        for cls_value, tiers in sorted(audit.get("observed_error", {}).items()):
-            for tier, entry in sorted(tiers.items()):
-                w.sample(name, entry.get("count", 0),
-                         **{"class": cls_value, "tier": tier})
-        name = w.family("audit_bound_violations_total", "counter",
-                        "Audited answers whose observed error exceeded "
-                        "the calibrated bound, by class and tier.")
-        for cls_value, tiers in sorted(audit.get("observed_error", {}).items()):
-            for tier, entry in sorted(tiers.items()):
-                w.sample(name, entry.get("violations", 0),
-                         **{"class": cls_value, "tier": tier})
-        name = w.family("audit_backlog", "gauge",
-                        "Sampled answers waiting for an off-path tier-2 "
-                        "audit evaluation.")
-        w.sample(name, audit.get("backlog", 0))
-        name = w.family("audit_dropped_total", "counter",
-                        "Sampled answers shed (backlog full or audit "
-                        "budget exhausted).")
-        w.sample(name, audit.get("dropped", 0))
-        name = w.family("audit_budget_spent_seconds_total", "counter",
-                        "Cumulative evaluation seconds spent on audit "
-                        "re-answers.")
-        w.sample(name, float(audit.get("budget_spent_seconds", 0.0)))
 
-    optimize = snapshot.get("optimize", {})
-    name = w.family("optimize_strategies_total", "counter",
-                    "Reordering-search candidate outcomes by strategy "
-                    "label and terminal status.")
-    for label, statuses in sorted(optimize.get("strategies", {}).items()):
-        for status, count in sorted(statuses.items()):
-            w.sample(name, count, strategy=label, status=status)
-    improvement = optimize.get("improvement", {})
-    if improvement.get("count"):
-        name = w.family("optimize_predicted_improvement", "histogram",
-                        "Confirmed predicted L2-miss improvement per "
-                        "fresh reordering search (fraction of baseline).")
-        for bound, cumulative in improvement.get("buckets", {}).items():
-            w.sample(f"{name}_bucket", cumulative, le=bound)
-        w.sample(f"{name}_sum", float(improvement.get("sum_seconds", 0.0)))
-        w.sample(f"{name}_count", improvement.get("count", 0))
+def _histogram(labels: dict, hist: dict) -> Iterator[Sample]:
+    for bound, cumulative in hist.get("buckets", {}).items():
+        yield "_bucket", {**labels, "le": bound}, cumulative
+    yield "_sum", labels, float(hist.get("sum_seconds", 0.0))
+    yield "_count", labels, hist.get("count", 0)
 
-    delta = snapshot.get("delta", {})
-    name = w.family("delta_applied_total", "counter",
-                    "Delta evaluations answered without a full stack "
-                    "pass, by endpoint and path.")
-    for endpoint, paths in sorted(delta.get("applied", {}).items()):
-        for path, count in sorted(paths.items()):
-            w.sample(name, count, endpoint=endpoint, path=path)
-    name = w.family("delta_fallback_total", "counter",
-                    "Delta evaluations that fell back to full "
-                    "re-evaluation, by endpoint and reason.")
-    for endpoint, reasons in sorted(delta.get("fallback", {}).items()):
-        for reason, count in sorted(reasons.items()):
-            w.sample(name, count, endpoint=endpoint, reason=reason)
-    drift = delta.get("drift", {})
-    if drift.get("count"):
-        name = w.family("delta_drift", "histogram",
-                        "Accumulated edit fraction (edits over base "
-                        "nonzeros) per delta evaluation.")
-        for bound, cumulative in drift.get("buckets", {}).items():
-            w.sample(f"{name}_bucket", cumulative, le=bound)
-        w.sample(f"{name}_sum", float(drift.get("sum_seconds", 0.0)))
-        w.sample(f"{name}_count", drift.get("count", 0))
 
-    name = w.family("peer_fill_total", "counter",
-                    "Warm-cache fills attempted against a peer replica, "
-                    "by outcome.")
-    for outcome, count in sorted(snapshot.get("peer_fill", {}).items()):
-        w.sample(name, count, outcome=outcome)
+def render(families: tuple[Family, ...], snapshot: dict, prefix: str) -> str:
+    """The snapshot's exposition text over one family table."""
+    lines: list[str] = []
+    for family in families:
+        if family.when is not None and not _lookup(snapshot, family.when):
+            continue
+        name = f"{prefix}_{family.name}"
+        lines.append(f"# HELP {name} {family.help}")
+        lines.append(f"# TYPE {name} {family.kind}")
+        for suffix, labels, value in family.samples(snapshot):
+            lines.append(f"{name}{suffix}{_labels(labels)} {_format_value(value)}")
+    return "\n".join(lines) + "\n"
 
-    name = w.family("cache_peek_total", "counter",
-                    "/cache/peek requests served to peer replicas, "
-                    "by outcome.")
-    for outcome, count in sorted(snapshot.get("cache_peek", {}).items()):
-        w.sample(name, count, outcome=outcome)
 
-    gc = snapshot.get("gc", {})
-    name = w.family("cache_gc_sweeps_total", "counter",
-                    "Disk-cache GC sweeps run by the daemon.")
-    w.sample(name, gc.get("sweeps", 0))
-    name = w.family("cache_gc_deleted_total", "counter",
-                    "Disk-cache entries deleted by GC.")
-    w.sample(name, gc.get("deleted", 0))
-    name = w.family("cache_gc_deleted_bytes_total", "counter",
-                    "Disk-cache bytes reclaimed by GC.")
-    w.sample(name, gc.get("deleted_bytes", 0))
-    name = w.family("cache_gc_quarantined", "gauge",
-                    "Quarantine files present and preserved at the last "
-                    "GC sweep.")
-    w.sample(name, gc.get("quarantined", 0))
+def _ladder_escalations(escalations: dict) -> Iterator[Sample]:
+    """The tiers-climbed counter, exposed as a histogram over 0..3."""
+    cumulative = 0
+    for bound in ("0", "1", "2", "3"):
+        cumulative += int(escalations.get(bound, 0))
+        yield "_bucket", {"le": bound}, cumulative
+    count = sum(int(v) for v in escalations.values())
+    yield "_bucket", {"le": "+Inf"}, count
+    yield "_sum", {}, float(sum(int(k) * int(v) for k, v in escalations.items()))
+    yield "_count", {}, count
 
-    name = w.family("faults_injected_total", "counter",
-                    "Injected faults fired, by site and kind.")
-    for site_kind, count in sorted(snapshot.get("faults_injected", {}).items()):
+
+def _faults(injected: dict) -> Iterator[Sample]:
+    for site_kind, count in sorted(injected.items()):
         site, _, kind = site_kind.rpartition(":")
-        w.sample(name, count, site=site, kind=kind)
+        yield "", {"site": site, "kind": kind}, count
 
-    breakers = snapshot.get("breakers", {})
-    if breakers:
-        from ..resilience.breaker import STATE_VALUES
 
-        name = w.family("breaker_state", "gauge",
-                        "Circuit-breaker state per endpoint "
-                        "(0=closed, 1=open, 2=half_open).")
-        for endpoint, breaker in sorted(breakers.items()):
-            w.sample(name, STATE_VALUES.get(breaker.get("state"), 0),
-                     endpoint=endpoint)
-        name = w.family("breaker_events_total", "counter",
-                        "Circuit-breaker accounting events per endpoint.")
-        for endpoint, breaker in sorted(breakers.items()):
-            for event in ("successes", "failures", "rejections"):
-                w.sample(name, breaker.get(event, 0),
-                         endpoint=endpoint, event=event)
-        name = w.family("breaker_transitions_total", "counter",
-                        "Circuit-breaker state transitions per endpoint.")
-        for endpoint, breaker in sorted(breakers.items()):
-            for transition, count in sorted(
-                breaker.get("transitions", {}).items()
-            ):
-                w.sample(name, count, endpoint=endpoint,
-                         transition=transition)
+def _breaker_state(breakers: dict) -> Iterator[Sample]:
+    from ..resilience.breaker import STATE_VALUES  # resilience imports obs
 
-    name = w.family("evaluation_phase_seconds_total", "counter",
-                    "Cumulative model-evaluation self time by phase span.")
-    for endpoint, phases in sorted(
-        snapshot.get("evaluation_phase_seconds", {}).items()
-    ):
-        for phase, seconds in sorted(phases.items()):
-            w.sample(name, float(seconds), endpoint=endpoint, phase=phase)
+    for endpoint, breaker in sorted(breakers.items()):
+        yield "", {"endpoint": endpoint}, STATE_VALUES.get(breaker.get("state"), 0)
 
-    name = w.family("request_latency_seconds", "histogram",
-                    "Request latency by endpoint.")
-    for endpoint, hist in sorted(snapshot.get("latency_seconds", {}).items()):
-        for bound, cumulative in hist.get("buckets", {}).items():
-            w.sample(f"{name}_bucket", cumulative, endpoint=endpoint, le=bound)
-        w.sample(f"{name}_sum", float(hist.get("sum_seconds", 0.0)),
-                 endpoint=endpoint)
-        w.sample(f"{name}_count", hist.get("count", 0), endpoint=endpoint)
 
-    cache = snapshot.get("cache", {})
-    memory = cache.get("memory", {})
-    name = w.family("cache_memory_entries", "gauge", "Memory-tier entries.")
-    w.sample(name, memory.get("entries", 0))
-    name = w.family("cache_memory_bytes", "gauge", "Memory-tier resident bytes.")
-    w.sample(name, memory.get("bytes", 0))
-    name = w.family("cache_tier_events_total", "counter",
-                    "Cache events (hits/misses/evictions/expirations) by tier.")
-    for event in ("hits", "misses", "evictions", "expirations"):
-        w.sample(name, memory.get(event, 0), tier="memory", event=event)
-    disk = cache.get("disk", {})
-    for event in ("hits", "misses", "corrupt"):
-        w.sample(name, disk.get(event, 0), tier="disk", event=event)
+def _breaker_events(breakers: dict) -> Iterator[Sample]:
+    for endpoint, breaker in sorted(breakers.items()):
+        for event in ("successes", "failures", "rejections"):
+            yield "", {"endpoint": endpoint, "event": event}, breaker.get(event, 0)
 
-    queue = snapshot.get("queue", {})
-    name = w.family("queue_depth", "gauge", "Requests waiting for a worker slot.")
-    w.sample(name, queue.get("depth", 0))
-    name = w.family("queue_peak", "gauge", "Peak queue depth.")
-    w.sample(name, queue.get("peak", 0))
 
-    workers = snapshot.get("workers", {})
-    name = w.family("workers_busy", "gauge", "Busy pool workers.")
-    w.sample(name, workers.get("busy", 0))
-    name = w.family("workers_jobs", "gauge", "Configured pool size.")
-    w.sample(name, workers.get("jobs", 0))
-    name = w.family("worker_restarts_total", "counter",
-                    "Pool rebuilds after a worker death.")
-    w.sample(name, workers.get("restarts", 0))
-    name = w.family("request_timeouts_total", "counter",
-                    "Evaluations abandoned on timeout.")
-    w.sample(name, workers.get("timeouts", 0))
+def _cache_tier_events(cache: dict) -> Iterator[Sample]:
+    for tier, events in (("memory", ("hits", "misses", "evictions", "expirations")),
+                         ("disk", ("hits", "misses", "corrupt"))):
+        stats = cache.get(tier, {})
+        for event in events:
+            yield "", {"tier": tier, "event": event}, stats.get(event, 0)
 
-    return "\n".join(w.lines) + "\n"
+
+#: the daemon's exposition (``GET /metrics?format=prometheus``)
+SERVICE_FAMILIES = (
+    Family("uptime_seconds", "gauge", "Daemon uptime.", "uptime_seconds",
+           as_float=True),
+    Family("requests_total", "counter",
+           "Terminal request count by endpoint and status.",
+           "requests.*.*", ("endpoint", "status")),
+    Family("evaluations_total", "counter",
+           "Model evaluations actually performed.",
+           "evaluations.*", ("endpoint",)),
+    Family("coalesced_total", "counter",
+           "Requests that piggybacked on an in-flight evaluation.",
+           "coalesced.*", ("endpoint",)),
+    Family("cache_served_total", "counter",
+           "Requests served from a cache tier.",
+           "cache_served.*.*", ("endpoint", "tier")),
+    Family("degraded_total", "counter",
+           "Requests answered from the analytic degraded path.",
+           "degraded.*.*", ("endpoint", "reason")),
+    Family("ladder_answers_total", "counter",
+           "Fidelity-ladder answers by endpoint and delivered tier.",
+           "ladder.answers.*.*", ("endpoint", "tier")),
+    Family("ladder_escalations", "histogram",
+           "Tiers climbed per fidelity-ladder answer.",
+           "ladder.escalations", when="ladder.escalations",
+           sampler=_ladder_escalations),
+    Family("audit_observed_error", "gauge",
+           "Observed floored relative error of audited cheap-tier answers "
+           "vs tier 2, by class, tier and quantile.",
+           "audit.observed_error.*.*.quantiles.*",
+           ("class", "tier", "quantile"), as_float=True, when="audit"),
+    Family("audit_samples_total", "counter",
+           "Audited answers recorded, by class and tier.",
+           "audit.observed_error.*.*.count", ("class", "tier"), when="audit"),
+    Family("audit_bound_violations_total", "counter",
+           "Audited answers whose observed error exceeded the calibrated "
+           "bound, by class and tier.",
+           "audit.observed_error.*.*.violations", ("class", "tier"),
+           when="audit"),
+    Family("audit_backlog", "gauge",
+           "Sampled answers waiting for an off-path tier-2 audit evaluation.",
+           "audit.backlog", when="audit"),
+    Family("audit_dropped_total", "counter",
+           "Sampled answers shed (backlog full or audit budget exhausted).",
+           "audit.dropped", when="audit"),
+    Family("audit_budget_spent_seconds_total", "counter",
+           "Cumulative evaluation seconds spent on audit re-answers.",
+           "audit.budget_spent_seconds", as_float=True, when="audit"),
+    Family("optimize_strategies_total", "counter",
+           "Reordering-search candidate outcomes by strategy label and "
+           "terminal status.",
+           "optimize.strategies.*.*", ("strategy", "status")),
+    Family("optimize_predicted_improvement", "histogram",
+           "Confirmed predicted L2-miss improvement per fresh reordering "
+           "search (fraction of baseline).",
+           "optimize.improvement", when="optimize.improvement.count"),
+    Family("delta_applied_total", "counter",
+           "Delta evaluations answered without a full stack pass, by "
+           "endpoint and path.",
+           "delta.applied.*.*", ("endpoint", "path")),
+    Family("delta_fallback_total", "counter",
+           "Delta evaluations that fell back to full re-evaluation, by "
+           "endpoint and reason.",
+           "delta.fallback.*.*", ("endpoint", "reason")),
+    Family("delta_drift", "histogram",
+           "Accumulated edit fraction (edits over base nonzeros) per delta "
+           "evaluation.",
+           "delta.drift", when="delta.drift.count"),
+    Family("peer_fill_total", "counter",
+           "Warm-cache fills attempted against a peer replica, by outcome.",
+           "peer_fill.*", ("outcome",)),
+    Family("cache_peek_total", "counter",
+           "/cache/peek requests served to peer replicas, by outcome.",
+           "cache_peek.*", ("outcome",)),
+    Family("cache_gc_sweeps_total", "counter",
+           "Disk-cache GC sweeps run by the daemon.", "gc.sweeps"),
+    Family("cache_gc_deleted_total", "counter",
+           "Disk-cache entries deleted by GC.", "gc.deleted"),
+    Family("cache_gc_deleted_bytes_total", "counter",
+           "Disk-cache bytes reclaimed by GC.", "gc.deleted_bytes"),
+    Family("cache_gc_quarantined", "gauge",
+           "Quarantine files present and preserved at the last GC sweep.",
+           "gc.quarantined"),
+    Family("faults_injected_total", "counter",
+           "Injected faults fired, by site and kind.",
+           "faults_injected", ("site", "kind"), sampler=_faults),
+    Family("breaker_state", "gauge",
+           "Circuit-breaker state per endpoint (0=closed, 1=open, "
+           "2=half_open).",
+           "breakers", ("endpoint",), when="breakers", sampler=_breaker_state),
+    Family("breaker_events_total", "counter",
+           "Circuit-breaker accounting events per endpoint.",
+           "breakers", ("endpoint", "event"), when="breakers",
+           sampler=_breaker_events),
+    Family("breaker_transitions_total", "counter",
+           "Circuit-breaker state transitions per endpoint.",
+           "breakers.*.transitions.*", ("endpoint", "transition"),
+           when="breakers"),
+    Family("evaluation_phase_seconds_total", "counter",
+           "Cumulative model-evaluation self time by phase span.",
+           "evaluation_phase_seconds.*.*", ("endpoint", "phase"),
+           as_float=True),
+    Family("request_latency_seconds", "histogram",
+           "Request latency by endpoint.",
+           "latency_seconds.*", ("endpoint",)),
+    Family("cache_memory_entries", "gauge", "Memory-tier entries.",
+           "cache.memory.entries"),
+    Family("cache_memory_bytes", "gauge", "Memory-tier resident bytes.",
+           "cache.memory.bytes"),
+    Family("cache_tier_events_total", "counter",
+           "Cache events (hits/misses/evictions/expirations) by tier.",
+           "cache", ("tier", "event"), sampler=_cache_tier_events),
+    Family("queue_depth", "gauge", "Requests waiting for a worker slot.",
+           "queue.depth"),
+    Family("queue_peak", "gauge", "Peak queue depth.", "queue.peak"),
+    Family("workers_busy", "gauge", "Busy pool workers.", "workers.busy"),
+    Family("workers_jobs", "gauge", "Configured pool size.", "workers.jobs"),
+    Family("worker_restarts_total", "counter",
+           "Pool rebuilds after a worker death.", "workers.restarts"),
+    Family("request_timeouts_total", "counter",
+           "Evaluations abandoned on timeout.", "workers.timeouts"),
+)
+
+
+def render_prometheus(snapshot: dict, prefix: str = "repro") -> str:
+    """The daemon's ``/metrics`` snapshot in Prometheus text format."""
+    return render(SERVICE_FAMILIES, snapshot, prefix)
 
 
 def parse_prometheus_text(text: str) -> dict[str, list[tuple[dict, float]]]:

@@ -17,10 +17,11 @@ structured error; a worker that *dies* breaks the pool, which is
 rebuilt, counted in ``/metrics``, and surfaced as a 500 — subsequent
 requests succeed.
 
-The HTTP layer is deliberately minimal (HTTP/1.1 with keep-alive via
-:mod:`repro.service.httpd`): the repo is stdlib-only, and the service's
-unit of work is a model evaluation, not a socket — but the warm path is
-a dictionary lookup, so connection reuse matters there.
+The HTTP layer is the server shell in :mod:`repro.service.httpd`
+(HTTP/1.1 with keep-alive, shared with the cluster gateway): this
+module adds only the daemon's ``POST`` routes, its ``/healthz`` and
+``/metrics`` content, and its background loops (disk-cache GC and the
+accuracy audit).
 
 Cluster hooks (see :mod:`repro.cluster`): ``POST /cache/peek`` answers
 "do *you* have this key?" from the cache tiers only — no pool, no
@@ -32,44 +33,43 @@ same endpoint before paying for an evaluation.
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import json
-import signal
 import sys
-import threading
 import time
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from urllib.parse import parse_qs
-
 from ..analysis.report import canonical_json
 from ..core.analytic import stream_misses
 from ..core.classification import classify
 from ..experiments.common import cache_entry_path
-from ..experiments.pool import (
-    fork_executor,
-    register_parent_socket,
-    unregister_parent_socket,
-)
+from ..experiments.pool import fork_executor
 from ..ladder.calibration import DEFAULT_CALIBRATION
 from ..ladder.engine import has_ladder_flags, tier2_apriori_bound
 from ..ladder.tier0 import dims_from_task, num_cmgs
 from ..obs import events as obs_events
 from ..obs.audit import AccuracyAuditor, compare_results
-from ..obs.context import TRACE_HEADER, TraceContext
+from ..obs.context import TraceContext
 from ..obs.events import DEFAULT_MAX_BYTES, EventLog
 from ..obs.prometheus import render_prometheus
 from ..obs.traces import TraceBuffer
-from ..obs.tracer import NULL_SPAN, Tracer
+from ..obs.tracer import Tracer
 from ..obs.tree import TraceTree
 from ..resilience import faults
 from ..resilience.breaker import CircuitBreaker
 from ..resilience.degraded import answer_task as degraded_answer
 from ..resilience.faults import FaultPlan
 from .cache import TieredResultCache, gc_sweep
-from .httpd import PayloadTooLarge, read_request, request_json, respond
+from .httpd import (
+    HttpApp,
+    ServerThread,
+    error_payload,
+    json_body,
+    request_json,
+    request_span,
+    serve,
+)
 from .metrics import ServiceMetrics
 from ..spmv.sector_policy import SectorPolicy
 from .protocol import (
@@ -240,8 +240,12 @@ _CLIENT_ERRORS = frozenset({"ValueError", "TypeError", "KeyError",
                             "DeltaError"})
 
 
-class LocalityService:
-    """Transport-agnostic request handling: cache, coalescing, pool."""
+class LocalityService(HttpApp):
+    """The daemon's request handling: cache, coalescing, pool."""
+
+    role = "service"
+    post_routes = frozenset(ENDPOINTS) | {"cache/peek", "delta"}
+    render_metrics = staticmethod(render_prometheus)
 
     def __init__(self, config: ServiceConfig) -> None:
         self.config = config
@@ -290,87 +294,44 @@ class LocalityService:
         self.shutdown_event = asyncio.Event()
 
     # ------------------------------------------------------------------
-    # routing
+    # routing (the shared routes live in HttpApp.handle_request)
     # ------------------------------------------------------------------
-    async def handle_request(
-        self, method: str, path: str, body: bytes,
-        headers: dict[str, str] | None = None,
-    ) -> tuple[int, dict | str, bool]:
-        """Route one request; returns (status, payload, shutdown?).
-
-        A ``str`` payload is served verbatim as Prometheus text exposition
-        (``/metrics?format=prometheus``); dicts are served as JSON.
-        ``headers`` (lowercase names, as parsed by the HTTP layer) may
-        carry an ``X-Repro-Trace`` context, adopted when the JSON body
-        does not already have a ``trace_context``.
-        """
-        path, _, query_string = path.partition("?")
-        path = path.rstrip("/") or "/"
-        if method == "GET":
-            if path == "/healthz":
-                health = {"ok": True, "status": "healthy"}
-                if self.auditor is not None:
-                    health["accuracy"] = self.auditor.status()
-                return 200, health, False
-            if path == "/metrics":
-                fmt = (parse_qs(query_string).get("format") or ["json"])[-1]
-                if fmt not in ("json", "prometheus"):
-                    return 400, _error_payload(
-                        "metrics", "BadFormat",
-                        f"unknown metrics format {fmt!r} "
-                        "(expected 'json' or 'prometheus')",
-                    ), False
-                snapshot = self.metrics.snapshot(self.cache.stats(),
-                                                 self.breakers)
-                if self.auditor is not None:
-                    snapshot["audit"] = self.auditor.snapshot()
-                if fmt == "prometheus":
-                    return 200, render_prometheus(snapshot), False
-                return 200, snapshot, False
-            if path == "/debug/traces":
-                params = parse_qs(query_string)
-                try:
-                    limit = int((params.get("limit") or ["10"])[-1])
-                except ValueError:
-                    return 400, _error_payload(
-                        "debug/traces", "RequestError",
-                        "limit must be an integer"), False
-                endpoint_filter = (params.get("endpoint") or [None])[-1]
-                snapshot = self.traces.snapshot(limit=limit,
-                                                endpoint=endpoint_filter)
-                snapshot["ok"] = True
-                return 200, snapshot, False
-            return 404, _error_payload(path, "NotFound", f"no such path {path!r}"), False
-        if method != "POST":
-            return 405, _error_payload(path, "MethodNotAllowed",
-                                       f"{method} not supported"), False
-        if path == "/shutdown":
-            return 200, {"ok": True, "status": "shutting down"}, True
-        target = path.lstrip("/")
-        if target not in ENDPOINTS and target not in ("cache/peek", "delta"):
-            return 404, _error_payload(target, "NotFound",
-                                       f"no such endpoint {target!r}"), False
+    async def post(self, target: str, body: bytes,
+                   headers: dict[str, str]) -> tuple[int, dict]:
+        """One ``POST`` to a model endpoint, ``/delta`` or ``/cache/peek``."""
         try:
-            payload = json.loads(body.decode() or "{}")
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            return 400, _error_payload(target, "BadJSON", str(exc)), False
+            payload = json_body(body, headers)
+        except ValueError as exc:
+            return 400, error_payload(target, "BadJSON", str(exc))
         if target == "cache/peek":
-            status, response = self._handle_cache_peek(payload)
-            return status, response, False
-        if isinstance(payload, dict) and "trace_context" not in payload:
-            # transports that only see headers (the gateway forward, any
-            # standard HTTP client) propagate context via X-Repro-Trace;
-            # an explicit JSON trace_context always wins
-            header_ctx = TraceContext.from_header(
-                (headers or {}).get(TRACE_HEADER.lower())
-            )
-            if header_ctx is not None:
-                payload["trace_context"] = header_ctx.to_dict()
+            return self._handle_cache_peek(payload)
         if target == "delta":
-            status, response = await self._handle_delta(payload)
-        else:
-            status, response = await self._handle_model(target, payload)
-        return status, response, False
+            return await self._handle_delta(payload)
+        return await self._handle_model(target, payload)
+
+    def health(self) -> dict:
+        health = {"ok": True, "status": "healthy"}
+        if self.auditor is not None:
+            health["accuracy"] = self.auditor.status()
+        return health
+
+    def metrics_snapshot(self) -> dict:
+        snapshot = self.metrics.snapshot(self.cache.stats(), self.breakers)
+        if self.auditor is not None:
+            snapshot["audit"] = self.auditor.snapshot()
+        return snapshot
+
+    def background(self) -> list:
+        jobs = []
+        if (self.config.gc_interval_seconds is not None
+                and self.config.cache_dir is not None):
+            jobs.append(self.gc_loop())
+        if self.auditor is not None:
+            jobs.append(self.audit_loop())
+        return jobs
+
+    def start_fields(self) -> dict:
+        return {"jobs": self.config.jobs}
 
     # ------------------------------------------------------------------
     # cluster hooks
@@ -388,19 +349,19 @@ class LocalityService:
         would have done anyway.
         """
         if not isinstance(payload, dict) or not isinstance(payload.get("task"), dict):
-            return 400, _error_payload("cache/peek", "RequestError",
+            return 400, error_payload("cache/peek", "RequestError",
                                        "expected a JSON object with a 'task' object")
         task = dict(payload["task"])
         task.pop("peer", None)
         if task.get("endpoint") not in ENDPOINTS:
-            return 400, _error_payload(
+            return 400, error_payload(
                 "cache/peek", "RequestError",
                 f"unknown endpoint {task.get('endpoint')!r}")
         try:
             key = request_key(task)
             disk_path, _ = self._disk_entry(task, key)
         except Exception as exc:  # noqa: BLE001 - a bad task is the caller's bug
-            return 400, _error_payload("cache/peek", "RequestError", str(exc))
+            return 400, error_payload("cache/peek", "RequestError", str(exc))
         result, tier = self.cache.get(key, disk_path)
         if result is None:
             self.metrics.cache_peek["miss"] += 1
@@ -574,7 +535,7 @@ class LocalityService:
         self.metrics.observe_request(endpoint, "error", seconds)
         obs_events.emit("request", endpoint=endpoint, status="rejected",
                         seconds=seconds, error=str(exc))
-        return exc.status, _error_payload(endpoint, "RequestError", str(exc))
+        return exc.status, error_payload(endpoint, "RequestError", str(exc))
 
     async def _finish_task(
         self, endpoint: str, task: dict, key: str, peer: dict | None,
@@ -733,7 +694,7 @@ class LocalityService:
             return await self._resolve_ladder(endpoint, task, key, plan,
                                               tracer=tracer)
         disk_path, disk_format = self._disk_entry(task, key)
-        with _span(tracer, "cache.lookup") as sp:
+        with request_span(tracer, "cache.lookup") as sp:
             result, tier = self._cache_read(key, disk_path, plan)
             sp.annotate(tier=tier or "miss")
         if result is not None:
@@ -746,7 +707,7 @@ class LocalityService:
             pending = self._inflight.get(key)
             if pending is not None:
                 self.metrics.coalesced[endpoint] += 1
-                with _span(tracer, "coalesce.wait"):
+                with request_span(tracer, "coalesce.wait"):
                     result = await asyncio.shield(pending)
                 return (result, "coalesced", None,
                         _embedded_fidelity(endpoint, result))
@@ -757,7 +718,7 @@ class LocalityService:
                 # into its (never-cached) response path
                 self.metrics.peer_fill["skipped"] += 1
             else:
-                with _span(tracer, "peer.fill", host=peer["host"],
+                with request_span(tracer, "peer.fill", host=peer["host"],
                            port=peer["port"]) as sp:
                     fetched = await self._peer_fill(endpoint, task, key, peer)
                     sp.annotate(outcome="hit" if fetched is not None else "miss")
@@ -801,7 +762,7 @@ class LocalityService:
         disk_path, _ = self._disk_entry(task, key)
         t3_key = f"{key}.t3"
         t3_path, _ = self._disk_entry(task, t3_key)
-        with _span(tracer, "cache.lookup") as sp:
+        with request_span(tracer, "cache.lookup") as sp:
             if accuracy is None or self._tier2_bound(task) <= accuracy:
                 result, tier = self._cache_read(key, disk_path, plan)
                 if result is not None:
@@ -1114,7 +1075,7 @@ class LocalityService:
         timeout = task.get("timeout", self.config.request_timeout)
         self.metrics.enqueue()
         try:
-            with _span(tracer, "pool.queue"):
+            with request_span(tracer, "pool.queue"):
                 await self._slots.acquire()
         finally:
             self.metrics.dequeue()
@@ -1123,7 +1084,7 @@ class LocalityService:
             self.metrics.evaluations[endpoint] += 1
             loop = asyncio.get_running_loop()
             try:
-                with _span(tracer, "pool.evaluate", endpoint=endpoint):
+                with request_span(tracer, "pool.evaluate", endpoint=endpoint):
                     payload = await asyncio.wait_for(
                         loop.run_in_executor(self._executor, evaluate, task),
                         timeout,
@@ -1155,70 +1116,6 @@ class LocalityService:
             raise _EvaluationError(status, detail)
         return payload
 
-    # ------------------------------------------------------------------
-    # HTTP glue
-    # ------------------------------------------------------------------
-    async def handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Serve requests on one socket until the client leaves.
-
-        Keep-alive by default: the loop re-reads after each response, so
-        a client reusing its connection pays the TCP setup once and the
-        warm path stays a dictionary lookup.  ``Connection: close``,
-        oversized bodies (the unread body poisons the stream), malformed
-        request lines, and ``/shutdown`` all end the loop.
-        """
-        shutdown = False
-        # register the accepted socket so pool workers forked while this
-        # connection is open close their inherited copy — otherwise a
-        # daemon death would never reset the connection and the client
-        # would block instead of failing over
-        conn_sock = writer.get_extra_info("socket")
-        if conn_sock is not None:
-            register_parent_socket(conn_sock)
-        try:
-            while True:
-                try:
-                    request = await read_request(reader, self.config.max_body_bytes)
-                except PayloadTooLarge as exc:
-                    await respond(writer, 413,
-                                  _error_payload(exc.target, "PayloadTooLarge",
-                                                 str(exc)),
-                                  close=True)
-                    return
-                if request is None:
-                    return
-                if request.malformed:
-                    await respond(writer, 400,
-                                  _error_payload("", "BadRequest",
-                                                 "malformed request line"),
-                                  close=True)
-                    return
-                status, payload, shutdown = await self.handle_request(
-                    request.method, request.target, request.body,
-                    request.headers,
-                )
-                close = shutdown or request.close
-                await respond(writer, status, payload, close=close)
-                if close:
-                    return
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            # loop teardown cancels handlers parked on an idle keep-alive
-            # socket; exiting cleanly here keeps the streams machinery
-            # from logging the cancellation as an error
-            pass
-        finally:
-            if conn_sock is not None:
-                unregister_parent_socket(conn_sock)
-            with contextlib.suppress(Exception):
-                writer.close()
-                await writer.wait_closed()
-            if shutdown:
-                self.shutdown_event.set()
-
     def close(self) -> None:
         # wait=True: letting idle workers exit here avoids a noisy atexit
         # race in concurrent.futures; abandoned (timed-out) workers are the
@@ -1248,17 +1145,6 @@ def _embedded_fidelity(endpoint: str, result: dict) -> dict | None:
     return None
 
 
-def _error_payload(endpoint: str, error_type: str, message: str) -> dict:
-    return {"ok": False, "endpoint": endpoint,
-            "error": {"type": error_type, "message": message}}
-
-
-def _span(tracer: Tracer | None, name: str, **attrs):
-    """A span on the request's tracer, or the shared no-op for untraced
-    requests — keeps the instrumented paths free of ``if tracer`` forks."""
-    return tracer.span(name, **attrs) if tracer is not None else NULL_SPAN
-
-
 async def run_server(
     config: ServiceConfig | None = None,
     host: str = "127.0.0.1",
@@ -1268,59 +1154,23 @@ async def run_server(
 ) -> None:
     """Run the daemon until ``/shutdown`` or SIGINT/SIGTERM.
 
-    ``port=0`` binds an ephemeral port; the chosen one is announced on
-    stdout as ``repro-service listening on http://HOST:PORT`` so wrappers
-    (benchmarks, the CI smoke job) can parse it.  ``ready``, if given, is
-    called with ``(service, host, actual_port, loop)`` once the socket is
-    bound — :class:`ServiceThread` uses it.
+    ``port=0`` binds an ephemeral port, announced on stdout as
+    ``repro-service listening on http://HOST:PORT``; ``ready`` is
+    called with ``(service, host, actual_port, loop)`` once bound (see
+    :func:`repro.service.httpd.serve`).
     """
-    config = config or ServiceConfig()
-    service = LocalityService(config)
-    server = await asyncio.start_server(service.handle_connection, host, port)
-    # forked evaluator workers must close their inherited copy of this
-    # listener or the port keeps accepting (and black-holing) connections
-    # after the daemon stops — fatal to gateway failover, which relies on
-    # a dead replica refusing connections
-    listeners = list(server.sockets)
-    for sock in listeners:
-        register_parent_socket(sock)
-    actual_port = server.sockets[0].getsockname()[1]
-    if announce:
-        print(f"repro-service listening on http://{host}:{actual_port}", flush=True)
-    obs_events.emit("service.start", host=host, port=actual_port,
-                    jobs=config.jobs)
-    loop = asyncio.get_running_loop()
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        with contextlib.suppress(NotImplementedError, RuntimeError, ValueError):
-            loop.add_signal_handler(sig, service.shutdown_event.set)
-    if ready is not None:
-        ready(service, host, actual_port, loop)
-    gc_task = None
-    if config.gc_interval_seconds is not None and config.cache_dir is not None:
-        gc_task = loop.create_task(service.gc_loop())
-    audit_task = None
-    if service.auditor is not None:
-        audit_task = loop.create_task(service.audit_loop())
-    try:
-        async with server:
-            await service.shutdown_event.wait()
-    finally:
-        for sock in listeners:
-            unregister_parent_socket(sock)
-        for task in (gc_task, audit_task):
-            if task is not None:
-                task.cancel()
-                with contextlib.suppress(asyncio.CancelledError):
-                    await task
-        service.close()
+    await serve(LocalityService(config or ServiceConfig()), host, port,
+                ready=ready, announce=announce)
 
 
-class ServiceThread:
+class ServiceThread(ServerThread):
     """An in-process daemon on a background thread (tests, benches, tours).
 
     >>> with ServiceThread(ServiceConfig(jobs=1, cache_dir=None)) as (host, port):
     ...     ServiceClient(host, port).health()
     """
+
+    app_class = LocalityService
 
     def __init__(
         self,
@@ -1328,48 +1178,8 @@ class ServiceThread:
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
-        self.config = config or ServiceConfig()
-        self._host = host
-        self._port = port
-        self._ready = threading.Event()
-        self._thread: threading.Thread | None = None
-        self.service: LocalityService | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self.address: tuple[str, int] | None = None
+        super().__init__(config or ServiceConfig(), host, port)
 
-    def _on_ready(self, service, host, port, loop) -> None:
-        self.service = service
-        self.address = (host, port)
-        self._loop = loop
-        self._ready.set()
-
-    def start(self) -> tuple[str, int]:
-        if self._thread is not None:
-            raise RuntimeError("service thread already started")
-        self._thread = threading.Thread(
-            target=lambda: asyncio.run(
-                run_server(self.config, self._host, self._port,
-                           ready=self._on_ready, announce=False)
-            ),
-            name="repro-service",
-            daemon=True,
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout=30):
-            raise RuntimeError("service thread failed to start")
-        return self.address
-
-    def stop(self, timeout: float = 30.0) -> None:
-        if self._thread is None:
-            return
-        if self._loop is not None and self.service is not None:
-            with contextlib.suppress(RuntimeError):
-                self._loop.call_soon_threadsafe(self.service.shutdown_event.set)
-        self._thread.join(timeout=timeout)
-        self._thread = None
-
-    def __enter__(self) -> tuple[str, int]:
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
+    @property
+    def service(self) -> LocalityService | None:
+        return self.app
