@@ -14,6 +14,8 @@ from __future__ import annotations
 import json
 from typing import Sequence
 
+import numpy as np
+
 
 def render_table(
     headers: Sequence[str],
@@ -58,19 +60,31 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
+#: Exact types ``json`` encodes natively.  A list holding only these
+#: passes through :func:`jsonable` untouched, so the C encoder walks it;
+#: subclasses (``IntEnum``, ...) take the per-element path.
+_PLAIN = frozenset({int, float, str, bool, type(None)})
+
+
 def jsonable(value: object) -> object:
     """Recursively convert model objects to plain JSON-compatible values.
 
     Objects with a ``to_dict()`` method serialize through it; NumPy
-    scalars (anything with ``.item()``) collapse to native Python numbers
-    so the output is independent of the producing dtype.
+    arrays become lists and NumPy scalars (anything with ``.item()``)
+    native Python numbers, so the output is independent of the producing
+    dtype.  A list or tuple of plain scalars is checked at C speed and
+    returned as is: inline matrices carry hundreds of thousands of them.
     """
     to_dict = getattr(value, "to_dict", None)
     if callable(to_dict):
         return jsonable(to_dict())
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
     if isinstance(value, (list, tuple)):
+        if _PLAIN.issuperset(map(type, value)):
+            return value if isinstance(value, list) else list(value)
         return [jsonable(v) for v in value]
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value

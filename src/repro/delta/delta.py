@@ -60,7 +60,7 @@ def _edge_array(entries: object, label: str, with_values: bool):
             cols[i] = int(entry[1])
             if with_values and len(entry) == 3:
                 values[i] = float(entry[2])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DeltaError(f"{label}[{i}] is not numeric: {exc}") from None
     return (rows, cols, values) if with_values else (rows, cols)
 

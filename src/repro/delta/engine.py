@@ -27,11 +27,14 @@ fallback (conservative, always correct)
 ``classify`` reads dims and pattern structure only: it materializes the
 chain (validating every batch) and answers at the ladder's tier 0.
 
-Reuse states live in a worker-local LRU keyed by the matrix spec and
-line size.  The pool's fork workers are long-lived, so a chain of deltas
-against the same base keeps hitting the state of its immediate prefix —
-``"state": "warm"`` in the metadata — and only a cold worker pays one
-full capture of the prefix pattern.
+Reuse states live in a worker-local LRU keyed by a digest of the base's
+canonical encoding, the edit batches and the line size; the base (the
+whole inline matrix) is encoded once per evaluation, and the matrix name
+and both state keys derive from that one encoding.  The pool's fork
+workers are long-lived, so a chain of deltas against the same base keeps
+hitting the state of its immediate prefix — ``"state": "warm"`` in the
+metadata — and only a cold worker pays one full capture of the prefix
+pattern.
 """
 
 from __future__ import annotations
@@ -57,9 +60,13 @@ _STATE_CAPACITY = 8
 _state_cache: OrderedDict[str, tuple[CSRMatrix, ReuseState]] = OrderedDict()
 
 
-def _spec_key(spec: dict, line_size: int) -> str:
-    payload = canonical_json([spec, int(line_size)]).encode()
-    return hashlib.sha256(payload).hexdigest()[:32]
+def _spec_key(base_digest: str, batches: list, line_size: int) -> str:
+    """State-cache key of a base (by the digest of its encoding) plus its
+    first ``batches``: only the small edit batches are encoded here."""
+    digest = hashlib.sha256(f"{base_digest}|{int(line_size)}".encode())
+    for batch in batches:
+        digest.update(b"|" + canonical_json(batch).encode())
+    return digest.hexdigest()[:32]
 
 
 def _cache_put(key: str, matrix: CSRMatrix, state: ReuseState) -> None:
@@ -83,47 +90,54 @@ def chain_drift(spec: dict, base_nnz: int) -> float:
 
 
 def _patched_state(
-    task: dict, name: str, line_size: int, budget: int
+    task: dict, name: str, base_json: str, line_size: int, budget: int
 ) -> tuple[CSRMatrix, ReuseState, str]:
     """The patched pattern + distances, via the warmest available prefix.
 
+    ``base_json`` is the canonical encoding of the chain's base, from
+    which both state-cache keys (and the prefix's name) derive.
     Returns ``(matrix, state, source)`` with ``source`` one of ``"warm"``
     (prefix state was cached in this worker) or ``"cold"`` (the prefix
     pattern had to be captured with one full pass first).  Raises
     :class:`BudgetExceeded` when the last batch's patch outgrows
     ``budget`` — the caller falls back to full re-evaluation.
     """
-    from ..service.protocol import matrix_from_task
+    from ..service.protocol import matrix_from_task, matrix_name
 
     spec = task["matrix"]
-    full_key = _spec_key(spec, line_size)
+    batches = spec["batches"]
+    base_digest = hashlib.sha256(base_json.encode()).hexdigest()
+    full_key = _spec_key(base_digest, batches, line_size)
     cached = _state_cache.get(full_key)
     if cached is not None:
         _state_cache.move_to_end(full_key)
         return cached[0], cached[1], "warm"
 
-    batches = spec["batches"]
-    prefix_spec = (
-        spec["base"]
-        if len(batches) == 1
-        else {"kind": "delta", "base": spec["base"], "batches": batches[:-1]}
-    )
-    prefix_key = _spec_key(prefix_spec, line_size)
+    prefix_key = _spec_key(base_digest, batches[:-1], line_size)
     cached = _state_cache.get(prefix_key)
     if cached is not None:
         _state_cache.move_to_end(prefix_key)
         prefix_matrix, prefix_state = cached
         source = "warm"
     else:
-        prefix_matrix = matrix_from_task(
-            {"matrix": prefix_spec, "setup": task["setup"]}
-        )
+        prefix = {
+            "matrix": (spec["base"] if len(batches) == 1 else
+                       {"kind": "delta", "base": spec["base"],
+                        "batches": batches[:-1]}),
+            "setup": task["setup"],
+        }
+        prefix_matrix = matrix_from_task(prefix,
+                                         matrix_name(prefix, base_json))
         prefix_state = full_reuse_state(prefix_matrix, line_size)
-        _cache_put(prefix_key, prefix_matrix, prefix_state)
         source = "cold"
 
     application = MatrixDelta.from_dict(batches[-1]).apply(prefix_matrix)
     state = prefix_state.apply(application, budget)
+    if source == "cold":
+        # cached only once the patch fits the budget: a chain whose patch
+        # overflows never caches its full state, so its next step misses
+        # this prefix anyway — it would only evict a live chain's state
+        _cache_put(prefix_key, prefix_matrix, prefix_state)
     matrix = replace(application.matrix, name=name)
     _cache_put(full_key, matrix, state)
     return matrix, state, source
@@ -144,7 +158,8 @@ def seeded_model(matrix: CSRMatrix, machine, state: ReuseState,
     return model
 
 
-def evaluate_delta_task(task: dict) -> tuple[dict, dict | None, dict]:
+def evaluate_delta_task(task: dict, base_json: str | None = None,
+                        ) -> tuple[dict, dict | None, dict]:
     """Price one delta task; returns ``(result, fidelity, meta)``.
 
     ``meta`` is the daemon-facing delta metadata (``path``/``reason``/
@@ -152,7 +167,8 @@ def evaluate_delta_task(task: dict) -> tuple[dict, dict | None, dict]:
     result — keeping the result byte-identical to full re-evaluation.
     ``fidelity`` is non-None only on the drift-gated ladder path
     (``accuracy``/``max_tier`` flags), handled in
-    :mod:`repro.delta.ladder`.
+    :mod:`repro.delta.ladder`.  ``base_json`` is ``canonical_json`` of
+    the chain's base when the caller already holds it.
     """
     from ..service.protocol import matrix_from_task, matrix_name, setup_from_task
 
@@ -174,7 +190,9 @@ def evaluate_delta_task(task: dict) -> tuple[dict, dict | None, dict]:
         "edits": chain_edits(spec),
         "drift": chain_drift(spec, base_dims.nnz),
     }
-    name = matrix_name(task)
+    if base_json is None:
+        base_json = canonical_json(spec["base"])
+    name = matrix_name(task, base_json)
 
     if endpoint == "classify":
         # the taxonomy reads dims and pattern structure, never the stack
@@ -188,7 +206,7 @@ def evaluate_delta_task(task: dict) -> tuple[dict, dict | None, dict]:
         budget = int(task.get("delta_budget", DEFAULT_BUDGET))
         try:
             matrix, state, source = _patched_state(
-                task, name, machine.line_size, budget
+                task, name, base_json, machine.line_size, budget
             )
         except BudgetExceeded as exc:
             meta.update(work=exc.work, budget=exc.budget)

@@ -97,6 +97,7 @@ def answer_delta_task(task: dict) -> tuple[dict, dict, dict]:
 
     Returns ``(result, fidelity, meta)`` for the worker payload.
     """
+    from ..analysis.report import canonical_json
     from ..service.protocol import matrix_from_task, matrix_name, setup_from_task
     from .engine import evaluate_delta_task
 
@@ -106,7 +107,10 @@ def answer_delta_task(task: dict) -> tuple[dict, dict, dict]:
     accuracy = task.get("accuracy")
     max_tier = task.get("max_tier")
     allowed = 3 if max_tier is None else max_tier
-    name = matrix_name(task)
+    # the base is the whole inline matrix: encoded once, for the name here
+    # and for the engine's reuse-state keys on the escalation path
+    base_json = canonical_json(task["matrix"]["base"])
+    name = matrix_name(task, base_json)
     ladder = Ladder(setup)
     dims = dims_from_task(task, machine)
     bound0, drift = tier0_drift_bound(task, machine, setup)
@@ -144,7 +148,7 @@ def answer_delta_task(task: dict) -> tuple[dict, dict, dict]:
 
     stripped = {k: v for k, v in task.items()
                 if k not in ("accuracy", "max_tier")}
-    result, _, inner = evaluate_delta_task(stripped)
+    result, _, inner = evaluate_delta_task(stripped, base_json)
     meta.update(inner)
     fidelity = _fidelity(
         2, tier2_bound, accuracy, time.perf_counter() - started,

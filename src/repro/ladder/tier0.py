@@ -245,7 +245,7 @@ def dims_from_task(task: dict, machine: A64FX,
         return MatrixDims(base.num_rows, base.num_cols, max(nnz, 0))
     if spec["kind"] == "csr":
         rowptr = spec["rowptr"]
-        nnz = int(rowptr[-1]) if rowptr else 0
+        nnz = int(rowptr[-1]) if len(rowptr) else 0
         return MatrixDims(spec["num_rows"], spec["num_cols"], nnz)
     if spec["kind"] == "coo":
         return MatrixDims(spec["num_rows"], spec["num_cols"], len(spec["rows"]))

@@ -40,7 +40,7 @@ from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..analysis.report import canonical_json
+from ..analysis.report import canonical_json, jsonable
 from ..core.analytic import stream_misses
 from ..core.classification import classify
 from ..experiments.common import cache_entry_path
@@ -305,9 +305,12 @@ class LocalityService(HttpApp):
             return 400, error_payload(target, "BadJSON", str(exc))
         if target == "cache/peek":
             return self._handle_cache_peek(payload)
-        if target == "delta":
-            return await self._handle_delta(payload)
-        return await self._handle_model(target, payload)
+        # the handler holds the only reference to the parsed body, so a
+        # model request frees its number lists once its task holds arrays
+        handler = (self._handle_delta(payload) if target == "delta"
+                   else self._handle_model(target, payload))
+        del payload
+        return await handler
 
     def health(self) -> dict:
         health = {"ok": True, "status": "healthy"}
@@ -382,7 +385,9 @@ class LocalityService(HttpApp):
         try:
             status, payload = await request_json(
                 peer["host"], peer["port"], "POST", "/cache/peek",
-                {"task": task}, timeout=self.config.peer_timeout_seconds,
+                # jsonable: an inline matrix rides the task as arrays
+                {"task": jsonable(task)},
+                timeout=self.config.peer_timeout_seconds,
             )
         except (OSError, ValueError, ConnectionError, asyncio.TimeoutError,
                 asyncio.IncompleteReadError):
@@ -435,6 +440,9 @@ class LocalityService(HttpApp):
                     status=403,
                 )
             task = normalize_request(endpoint, payload)
+            # an inline matrix's lists stay garbage for the whole
+            # evaluation otherwise (a base request holds megabytes)
+            del payload
             if not self.config.test_hooks:
                 task.pop("x_test_sleep", None)
                 task.pop("x_test_crash", None)
@@ -446,20 +454,18 @@ class LocalityService(HttpApp):
             if endpoint == "optimize":
                 cap = self.config.max_optimize_budget_seconds
                 _require_budget(task["budget_seconds"], cap)
-            key = request_key(task)
+            plan = (faults.FaultPlan.from_dict(task["faults"])
+                    if "faults" in task else None)
+            # record the computation-defining task so a later POST /delta
+            # can patch against this key (chaos and test-hook requests are
+            # excluded: their stored form would not re-derive the key)
+            key = self._keyed(task, register=(
+                endpoint in DELTA_BASE_ENDPOINTS and plan is None
+                and "x_test_sleep" not in task
+                and "x_test_crash" not in task))
             # the gateway's warm-cache hint is routing metadata: excluded
             # from the key, stripped before the task reaches a worker
             peer = task.pop("peer", None)
-            plan = (faults.FaultPlan.from_dict(task["faults"])
-                    if "faults" in task else None)
-            if (endpoint in DELTA_BASE_ENDPOINTS and plan is None
-                    and "x_test_sleep" not in task
-                    and "x_test_crash" not in task):
-                # record the computation-defining task so a later POST
-                # /delta can patch against this key (chaos and test-hook
-                # requests are excluded: their stored form would not
-                # re-derive the key)
-                self.registry.put(key, task)
         except RequestError as exc:
             return self._rejected(endpoint, started, exc)
         return await self._finish_task(endpoint, task, key, peer, plan, started)
@@ -506,8 +512,7 @@ class LocalityService(HttpApp):
             task = derive_delta_task(stored, normalized,
                                      self.config.delta_budget)
             self._ladder_defaults(task)
-            key = request_key(task)
-            self.registry.put(key, task)
+            key = self._keyed(task, register=True)
         except RequestError as exc:
             return self._rejected("delta", started, exc)
         envelope = {"delta": {
@@ -516,6 +521,16 @@ class LocalityService(HttpApp):
         }}
         return await self._finish_task(endpoint, task, key, None, None,
                                        started, envelope=envelope)
+
+    def _keyed(self, task: dict, register: bool) -> str:
+        """The task's request key, registering the task under it when
+        asked: the key's own encoding is the registry record, so an
+        inline matrix is encoded once for both."""
+        if not register:
+            return request_key(task)
+        key, record = request_key(task, with_record=True)
+        self.registry.put(key, task, record)
+        return key
 
     def _ladder_defaults(self, task: dict) -> None:
         """Fill in the daemon-wide ladder defaults the request left unsaid.

@@ -19,12 +19,17 @@ count, iterations, prefetch distances, way options); endpoint-specific
 knobs ride at the top level.
 
 :func:`normalize_request` validates a payload and rewrites it into a
-*canonical task*: a plain-JSON dict with every default filled in, so that
-two requests asking for the same computation normalize to identical
-bytes.  :func:`request_key` hashes that canonical form — it is the key of
-the result cache and of in-flight coalescing.  The builder functions at
-the bottom (:func:`setup_from_task`, :func:`matrix_from_task`) run inside
-pool workers to reconstruct model inputs from a task.
+*canonical task*: a dict with every default filled in, so that two
+requests asking for the same computation normalize to identical bytes.
+Every value is plain JSON except an inline matrix's index and value
+lists, which are read-only NumPy arrays from parse to worker (indices
+int32, or int64 when one does not fit; values float64);
+:func:`~repro.analysis.report.canonical_json` encodes them to the same
+bytes as the lists they came from.  :func:`request_key` hashes that
+canonical form — it is the key of the result cache and of in-flight
+coalescing.  The builder functions at the bottom
+(:func:`setup_from_task`, :func:`matrix_from_task`) run inside pool
+workers to reconstruct model inputs from a task.
 """
 
 from __future__ import annotations
@@ -76,20 +81,71 @@ def _require(condition: bool, message: str, status: int = 400) -> None:
         raise RequestError(message, status=status)
 
 
+def _cast(value: object, caster, message: str):
+    """``caster(value)``, or a 400 carrying ``message``.
+
+    ``OverflowError`` counts too: JSON admits ``1e999`` (infinity) and
+    integers of any length, and neither may escape as a dropped
+    connection.
+    """
+    try:
+        return caster(value)
+    except (TypeError, ValueError, OverflowError):
+        raise RequestError(message) from None
+
+
 def _int_list(values: object, label: str) -> list[int]:
     _require(isinstance(values, (list, tuple)), f"{label} must be a list")
     try:
         return [int(v) for v in values]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise RequestError(f"{label} must contain integers: {exc}") from None
 
 
-def _float_list(values: object, label: str) -> list[float]:
+def _array(values: object, label: str, fast: frozenset, caster,
+           dtype, kind: str, bound: str) -> np.ndarray:
+    """A JSON number list as a NumPy array (inline matrix fields).
+
+    Lists whose elements are all of the ``fast`` types convert at C
+    speed; anything else (numeric strings, bools, floats as indices)
+    takes the per-element ``caster`` coercion first, so both paths
+    accept, reject and round exactly like ``[caster(v) for v in values]``.
+    A number the dtype cannot hold is a 400 naming its ``bound``.  The
+    array is read-only: the task registry and derived delta tasks share
+    it by reference, and its bytes are the request key.
+    """
     _require(isinstance(values, (list, tuple)), f"{label} must be a list")
     try:
-        return [float(v) for v in values]
+        if not fast.issuperset(map(type, values)):
+            values = [caster(v) for v in values]
+        array = np.array(values, dtype=dtype)
     except (TypeError, ValueError) as exc:
-        raise RequestError(f"{label} must contain numbers: {exc}") from None
+        raise RequestError(f"{label} must contain {kind}: {exc}") from None
+    except OverflowError as exc:
+        raise RequestError(f"{label} must contain {bound}: {exc}") from None
+    array.flags.writeable = False
+    return array
+
+
+_INT32 = np.iinfo(np.int32)
+
+
+def _index_array(values: object, label: str) -> np.ndarray:
+    """Indices validated as int64 and held as int32 whenever they all fit
+    (always, short of a column index the CSR layout cannot hold): the
+    numbers, and so the encoding, are the same, and the task registry
+    keeps every base's arrays for the daemon's lifetime."""
+    array = _array(values, label, frozenset({int}), int, np.int64,
+                   "integers", "integers that fit in int64")
+    if not array.size or (array.min() >= _INT32.min and array.max() <= _INT32.max):
+        array = array.astype(np.int32)
+        array.flags.writeable = False
+    return array
+
+
+def _value_array(values: object, label: str) -> np.ndarray:
+    return _array(values, label, frozenset({int, float}), float, np.float64,
+                  "numbers", "numbers within float64 range")
 
 
 @lru_cache(maxsize=8)
@@ -111,8 +167,14 @@ def _normalize_matrix(payload: object, scale: int) -> dict:
         )
         name = payload["name"]
         _require(isinstance(name, str) and bool(name), "matrix name must be a string")
+        try:
+            names = _collection_names(size, scale)
+        except ValueError as exc:
+            # the collection is generated for the scaled machine, which
+            # only some scale factors divide
+            raise RequestError(f"bad setup.scale: {exc}") from None
         _require(
-            name in _collection_names(size, scale),
+            name in names,
             f"matrix {name!r} not in the {size!r} collection",
             status=404,
         )
@@ -122,13 +184,15 @@ def _normalize_matrix(payload: object, scale: int) -> dict:
         _require(isinstance(csr, dict), "'csr' must be an object")
         task = {
             "kind": "csr",
-            "num_rows": int(csr.get("num_rows", -1)),
-            "num_cols": int(csr.get("num_cols", -1)),
-            "rowptr": _int_list(csr.get("rowptr"), "csr.rowptr"),
-            "colidx": _int_list(csr.get("colidx"), "csr.colidx"),
+            "num_rows": _cast(csr.get("num_rows", -1), int,
+                              "csr.num_rows must be an integer"),
+            "num_cols": _cast(csr.get("num_cols", -1), int,
+                              "csr.num_cols must be an integer"),
+            "rowptr": _index_array(csr.get("rowptr"), "csr.rowptr"),
+            "colidx": _index_array(csr.get("colidx"), "csr.colidx"),
         }
         if csr.get("values") is not None:
-            task["values"] = _float_list(csr["values"], "csr.values")
+            task["values"] = _value_array(csr["values"], "csr.values")
         _require(task["num_rows"] >= 0 and task["num_cols"] >= 0,
                  "csr.num_rows/num_cols must be non-negative integers")
         return task
@@ -137,13 +201,15 @@ def _normalize_matrix(payload: object, scale: int) -> dict:
         _require(isinstance(coo, dict), "'coo' must be an object")
         task = {
             "kind": "coo",
-            "num_rows": int(coo.get("num_rows", -1)),
-            "num_cols": int(coo.get("num_cols", -1)),
-            "rows": _int_list(coo.get("rows"), "coo.rows"),
-            "cols": _int_list(coo.get("cols"), "coo.cols"),
+            "num_rows": _cast(coo.get("num_rows", -1), int,
+                              "coo.num_rows must be an integer"),
+            "num_cols": _cast(coo.get("num_cols", -1), int,
+                              "coo.num_cols must be an integer"),
+            "rows": _index_array(coo.get("rows"), "coo.rows"),
+            "cols": _index_array(coo.get("cols"), "coo.cols"),
         }
         if coo.get("values") is not None:
-            task["values"] = _float_list(coo["values"], "coo.values")
+            task["values"] = _value_array(coo["values"], "coo.values")
         _require(task["num_rows"] >= 0 and task["num_cols"] >= 0,
                  "coo.num_rows/num_cols must be non-negative integers")
         _require(len(task["rows"]) == len(task["cols"]),
@@ -162,11 +228,8 @@ def _normalize_setup(payload: object) -> dict:
     setup: dict = {}
     for name in ("scale", "num_threads", "iterations",
                  "l1_prefetch_distance", "l2_prefetch_distance"):
-        value = payload.get(name, getattr(defaults, name))
-        try:
-            setup[name] = int(value)
-        except (TypeError, ValueError):
-            raise RequestError(f"setup.{name} must be an integer") from None
+        setup[name] = _cast(payload.get(name, getattr(defaults, name)), int,
+                            f"setup.{name} must be an integer")
         _require(setup[name] >= (1 if name in ("scale", "num_threads", "iterations") else 0),
                  f"setup.{name} out of range")
     for name in ("l2_way_options", "l1_way_options"):
@@ -181,8 +244,10 @@ def normalize_request(endpoint: str, payload: object) -> dict:
     """Validate a request payload into its canonical task form.
 
     Raises :class:`RequestError` (with an HTTP status) on anything
-    malformed.  The returned dict contains only plain JSON values and all
-    defaults filled in; equal computations yield byte-equal tasks.
+    malformed (an unparseable or out-of-range number included).  The
+    returned dict has all defaults filled in and holds plain JSON values
+    apart from an inline matrix's arrays; equal computations yield
+    byte-equal tasks.
     """
     _require(endpoint in ENDPOINTS, f"unknown endpoint {endpoint!r}", status=404)
     _require(isinstance(payload, dict), "request body must be a JSON object")
@@ -209,7 +274,7 @@ def normalize_request(endpoint: str, payload: object) -> dict:
             _require(isinstance(entry, dict), "each policy must be an object")
             try:
                 normalized.append(SectorPolicy.from_dict(entry).to_dict())
-            except ValueError as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise RequestError(f"bad policy: {exc}") from None
         task["policies"] = normalized
     elif endpoint == "advise":
@@ -218,8 +283,9 @@ def normalize_request(endpoint: str, payload: object) -> dict:
         )
         _require(bool(task["way_options"]), "way_options must not be empty")
         task["consider_isolate_x"] = bool(payload.get("consider_isolate_x", True))
-        task["min_sector1_ways_with_prefetch"] = int(
-            payload.get("min_sector1_ways_with_prefetch", 4)
+        task["min_sector1_ways_with_prefetch"] = _cast(
+            payload.get("min_sector1_ways_with_prefetch", 4), int,
+            "min_sector1_ways_with_prefetch must be an integer",
         )
     elif endpoint == "optimize":
         from ..optimize.strategies import DEFAULT_STRATEGIES
@@ -236,16 +302,11 @@ def normalize_request(endpoint: str, payload: object) -> dict:
         # canonical order + dedup: the search evaluates in registry order
         # regardless of request order, so equal selections key equally
         task["strategies"] = [s for s in DEFAULT_STRATEGIES if s in strategies]
-        try:
-            budget = float(payload.get("budget_seconds", 30.0))
-        except (TypeError, ValueError):
-            raise RequestError("budget_seconds must be a number") from None
+        budget = _cast(payload.get("budget_seconds", 30.0), float,
+                       "budget_seconds must be a number")
         _require(budget > 0, "budget_seconds must be positive")
         task["budget_seconds"] = budget
-        try:
-            seed = int(payload.get("seed", 0))
-        except (TypeError, ValueError):
-            raise RequestError("seed must be an integer") from None
+        seed = _cast(payload.get("seed", 0), int, "seed must be an integer")
         _require(seed >= 0, "seed must be non-negative")
         task["seed"] = seed
     # sweep needs nothing beyond the setup: it measures the full grid
@@ -262,36 +323,24 @@ def normalize_request(endpoint: str, payload: object) -> dict:
                  "loosen the confirmation)")
         accuracy = payload.get("accuracy")
         if accuracy is not None:
-            try:
-                accuracy = float(accuracy)
-            except (TypeError, ValueError):
-                raise RequestError("accuracy must be a number") from None
+            accuracy = _cast(accuracy, float, "accuracy must be a number")
             _require(accuracy > 0, "accuracy must be positive")
             task["accuracy"] = accuracy
     else:
         accuracy = payload.get("accuracy")
         if accuracy is not None:
-            try:
-                accuracy = float(accuracy)
-            except (TypeError, ValueError):
-                raise RequestError("accuracy must be a number") from None
+            accuracy = _cast(accuracy, float, "accuracy must be a number")
             _require(accuracy > 0, "accuracy must be positive")
             task["accuracy"] = accuracy
         max_tier = payload.get("max_tier")
         if max_tier is not None:
-            try:
-                max_tier = int(max_tier)
-            except (TypeError, ValueError):
-                raise RequestError("max_tier must be an integer") from None
+            max_tier = _cast(max_tier, int, "max_tier must be an integer")
             _require(0 <= max_tier <= 3, "max_tier must be between 0 and 3")
             task["max_tier"] = max_tier
 
     timeout = payload.get("timeout")
     if timeout is not None:
-        try:
-            timeout = float(timeout)
-        except (TypeError, ValueError):
-            raise RequestError("timeout must be a number") from None
+        timeout = _cast(timeout, float, "timeout must be a number")
         _require(timeout > 0, "timeout must be positive")
         task["timeout"] = timeout
     if payload.get("trace"):
@@ -318,10 +367,7 @@ def normalize_request(endpoint: str, payload: object) -> dict:
         _require(isinstance(peer, dict) and isinstance(peer.get("host"), str)
                  and peer["host"] != "",
                  "'peer' must be an object with a host string")
-        try:
-            port = int(peer.get("port"))
-        except (TypeError, ValueError):
-            raise RequestError("peer.port must be an integer") from None
+        port = _cast(peer.get("port"), int, "peer.port must be an integer")
         _require(0 < port < 65536, "peer.port out of range")
         task["peer"] = {"host": peer["host"], "port": port}
     if "faults" in payload:
@@ -378,10 +424,7 @@ def normalize_delta(payload: object) -> dict:
     ):
         value = payload.get(name)
         if value is not None:
-            try:
-                value = caster(value)
-            except (TypeError, ValueError):
-                raise RequestError(f"{name} must be a number") from None
+            value = _cast(value, caster, f"{name} must be a number")
             _require(check(value), message)
             normalized[name] = value
     if payload.get("trace"):
@@ -439,7 +482,7 @@ def derive_delta_task(stored: dict, normalized: dict, delta_budget: int) -> dict
     return task
 
 
-def request_key(task: dict) -> str:
+def request_key(task: dict, *, with_record: bool = False):
     """Cache/coalescing key of a canonical task.
 
     The per-request ``timeout``, ``trace``, ``trace_context``, ``faults``
@@ -461,14 +504,24 @@ def request_key(task: dict) -> str:
     for the same reason as the ladder flags: in-budget and fallback
     evaluations answer identically byte for byte, so daemons configured
     with different budgets must still share cache entries.
+
+    With ``with_record`` it returns ``(key, record)``: ``record`` is the
+    canonical JSON of the keyed fields, the bytes the stored-task
+    registry persists (for the delta base endpoints the keyed form *is*
+    :func:`repro.service.registry.stored_form`), so one encoding of an
+    inline matrix serves both.
     """
     excluded = ("timeout", "trace", "trace_context", "faults", "peer",
                 "delta_budget")
     if task.get("endpoint") != "optimize":
         excluded += ("accuracy", "max_tier")
-    keyed = {k: v for k, v in task.items() if k not in excluded}
-    digest = hashlib.sha256(canonical_json(["v1", keyed]).encode()).hexdigest()
-    return digest[:32]
+    record = canonical_json({k: v for k, v in task.items() if k not in excluded})
+    # the bytes of canonical_json(["v1", keyed]), hashed without the copy
+    digest = hashlib.sha256(b'["v1",')
+    digest.update(record.encode())
+    digest.update(b"]")
+    key = digest.hexdigest()[:32]
+    return (key, record) if with_record else key
 
 
 # ----------------------------------------------------------------------
@@ -489,20 +542,49 @@ def setup_from_task(task: dict) -> ExperimentSetup:
     )
 
 
-def matrix_name(task: dict) -> str:
+def _delta_spec_json(spec: dict, base_json: str) -> str:
+    """``canonical_json(spec)`` of a delta spec whose base is encoded.
+
+    Only the edit batches are encoded here; the base — the whole inline
+    matrix — is spliced in as the caller's ``base_json``.  The spec is
+    :func:`derive_delta_task`'s, whose keys sort base < batches < kind.
+    """
+    batches = ",".join(canonical_json(batch) for batch in spec["batches"])
+    return f'{{"base":{base_json},"batches":[{batches}],"kind":"delta"}}'
+
+
+def matrix_name(task: dict, root_json: str | None = None) -> str:
     """Stable name of a task's matrix (content-addressed when inline).
 
     For named matrices this is the collection name, so service ``sweep``
     requests share on-disk records with ``python -m repro.experiments``
-    sweeps of the same setup.
+    sweeps of the same setup.  ``root_json`` is ``canonical_json`` of
+    the inline matrix the spec roots in (the spec itself, or a delta
+    spec's ``base``) when the caller already holds it.
     """
     matrix = task["matrix"]
-    if matrix["kind"] == "named":
+    kind = matrix["kind"]
+    if kind == "named":
         return matrix["name"]
-    digest = hashlib.sha256(canonical_json(matrix).encode()).hexdigest()[:12]
-    if matrix["kind"] == "delta":
-        return f"delta-{digest}"
-    return f"inline-{digest}"
+    if root_json is None:
+        root_json = canonical_json(matrix["base"] if kind == "delta" else matrix)
+    text = _delta_spec_json(matrix, root_json) if kind == "delta" else root_json
+    digest = hashlib.sha256(text.encode()).hexdigest()[:12]
+    return f"{'delta' if kind == 'delta' else 'inline'}-{digest}"
+
+
+def _int32(values) -> np.ndarray:
+    """Column indices as ``int32``, overflow-checked like
+    ``np.asarray(list, np.int32)`` (``astype`` would wrap silently)."""
+    array = np.asarray(values)
+    if array.dtype == np.int32:
+        return array
+    array = array.astype(np.int64)
+    outside = (array < _INT32.min) | (array > _INT32.max)
+    if outside.any():
+        value = int(array[outside][0])
+        raise OverflowError(f"Python integer {value} out of bounds for int32")
+    return array.astype(np.int32)
 
 
 def matrix_from_task(task: dict, name: str | None = None) -> CSRMatrix:
@@ -521,8 +603,10 @@ def matrix_from_task(task: dict, name: str | None = None) -> CSRMatrix:
 
         from ..delta.delta import MatrixDelta
 
-        matrix = matrix_from_task({"matrix": spec["base"],
-                                   "setup": task.get("setup")})
+        base = {"matrix": spec["base"], "setup": task.get("setup")}
+        # an inline base is renamed below: no need to hash it for a name
+        matrix = matrix_from_task(
+            base, matrix_name(base) if spec["base"]["kind"] == "named" else name)
         for batch in spec["batches"]:
             matrix = MatrixDelta.from_dict(batch).apply(matrix).matrix
         return dataclasses.replace(matrix, name=name)
@@ -540,7 +624,7 @@ def matrix_from_task(task: dict, name: str | None = None) -> CSRMatrix:
             spec["num_rows"],
             spec["num_cols"],
             rowptr,
-            np.asarray(spec["colidx"], dtype=np.int32),
+            _int32(spec["colidx"]),
             np.ones(nnz) if values is None else np.asarray(values, dtype=np.float64),
             name=name,
         )

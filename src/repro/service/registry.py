@@ -25,8 +25,6 @@ import json
 from collections import OrderedDict
 from pathlib import Path
 
-from ..analysis.report import canonical_json
-
 #: Fields stripped before storage so the stored bytes re-derive the key.
 VOLATILE_FIELDS = ("timeout", "trace", "trace_context", "faults", "peer",
                    "accuracy", "max_tier", "delta_budget",
@@ -52,8 +50,15 @@ class TaskRegistry:
             return None
         return self.cache_dir / f"{key}.task.json"
 
-    def put(self, key: str, task: dict) -> None:
-        """Record a task under its request key (idempotent)."""
+    def put(self, key: str, task: dict, record: str) -> None:
+        """Record a task under its request key (idempotent).
+
+        ``record`` is ``canonical_json(stored_form(task))``, the bytes
+        persisted to disk: ``request_key(task, with_record=True)``
+        already encoded exactly that, so the matrix is not encoded again
+        here.  The memory map keeps the task's own values — an inline
+        matrix's arrays are shared by reference, never copied.
+        """
         stored = stored_form(task)
         known = key in self._memory
         self._memory[key] = stored
@@ -62,7 +67,7 @@ class TaskRegistry:
             self._memory.popitem(last=False)
         path = self._path(key)
         if path is not None and not known and not path.exists():
-            path.write_text(canonical_json(stored))
+            path.write_text(record)
 
     def get(self, key: str) -> dict | None:
         """The stored task of a key, or ``None`` when absent/unparseable."""

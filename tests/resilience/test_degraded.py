@@ -125,6 +125,15 @@ def test_dims_from_task_inline_and_named():
     assert dims_from_task(named, MACHINE) is dims
 
 
+def test_dims_from_task_inline_csr_with_empty_rowptr():
+    # inline indices ride as arrays: an empty one must read as nnz 0
+    task = normalize_request("classify", {
+        "matrix": {"csr": {"num_rows": 0, "num_cols": 0,
+                           "rowptr": [], "colidx": []}},
+    })
+    assert dims_from_task(task, MACHINE) == MatrixDims(0, 0, 0)
+
+
 def test_degraded_predict_empty_policy_list_is_empty_predictions():
     dims = MatrixDims(8, 8, 16)
     result = degraded_predict(dims, MACHINE, 8, [], "tiny")

@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.matrices import banded
 from repro.service import ServiceClient, ServiceConfig, ServiceThread
 from repro.service.cache import QUARANTINE_SUFFIXES, gc_sweep
+from repro.service.client import matrix_payload
 from repro.service.protocol import normalize_request
 
 SETUP = {"num_threads": 8}
@@ -79,6 +81,30 @@ def test_cache_peek_hits_only_after_a_real_request(client):
 
     counters = client.metrics()["cache_peek"]
     assert counters.get("hit") == 1 and counters.get("miss") == 1
+
+
+def test_inline_task_fills_from_its_previous_owner(server, client, tmp_path):
+    """Peer fill with an inline matrix: the new owner sends its normalized
+    task (matrix arrays and all) to the old owner's ``/cache/peek`` and
+    serves the hit instead of evaluating."""
+    matrix = banded(300, 4, 3, seed=11)
+    first = client.advise(matrix=matrix, **SETUP)
+    assert first["cached"] is None
+    host, port = server.address
+    hinted = {"matrix": matrix_payload(matrix), "setup": SETUP,
+              "peer": {"host": host, "port": port}}
+    config = ServiceConfig(jobs=1, cache_dir=str(tmp_path))
+    with ServiceThread(config) as (new_host, new_port):
+        with ServiceClient(new_host, new_port, timeout=60.0) as new_owner:
+            filled = new_owner.request("POST", "/advise", hinted)
+            assert filled["cached"] == "peer"
+            assert filled["key"] == first["key"]
+            assert filled["result"] == first["result"]
+            assert new_owner.metrics()["peer_fill"] == {"hit": 1}
+    # the normalized inline task peeks through the client as well
+    task = normalize_request("advise", {"matrix": matrix_payload(matrix),
+                                        "setup": SETUP})
+    assert client.cache_peek(task)["found"] is True
 
 
 def test_cache_peek_rejects_malformed_tasks(client):

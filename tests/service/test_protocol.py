@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.matrices import banded
 from repro.matrices.collection import collection
@@ -10,6 +12,7 @@ from repro.service.protocol import (
     RequestError,
     matrix_from_task,
     matrix_name,
+    normalize_delta,
     normalize_request,
     request_key,
     setup_from_task,
@@ -133,3 +136,145 @@ def test_bad_policy_rejected():
             "matrix": _inline(banded(64, 4, 3, seed=0)),
             "policies": [{"sector1_arrays": ["bogus_array"]}],
         })
+
+
+def test_inline_fields_are_read_only_arrays():
+    task = normalize_request("advise", {"matrix": _inline(banded(64, 4, 3, seed=0))})
+    spec = task["matrix"]
+    # indices validated as int64, held as int32 when they all fit
+    assert spec["rowptr"].dtype == np.int32 and spec["colidx"].dtype == np.int32
+    assert spec["values"].dtype == np.float64
+    assert not spec["colidx"].flags.writeable
+    wide = normalize_request("classify", {"matrix": {"coo": {
+        "num_rows": 1, "num_cols": 2**40, "rows": [0], "cols": [2**33]}}})
+    assert wide["matrix"]["cols"].dtype == np.int64
+    assert wide["matrix"]["rows"].dtype == np.int32
+    # setup and way-option lists stay plain lists
+    assert task["setup"]["l2_way_options"] == list(task["setup"]["l2_way_options"])
+    assert isinstance(task["way_options"], list)
+
+
+def test_non_int_indices_take_the_per_element_coercion():
+    fast = normalize_request("classify", {"matrix": {"coo": {
+        "num_rows": 3, "num_cols": 3, "rows": [0, 1, 2], "cols": [1, 2, 0],
+        "values": [1, 2, 3]}}})
+    slow = normalize_request("classify", {"matrix": {"coo": {
+        "num_rows": 3, "num_cols": 3, "rows": [0.0, True, "2"],
+        "cols": [1.9, 2, 0], "values": ["1", 2, 3.0]}}})
+    assert request_key(fast) == request_key(slow)
+    assert slow["matrix"]["cols"].tolist() == [1, 2, 0]
+
+
+@pytest.mark.parametrize("field, value, fragment", [
+    ("colidx", [0, 2**63], "fit in int64"),
+    ("colidx", [0, -(2**63) - 1], "fit in int64"),
+    ("colidx", [0, float("inf")], "fit in int64"),
+    ("colidx", [0, float("nan")], "must contain integers"),
+    ("colidx", [0, "x"], "must contain integers"),
+    ("values", [1.0, 10**400], "float64 range"),
+    ("values", [1.0, "x"], "must contain numbers"),
+])
+def test_out_of_range_inline_numbers_are_400(field, value, fragment):
+    csr = {"num_rows": 2, "num_cols": 2, "rowptr": [0, 1, 2], "colidx": [0, 1]}
+    csr[field] = value
+    with pytest.raises(RequestError) as err:
+        normalize_request("classify", {"matrix": {"csr": csr}})
+    assert err.value.status == 400
+    assert fragment in str(err.value)
+
+
+def test_colidx_beyond_int32_still_overflows_in_the_worker():
+    task = normalize_request("classify", {"matrix": {"csr": {
+        "num_rows": 1, "num_cols": 2**32, "rowptr": [0, 2],
+        "colidx": [1, 2**31]}}})
+    with pytest.raises(OverflowError,
+                       match="Python integer 2147483648 out of bounds for int32"):
+        matrix_from_task(task)
+
+
+_ODD_NUMBERS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.sampled_from([10**400, -(10**400), 2**63, -(2**63) - 1, 2**31, "abc",
+                     "1e999", "", [1], {}]),
+)
+
+#: (endpoint, path into the payload) of every number a request carries;
+#: a trailing index replaces one element of a list field
+_NUMBER_FIELDS = [
+    ("predict", ("matrix", "csr", "num_rows")),
+    ("predict", ("matrix", "csr", "num_cols")),
+    ("predict", ("matrix", "csr", "rowptr", 1)),
+    ("predict", ("matrix", "csr", "colidx", 0)),
+    ("predict", ("matrix", "csr", "values", 1)),
+    ("predict", ("matrix", "csr", "values")),
+    ("classify", ("matrix", "coo", "rows", 0)),
+    ("classify", ("matrix", "coo", "cols", 1)),
+    ("classify", ("matrix", "coo", "values", 0)),
+    ("classify", ("way_options", 0)),
+    ("advise", ("setup", "scale")),
+    ("advise", ("setup", "num_threads")),
+    ("advise", ("setup", "iterations")),
+    ("advise", ("setup", "l1_prefetch_distance")),
+    ("advise", ("setup", "l2_way_options", 0)),
+    ("advise", ("min_sector1_ways_with_prefetch",)),
+    ("advise", ("accuracy",)),
+    ("advise", ("max_tier",)),
+    ("advise", ("timeout",)),
+    ("advise", ("peer", "port")),
+    ("predict", ("policies", 0, "l2_sector1_ways")),
+    ("predict", ("policies", 0, "sector1_arrays")),
+    ("optimize", ("budget_seconds",)),
+    ("optimize", ("seed",)),
+    ("named", ("setup", "scale")),
+]
+
+
+def _payload(endpoint: str) -> dict:
+    if endpoint == "named":
+        matrix = {"name": "banded_001", "collection": "tiny"}
+    elif endpoint == "classify":
+        matrix = {"coo": {"num_rows": 2, "num_cols": 2, "rows": [0, 1],
+                          "cols": [1, 0], "values": [1.0, 2.0]}}
+    else:
+        matrix = {"csr": {"num_rows": 2, "num_cols": 2, "rowptr": [0, 1, 2],
+                          "colidx": [0, 1], "values": [1.0, 2.0]}}
+    payload = {"matrix": matrix, "setup": {"l2_way_options": [4, 5]},
+               "peer": {"host": "h", "port": 1}}
+    if endpoint == "predict":
+        payload["policies"] = [{"l2_sector1_ways": 3}]
+    elif endpoint != "optimize":
+        payload["way_options"] = [2, 3]
+    return payload
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(_NUMBER_FIELDS), _ODD_NUMBERS)
+def test_any_number_anywhere_is_a_task_or_a_4xx(field, value):
+    endpoint, path = field
+    payload = _payload(endpoint)
+    node = payload
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    try:
+        normalize_request("advise" if endpoint == "named" else endpoint, payload)
+    except RequestError as exc:
+        assert 400 <= exc.status < 500
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([("delta", "inserts", 0, 0), ("delta", "inserts", 0, 2),
+                        ("delta", "deletes", 0, 1), ("accuracy",),
+                        ("max_tier",), ("timeout",)]),
+       _ODD_NUMBERS)
+def test_any_number_in_a_delta_is_normalized_or_a_4xx(path, value):
+    payload = {"base": "0" * 32,
+               "delta": {"inserts": [[0, 1, 2.0]], "deletes": [[1, 1]]}}
+    node = payload
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    try:
+        normalize_delta(payload)
+    except RequestError as exc:
+        assert 400 <= exc.status < 500

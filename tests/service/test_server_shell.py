@@ -165,3 +165,42 @@ def test_non_integer_trace_limit_is_bad_limit(address):
             "ok": False, "endpoint": "debug/traces",
             "error": {"type": "BadLimit",
                       "message": "limit must be an integer"}}
+
+
+_CSR = '"csr": {"num_rows": 2, "num_cols": 2, "rowptr": [0, 1, 2]'
+
+
+@pytest.mark.parametrize("route, body, fragment", [
+    ("/predict", '{"matrix": {"csr": {"num_rows": "abc", "num_cols": 2, '
+                 '"rowptr": [0], "colidx": []}}}', "csr.num_rows"),
+    ("/predict", '{"matrix": {' + _CSR + ', "colidx": [1e999, 0]}}}',
+     "csr.colidx"),
+    ("/predict", '{"matrix": {' + _CSR + ', "colidx": [0, 1], "values": [1, '
+                 + "9" * 400 + ']}}}', "csr.values"),
+    ("/predict", '{"matrix": {' + _CSR + ', "colidx": [0, '
+                 + str(2**63) + ']}}}', "int64"),
+    ("/predict", '{"matrix": {' + _CSR + ', "colidx": [0, 1]}}, '
+                 '"setup": {"num_threads": 1e999}}', "setup.num_threads"),
+    ("/advise", '{"matrix": {' + _CSR + ', "colidx": [0, 1]}}, '
+                '"min_sector1_ways_with_prefetch": "four"}',
+     "min_sector1_ways_with_prefetch"),
+    ("/delta", '{"base": "' + "0" * 32 + '", "delta": {"inserts": '
+               '[[1e999, 0]]}}', "inserts[0]"),
+    ("/delta", '{"base": "' + "0" * 32 + '", "delta": {"deletes": '
+               '[[0, 0]]}, "max_tier": 1e999}', "max_tier"),
+], ids=["num_rows-string", "colidx-inf", "values-400-digits",
+        "colidx-beyond-int64", "num_threads-inf", "ways-string",
+        "delta-insert-inf", "delta-max_tier-inf"])
+def test_malformed_numbers_are_400_not_a_dropped_connection(
+        address, route, body, fragment):
+    status, headers, payload, sock = _exchange(
+        address, _request("POST", route, body.encode()))
+    with sock:
+        assert status == 400
+        error = json.loads(payload)["error"]
+        assert error["type"] == "RequestError"
+        assert fragment in error["message"]
+        # the connection survives the rejection
+        assert headers["connection"] == "keep-alive"
+        sock.sendall(_request("GET", "/healthz"))
+        assert _read_response(sock)[0] == 200
