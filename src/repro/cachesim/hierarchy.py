@@ -50,10 +50,6 @@ class SimConfig:
     interleave_policy: str = "mcs"
     #: arrays assigned to sector 1 (Listing 1: the non-temporal matrix data)
     sector1_arrays: tuple[str, ...] = ("values", "colidx")
-    #: use the single-period steady-state reuse engine instead of physically
-    #: doubling the trace (only takes effect for ``iterations == 2``; results
-    #: are byte-identical either way)
-    periodic: bool = True
 
 
 class SpMVCacheSim:
@@ -97,9 +93,6 @@ class SpMVCacheSim:
                       threads=self.config.num_threads):
             per_thread = spmv_trace(matrix, None, schedule, line_size=machine.line_size)
             merged = interleave(per_thread, self.config.interleave_policy)
-        # iteration 0 (prefetcher ramp-up) differs from the steady period, so
-        # the single-period engine only covers the default two-iteration runs
-        self.periodic = self.config.periodic and self.config.iterations == 2
         if self.periodic:
             self._demand = merged
             # warm-up period: iteration 0, with start-of-stream prefetch ramp
@@ -146,11 +139,22 @@ class SpMVCacheSim:
 
     # ------------------------------------------------------------------
     @property
+    def periodic(self) -> bool:
+        """Whether the single-period steady-state engine runs.
+
+        Iteration 0 (prefetcher ramp-up) differs from the steady period,
+        and the L2 streams of later iterations are not exactly periodic,
+        so the engine covers the default two-iteration runs; any other
+        iteration count simulates the repeated trace.
+        """
+        return self.config.iterations == 2
+
+    @property
     def demand_trace(self) -> MemoryTrace:
         """The interleaved demand trace (no prefetches).
 
-        One SpMV period in periodic mode; all ``iterations`` repetitions in
-        the doubled-trace (oracle) mode.
+        One SpMV period in periodic mode; all ``iterations`` repetitions
+        otherwise.
         """
         return self._demand
 
@@ -167,9 +171,9 @@ class SpMVCacheSim:
             if self.periodic:
                 # the L2 input is warm-period L1 misses followed by steady-period
                 # L1 misses; injecting L2 prefetches over the concatenation keeps
-                # the oracle's stream-boundary semantics, and injections inherit
-                # their trigger's iteration tag, so the warm/steady split of the
-                # injected stream is the contiguous iteration==0 prefix
+                # the repeated trace's stream-boundary semantics, and injections
+                # inherit their trigger's iteration tag, so the warm/steady split
+                # of the injected stream is the contiguous iteration==0 prefix
                 warm_miss = self._l1_warm_rd.miss_mask(l1_sector1_ways)
                 steady_miss = self._l1_rd.miss_mask(l1_sector1_ways)
                 l2_input = concat_traces(

@@ -15,8 +15,8 @@ MCS-fair interleaved trace, one logical LRU stack per CMG segment.  The
 model is fully associative (the paper's choice); associativity, prefetching
 and L1 filtering are exactly the effects the MAPE evaluation quantifies.
 
-Each stack pass is condensed into per-array :class:`ReuseProfile` buckets
-over the steady-state window (the single-pass-many-capacities property the
+Each stack pass runs over one SpMV period and is condensed into per-array
+:class:`ReuseProfile` buckets (the single-pass-many-capacities property the
 paper's Section 2.2 highlights), so every subsequent policy query —
 ``predict``, ``predict_l1``, ``x_traffic_fraction``, ``cold_misses`` — is a
 handful of O(log n) ``searchsorted`` lookups instead of an O(n) mask sweep
@@ -37,12 +37,11 @@ from ..obs.tracer import span as obs_span
 from ..parallel.interleave import interleave
 from ..reuse.cdq import reuse_distances
 from ..reuse.histogram import ReuseProfile, partition_profiles
-from ..reuse.naive import COLD
 from ..reuse.periodic import steady_state_reuse_distances
 from ..spmv.csr import CSRMatrix
 from ..spmv.schedule import RowSchedule, static_schedule
 from ..spmv.sector_policy import ARRAYS, SectorPolicy
-from .trace import MemoryTrace, repeat_trace, spmv_trace
+from .trace import MemoryTrace, spmv_trace
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,6 @@ class MethodA:
         iterations: int = 2,
         interleave_policy: str = "mcs",
         sector1_arrays: frozenset[str] = frozenset({"values", "colidx"}),
-        periodic: bool = True,
     ) -> None:
         if num_threads > machine.num_cores:
             raise ValueError("more threads than cores")
@@ -107,17 +105,8 @@ class MethodA:
                       threads=num_threads):
             per_thread = spmv_trace(matrix, None, schedule, line_size=machine.line_size)
             with obs_span("interleave", policy=interleave_policy):
-                merged = interleave(per_thread, interleave_policy)
-            # The SpMV trace is periodic, so steady-state distances come exactly
-            # from one period (wrap-around reuse for period-first accesses); the
-            # doubled trace survives as the oracle path for tests and benches.
-            self.periodic = periodic and iterations >= 2
-            if self.periodic:
-                self.trace: MemoryTrace = merged
-                self._window = None  # the whole period is the steady-state window
-            else:
-                self.trace = repeat_trace(merged, iterations)
-                self._window = self.trace.iteration == iterations - 1
+                # one SpMV period: every stack pass runs over it alone
+                self.trace: MemoryTrace = interleave(per_thread, interleave_policy)
         self._sectors = self.trace.sectors(
             SectorPolicy(sector1_arrays=self.sector1_arrays, l2_sector1_ways=1)
         )
@@ -127,12 +116,23 @@ class MethodA:
         )
 
     @property
+    def periodic(self) -> bool:
+        """Whether the passes price a warmed-up period (``iterations >= 2``)."""
+        return self.iterations >= 2
+
+    @property
     def num_cmgs_used(self) -> int:
         """CMG segments actually touched by the scheduled threads."""
         return int(self._cmgs.max()) + 1 if len(self.trace) else 1
 
     def _stack_pass(self, groups: np.ndarray) -> np.ndarray:
-        """One grouped stack pass: steady-state (periodic) or full-trace."""
+        """One grouped stack pass over the period.
+
+        From the second iteration on the trace is periodic, so the
+        steady-state distances come exactly from the one period
+        (wrap-around reuse for period-first accesses); a single iteration
+        is a plain cold pass.
+        """
         with obs_span("method_a.stack_pass", periodic=self.periodic,
                       references=len(self.trace)):
             if self.periodic:
@@ -156,36 +156,29 @@ class MethodA:
     def _rd_l1_shared(self) -> np.ndarray:
         return self._stack_pass(self.trace.threads.astype(np.int64))
 
-    # -- per-array reuse profiles of the steady-state window ------------
-    def _window_profiles(self, rd: np.ndarray) -> tuple[ReuseProfile, ...]:
+    # -- per-array reuse profiles of the period -------------------------
+    def _array_profiles(self, rd: np.ndarray) -> tuple[ReuseProfile, ...]:
         with obs_span("method_a.profile_build"):
-            return partition_profiles(rd, self.trace.arrays, len(ARRAYS), self._window)
+            return partition_profiles(rd, self.trace.arrays, len(ARRAYS))
 
     @cached_property
     def _profiles_partitioned(self) -> tuple[ReuseProfile, ...]:
-        return self._window_profiles(self._rd_partitioned)
+        return self._array_profiles(self._rd_partitioned)
 
     @cached_property
     def _profiles_shared(self) -> tuple[ReuseProfile, ...]:
-        return self._window_profiles(self._rd_shared)
+        return self._array_profiles(self._rd_shared)
 
     @cached_property
     def _profiles_l1_partitioned(self) -> tuple[ReuseProfile, ...]:
-        return self._window_profiles(self._rd_l1_partitioned)
+        return self._array_profiles(self._rd_l1_partitioned)
 
     @cached_property
     def _profiles_l1_shared(self) -> tuple[ReuseProfile, ...]:
-        return self._window_profiles(self._rd_l1_shared)
+        return self._array_profiles(self._rd_l1_shared)
 
     @cached_property
-    def _first_iteration_profile(self) -> ReuseProfile:
-        # oracle path only: first-iteration distances carry the COLD markers
-        return ReuseProfile.from_distances(
-            self._rd_shared, self.trace.iteration == 0
-        )
-
-    @cached_property
-    def _periodic_cold_misses(self) -> int:
+    def _cold_misses(self) -> int:
         # compulsory misses = distinct (CMG, line) pairs of one period
         if not len(self.trace):
             return 0
@@ -251,60 +244,4 @@ class MethodA:
 
     def cold_misses(self) -> int:
         """Compulsory misses of the first iteration (distinct lines touched)."""
-        if self.periodic:
-            return self._periodic_cold_misses
-        return self._first_iteration_profile.num_cold
-
-    # -- reference implementation (full-trace mask sweep) ----------------
-    # The original O(n)-per-policy evaluation, kept as the semantic oracle:
-    # the property tests assert the profile queries match it bit-for-bit,
-    # and the benchmarks measure the query layer's speedup against it.
-    def _predict_masked(self, policy: SectorPolicy) -> MissPrediction:
-        policy.validate(self.machine)
-        if policy.l2_enabled and frozenset(policy.sector1_arrays) != self.sector1_arrays:
-            raise ValueError("policy sector assignment differs from the modelled one")
-        n0, n1 = self.machine.l2.partition_lines(policy.l2_sector1_ways)
-        if policy.l2_enabled:
-            rd = self._rd_partitioned
-            capacity = np.where(self._sectors == 1, n1, n0)
-        else:
-            rd = self._rd_shared
-            capacity = np.int64(self.machine.l2.capacity_lines)
-        return self._masked_prediction(rd, capacity, policy)
-
-    def _predict_l1_masked(self, policy: SectorPolicy) -> MissPrediction:
-        policy.validate(self.machine)
-        n0, n1 = self.machine.l1.partition_lines(policy.l1_sector1_ways)
-        if policy.l1_enabled:
-            rd = self._rd_l1_partitioned
-            capacity = np.where(self._sectors == 1, n1, n0)
-        else:
-            rd = self._rd_l1_shared
-            capacity = np.int64(self.machine.l1.capacity_lines)
-        return self._masked_prediction(rd, capacity, policy)
-
-    def _masked_prediction(
-        self, rd: np.ndarray, capacity: np.ndarray, policy: SectorPolicy
-    ) -> MissPrediction:
-        miss = rd >= capacity
-        if self._window is not None:
-            miss &= self._window
-        per_array = {
-            name: int(np.count_nonzero(miss & (self.trace.arrays == aid)))
-            for aid, name in enumerate(ARRAYS)
-        }
-        return MissPrediction(
-            l2_misses=int(miss.sum()),
-            per_array={k: v for k, v in per_array.items() if v},
-            method="A",
-            policy=policy,
-        )
-
-    def _cold_misses_masked(self) -> int:
-        if self.periodic:
-            # a period *is* one first iteration: run the plain (non-periodic)
-            # stack pass over it and count the COLD markers
-            rd = reuse_distances(self.trace.lines, self._cmgs)
-            return int(np.count_nonzero(rd >= COLD))
-        first = self.trace.iteration == 0
-        return int(np.count_nonzero((self._rd_shared >= COLD) & first))
+        return self._cold_misses

@@ -36,7 +36,7 @@ from ..spmv.schedule import RowSchedule, static_schedule
 from ..spmv.sector_policy import SectorPolicy
 from .analytic import method_b_per_array, method_b_scale_factors, stream_misses
 from .method_a import MissPrediction
-from .trace import repeat_trace, x_only_trace
+from .trace import x_only_trace
 
 
 class MethodB:
@@ -50,10 +50,11 @@ class MethodB:
         schedule: RowSchedule | None = None,
         iterations: int = 2,
         interleave_policy: str = "mcs",
-        periodic: bool = True,
     ) -> None:
         if matrix.nnz == 0:
             raise ValueError("method B requires a non-empty matrix")
+        if iterations <= 0:
+            raise ValueError("iterations must be positive")
         self.matrix = matrix
         self.machine = machine
         self.num_threads = num_threads
@@ -65,25 +66,24 @@ class MethodB:
                       threads=num_threads):
             per_thread = x_only_trace(matrix, None, schedule, line_size=machine.line_size)
             with obs_span("interleave", policy=interleave_policy):
-                merged = interleave(per_thread, interleave_policy)
-            # steady-state distances come from a single period (wrap-around reuse
-            # for period-first accesses); the doubled trace is the test oracle
-            self.periodic = periodic and iterations >= 2
-            if self.periodic:
-                self.trace = merged
-                self._window = None  # the whole period is the steady-state window
-            else:
-                self.trace = repeat_trace(merged, iterations)
-                self._window = self.trace.iteration == iterations - 1
+                # one period of x references: every stack pass runs over it
+                self.trace = interleave(per_thread, interleave_policy)
         self._cmgs = (self.trace.threads // machine.cores_per_cmg).astype(np.int64)
         self.s1, self.s2 = method_b_scale_factors(matrix)
         self._streams = stream_misses(matrix, machine.line_size)
+
+    @property
+    def periodic(self) -> bool:
+        """Whether the passes price a warmed-up period (``iterations >= 2``)."""
+        return self.iterations >= 2
 
     @property
     def num_cmgs_used(self) -> int:
         return int(self._cmgs.max()) + 1 if len(self.trace) else 1
 
     def _stack_pass(self, groups: np.ndarray) -> np.ndarray:
+        """Steady-state distances of the period, or a cold pass for one
+        iteration (see :meth:`repro.core.method_a.MethodA._stack_pass`)."""
         with obs_span("method_b.stack_pass", periodic=self.periodic,
                       references=len(self.trace)):
             if self.periodic:
@@ -105,7 +105,7 @@ class MethodB:
         return {}
 
     def _x_profile(self, level: str, scale: float) -> ReuseProfile:
-        """Materialized steady-state profile of scaled x distances.
+        """Materialized profile of the period's scaled x distances.
 
         The sort is paid once per (cache level, scale factor); every later
         capacity query is an O(log n) ``searchsorted``.  Only the two paper
@@ -116,8 +116,6 @@ class MethodB:
         if profile is None:
             with obs_span("method_b.profile_build", level=level):
                 rd = self._x_rd if level == "l2" else self._x_rd_l1
-                if self._window is not None:
-                    rd = rd[self._window]
                 profile = ReuseProfile.from_distances(scale_distances(rd, scale))
             self._profile_cache[key] = profile
         return profile

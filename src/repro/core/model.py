@@ -52,15 +52,15 @@ class CacheMissModel:
         schedule: RowSchedule | None = None,
         iterations: int = 2,
         interleave_policy: str = "mcs",
-        periodic: bool = True,
     ) -> None:
+        if iterations <= 0:
+            raise ValueError("iterations must be positive")
         self.matrix = matrix
         self.machine = machine
         self.num_threads = num_threads
         self.schedule = schedule
         self.iterations = iterations
         self.interleave_policy = interleave_policy
-        self.periodic = periodic
         self._method_a: MethodA | None = None
         self._method_b: MethodB | None = None
 
@@ -74,7 +74,6 @@ class CacheMissModel:
                 schedule=self.schedule,
                 iterations=self.iterations,
                 interleave_policy=self.interleave_policy,
-                periodic=self.periodic,
             )
         return self._method_a
 
@@ -88,7 +87,6 @@ class CacheMissModel:
                 schedule=self.schedule,
                 iterations=self.iterations,
                 interleave_policy=self.interleave_policy,
-                periodic=self.periodic,
             )
         return self._method_b
 

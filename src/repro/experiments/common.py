@@ -46,9 +46,6 @@ class ExperimentSetup:
     l2_prefetch_distance: int = 4
     l2_way_options: tuple[int, ...] = L2_WAY_OPTIONS
     l1_way_options: tuple[int, ...] = L1_WAY_OPTIONS
-    #: single-period steady-state engine (results are byte-identical to the
-    #: doubled-trace oracle, so this knob is deliberately NOT in the cache key)
-    periodic: bool = True
 
     def machine(self) -> A64FX:
         return scaled_machine(self.scale)
@@ -59,7 +56,6 @@ class ExperimentSetup:
             iterations=self.iterations,
             l1_prefetch_distance=self.l1_prefetch_distance,
             l2_prefetch_distance=self.l2_prefetch_distance,
-            periodic=self.periodic,
         )
 
     def cache_key(self, matrix_name: str) -> str:
@@ -222,7 +218,6 @@ def measure_matrix(
             machine,
             num_threads=setup.num_threads,
             iterations=setup.iterations,
-            periodic=setup.periodic,
         )
         sweep_policies = [_policy(setup, l2w, 0) for l2w in setup.l2_way_options]
         with tracer.span("model_a") as sp_a:

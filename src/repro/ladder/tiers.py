@@ -20,6 +20,8 @@ the simulator bakes into its grouping).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from ..cachesim.hierarchy import SimConfig, SpMVCacheSim
@@ -82,7 +84,7 @@ class SampledMethodB:
         with obs_span("sampled_b.sample_pass", rate=rate,
                       references=len(merged)):
             self.sampled: SpatialSampledProfile = spatial_sample_profile(
-                merged.lines, cmgs, rate=rate, periodic=True
+                merged.lines, cmgs, rate=rate
             )
         self.s1, self.s2 = method_b_scale_factors(matrix)
         self._streams = stream_misses(matrix, machine.line_size)
@@ -130,15 +132,7 @@ def build_sim(
     """A simulator for one sector assignment (Listing-1 by default)."""
     config = base_config
     if sector1_arrays is not None:
-        config = SimConfig(
-            num_threads=base_config.num_threads,
-            iterations=base_config.iterations,
-            l1_prefetch_distance=base_config.l1_prefetch_distance,
-            l2_prefetch_distance=base_config.l2_prefetch_distance,
-            interleave_policy=base_config.interleave_policy,
-            sector1_arrays=sector1_arrays,
-            periodic=base_config.periodic,
-        )
+        config = replace(base_config, sector1_arrays=sector1_arrays)
     return SpMVCacheSim(matrix, machine, config)
 
 

@@ -1,33 +1,19 @@
-"""Reuse-distance engine: exact and approximate stack processing."""
+"""Reuse-distance engine: exact and sampled stack processing."""
 
-from .cdq import hit_mask, miss_count, reuse_distances
-from .fenwick import FenwickTree, compute_prev, reuse_distances_fenwick
+from .cdq import COLD, hit_mask, miss_count, reuse_distances
+from .fenwick import compute_prev
 from .histogram import ReuseProfile, partition_profiles, scale_distances
-from .kim import reuse_distances_kim
-from .naive import COLD, reuse_distances_naive
 from .periodic import steady_state_reuse_distances
-from .sampling import (
-    SampledProfile,
-    SpatialSampledProfile,
-    sample_reuse_distances,
-    spatial_sample_mask,
-    spatial_sample_profile,
-)
+from .sampling import SpatialSampledProfile, spatial_sample_mask, spatial_sample_profile
 
 __all__ = [
     "COLD",
-    "FenwickTree",
     "ReuseProfile",
-    "SampledProfile",
     "SpatialSampledProfile",
     "compute_prev",
     "hit_mask",
     "miss_count",
     "reuse_distances",
-    "reuse_distances_fenwick",
-    "reuse_distances_kim",
-    "reuse_distances_naive",
-    "sample_reuse_distances",
     "spatial_sample_mask",
     "spatial_sample_profile",
     "partition_profiles",

@@ -39,7 +39,11 @@ from __future__ import annotations
 import numpy as np
 
 from .fenwick import compute_prev
-from .naive import COLD
+
+#: Sentinel reuse distance of a cold (first-ever) access; effectively
+#: infinite, so ``rd >= capacity`` classifies cold accesses as misses.
+COLD = np.int64(2**62)
+
 
 def _dominance_counts(prev: np.ndarray) -> np.ndarray:
     """For each i, count ``#{ j < i : prev[j] <= prev[i] }`` (CDQ bottom-up).
@@ -108,7 +112,7 @@ def reuse_distances(trace: np.ndarray, groups: np.ndarray | None = None) -> np.n
     Returns
     -------
     ``int64`` array aligned with ``trace``; first accesses get
-    :data:`repro.reuse.naive.COLD`.
+    :data:`COLD`.
     """
     trace = np.ascontiguousarray(trace, dtype=np.int64)
     n = trace.shape[0]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .naive import COLD
+from .cdq import COLD
 
 
 @dataclass(frozen=True)

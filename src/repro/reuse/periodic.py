@@ -44,9 +44,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cdq import _dominance_counts
+from .cdq import COLD, _dominance_counts
 from .fenwick import compute_prev
-from .naive import COLD
 
 
 def _group_sorted(lines: np.ndarray, groups: np.ndarray, span: int):

@@ -3,25 +3,15 @@
 The paper's Section 2.2 notes that full trace instrumentation is costly
 and cites lightweight sampling approaches (ReuseTracker) built on
 hardware-event sampling and statistics.  This module implements the
-trace-level analogue: estimate the reuse-distance profile — and therefore
-miss counts — from a uniformly sampled subset of *use pairs*.
-
-Two estimators live here:
-
-* :func:`sample_reuse_distances` — *temporal* (per-reference) sampling: a
-  reference is sampled with probability ``rate``, its exact reuse distance
-  is computed by a direct window scan, and counts are scaled by ``1/rate``.
-  Cheap per sample but the window scans make its worst case as expensive
-  as a full pass; it is the reference estimator for tests.
-* :func:`spatial_sample_profile` — SHARDS-style *spatial* sampling (the
-  serving-path estimator, ladder tier 1): a cache *line* is sampled iff a
-  multiplicative hash of its identifier falls under ``rate`` of the hash
-  space, the ordinary (periodic) stack pass runs over the surviving
-  subtrace, and both distances and miss counts are rescaled.  Filtering
-  whole lines preserves every use pair among survivors, so subtrace reuse
-  distances are unbiased ``rate``-compressions of the true distances
-  (each distinct intervening line survives with probability ``rate``),
-  and the pass costs roughly ``rate`` of the full one.
+trace-level analogue, SHARDS-style *spatial* sampling (the serving-path
+estimator, ladder tier 1): a cache *line* is sampled iff a multiplicative
+hash of its identifier falls under ``rate`` of the hash space, the
+single-period steady-state stack pass runs over the surviving subtrace,
+and both distances and miss counts are rescaled.  Filtering whole lines
+preserves every use pair among survivors, so subtrace reuse distances are
+unbiased ``rate``-compressions of the true distances (each distinct
+intervening line survives with probability ``rate``), and the pass costs
+roughly ``rate`` of the full one.
 """
 
 from __future__ import annotations
@@ -30,94 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cdq import reuse_distances
-from .fenwick import compute_prev
 from .histogram import ReuseProfile
-from .naive import COLD
 from .periodic import steady_state_reuse_distances
 
 #: Knuth's multiplicative hash constant (2^32 / phi), the SHARDS T_f hash.
 _SHARDS_MULTIPLIER = np.int64(2654435761)
 _HASH_BITS = 32
 
-
-@dataclass(frozen=True)
-class SampledProfile:
-    """A reuse profile estimated from sampled references.
-
-    ``profile`` holds the sampled distances; miss-count queries are scaled
-    back by the sampling rate.
-    """
-
-    profile: ReuseProfile
-    rate: float
-    num_accesses: int
-
-    def misses(self, capacity_lines: int) -> float:
-        """Estimated total misses at a capacity (expectation)."""
-        return self.profile.misses(capacity_lines) / self.rate
-
-    def miss_ratio(self, capacity_lines: int) -> float:
-        if self.num_accesses == 0:
-            return 0.0
-        return min(1.0, self.misses(capacity_lines) / self.num_accesses)
-
-    def standard_error(self, capacity_lines: int) -> float:
-        """Binomial standard error of the estimated miss count."""
-        k = self.profile.misses(capacity_lines)
-        # Var[k/rate] = k (1 - rate) / rate^2 for Poisson-sampled counts
-        return float(np.sqrt(max(k, 0) * (1.0 - self.rate)) / self.rate)
-
-
-def sample_reuse_distances(
-    trace: np.ndarray,
-    rate: float,
-    seed: int = 0,
-    groups: np.ndarray | None = None,
-) -> SampledProfile:
-    """Estimate the reuse profile of a trace by per-reference sampling.
-
-    Exact per-sample distances: for sampled reference ``i`` with previous
-    occurrence ``p``, the distance is the number of ``j`` in ``(p, i)``
-    with ``prev[j] <= p`` (first occurrences in the window).  Windows are
-    scanned directly; the expected total work is ``rate * sum(window)``,
-    i.e. proportional to the sampled fraction of the trace footprint.
-    """
-    if not 0.0 < rate <= 1.0:
-        raise ValueError("rate must be in (0, 1]")
-    trace = np.asarray(trace, dtype=np.int64)
-    n = trace.shape[0]
-    if n == 0:
-        return SampledProfile(ReuseProfile(np.empty(0, dtype=np.int64)), rate, 0)
-    if groups is None:
-        order = np.arange(n)
-        keys = trace
-    else:
-        groups = np.asarray(groups, dtype=np.int64)
-        if groups.shape != (n,):
-            raise ValueError("groups must have the same length as trace")
-        order = np.argsort(groups, kind="stable")
-        span = int(trace.max()) + 1
-        keys = groups[order] * span + trace[order]
-    prev = compute_prev(keys)
-    rng = np.random.default_rng(seed)
-    sampled = np.flatnonzero(rng.random(n) < rate)
-    distances = np.empty(sampled.shape[0], dtype=np.int64)
-    for out_idx, i in enumerate(sampled):
-        p = prev[i]
-        if p < 0:
-            distances[out_idx] = COLD
-            continue
-        window_prev = prev[p + 1 : i]
-        distances[out_idx] = int(np.count_nonzero(window_prev <= p))
-    return SampledProfile(
-        profile=ReuseProfile(np.sort(distances)), rate=rate, num_accesses=n
-    )
-
-
-# ----------------------------------------------------------------------
-# SHARDS-style spatial (line-hash) sampling — the serving-path estimator
-# ----------------------------------------------------------------------
 
 def spatial_sample_mask(lines: np.ndarray, rate: float) -> np.ndarray:
     """Deterministic SHARDS inclusion mask over line identifiers.
@@ -195,13 +104,11 @@ def spatial_sample_profile(
     lines: np.ndarray,
     groups: np.ndarray | None = None,
     rate: float = 0.1,
-    periodic: bool = True,
 ) -> SpatialSampledProfile:
-    """SHARDS-sampled reuse profile of a (periodic) trace.
+    """SHARDS-sampled steady-state reuse profile of a periodic trace.
 
-    Runs the same stack pass the exact engines use — the single-period
-    steady-state pass by default, the plain CDQ pass otherwise — over the
-    hash-filtered subtrace.  Cost is roughly ``rate`` of the exact pass.
+    Runs the single-period steady-state pass the exact engines use over
+    the hash-filtered subtrace.  Cost is roughly ``rate`` of the exact pass.
     """
     lines = np.asarray(lines, dtype=np.int64)
     n = lines.shape[0]
@@ -220,10 +127,7 @@ def spatial_sample_profile(
             count_rate=0.0,
             num_accesses=n,
         )
-    if periodic:
-        rd = steady_state_reuse_distances(sub, sub_groups)
-    else:
-        rd = reuse_distances(sub, sub_groups)
+    rd = steady_state_reuse_distances(sub, sub_groups)
     return SpatialSampledProfile(
         profile=ReuseProfile(np.sort(rd)),
         rate=rate,

@@ -162,7 +162,7 @@ def _normalize_matrix(payload: object, scale: int) -> dict:
     if "name" in payload:
         size = payload.get("collection", "small")
         _require(
-            size in _SIZES,
+            isinstance(size, str) and size in _SIZES,
             f"unknown collection {size!r} (expected one of {sorted(_SIZES)})",
         )
         name = payload["name"]

@@ -11,6 +11,7 @@ from repro.matrices import banded, random_uniform
 from repro.parallel import interleave
 from repro.spmv import static_schedule
 from repro.spmv.sector_policy import SectorPolicy, no_sector_cache
+from tests.oracles.doubled import DoubledSim
 
 MACHINE = scaled_machine()
 
@@ -24,9 +25,9 @@ POLICIES = [no_sector_cache()] + [
 def _sims(matrix, **overrides):
     base = dict(num_threads=4, iterations=2)
     base.update(overrides)
-    fast = SpMVCacheSim(matrix, MACHINE, SimConfig(**base, periodic=True))
-    oracle = SpMVCacheSim(matrix, MACHINE, SimConfig(**base, periodic=False))
-    assert fast.periodic and not oracle.periodic
+    fast = SpMVCacheSim(matrix, MACHINE, SimConfig(**base))
+    oracle = DoubledSim(matrix, MACHINE, SimConfig(**base))
+    assert fast.periodic == (base["iterations"] == 2)
     return fast, oracle
 
 
@@ -55,12 +56,18 @@ def test_small_streams_exercise_wrap_edge_cases():
 
 def test_three_iterations_fall_back_to_the_oracle_path():
     matrix = banded(20, 2, 2, seed=4)
-    sim = SpMVCacheSim(matrix, MACHINE, SimConfig(num_threads=2, iterations=3))
+    sim, ref = _sims(matrix, num_threads=2, iterations=3)
     assert not sim.periodic  # iteration >= 2 L2 streams are not exactly periodic
-    ref = SpMVCacheSim(
-        matrix, MACHINE, SimConfig(num_threads=2, iterations=3, periodic=False)
-    )
-    assert sim.events(no_sector_cache()) == ref.events(no_sector_cache())
+    for policy in POLICIES:
+        assert sim.events(policy) == ref.events(policy)
+
+
+def test_single_iteration_simulates_the_cold_pass():
+    matrix = random_uniform(24, 3, seed=8)
+    sim, ref = _sims(matrix, num_threads=3, iterations=1)
+    assert not sim.periodic
+    for policy in POLICIES:
+        assert sim.events(policy) == ref.events(policy)
 
 
 def test_periodic_demand_trace_is_one_period():

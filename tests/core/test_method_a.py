@@ -6,8 +6,8 @@ import pytest
 from repro.core import MethodA, repeat_trace, spmv_trace
 from repro.machine import scaled_machine
 from repro.matrices import banded, random_uniform
-from repro.reuse import reuse_distances_naive
 from repro.spmv import listing1_policy, no_sector_cache
+from tests.oracles.naive import reuse_distances_naive
 
 MACHINE = scaled_machine(16)
 

@@ -1,7 +1,7 @@
-"""Periodic fast path of methods A and B vs. the doubled-trace oracle.
+"""Single-period pricing of methods A and B vs. the doubled-trace oracle.
 
-The ISSUE's acceptance criterion: the single-period steady-state engine must
-be *byte-identical* to running the legacy ``repeat_trace`` pipeline — same
+The single-period steady-state engine must be *byte-identical* to the
+``repeat_trace`` pipeline of :mod:`tests.oracles.doubled` — same
 MissPredictions, same cold-miss counts — across matrices, schedules,
 interleave policies, thread counts and sector configurations, at both cache
 levels, partitioned and shared.
@@ -15,6 +15,7 @@ from repro.machine.a64fx import scaled_machine
 from repro.matrices import banded, power_law, random_uniform
 from repro.spmv.csr import CSRMatrix
 from repro.spmv.sector_policy import SectorPolicy, no_sector_cache
+from tests.oracles.doubled import DoubledMethodA, DoubledMethodB, DoubledModel
 
 MACHINE = scaled_machine()
 
@@ -46,14 +47,17 @@ POLICIES = [no_sector_cache()] + [
 ]
 
 
-def _pairs(method_cls, matrix, num_threads, interleave_policy):
+ORACLES = {MethodA: DoubledMethodA, MethodB: DoubledMethodB}
+
+
+def _pairs(method_cls, matrix, num_threads, interleave_policy, iterations=2):
     kwargs = dict(
         num_threads=num_threads,
         interleave_policy=interleave_policy,
+        iterations=iterations,
     )
-    fast = method_cls(matrix, MACHINE, periodic=True, **kwargs)
-    oracle = method_cls(matrix, MACHINE, periodic=False, **kwargs)
-    assert fast.periodic and not oracle.periodic
+    fast = method_cls(matrix, MACHINE, **kwargs)
+    oracle = ORACLES[method_cls](matrix, MACHINE, **kwargs)
     return fast, oracle
 
 
@@ -109,10 +113,7 @@ def test_more_iterations_still_match(iterations):
     # iterations >= 2 for methods A and B
     matrix = random_uniform(30, 4, seed=7)
     for cls in (MethodA, MethodB):
-        fast = cls(matrix, MACHINE, num_threads=2, iterations=iterations)
-        oracle = cls(
-            matrix, MACHINE, num_threads=2, iterations=iterations, periodic=False
-        )
+        fast, oracle = _pairs(cls, matrix, 2, "mcs", iterations)
         assert fast.periodic
         for policy in (no_sector_cache(), SectorPolicy(l2_sector1_ways=4)):
             assert_same_prediction(fast.predict(policy), oracle.predict(policy))
@@ -122,12 +123,33 @@ def test_single_iteration_disables_the_fast_path():
     matrix = banded(20, 1, 2, seed=9)
     model = MethodA(matrix, MACHINE, iterations=1)
     assert not model.periodic  # one cold pass has no steady state
+    assert not MethodB(matrix, MACHINE, iterations=1).periodic
 
 
-def test_cache_miss_model_threads_periodic_flag():
+@pytest.mark.parametrize("method_cls", [MethodA, MethodB], ids=lambda c: c.__name__)
+def test_single_iteration_matches_the_oracle(method_cls):
+    # one iteration: a plain cold pass over the period, every access counted
+    matrix = power_law(40, 4.0, seed=12)
+    fast, oracle = _pairs(method_cls, matrix, 3, "mcs", iterations=1)
+    for policy in POLICIES:
+        assert_same_prediction(fast.predict(policy), oracle.predict(policy))
+        assert_same_prediction(fast.predict_l1(policy), oracle.predict_l1(policy))
+    if method_cls is MethodA:
+        assert fast.cold_misses() == oracle.cold_misses()
+
+
+@pytest.mark.parametrize("cls", [MethodA, MethodB, CacheMissModel],
+                         ids=lambda c: c.__name__)
+@pytest.mark.parametrize("iterations", [0, -1])
+def test_non_positive_iterations_rejected(cls, iterations):
+    with pytest.raises(ValueError, match="iterations must be positive"):
+        cls(banded(20, 1, 2, seed=9), MACHINE, iterations=iterations)
+
+
+def test_cache_miss_model_matches_the_doubled_model():
     matrix = banded(30, 2, 3, seed=11)
     fast = CacheMissModel(matrix, MACHINE, num_threads=2)
-    oracle = CacheMissModel(matrix, MACHINE, num_threads=2, periodic=False)
+    oracle = DoubledModel(matrix, MACHINE, num_threads=2)
     for method in ("A", "B"):
         for policy in (no_sector_cache(), SectorPolicy(l2_sector1_ways=3)):
             assert_same_prediction(

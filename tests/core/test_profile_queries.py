@@ -1,13 +1,12 @@
 """Profile-backed policy queries vs. the full-trace mask sweep.
 
-The O(log n) query layer (per-array ReuseProfiles over the steady-state
-window) must reproduce the original O(n) boolean-mask evaluation
+The O(log n) query layer (per-array ReuseProfiles over the period) must
+reproduce the O(n) boolean-mask evaluation of :mod:`tests.oracles.masked`
 bit-for-bit: same total misses, same per-array breakdown, for every
 grouping (L2 shared, L2 partitioned, L1 private, L1 partitioned), policy
 and way split.
 """
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +15,8 @@ from repro.core.method_b import MethodB
 from repro.machine import scaled_machine
 from repro.matrices import banded, power_law, random_uniform
 from repro.reuse import ReuseProfile, scale_distances
-from repro.spmv import SectorPolicy, listing1_policy, no_sector_cache
+from repro.spmv import SectorPolicy, no_sector_cache
+from tests.oracles.masked import cold_misses_masked, predict_l1_masked, predict_masked
 
 MACHINE = scaled_machine(16)
 
@@ -50,11 +50,11 @@ def test_predict_matches_full_mask(family, n, npr, seed, l2w, l1w, threads):
     model = MethodA(matrix, MACHINE, num_threads=threads)
     policy = _policy(l2w, l1w)
 
-    fast, slow = model.predict(policy), model._predict_masked(policy)
+    fast, slow = model.predict(policy), predict_masked(model, policy)
     assert fast.l2_misses == slow.l2_misses
     assert fast.per_array == slow.per_array
 
-    fast, slow = model.predict_l1(policy), model._predict_l1_masked(policy)
+    fast, slow = model.predict_l1(policy), predict_l1_masked(model, policy)
     assert fast.l2_misses == slow.l2_misses
     assert fast.per_array == slow.per_array
 
@@ -68,7 +68,7 @@ def test_predict_matches_full_mask(family, n, npr, seed, l2w, l1w, threads):
 def test_cold_misses_match_full_mask(n, npr, seed):
     matrix = random_uniform(n, npr, seed=seed)
     model = MethodA(matrix, MACHINE, num_threads=1)
-    assert model.cold_misses() == model._cold_misses_masked()
+    assert model.cold_misses() == cold_misses_masked(model)
 
 
 def test_way_sweep_matches_mask_for_all_splits():
@@ -77,10 +77,13 @@ def test_way_sweep_matches_mask_for_all_splits():
     for l2w in (0, 2, 3, 4, 5, 6, 7):
         for l1w in (0, 1, 2, 3):
             policy = _policy(l2w, l1w)
-            assert model.predict(policy).per_array == model._predict_masked(policy).per_array
+            assert (
+                model.predict(policy).per_array
+                == predict_masked(model, policy).per_array
+            )
             assert (
                 model.predict_l1(policy).per_array
-                == model._predict_l1_masked(policy).per_array
+                == predict_l1_masked(model, policy).per_array
             )
 
 
@@ -89,12 +92,8 @@ def test_method_b_profile_cache_matches_direct_computation():
     model = MethodB(matrix, MACHINE, num_threads=8)
     for scale in (1.0, model.s1, model.s2):
         for capacity in (0, 16, 256, MACHINE.l2.capacity_lines):
-            # periodic models use the whole period (window is None)
-            windowed = (
-                model._x_rd if model._window is None else model._x_rd[model._window]
-            )
             direct = ReuseProfile.from_distances(
-                scale_distances(windowed, scale)
+                scale_distances(model._x_rd, scale)
             ).misses(capacity)
             assert model.x_misses(scale, capacity) == direct
     # repeated queries hit the materialized profile, not a fresh sort
@@ -116,13 +115,8 @@ def test_facade_sweep_matches_individual_predictions():
 
 
 def test_profiles_cover_whole_window():
-    # every steady-state reference lands in exactly one per-array bucket
+    # every reference of the period lands in exactly one per-array bucket
     matrix = random_uniform(800, 4, seed=5)
     model = MethodA(matrix, MACHINE, num_threads=4)
     total = sum(p.num_accesses for p in model._profiles_shared)
-    window_size = (
-        len(model.trace)
-        if model._window is None
-        else int(np.count_nonzero(model._window))
-    )
-    assert total == window_size
+    assert total == len(model.trace)

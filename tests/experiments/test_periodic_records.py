@@ -1,32 +1,59 @@
-"""Experiment records must not depend on the periodic fast path.
+"""Experiment records priced from one period vs. the doubled-trace oracle.
 
-The ``periodic`` knob is deliberately excluded from the cache key: records
-produced with the single-period engine and with the doubled-trace oracle
-must carry identical deterministic content (same fingerprint), so cached
-results remain valid across the engine switch.
+Records produced by the single-period engines and by the repeated-trace
+pipeline of :mod:`tests.oracles.doubled` must carry identical
+deterministic content (same fingerprint), so cached results stay valid
+across the engine change.
 """
 
+import pytest
+
+from repro.experiments import run_collection, run_collection_parallel
 from repro.experiments.common import (
     ExperimentSetup,
     measure_matrix,
     record_fingerprint,
 )
 from repro.matrices import banded
+from repro.matrices.collection import collection
+from tests.oracles.doubled import doubled_engines
 
 
 def test_fingerprint_invariant_under_periodic_engine():
     matrix = banded(40, 3, 4, seed=1)
-    base = dict(
+    setup = ExperimentSetup(
         num_threads=4,
         l2_way_options=(0, 2, 5),
         l1_way_options=(0, 1),
     )
-    fast = measure_matrix(matrix, ExperimentSetup(**base, periodic=True))
-    oracle = measure_matrix(matrix, ExperimentSetup(**base, periodic=False))
+    fast = measure_matrix(matrix, setup)
+    with doubled_engines():
+        oracle = measure_matrix(matrix, setup)
     assert record_fingerprint(fast) == record_fingerprint(oracle)
 
 
 def test_cache_key_ignores_periodic_knob():
-    a = ExperimentSetup(periodic=True)
-    b = ExperimentSetup(periodic=False)
-    assert a.cache_key("m") == b.cache_key("m")
+    # the engine is not a setup field, and keys are those of the releases
+    # that still had the knob: cached records keep serving
+    with pytest.raises(TypeError):
+        ExperimentSetup(periodic=False)
+    assert ExperimentSetup().cache_key("m") == "322fa0a21bd74cb18ff7"
+
+
+def test_pooled_sweep_matches_the_serial_doubled_trace_sweep():
+    """A 2-worker pooled sweep reproduces, record for record, a serial
+    sweep priced by the doubled-trace oracle."""
+    setup = ExperimentSetup(
+        num_threads=8,
+        l2_way_options=(0, 2, 5),
+        l1_way_options=(0, 1),
+    )
+    specs = collection("tiny", machine=setup.machine())[:4]
+    result = run_collection_parallel(specs, setup, cache_dir=None, jobs=2)
+    assert not result.failures, result.failures
+    with doubled_engines():
+        serial = run_collection(specs, setup, cache_dir=None)
+    assert [r.name for r in result.records] == [r.name for r in serial]
+    assert [record_fingerprint(r) for r in result.records] == [
+        record_fingerprint(r) for r in serial
+    ]

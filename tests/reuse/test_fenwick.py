@@ -1,11 +1,12 @@
-"""FenwickTree and compute_prev unit tests."""
+"""compute_prev and the Fenwick-tree oracle."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.reuse import FenwickTree, compute_prev, reuse_distances_fenwick
+from repro.reuse import compute_prev
+from tests.oracles.fenwick import FenwickTree, reuse_distances_fenwick
 
 
 def test_fenwick_prefix_sums_match_numpy():

@@ -5,13 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.reuse import (
-    COLD,
-    reuse_distances,
-    reuse_distances_fenwick,
-    reuse_distances_kim,
-    reuse_distances_naive,
-)
+from repro.reuse import COLD, reuse_distances
+from tests.oracles.fenwick import reuse_distances_fenwick
+from tests.oracles.kim import reuse_distances_kim
+from tests.oracles.naive import reuse_distances_naive
 
 ALL_IMPLEMENTATIONS = [
     reuse_distances,

@@ -1,10 +1,10 @@
-"""Sampled reuse-distance estimation."""
+"""The temporal reuse-distance sampling oracle."""
 
 import numpy as np
 import pytest
 
 from repro.reuse import ReuseProfile, reuse_distances
-from repro.reuse.sampling import sample_reuse_distances
+from tests.oracles.sampling import sample_reuse_distances
 
 
 def test_rate_one_is_exact():

@@ -9,6 +9,7 @@ from repro.matrices import banded
 from repro.matrices.collection import collection
 from repro.service.client import matrix_payload
 from repro.service.protocol import (
+    ENDPOINTS,
     RequestError,
     matrix_from_task,
     matrix_name,
@@ -98,6 +99,7 @@ def test_named_matrix_materializes_from_collection():
                          "cols": [0]}}, "setup": {"bogus": 1}}, "unknown setup"),
     ({"matrix": {"coo": {"num_rows": 2, "num_cols": 2, "rows": [0],
                          "cols": [0]}}, "timeout": -1}, "timeout"),
+    ({"matrix": {"name": "x", "collection": []}}, "collection"),
 ])
 def test_malformed_requests_rejected(payload, fragment):
     with pytest.raises(RequestError) as err:
@@ -278,3 +280,120 @@ def test_any_number_in_a_delta_is_normalized_or_a_4xx(path, value):
         normalize_delta(payload)
     except RequestError as exc:
         assert 400 <= exc.status < 500
+
+
+#: any JSON value, NaN and the infinities included (the daemon's parser
+#: accepts them)
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+_INT = st.integers(0, 12)
+_INTS = st.lists(_INT, max_size=6)
+_FLOATS = st.lists(st.floats(-10, 10), max_size=6)
+
+
+def _object(required: dict, optional: dict | None = None) -> st.SearchStrategy:
+    return st.fixed_dictionaries(required, optional=optional or {})
+
+
+_HEX = "0123456789abcdef"
+_FLAGS = {
+    "accuracy": st.floats(0.01, 2.0),
+    "max_tier": st.integers(0, 3),
+    "timeout": st.floats(0.1, 60.0),
+    "trace": st.booleans(),
+    "trace_context": _object({
+        "trace_id": st.text(alphabet=_HEX, min_size=32, max_size=32),
+        "span_id": st.text(alphabet=_HEX, min_size=16, max_size=16)}),
+}
+_MATRIX = st.one_of(
+    _object({"csr": _object({"num_rows": _INT, "num_cols": _INT,
+                             "rowptr": _INTS, "colidx": _INTS},
+                            {"values": _FLOATS})}),
+    _object({"coo": _object({"num_rows": _INT, "num_cols": _INT,
+                             "rows": _INTS, "cols": _INTS},
+                            {"values": _FLOATS})}),
+    _object({"name": st.sampled_from(["banded_001", "nope"])},
+            {"collection": st.sampled_from(["tiny", "small"])}),
+)
+_REQUEST = _object({"matrix": _MATRIX}, {
+    "setup": _object({}, {
+        "scale": st.sampled_from([16, 8]), "num_threads": st.integers(1, 48),
+        "iterations": st.integers(1, 3), "l1_prefetch_distance": _INT,
+        "l2_prefetch_distance": _INT, "l2_way_options": _INTS,
+        "l1_way_options": _INTS}),
+    "way_options": _INTS,
+    "policies": st.lists(_object({}, {
+        "l2_sector1_ways": _INT, "l1_sector1_ways": _INT,
+        "sector1_arrays": st.lists(st.sampled_from(
+            ["values", "colidx", "rowptr", "x", "y"]), max_size=3)}),
+        max_size=3),
+    "consider_isolate_x": st.booleans(),
+    "min_sector1_ways_with_prefetch": _INT,
+    "strategies": st.lists(st.sampled_from(["rcm", "degree"]), max_size=2),
+    "budget_seconds": st.floats(0.1, 60.0),
+    "seed": _INT,
+    "peer": _object({"host": st.just("h"), "port": st.integers(1, 65535)}),
+    **_FLAGS,
+})
+_EDGES = st.lists(st.lists(_INT, min_size=2, max_size=2), max_size=3)
+_DELTA = _object({
+    "base": st.text(alphabet=_HEX, min_size=32, max_size=32),
+    "delta": _object({"inserts": _EDGES.filter(bool)}, {"deletes": _EDGES}),
+}, _FLAGS)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def _mutated(draw, bodies: st.SearchStrategy):
+    """A well-formed body with up to four fields, at any depth, replaced
+    by any JSON value, deleted, or joined by a stray sibling."""
+    body = draw(bodies)
+    for _ in range(draw(st.integers(0, 4))):
+        path = draw(st.sampled_from(list(_paths(body))))
+        value = draw(_ANY_JSON)
+        if not path:
+            body = value
+            continue
+        parent = body
+        for step in path[:-1]:
+            parent = parent[step]
+        action = draw(st.sampled_from(["replace", "delete", "stray"]))
+        if action == "replace":
+            parent[path[-1]] = value
+        elif action == "delete":
+            del parent[path[-1]]
+        elif isinstance(parent, dict):
+            parent[draw(st.text(max_size=6))] = value
+        else:
+            parent.append(value)
+    return body
+
+
+def _normalized_or_4xx(normalize) -> None:
+    try:
+        normalize()
+    except RequestError as exc:
+        assert 400 <= exc.status < 500, exc.status
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ENDPOINTS + ("nope",)), _mutated(_REQUEST))
+def test_any_request_body_is_a_task_or_a_4xx(endpoint, body):
+    _normalized_or_4xx(lambda: request_key(normalize_request(endpoint, body)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mutated(_DELTA))
+def test_any_delta_body_is_normalized_or_a_4xx(body):
+    _normalized_or_4xx(lambda: normalize_delta(body))
