@@ -47,7 +47,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from ..obs import events as obs_events
-from ..obs.context import TraceContext
 from ..obs.events import DEFAULT_MAX_BYTES, EventLog
 from ..obs.histogram import LatencyHistogram
 from ..obs.prometheus import Family, Sample, render
@@ -57,10 +56,10 @@ from ..obs.tree import TraceTree
 from ..service.httpd import (
     HttpApp,
     ParsedRequest,
+    RequestScope,
     ServerThread,
     error_payload,
     finish_chunked_response,
-    json_body,
     request_bytes,
     request_span,
     respond,
@@ -231,6 +230,7 @@ class ClusterGateway(HttpApp):
 
     role = "gateway"
     post_routes = frozenset(ENDPOINTS) | {"delta"}
+    trace_root = "gateway.route"
     render_metrics = staticmethod(render_gateway_prometheus)
 
     def __init__(self, config: GatewayConfig) -> None:
@@ -362,85 +362,51 @@ class ClusterGateway(HttpApp):
             return status, response, (forward if tracer is not None else None)
 
     async def post(
-        self, endpoint: str, body: bytes, headers: dict[str, str],
-    ) -> tuple[int, dict | bytes]:
+        self, endpoint: str, payload: object, scope: RequestScope,
+    ) -> tuple[int, bytes]:
         """Validate one model or ``/delta`` request and route it."""
-        started = time.perf_counter()
-        try:
-            payload = json_body(body, headers)
-        except ValueError as exc:
-            self.metrics.bad_requests += 1
-            return 400, error_payload(endpoint, "BadJSON", str(exc))
-        try:
-            if endpoint == "delta":
-                # a delta must land on the replica that answered — and so
-                # stores the task, warm cache entries and worker reuse
-                # states of — its base request; that replica was chosen by
-                # hashing the base key, so routing by the base key again
-                # is exactly the affinity needed.  Base resolution
-                # (404/409) stays with the replica that owns the registry.
-                task = normalize_delta(payload)
-                key = task["base"]
-            else:
-                task = normalize_request(endpoint, payload)
-                key = request_key(task)
-        except RequestError as exc:
-            self.metrics.bad_requests += 1
-            return exc.status, error_payload(endpoint, "RequestError", str(exc))
-        # this gateway hop of the distributed trace: child of the caller's
-        # context when one came in, a fresh root otherwise (minted when the
-        # request wants a trace or an event log needs correlation)
-        incoming = TraceContext.from_dict(task.get("trace_context"))
-        ctx = None
-        if incoming is not None:
-            ctx = incoming.child()
-        elif task.get("trace") or obs_events.get_log() is not None:
-            ctx = TraceContext.new()
-        forward_payload = payload
-        if ctx is not None and isinstance(payload, dict):
-            forward_payload = dict(payload)
-            forward_payload["trace_context"] = ctx.to_dict()
-        tracer = root = None
-        token = None
-        if task.get("trace") and ctx is not None:
-            tracer = Tracer()
-            token = self.traces.start(ctx.trace_id, endpoint)
-            root = tracer.span(
-                "gateway.route", endpoint=endpoint, key=key,
-                trace_id=ctx.trace_id, span_id=ctx.span_id,
-                parent_span_id=incoming.span_id if incoming else None,
-            )
-            root.__enter__()
-        try:
+        if endpoint == "delta":
+            # a delta must land on the replica that answered — and so
+            # stores the task, warm cache entries and worker reuse states
+            # of — its base request; that replica was chosen by hashing
+            # the base key, so routing by the base key again is exactly
+            # the affinity needed.  Base resolution (404/409) stays with
+            # the replica that owns the registry.
+            task = normalize_delta(payload)
+            key = task["base"]
+        else:
+            task = normalize_request(endpoint, payload)
+            key = request_key(task)
+        scope.key = key
+        # this gateway hop of the distributed trace; the forwarded body
+        # carries its context, so the replica's spans parent here
+        with scope.traced(payload, key=key):
             status, response, forward = await self.route_task(
-                endpoint, forward_payload, task, key, tracer=tracer,
-                trace_id=ctx.trace_id if ctx else None,
+                endpoint, payload, task, key, tracer=scope.tracer,
+                trace_id=scope.trace_id,
             )
-        finally:
-            if root is not None:
-                root.__exit__(None, None, None)
-        merged = None
-        if tracer is not None:
-            response = self._merge_forward_trace(tracer, forward, response)
-            try:
-                merged = json.loads(response).get("trace")
-            except (ValueError, AttributeError):
-                merged = None
-        seconds = time.perf_counter() - started
-        self.metrics.latency[endpoint].observe(seconds)
-        if token is not None:
-            self.traces.finish(token, seconds=seconds,
-                               status="ok" if status < 400 else "error",
-                               tree=merged)
-        obs_events.emit("gateway.request",
-                        trace_id=ctx.trace_id if ctx else None,
-                        endpoint=endpoint, key=key, status=status,
-                        seconds=seconds)
+        if scope.tracer is not None:
+            response, scope.tree = self._merge_forward_trace(
+                scope.tracer, forward, response)
         return status, response
 
+    def observe(self, scope: RequestScope) -> None:
+        """The terminal metric and ``gateway.request`` event of one
+        ``POST``: a rejection counts as a bad request, anything the
+        gateway answered past validation lands in the latency histogram."""
+        if scope.outcome == "rejected":
+            self.metrics.bad_requests += 1
+        else:
+            self.metrics.latency[scope.endpoint].observe(scope.seconds)
+        obs_events.emit("gateway.request", trace_id=scope.trace_id,
+                        endpoint=scope.endpoint, key=scope.key,
+                        status=scope.status, seconds=scope.seconds)
+
     def _merge_forward_trace(self, tracer: Tracer, forward,
-                             response: bytes) -> bytes:
-        """Rewrite a traced forward's envelope with ONE merged tree.
+                             response: bytes) -> tuple[bytes, dict | None]:
+        """Rewrite a traced forward's envelope with ONE merged tree;
+        returns the new envelope bytes and the tree (None when the
+        replica's answer is not a JSON object).
 
         The winning replica's envelope trace (its ``service.request`` and
         worker ``evaluate`` roots) is grafted under the gateway's winning
@@ -453,9 +419,9 @@ class ClusterGateway(HttpApp):
         try:
             envelope = json.loads(response)
         except (UnicodeDecodeError, json.JSONDecodeError):
-            return response
+            return response, None
         if not isinstance(envelope, dict):
-            return response
+            return response, None
         replica_trace = envelope.get("trace")
         tree = tracer.tree()
         if replica_trace is not None and forward is not None:
@@ -490,7 +456,7 @@ class ClusterGateway(HttpApp):
                 for name, value in child.counters.items():
                     tree.counters[name] = tree.counters.get(name, 0) + value
         envelope["trace"] = tree.to_dict()
-        return json.dumps(envelope).encode()
+        return json.dumps(envelope).encode(), envelope["trace"]
 
     # ------------------------------------------------------------------
     # batch streaming

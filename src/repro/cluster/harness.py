@@ -9,8 +9,8 @@ Two replica modes:
   for a dead process.
 * ``mode="process"``: each replica is a ``python -m repro.service``
   subprocess on an ephemeral port.  :meth:`ClusterHarness.kill_replica`
-  delivers SIGKILL — the real mid-request death the CI smoke job and
-  ``bench_cluster`` exercise.
+  delivers SIGKILL — the real mid-request death the CI smoke job
+  (``examples/cluster_smoke.py``) exercises.
 
 Each replica gets its **own** disk-cache directory
 (``<cache_root>/replica-<i>``): a shared directory would make every

@@ -30,7 +30,7 @@ import time
 
 from ..core.classification import classify
 from ..ladder.calibration import DEFAULT_CALIBRATION
-from ..ladder.engine import Ladder, tier2_apriori_bound
+from ..ladder.engine import Ladder, fidelity_payload, tier2_apriori_bound
 from ..ladder.tier0 import answer_task as tier0_answer_task
 from ..ladder.tier0 import dims_from_task, num_cmgs
 
@@ -76,22 +76,6 @@ def tier0_drift_bound(task: dict, machine, setup,
     return tier2_apriori_bound(task, machine, setup) + tier0_term + drift, drift
 
 
-def _fidelity(tier: int, bound: float, accuracy, cost: float, predicted: float,
-              tried: list[int], bounds: list[float], drift: float) -> dict:
-    return {
-        "tier": tier,
-        "error_bound": bound,
-        "accuracy_slo": accuracy,
-        "slo_met": accuracy is None or bound <= accuracy,
-        "cost_seconds": cost,
-        "predicted_cost_seconds": predicted,
-        "tiers_tried": tried,
-        "tier_bounds": bounds,
-        "escalations": max(0, len(tried) - 1),
-        "drift": drift,
-    }
-
-
 def answer_delta_task(task: dict) -> tuple[dict, dict, dict]:
     """Answer a delta task carrying ``accuracy``/``max_tier`` flags.
 
@@ -127,11 +111,11 @@ def answer_delta_task(task: dict) -> tuple[dict, dict, dict]:
     if not escalate:
         result = tier0_answer_task(task, machine, name)
         bound = bound0
-        fidelity = _fidelity(
+        fidelity = fidelity_payload(
             0, bound, accuracy, time.perf_counter() - started,
             ladder.predicted_cost(0, dims.nnz, _num_policies(task)),
-            [0], [bound], drift,
-        )
+            [0], [bound],
+        ) | {"drift": drift}
         meta.update(path="tier0", reason="drift-within-bound")
         return result, fidelity, meta
 
@@ -150,11 +134,10 @@ def answer_delta_task(task: dict) -> tuple[dict, dict, dict]:
                 if k not in ("accuracy", "max_tier")}
     result, _, inner = evaluate_delta_task(stripped, base_json)
     meta.update(inner)
-    fidelity = _fidelity(
+    fidelity = fidelity_payload(
         2, tier2_bound, accuracy, time.perf_counter() - started,
         ladder.predicted_cost(2, dims.nnz, _num_policies(task)),
         [0, 2] if accuracy is not None else [2],
         [bound0, tier2_bound] if accuracy is not None else [tier2_bound],
-        drift,
-    )
+    ) | {"drift": drift}
     return result, fidelity, meta

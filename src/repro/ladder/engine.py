@@ -105,17 +105,34 @@ class LadderAnswer:
 
     def fidelity(self) -> dict:
         """JSON fidelity metadata (the service envelope's ``fidelity``)."""
-        return {
-            "tier": self.tier,
-            "error_bound": self.error_bound,
-            "accuracy_slo": self.accuracy_slo,
-            "slo_met": self.slo_met,
-            "cost_seconds": self.cost_seconds,
-            "predicted_cost_seconds": self.predicted_cost_seconds,
-            "tiers_tried": list(self.tiers_tried),
-            "tier_bounds": list(self.tier_bounds),
-            "escalations": self.escalations,
-        }
+        return fidelity_payload(
+            self.tier, self.error_bound, self.accuracy_slo,
+            self.cost_seconds, self.predicted_cost_seconds,
+            self.tiers_tried, self.tier_bounds,
+        )
+
+
+def fidelity_payload(
+    tier: int, error_bound: float, accuracy_slo: float | None,
+    cost_seconds: float = 0.0, predicted_cost_seconds: float = 0.0,
+    tiers_tried=(), tier_bounds=(),
+) -> dict:
+    """The wire ``fidelity`` object of one answer, in its one key order.
+
+    Built here for ladder answers, cache-served answers (no cost, no
+    tiers tried) and delta answers (which append ``drift``).
+    """
+    return {
+        "tier": tier,
+        "error_bound": error_bound,
+        "accuracy_slo": accuracy_slo,
+        "slo_met": accuracy_slo is None or error_bound <= accuracy_slo,
+        "cost_seconds": cost_seconds,
+        "predicted_cost_seconds": predicted_cost_seconds,
+        "tiers_tried": list(tiers_tried),
+        "tier_bounds": list(tier_bounds),
+        "escalations": max(0, len(tiers_tried) - 1),
+    }
 
 
 @dataclass(frozen=True)

@@ -39,8 +39,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="memory-tier byte budget")
     parser.add_argument("--timeout", type=float, default=120.0,
                         help="default per-request evaluation budget in seconds")
-    parser.add_argument("--test-hooks", action="store_true",
-                        help=argparse.SUPPRESS)  # fault injection for tests/CI
     parser.add_argument("--allow-fault-injection", action="store_true",
                         help="accept the 'faults' request flag (chaos "
                              "testing; refused with a 403 otherwise)")
@@ -151,7 +149,6 @@ def main(argv: list[str] | None = None) -> int:
         memory_ttl_seconds=args.cache_ttl,
         memory_max_bytes=args.cache_bytes,
         request_timeout=args.timeout,
-        test_hooks=args.test_hooks,
         allow_fault_injection=args.allow_fault_injection,
         fault_plan=fault_plan,
         breaker_failure_threshold=args.breaker_threshold,

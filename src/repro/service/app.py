@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import sys
 import time
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
@@ -46,11 +45,10 @@ from ..core.classification import classify
 from ..experiments.common import cache_entry_path
 from ..experiments.pool import fork_executor
 from ..ladder.calibration import DEFAULT_CALIBRATION
-from ..ladder.engine import has_ladder_flags, tier2_apriori_bound
+from ..ladder.engine import fidelity_payload, has_ladder_flags, tier2_apriori_bound
 from ..ladder.tier0 import dims_from_task, num_cmgs
 from ..obs import events as obs_events
 from ..obs.audit import AccuracyAuditor, compare_results
-from ..obs.context import TraceContext
 from ..obs.events import DEFAULT_MAX_BYTES, EventLog
 from ..obs.prometheus import render_prometheus
 from ..obs.traces import TraceBuffer
@@ -63,9 +61,8 @@ from ..resilience.faults import FaultPlan
 from .cache import TieredResultCache, gc_sweep
 from .httpd import (
     HttpApp,
+    RequestScope,
     ServerThread,
-    error_payload,
-    json_body,
     request_json,
     request_span,
     serve,
@@ -97,9 +94,6 @@ class ServiceConfig:
     memory_max_bytes: int = 64 * 2**20
     request_timeout: float = 120.0
     max_body_bytes: int = 64 * 2**20
-    #: honour ``x_test_sleep`` / ``x_test_crash`` fault-injection fields
-    #: (tests and the CI smoke job only)
-    test_hooks: bool = False
     #: accept the ``"faults"`` request flag (chaos testing); off by
     #: default — a production daemon refuses injected faults with a 403
     allow_fault_injection: bool = False
@@ -245,6 +239,7 @@ class LocalityService(HttpApp):
 
     role = "service"
     post_routes = frozenset(ENDPOINTS) | {"cache/peek", "delta"}
+    trace_root = "service.request"
     render_metrics = staticmethod(render_prometheus)
 
     def __init__(self, config: ServiceConfig) -> None:
@@ -296,21 +291,30 @@ class LocalityService(HttpApp):
     # ------------------------------------------------------------------
     # routing (the shared routes live in HttpApp.handle_request)
     # ------------------------------------------------------------------
-    async def post(self, target: str, body: bytes,
-                   headers: dict[str, str]) -> tuple[int, dict]:
+    async def post(self, target: str, payload: object,
+                   scope: RequestScope) -> tuple[int, dict]:
         """One ``POST`` to a model endpoint, ``/delta`` or ``/cache/peek``."""
-        try:
-            payload = json_body(body, headers)
-        except ValueError as exc:
-            return 400, error_payload(target, "BadJSON", str(exc))
         if target == "cache/peek":
             return self._handle_cache_peek(payload)
         # the handler holds the only reference to the parsed body, so a
         # model request frees its number lists once its task holds arrays
-        handler = (self._handle_delta(payload) if target == "delta"
-                   else self._handle_model(target, payload))
+        handler = (self._handle_delta(payload, scope) if target == "delta"
+                   else self._handle_model(target, payload, scope))
         del payload
         return await handler
+
+    def observe(self, scope: RequestScope) -> None:
+        """The terminal metric and ``request`` event of one ``POST``
+        (peer cache peeks are counted by ``cache_peek`` instead)."""
+        if scope.endpoint == "cache/peek":
+            return
+        self.metrics.observe_request(
+            scope.endpoint,
+            scope.outcome if scope.outcome in ("ok", "degraded") else "error",
+            scope.seconds)
+        obs_events.emit("request", trace_id=scope.trace_id,
+                        endpoint=scope.endpoint, status=scope.outcome,
+                        seconds=scope.seconds, key=scope.key, **scope.fields)
 
     def health(self) -> dict:
         health = {"ok": True, "status": "healthy"}
@@ -352,19 +356,16 @@ class LocalityService(HttpApp):
         would have done anyway.
         """
         if not isinstance(payload, dict) or not isinstance(payload.get("task"), dict):
-            return 400, error_payload("cache/peek", "RequestError",
-                                       "expected a JSON object with a 'task' object")
+            raise RequestError("expected a JSON object with a 'task' object")
         task = dict(payload["task"])
         task.pop("peer", None)
         if task.get("endpoint") not in ENDPOINTS:
-            return 400, error_payload(
-                "cache/peek", "RequestError",
-                f"unknown endpoint {task.get('endpoint')!r}")
+            raise RequestError(f"unknown endpoint {task.get('endpoint')!r}")
         try:
             key = request_key(task)
             disk_path, _ = self._disk_entry(task, key)
         except Exception as exc:  # noqa: BLE001 - a bad task is the caller's bug
-            return 400, error_payload("cache/peek", "RequestError", str(exc))
+            raise RequestError(str(exc)) from None
         result, tier = self.cache.get(key, disk_path)
         if result is None:
             self.metrics.cache_peek["miss"] += 1
@@ -429,48 +430,41 @@ class LocalityService(HttpApp):
     # ------------------------------------------------------------------
     # model endpoints
     # ------------------------------------------------------------------
-    async def _handle_model(self, endpoint: str, payload: object) -> tuple[int, dict]:
-        started = time.perf_counter()
-        try:
-            if (isinstance(payload, dict) and "faults" in payload
-                    and not self.config.allow_fault_injection):
-                raise RequestError(
-                    "fault injection is disabled; start the daemon with "
-                    "--allow-fault-injection to accept 'faults' flags",
-                    status=403,
-                )
-            task = normalize_request(endpoint, payload)
-            # an inline matrix's lists stay garbage for the whole
-            # evaluation otherwise (a base request holds megabytes)
-            del payload
-            if not self.config.test_hooks:
-                task.pop("x_test_sleep", None)
-                task.pop("x_test_crash", None)
-            if endpoint not in ("sweep", "optimize"):
-                # optimize is excluded: its screening tiers are fixed by
-                # the search and its accuracy (confirmation SLO) is part
-                # of the cached search config
-                self._ladder_defaults(task)
-            if endpoint == "optimize":
-                cap = self.config.max_optimize_budget_seconds
-                _require_budget(task["budget_seconds"], cap)
-            plan = (faults.FaultPlan.from_dict(task["faults"])
-                    if "faults" in task else None)
-            # record the computation-defining task so a later POST /delta
-            # can patch against this key (chaos and test-hook requests are
-            # excluded: their stored form would not re-derive the key)
-            key = self._keyed(task, register=(
-                endpoint in DELTA_BASE_ENDPOINTS and plan is None
-                and "x_test_sleep" not in task
-                and "x_test_crash" not in task))
-            # the gateway's warm-cache hint is routing metadata: excluded
-            # from the key, stripped before the task reaches a worker
-            peer = task.pop("peer", None)
-        except RequestError as exc:
-            return self._rejected(endpoint, started, exc)
-        return await self._finish_task(endpoint, task, key, peer, plan, started)
+    async def _handle_model(self, endpoint: str, payload: object,
+                            scope: RequestScope) -> tuple[int, dict]:
+        if (isinstance(payload, dict) and "faults" in payload
+                and not self.config.allow_fault_injection):
+            raise RequestError(
+                "fault injection is disabled; start the daemon with "
+                "--allow-fault-injection to accept 'faults' flags",
+                status=403,
+            )
+        task = normalize_request(endpoint, payload)
+        # an inline matrix's lists stay garbage for the whole evaluation
+        # otherwise (a base request holds megabytes)
+        del payload
+        if endpoint not in ("sweep", "optimize"):
+            # optimize is excluded: its screening tiers are fixed by the
+            # search and its accuracy (confirmation SLO) is part of the
+            # cached search config
+            self._ladder_defaults(task)
+        if endpoint == "optimize":
+            cap = self.config.max_optimize_budget_seconds
+            _require_budget(task["budget_seconds"], cap)
+        plan = (faults.FaultPlan.from_dict(task["faults"])
+                if "faults" in task else None)
+        # record the computation-defining task so a later POST /delta can
+        # patch against this key (chaos requests are excluded: their
+        # perturbed answers are never cached either)
+        key = self._keyed(task, register=(
+            endpoint in DELTA_BASE_ENDPOINTS and plan is None))
+        # the gateway's warm-cache hint is routing metadata: excluded
+        # from the key, stripped before the task reaches a worker
+        peer = task.pop("peer", None)
+        return await self._finish_task(scope, endpoint, task, key, peer, plan)
 
-    async def _handle_delta(self, payload: object) -> tuple[int, dict]:
+    async def _handle_delta(self, payload: object,
+                            scope: RequestScope) -> tuple[int, dict]:
         """``POST /delta``: patch a stored request with one edit batch.
 
         The body references a base request by its cache key; the daemon
@@ -483,44 +477,39 @@ class LocalityService(HttpApp):
         registered too, so the key this response returns is itself a
         valid base — warm entries chain instead of going cold.
         """
-        started = time.perf_counter()
-        try:
-            normalized = normalize_delta(payload)
-            base_key = normalized["base"]
-            stored = self.registry.get(base_key)
-            if stored is None:
-                raise RequestError(
-                    f"unknown base key {base_key!r}: not in the stored-task "
-                    "registry (never seen, or evicted/GC'd) — submit the "
-                    "full request once and retry the delta",
-                    status=404,
-                )
-            if request_key(stored) != base_key:
-                raise RequestError(
-                    f"stored record for base key {base_key!r} failed "
-                    "revalidation (its recomputed key differs) — submit "
-                    "the full request once and retry the delta",
-                    status=409,
-                )
-            endpoint = stored.get("endpoint")
-            if endpoint not in DELTA_BASE_ENDPOINTS:
-                raise RequestError(
-                    f"a {endpoint!r} result cannot take deltas; the base "
-                    f"must be one of: {', '.join(DELTA_BASE_ENDPOINTS)}",
-                    status=400,
-                )
-            task = derive_delta_task(stored, normalized,
-                                     self.config.delta_budget)
-            self._ladder_defaults(task)
-            key = self._keyed(task, register=True)
-        except RequestError as exc:
-            return self._rejected("delta", started, exc)
+        normalized = normalize_delta(payload)
+        base_key = normalized["base"]
+        stored = self.registry.get(base_key)
+        if stored is None:
+            raise RequestError(
+                f"unknown base key {base_key!r}: not in the stored-task "
+                "registry (never seen, or evicted/GC'd) — submit the "
+                "full request once and retry the delta",
+                status=404,
+            )
+        if request_key(stored) != base_key:
+            raise RequestError(
+                f"stored record for base key {base_key!r} failed "
+                "revalidation (its recomputed key differs) — submit "
+                "the full request once and retry the delta",
+                status=409,
+            )
+        endpoint = stored.get("endpoint")
+        if endpoint not in DELTA_BASE_ENDPOINTS:
+            raise RequestError(
+                f"a {endpoint!r} result cannot take deltas; the base "
+                f"must be one of: {', '.join(DELTA_BASE_ENDPOINTS)}",
+                status=400,
+            )
+        task = derive_delta_task(stored, normalized, self.config.delta_budget)
+        self._ladder_defaults(task)
+        key = self._keyed(task, register=True)
         envelope = {"delta": {
             "base": base_key,
             "chain_length": len(task["matrix"]["batches"]),
         }}
-        return await self._finish_task(endpoint, task, key, None, None,
-                                       started, envelope=envelope)
+        return await self._finish_task(scope, endpoint, task, key, None, None,
+                                       envelope=envelope)
 
     def _keyed(self, task: dict, register: bool) -> str:
         """The task's request key, registering the task under it when
@@ -543,84 +532,33 @@ class LocalityService(HttpApp):
         if "max_tier" not in task and self.config.default_max_tier is not None:
             task["max_tier"] = self.config.default_max_tier
 
-    def _rejected(self, endpoint: str, started: float,
-                  exc: RequestError) -> tuple[int, dict]:
-        """Count, log and answer a request refused before evaluation."""
-        seconds = time.perf_counter() - started
-        self.metrics.observe_request(endpoint, "error", seconds)
-        obs_events.emit("request", endpoint=endpoint, status="rejected",
-                        seconds=seconds, error=str(exc))
-        return exc.status, error_payload(endpoint, "RequestError", str(exc))
-
     async def _finish_task(
-        self, endpoint: str, task: dict, key: str, peer: dict | None,
-        plan: faults.FaultPlan | None, started: float,
+        self, scope: RequestScope, endpoint: str, task: dict, key: str,
+        peer: dict | None, plan: faults.FaultPlan | None,
         envelope: dict | None = None,
     ) -> tuple[int, dict]:
         """Resolve a normalized task and build its response envelope.
 
-        The shared tail of ``_handle_model`` and ``_handle_delta``:
-        trace-context minting, the resolve pipeline, degraded/error
-        handling, metrics, and the wire envelope.  ``envelope`` entries
-        are merged into every response (success or not); worker-side
-        delta metadata (``task["_delta_meta"]``, attached by the resolve
-        path) is folded into the envelope's ``"delta"`` object.
+        The shared tail of ``_handle_model`` and ``_handle_delta``: the
+        resolve pipeline inside the request's trace, degraded/error
+        handling, and the wire envelope.  ``envelope`` entries are
+        merged into every response (success or not); worker-side delta
+        metadata (``task["_delta_meta"]``, attached by the resolve path)
+        is folded into the envelope's ``"delta"`` object.
         """
         extra = envelope or {}
-        # distributed trace context: adopt the caller's hop and mint this
-        # hop's own span id (the parent of the fork-worker's span).  When
-        # no caller context exists, a trace is started locally whenever
-        # anyone would see it (the trace flag, or an installed event log
-        # whose entries want a correlation id).
-        incoming = TraceContext.from_dict(task.get("trace_context"))
-        ctx = incoming.child() if incoming is not None else None
-        if ctx is None and (task.get("trace") or obs_events.get_log() is not None):
-            ctx = TraceContext.new()
-        if ctx is not None:
-            task["trace_context"] = ctx.to_dict()
-        trace_id = ctx.trace_id if ctx is not None else None
-        tracer = root = None
-        token = None
-        if task.get("trace"):
-            # per-request local tracer (never installed ambiently: the
-            # daemon interleaves requests on one loop, and in-process
-            # cluster harnesses run several daemons in one process)
-            tracer = Tracer()
-            token = self.traces.start(ctx.trace_id, endpoint)
-            root = tracer.span(
-                "service.request", endpoint=endpoint, trace_id=ctx.trace_id,
-                span_id=ctx.span_id,
-                parent_span_id=incoming.span_id if incoming is not None else None,
-            )
-            root.__enter__()
-
-        def finished(status_label: str, tree: dict | None = None,
-                     **event_fields) -> float:
-            seconds = time.perf_counter() - started
-            if token is not None:
-                self.traces.finish(token, seconds=seconds,
-                                   status=status_label, tree=tree)
-            obs_events.emit("request", trace_id=trace_id, endpoint=endpoint,
-                            status=status_label, seconds=seconds, key=key,
-                            **event_fields)
-            return seconds
-
+        scope.endpoint, scope.key = endpoint, key
         try:
-            try:
+            with scope.traced(task):
                 result, cached, trace, fidelity = await self._resolve(
-                    endpoint, task, key, plan, peer, tracer=tracer
+                    endpoint, task, key, plan, peer, tracer=scope.tracer
                 )
-            finally:
-                if root is not None:
-                    root.__exit__(*sys.exc_info())
         except _DegradedService as exc:
             result = self._degraded_result(task)
             if result is None:
                 # sweep has no analytic surrogate (its whole point is the
                 # stack-distance measurement), and degraded mode may be off
-                self.metrics.observe_request(
-                    endpoint, "error",
-                    finished("unavailable", reason=exc.reason))
+                scope.mark("unavailable", reason=exc.reason)
                 return 503, {"ok": False, "endpoint": endpoint, "key": key,
                              "error": {
                                  "type": "ServiceUnavailable",
@@ -630,9 +568,7 @@ class LocalityService(HttpApp):
                                  "reason": exc.reason,
                                  "retry_after_seconds": exc.retry_after_seconds,
                              }} | extra
-            self.metrics.observe_request(
-                endpoint, "degraded",
-                finished("degraded", reason=exc.reason))
+            scope.mark("degraded", reason=exc.reason)
             self.metrics.degraded[endpoint][exc.reason] += 1
             # degraded answers are approximations: never cached, clearly
             # marked, and "cached" is null so clients can tell them apart
@@ -641,30 +577,25 @@ class LocalityService(HttpApp):
                          "degraded_reason": exc.reason,
                          "result": result} | extra
         except _EvaluationError as exc:
-            self.metrics.observe_request(
-                endpoint, "error",
-                finished("error", error=exc.detail.get("type")))
+            scope.mark("error", error=exc.detail.get("type"))
             detail = dict(exc.detail)
             detail.setdefault("type", "EvaluationError")
             return exc.status, {"ok": False, "endpoint": endpoint, "key": key,
                                 "error": detail} | extra
-        merged = local = None
-        if tracer is not None and trace is not None:
+        merged = None
+        if scope.tracer is not None:
             # the envelope trace: this hop's service.request root next to
             # the worker's evaluate root — linked by span-id attrs, merged
-            # into one forest so the gateway can graft it whole
-            merged = TraceTree.merge(
-                [tracer.tree(), TraceTree.from_dict(trace)]
-            ).to_dict()
-        elif tracer is not None:
-            # no evaluation happened (cache tier, coalesced, peer fill):
-            # /debug/traces still keeps this hop's spans — cache.lookup
-            # marks the serving tier — but no evaluate span is fabricated
-            local = tracer.tree().to_dict()
-        self.metrics.observe_request(
-            endpoint, "ok",
-            finished("ok", tree=merged if merged is not None else local,
-                     cached=cached, tier=(fidelity or {}).get("tier")))
+            # into one forest so the gateway can graft it whole.  With no
+            # evaluation (cache tier, coalesced, peer fill) /debug/traces
+            # still keeps this hop's spans — cache.lookup marks the
+            # serving tier — but no evaluate span is fabricated
+            tree = scope.tracer.tree()
+            if trace is not None:
+                tree = TraceTree.merge([tree, TraceTree.from_dict(trace)])
+            scope.tree = tree.to_dict()
+            merged = scope.tree if trace is not None else None
+        scope.mark("ok", cached=cached, tier=(fidelity or {}).get("tier"))
         if cached in ("memory", "disk"):
             self.metrics.cache_served[endpoint][cached] += 1
         response = {"ok": True, "endpoint": endpoint, "key": key,
@@ -867,25 +798,14 @@ class LocalityService(HttpApp):
             if future is not None:
                 self._inflight.pop(lead, None)
         self.metrics.observe_phases(endpoint, payload.get("phase_seconds", {}))
-        self._observe_delta(endpoint, task, payload)
-        return payload
-
-    def _observe_delta(self, endpoint: str, task: dict,
-                       payload: dict) -> None:
-        """Fold a fresh evaluation's delta metadata into metrics + task.
-
-        The worker attaches ``payload["delta"]`` only for delta-kind
-        tasks; it rides back to :meth:`_finish_task` on the task dict
-        (the result itself stays byte-identical to full re-evaluation,
-        so the envelope — not the cached result — carries the metadata).
-        Cache hits and coalesced followers never reach here: no patch
-        ran, so nothing is counted.
-        """
         meta = payload.get("delta")
-        if meta is None:
-            return
-        task["_delta_meta"] = meta
-        self.metrics.observe_delta(endpoint, meta)
+        if meta is not None:
+            # delta metadata rides back to _finish_task on the task: the
+            # envelope carries it, never the (byte-identical) cached
+            # result; cache hits and coalesced followers ran no patch
+            task["_delta_meta"] = meta
+            self.metrics.observe_delta(endpoint, meta)
+        return payload
 
     def _tier2_bound(self, task: dict) -> float:
         """The tier-2 a-priori bound of a task (inf when indeterminable)."""
@@ -896,19 +816,8 @@ class LocalityService(HttpApp):
             return float("inf")
 
     def _cached_fidelity(self, tier: int, task: dict) -> dict:
-        accuracy = task.get("accuracy")
         bound = 0.0 if tier == 3 else self._tier2_bound(task)
-        return {
-            "tier": tier,
-            "error_bound": bound,
-            "accuracy_slo": accuracy,
-            "slo_met": accuracy is None or bound <= accuracy,
-            "cost_seconds": 0.0,
-            "predicted_cost_seconds": 0.0,
-            "tiers_tried": [],
-            "tier_bounds": [],
-            "escalations": 0,
-        }
+        return fidelity_payload(tier, bound, task.get("accuracy"))
 
     # ------------------------------------------------------------------
     # continuous accuracy audit (--audit-rate)
@@ -930,8 +839,7 @@ class LocalityService(HttpApp):
         trace_id = (task.get("trace_context") or {}).get("trace_id")
         stripped = {k: v for k, v in task.items()
                     if k not in ("accuracy", "max_tier", "trace",
-                                 "trace_context", "timeout", "faults",
-                                 "x_test_sleep", "x_test_crash")}
+                                 "trace_context", "timeout", "faults")}
         if auditor.offer({"endpoint": endpoint, "key": key, "tier": tier,
                           "task": stripped, "result": result,
                           "trace_id": trace_id}):

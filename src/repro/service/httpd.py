@@ -14,6 +14,8 @@ routes and background loops.  It holds:
   (``GET /healthz``, ``/metrics``, ``/debug/traces``, 404/405,
   ``POST /shutdown``) with the app's own ``POST`` routes behind them,
   and an optional streaming hook (the gateway's ``/batch``);
+* :class:`RequestScope`, the one place a ``POST`` is observed: timed,
+  traced, and finished exactly once whatever the outcome;
 * :func:`serve`, the bind/announce/signals/fork-hygiene/teardown
   lifecycle, and :class:`ServerThread`, its background-thread harness;
 * a small async client (gateway forwards, peer cache peeks, probes).
@@ -32,16 +34,20 @@ import contextlib
 import json
 import signal
 import threading
+import time
 from dataclasses import dataclass
 from urllib.parse import parse_qs
 
 from ..experiments.pool import register_parent_socket, unregister_parent_socket
 from ..obs import events as obs_events
 from ..obs.context import TRACE_HEADER, TraceContext
+from ..obs.traces import TraceBuffer
 from ..obs.tracer import NULL_SPAN, Tracer
+from .protocol import RequestError
 
-__all__ = ["HttpApp", "ParsedRequest", "PayloadTooLarge", "ServerThread",
-           "error_payload", "finish_chunked_response", "json_body", "read_request",
+__all__ = ["HttpApp", "ParsedRequest", "PayloadTooLarge", "RequestScope",
+           "ServerThread", "error_payload", "finish_chunked_response",
+           "json_body", "read_request",
            "request_bytes", "request_json", "request_span", "respond",
            "serve", "start_chunked_response", "write_chunk"]
 
@@ -207,12 +213,93 @@ def request_span(tracer: Tracer | None, name: str, **attrs):
     return tracer.span(name, **attrs) if tracer is not None else NULL_SPAN
 
 
+class RequestScope:
+    """The observation of one ``POST``, opened and finished exactly once
+    by the shell (:meth:`HttpApp._scoped_post`).  The app labels it —
+    ``endpoint``, ``key``, :meth:`mark`, ``tree`` — and wraps the work
+    it wants traced in :meth:`traced`."""
+
+    def __init__(self, endpoint: str, traces: TraceBuffer,
+                 root_name: str) -> None:
+        self.started = time.perf_counter()
+        self.endpoint = endpoint  # a /delta takes its base's endpoint
+        self.key: str | None = None
+        self.ctx: TraceContext | None = None  # this hop's trace context
+        self.tracer: Tracer | None = None  # set for a traced request
+        self.tree: dict | None = None  # what /debug/traces records
+        self.outcome: str | None = None  # None: from the HTTP status
+        self.fields: dict = {}  # extra fields of the terminal event
+        self.status, self.seconds = 500, 0.0  # set at finish
+        self._traces, self._root_name = traces, root_name
+        self._token: int | None = None
+
+    @property
+    def trace_id(self) -> str | None:
+        return self.ctx.trace_id if self.ctx is not None else None
+
+    def mark(self, outcome: str, **fields) -> None:
+        """Label the outcome (``ok``, ``error``, ``rejected``, ...)."""
+        self.outcome, self.fields = outcome, fields
+
+    @contextlib.contextmanager
+    def traced(self, request: dict, **root_attrs):
+        """Join the distributed trace for the work inside the block.
+
+        The caller's ``request["trace_context"]`` is adopted as a child
+        (same trace, fresh span id); without one a context is minted
+        when anyone would see it (the ``trace`` flag, or an installed
+        event log).  This hop's context is written back into
+        ``request``, so what the app sends downstream (a worker task, a
+        forwarded body) parents its spans here.  A traced request also
+        gets its own tracer (never installed ambiently: one loop
+        interleaves many requests), an in-flight ``/debug/traces``
+        entry, and the root span, open for the block.
+        """
+        incoming = TraceContext.from_dict(request.get("trace_context"))
+        ctx = incoming.child() if incoming is not None else None
+        if ctx is None and (request.get("trace")
+                            or obs_events.get_log() is not None):
+            ctx = TraceContext.new()
+        root = NULL_SPAN
+        if ctx is not None:
+            self.ctx = ctx
+            request["trace_context"] = ctx.to_dict()
+            if request.get("trace"):
+                self.tracer = Tracer()
+                self._token = self._traces.start(ctx.trace_id, self.endpoint)
+                root = self.tracer.span(
+                    self._root_name, endpoint=self.endpoint, **root_attrs,
+                    trace_id=ctx.trace_id, span_id=ctx.span_id,
+                    parent_span_id=incoming.span_id if incoming else None,
+                )
+        with root:
+            yield
+
+    def finish(self, status: int | None) -> None:
+        """Stop the clock and record the trace entry; ``None`` (a
+        cancelled request) only drops the in-flight marker."""
+        if status is None:
+            if self._token is not None:
+                self._traces.discard(self._token)
+            return
+        self.status = status
+        self.seconds = time.perf_counter() - self.started
+        if self.outcome is None:
+            self.outcome = "ok" if status < 400 else "error"
+        if self._token is not None:
+            self._traces.finish(self._token, seconds=self.seconds,
+                                status=self.outcome, tree=self.tree)
+
+
 class HttpApp:
     """What one server adds to the shell: its routes, metrics and loops.
 
-    A subclass sets :attr:`role` and :attr:`post_routes` and provides:
+    A subclass sets :attr:`role`, :attr:`post_routes` and
+    :attr:`trace_root` and provides:
 
-    * ``async post(route, body, headers) -> (status, payload)``;
+    * ``async post(route, payload, scope) -> (status, payload)`` on the
+      parsed body (a ``RequestError`` it raises is a rejection);
+    * ``observe(scope)``: the terminal event and metric of one ``POST``;
     * ``health() -> dict`` and ``metrics_snapshot() -> dict``;
     * ``render_metrics(snapshot) -> str``, the Prometheus text;
     * ``config.max_body_bytes``, ``shutdown_event``, ``traces`` (a
@@ -226,6 +313,8 @@ class HttpApp:
     role: str
     #: ``POST /<route>`` paths handed to ``post`` (others 404)
     post_routes: frozenset = frozenset()
+    #: name of the root span of a traced ``POST``
+    trace_root: str
 
     async def handle_request(
         self, method: str, target: str, body: bytes,
@@ -278,8 +367,42 @@ class HttpApp:
         if route not in self.post_routes:
             return 404, error_payload(route, "NotFound",
                                       f"no such endpoint {route!r}"), False
-        status, payload = await self.post(route, body, headers or {})
+        status, payload = await self._scoped_post(route, body, headers or {})
         return status, payload, False
+
+    async def _scoped_post(self, route: str, body: bytes,
+                           headers: dict[str, str]) -> tuple[int, object]:
+        """One ``POST`` route inside its :class:`RequestScope`, finished
+        here exactly once: an answer, a rejection (bad JSON, a
+        ``RequestError``) or a 500 ``InternalError`` for an exception
+        that escaped the handler.  A cancelled request records nothing."""
+        scope = RequestScope(route, self.traces, self.trace_root)
+        status, payload = None, None
+        try:
+            try:
+                # post() takes the only reference to the parsed body, so
+                # a handler can free it once its task holds arrays
+                handler = self.post(route, json_body(body, headers), scope)
+            except ValueError as exc:
+                scope.mark("rejected", error=str(exc))
+                status, payload = 400, error_payload(route, "BadJSON", str(exc))
+            else:
+                status, payload = await handler
+        except RequestError as exc:
+            scope.mark("rejected", error=str(exc))
+            status, payload = exc.status, error_payload(
+                scope.endpoint, "RequestError", str(exc))
+        except Exception as exc:  # noqa: BLE001 - answered, never dropped
+            scope.mark("error", error=type(exc).__name__)
+            if scope.tracer is not None:
+                scope.tree = scope.tracer.tree().to_dict()
+            status, payload = 500, error_payload(
+                scope.endpoint, "InternalError", f"{type(exc).__name__}: {exc}")
+        finally:
+            scope.finish(status)
+            if status is not None:
+                self.observe(scope)
+        return status, payload
 
     def background(self) -> list:
         """Coroutines run as tasks while serving, cancelled at teardown."""

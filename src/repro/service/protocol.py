@@ -380,9 +380,6 @@ def normalize_request(endpoint: str, payload: object) -> dict:
         _require(not problems,
                  "invalid fault plan: " + "; ".join(problems))
         task["faults"] = payload["faults"]
-    for hook in ("x_test_sleep", "x_test_crash"):
-        if hook in payload:
-            task[hook] = payload[hook]
     return task
 
 
@@ -436,23 +433,6 @@ def normalize_delta(payload: object) -> dict:
         normalized["trace_context"] = {"trace_id": context["trace_id"],
                                        "span_id": context["span_id"]}
     return normalized
-
-
-def delta_routing_key(payload: object) -> str:
-    """The base key a ``/delta`` request routes by (gateway-side).
-
-    Delta requests must land on the replica that answered — and so holds
-    the stored task, warm cache entries and worker reuse states of — the
-    base request; hashing the ring by the base key achieves exactly that,
-    since the base request itself was routed by it.  Shape problems raise
-    :class:`RequestError` so the gateway can reject without a hop.
-    """
-    _require(isinstance(payload, dict), "request body must be a JSON object")
-    base = payload.get("base")
-    _require(isinstance(base, str) and len(base) == 32
-             and all(c in "0123456789abcdef" for c in base),
-             "'base' must be a 32-hex request key")
-    return base
 
 
 def derive_delta_task(stored: dict, normalized: dict, delta_budget: int) -> dict:

@@ -27,8 +27,7 @@ from pathlib import Path
 
 #: Fields stripped before storage so the stored bytes re-derive the key.
 VOLATILE_FIELDS = ("timeout", "trace", "trace_context", "faults", "peer",
-                   "accuracy", "max_tier", "delta_budget",
-                   "x_test_sleep", "x_test_crash")
+                   "accuracy", "max_tier", "delta_budget")
 
 
 def stored_form(task: dict) -> dict:

@@ -19,7 +19,6 @@ reordering search and ``sweep`` through the experiment measurement.
 from __future__ import annotations
 
 import contextlib
-import os
 import time
 import traceback
 
@@ -64,7 +63,6 @@ def evaluate(task: dict) -> dict:
             parent_span_id=ctx.get("span_id"),
         )
     try:
-        _test_hooks(task)
         want_trace = bool(task.get("trace"))
         with faults.installed(plan) if plan else contextlib.nullcontext():
             faults.perform(faults.fire("worker.evaluate"))
@@ -109,14 +107,6 @@ def evaluate(task: dict) -> dict:
         if plan is not None:
             payload["faults_fired"] = plan.fired_counts()
         return payload
-
-
-def _test_hooks(task: dict) -> None:
-    """Deterministic fault injection for tests (gated by the daemon)."""
-    if task.get("x_test_sleep"):
-        time.sleep(float(task["x_test_sleep"]))
-    if task.get("x_test_crash"):
-        os._exit(2)  # hard worker death: exercises BrokenProcessPool handling
 
 
 def _dispatch(task: dict) -> tuple[dict, dict | None, dict | None]:

@@ -150,17 +150,28 @@ def test_batch_rejects_malformed_payloads(cluster):
     assert err.value.status == 400
 
 
-def test_failover_loses_nothing_and_readmits(tmp_path):
-    """Kill a replica mid-life: zero lost answers; restart readmits it."""
+def test_failover_loses_nothing_and_readmits(tmp_path, direct_answers):
+    """Kill a replica mid-stream: zero lost answers, each still byte-identical
+    to a single daemon's; restart readmits it."""
     with ClusterHarness(
         replicas=3, jobs=1, cache_root=tmp_path,
         gateway_config={"probe_interval_seconds": 0.2},
     ) as harness:
         client = harness.client(timeout=120.0)
-        warm = list(client.batch("advise", _items(), window=2, setup=SETUP))
-        assert warm[-1]["batch"]["errors"] == 0
+        streamed = []
+        for line in client.batch("advise", _items(), window=2, setup=SETUP):
+            streamed.append(line)
+            if len(streamed) == 2:
+                harness.kill_replica(0)
+        *item_lines, tail = streamed
+        assert tail["batch"]["errors"] == 0
+        assert len(item_lines) == len(NAMES)
+        for line in item_lines:
+            key, expected = direct_answers[line["name"]]
+            assert line["ok"] and line["key"] == key
+            assert canonical_json(line["result"]) == expected
 
-        harness.kill_replica(0)
+        # a full pass with the replica down: every key it owned fails over
         lines = list(client.batch("advise", _items(), window=2, setup=SETUP))
         *item_lines, tail = lines
         assert tail["batch"]["errors"] == 0

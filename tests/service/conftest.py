@@ -10,10 +10,11 @@ SETUP = {"num_threads": 8}
 
 @pytest.fixture(scope="module")
 def server(tmp_path_factory):
-    """A running daemon (2 pool workers, fault-injection hooks enabled)."""
+    """A running daemon (2 pool workers, per-request fault plans allowed)."""
     cache_dir = tmp_path_factory.mktemp("service_cache")
     thread = ServiceThread(
-        ServiceConfig(jobs=2, cache_dir=str(cache_dir), test_hooks=True)
+        ServiceConfig(jobs=2, cache_dir=str(cache_dir),
+                      allow_fault_injection=True)
     )
     host, port = thread.start()
     yield thread

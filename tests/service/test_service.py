@@ -19,6 +19,7 @@ from repro.experiments.common import MatrixRecord, measure_matrix
 from repro.machine import scaled_machine
 from repro.matrices import banded
 from repro.matrices.collection import collection
+from repro.resilience.faults import FaultPlan
 from repro.service import ServiceClient, ServiceConfig, ServiceThread, matrix_payload
 from repro.spmv import listing1_policy, no_sector_cache
 
@@ -80,17 +81,29 @@ def test_second_request_hits_memory_cache(client):
     assert second["key"] == first["key"]
 
 
-def test_coalescing_one_evaluation_for_concurrent_duplicates(client):
+def _plan(*rules):
+    return {"schema": "repro.resilience.plan/v1", "rules": list(rules)}
+
+
+def test_coalescing_one_evaluation_for_concurrent_duplicates(tmp_path):
+    # a daemon-wide plan slows every evaluation so the duplicates overlap;
+    # ambient plans do not mark a request as chaos, so it still coalesces
+    slow = FaultPlan.from_dict(_plan({"site": "worker.evaluate",
+                                      "kind": "delay",
+                                      "delay_seconds": 0.8}))
+    config = ServiceConfig(jobs=2, cache_dir=str(tmp_path),
+                           allow_fault_injection=True, fault_plan=slow)
     matrix = banded(620, 14, 5, seed=15)
-    payload = {"matrix": matrix_payload(matrix), "setup": SETUP,
-               "x_test_sleep": 0.8}
-    before = client.metrics()["evaluations"].get("advise", 0)
-    with ThreadPoolExecutor(max_workers=6) as pool:
-        envelopes = list(pool.map(
-            lambda _: client.request("POST", "/advise", payload), range(6)
-        ))
-    after = client.metrics()["evaluations"].get("advise", 0)
-    assert after - before == 1, "N concurrent duplicates must evaluate once"
+    payload = {"matrix": matrix_payload(matrix), "setup": SETUP}
+    with ServiceThread(config) as (host, port):
+        client = ServiceClient(host, port, timeout=120.0)
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            envelopes = list(pool.map(
+                lambda _: client.request("POST", "/advise", payload), range(6)
+            ))
+        evaluations = client.metrics()["evaluations"].get("advise", 0)
+        client.close()
+    assert evaluations == 1, "N concurrent duplicates must evaluate once"
     results = {canonical_json(e["result"]) for e in envelopes}
     assert len(results) == 1
     assert sum(e["cached"] == "coalesced" for e in envelopes) == len(envelopes) - 1
@@ -99,7 +112,7 @@ def test_coalescing_one_evaluation_for_concurrent_duplicates(client):
 def test_worker_crash_is_isolated(client):
     matrix = banded(600, 12, 5, seed=16)
     payload = {"matrix": matrix_payload(matrix), "setup": SETUP,
-               "x_test_crash": True}
+               "faults": _plan({"site": "worker.evaluate", "kind": "crash"})}
     from repro.service.client import ServiceError
 
     with pytest.raises(ServiceError) as err:
@@ -115,7 +128,9 @@ def test_worker_crash_is_isolated(client):
 def test_timeout_returns_structured_error_and_daemon_survives(client):
     matrix = banded(580, 10, 5, seed=17)
     payload = {"matrix": matrix_payload(matrix), "setup": SETUP,
-               "x_test_sleep": 5.0, "timeout": 0.3}
+               "faults": _plan({"site": "worker.evaluate", "kind": "delay",
+                                "delay_seconds": 5.0}),
+               "timeout": 0.3}
     from repro.service.client import ServiceError
 
     with pytest.raises(ServiceError) as err:
