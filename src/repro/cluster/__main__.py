@@ -16,53 +16,21 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import os
-import re
-import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
+from ..service.app import ServiceConfig
 from .gateway import GatewayConfig, run_gateway
+from .harness import launch_replica, stop_replica
 
-_ANNOUNCE = re.compile(r"repro-service listening on http://([^:]+):(\d+)")
-
-
-def _spawn_replicas(count: int, jobs: int, cache: str | None,
-                    extra: list[str],
-                    event_log: str | None = None,
-                    ) -> tuple[list, list[tuple[str, int]]]:
-    processes, addresses = [], []
-    for index in range(count):
-        argv = [sys.executable, "-m", "repro.service", "--port", "0",
-                "--jobs", str(jobs)]
-        cache_dir = ""
-        if cache:
-            cache_dir = str(Path(cache) / f"replica-{index}")
-        argv += ["--cache", cache_dir]
-        if event_log:
-            # one log per process: the gateway writes PATH, replica i
-            # writes replica-<i>-events.jsonl next to it (entries still
-            # correlate by trace_id across all of them)
-            log = Path(event_log).parent / f"replica-{index}-events.jsonl"
-            argv += ["--event-log", str(log)]
-        argv += extra
-        process = subprocess.Popen(argv, stdout=subprocess.PIPE, text=True,
-                                   env=dict(os.environ))
-        line = process.stdout.readline()
-        match = _ANNOUNCE.search(line)
-        if match is None:
-            process.terminate()
-            for other in processes:
-                other.terminate()
-            raise RuntimeError(f"replica {index} did not announce: {line!r}")
-        processes.append(process)
-        addresses.append((match.group(1), int(match.group(2))))
-        print(f"replica {index} on http://{match.group(1)}:{match.group(2)} "
-              f"(cache: {cache_dir or 'disabled'})", flush=True)
-    return processes, addresses
+#: a ``--spawn`` replica's place in the config until it announces its port
+_UNSPAWNED = ("127.0.0.1", 0)
 
 
 def main(argv: list[str] | None = None) -> int:
+    replica = ServiceConfig()
+    gateway = {f.name: f.default for f in fields(GatewayConfig)}
     parser = argparse.ArgumentParser(prog="python -m repro.cluster",
                                      description=__doc__)
     parser.add_argument("--host", default="127.0.0.1")
@@ -73,32 +41,37 @@ def main(argv: list[str] | None = None) -> int:
                         help="an already-running replica daemon (repeatable)")
     parser.add_argument("--spawn", type=int, default=0, metavar="N",
                         help="spawn N replica daemons on ephemeral ports")
-    parser.add_argument("--jobs", type=int, default=2,
+    parser.add_argument("--jobs", type=int, default=replica.jobs,
                         help="pool workers per spawned replica")
-    parser.add_argument("--cache", default=".repro_cache",
+    parser.add_argument("--cache", default=replica.cache_dir,
                         help="cache root for spawned replicas (each gets "
                              "<cache>/replica-<i>; '' disables disk caching)")
-    parser.add_argument("--vnodes", type=int, default=64,
+    parser.add_argument("--vnodes", type=int, default=gateway["vnodes"],
                         help="virtual nodes per replica on the hash ring")
-    parser.add_argument("--probe-interval", type=float, default=2.0,
+    parser.add_argument("--probe-interval", type=float,
+                        default=gateway["probe_interval_seconds"],
                         help="seconds between health/breaker probe rounds")
-    parser.add_argument("--probe-timeout", type=float, default=2.0)
-    parser.add_argument("--fail-after", type=int, default=1,
+    parser.add_argument("--probe-timeout", type=float,
+                        default=gateway["probe_timeout_seconds"])
+    parser.add_argument("--fail-after", type=int, default=gateway["fail_after"],
                         help="consecutive failed probes that eject a replica")
-    parser.add_argument("--peer-window", type=float, default=120.0,
+    parser.add_argument("--peer-window", type=float,
+                        default=gateway["peer_window_seconds"],
                         help="seconds remapped keys carry warm-cache peer "
                              "hints after a membership change")
     parser.add_argument("--no-peer-fill", action="store_true",
                         help="never attach peer hints (rebalances re-evaluate)")
-    parser.add_argument("--batch-window", type=int, default=8,
+    parser.add_argument("--batch-window", type=int,
+                        default=gateway["batch_window"],
                         help="default in-flight window for /batch")
-    parser.add_argument("--forward-timeout", type=float, default=300.0,
+    parser.add_argument("--forward-timeout", type=float,
+                        default=gateway["forward_timeout_seconds"],
                         help="per-forward ceiling in seconds")
     parser.add_argument("--event-log", default=None, metavar="PATH",
                         help="gateway structured event log (JSON lines); "
                              "spawned replicas get <PATH dir>/replica-<i>-"
                              "events.jsonl alongside it")
-    parser.add_argument("--audit-rate", type=float, default=0.0,
+    parser.add_argument("--audit-rate", type=float, default=replica.audit_rate,
                         metavar="FRACTION",
                         help="forwarded to spawned replicas: shadow-audit "
                              "this fraction of cheap-tier ladder answers")
@@ -106,15 +79,14 @@ def main(argv: list[str] | None = None) -> int:
                         metavar="SECONDS",
                         help="forwarded to spawned replicas: audit time "
                              "budget per replica")
-    parser.add_argument("--trace-buffer", type=int, default=64, metavar="N",
+    parser.add_argument("--trace-buffer", type=int,
+                        default=gateway["trace_buffer_size"], metavar="N",
                         help="traced requests kept for GET /debug/traces")
     args = parser.parse_args(argv)
     if not args.replica and args.spawn < 1:
         parser.error("give at least one --replica or --spawn N")
     if args.spawn < 0:
         parser.error("--spawn must be non-negative")
-    if args.jobs < 1:
-        parser.error("--jobs must be positive")
 
     replicas: list[tuple[str, int]] = []
     for spec in args.replica:
@@ -130,40 +102,53 @@ def main(argv: list[str] | None = None) -> int:
     if args.audit_budget_seconds is not None:
         extra += ["--audit-budget-seconds", str(args.audit_budget_seconds)]
 
-    processes: list = []
-    if args.spawn:
-        processes, spawned = _spawn_replicas(
-            args.spawn, args.jobs, args.cache or None, extra,
-            event_log=args.event_log,
-        )
-        replicas += spawned
-
-    config = GatewayConfig(
-        replicas=tuple(replicas),
-        vnodes=args.vnodes,
-        probe_interval_seconds=args.probe_interval,
-        probe_timeout_seconds=args.probe_timeout,
-        fail_after=args.fail_after,
-        peer_window_seconds=args.peer_window,
-        peer_fill=not args.no_peer_fill,
-        forward_timeout_seconds=args.forward_timeout,
-        batch_window=args.batch_window,
-        event_log_path=args.event_log,
-        trace_buffer_size=args.trace_buffer,
-    )
+    # every flag is checked before anything is spawned: a bad one is a
+    # usage error, never a gateway that dies and leaves replicas behind
     try:
+        if args.spawn:
+            ServiceConfig(jobs=args.jobs, audit_rate=args.audit_rate,
+                          audit_budget_seconds=args.audit_budget_seconds)
+        config = GatewayConfig(
+            replicas=tuple(replicas) + (_UNSPAWNED,) * args.spawn,
+            vnodes=args.vnodes,
+            probe_interval_seconds=args.probe_interval,
+            probe_timeout_seconds=args.probe_timeout,
+            fail_after=args.fail_after,
+            peer_window_seconds=args.peer_window,
+            peer_fill=not args.no_peer_fill,
+            forward_timeout_seconds=args.forward_timeout,
+            batch_window=args.batch_window,
+            event_log_path=args.event_log,
+            trace_buffer_size=args.trace_buffer,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
+
+    processes: list = []
+    try:
+        for index in range(args.spawn):
+            cache_dir = (str(Path(args.cache) / f"replica-{index}")
+                         if args.cache else "")
+            flags = ["--jobs", str(args.jobs), "--cache", cache_dir]
+            if args.event_log:
+                # one log per process: the gateway writes PATH, replica i
+                # writes replica-<i>-events.jsonl next to it (entries
+                # still correlate by trace_id across all of them)
+                log = Path(args.event_log).parent
+                flags += ["--event-log",
+                          str(log / f"replica-{index}-events.jsonl")]
+            process, host, port = launch_replica(flags + extra)
+            processes.append(process)
+            replicas.append((host, port))
+            print(f"replica {index} on http://{host}:{port} "
+                  f"(cache: {cache_dir or 'disabled'})", flush=True)
+        config = replace(config, replicas=tuple(replicas))
         asyncio.run(run_gateway(config, host=args.host, port=args.port))
     except KeyboardInterrupt:  # pragma: no cover - interactive
         pass
     finally:
         for process in processes:
-            if process.poll() is None:
-                process.terminate()
-        for process in processes:
-            try:
-                process.wait(timeout=10)
-            except subprocess.TimeoutExpired:  # pragma: no cover
-                process.kill()
+            stop_replica(process)
     return 0
 
 

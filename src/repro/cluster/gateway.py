@@ -31,9 +31,12 @@ shared connection loop through :meth:`ClusterGateway.stream`.
 
 The HTTP side is the server shell in :mod:`repro.service.httpd`, the
 same one the replica daemons run: this module adds only the gateway's
-routes, its ``/healthz`` and ``/metrics`` content (the
-:data:`GATEWAY_FAMILIES` table next to :class:`GatewayMetrics`) and the
-membership probe loop.
+routes, its ``/healthz`` and ``/metrics`` content and the membership
+probe loop.  Each gateway metric is one row of :data:`GATEWAY_FAMILIES`:
+the gateway writes its counters into a
+:class:`~repro.obs.prometheus.MetricStore` over that table, and
+``/metrics`` is the store's snapshot with uptime and the membership
+read off their own objects.
 """
 
 from __future__ import annotations
@@ -42,14 +45,13 @@ import asyncio
 import contextlib
 import json
 import time
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
 from ..obs import events as obs_events
 from ..obs.events import DEFAULT_MAX_BYTES, EventLog
-from ..obs.histogram import LatencyHistogram
-from ..obs.prometheus import Family, Sample, render
+from ..obs.prometheus import Family, MetricStore, Sample, render
 from ..obs.traces import TraceBuffer
 from ..obs.tracer import Tracer
 from ..obs.tree import TraceTree
@@ -126,54 +128,6 @@ class GatewayConfig:
             raise ValueError("trace_buffer_size must be positive")
 
 
-class GatewayMetrics:
-    """Counters behind the gateway's ``/metrics``."""
-
-    def __init__(self) -> None:
-        self.started = time.monotonic()
-        #: endpoint -> replica node -> forwards that got an HTTP response
-        self.routed: dict[str, Counter] = defaultdict(Counter)
-        #: forwards retried on the next preference node after a dead socket
-        self.failovers = 0
-        #: requests for which every candidate replica failed (the
-        #: zero-lost-requests invariant asserts this stays 0 while any
-        #: replica lives)
-        self.exhausted = 0
-        #: requests refused because the ring was empty
-        self.no_replicas = 0
-        #: delta forwards retried on another replica after a registry 404
-        #: (a chained base key can hash away from its chain root's owner)
-        self.delta_retargets = 0
-        #: forwarded requests that carried a peer warm-fill hint
-        self.peer_hints = 0
-        self.bad_requests = 0
-        self.batches = 0
-        self.batch_items = Counter()      # status -> items
-        self.batch_inflight_peak = 0
-        self.latency: dict[str, LatencyHistogram] = defaultdict(LatencyHistogram)
-
-    def snapshot(self, membership: MembershipController) -> dict:
-        return {
-            "uptime_seconds": time.monotonic() - self.started,
-            "routed": {ep: dict(c) for ep, c in sorted(self.routed.items())},
-            "failovers": self.failovers,
-            "delta_retargets": self.delta_retargets,
-            "exhausted": self.exhausted,
-            "no_replicas": self.no_replicas,
-            "peer_hints": self.peer_hints,
-            "bad_requests": self.bad_requests,
-            "batch": {
-                "batches": self.batches,
-                "items": dict(self.batch_items),
-                "inflight_peak": self.batch_inflight_peak,
-            },
-            "latency_seconds": {
-                ep: hist.snapshot() for ep, hist in sorted(self.latency.items())
-            },
-            "membership": membership.snapshot(),
-        }
-
-
 def _membership_changes(membership: dict) -> Iterator[Sample]:
     yield "", {"kind": "ejection"}, membership.get("ejections", 0)
     yield "", {"kind": "readmission"}, membership.get("readmissions", 0)
@@ -182,7 +136,7 @@ def _membership_changes(membership: dict) -> Iterator[Sample]:
 #: the gateway's exposition (``GET /metrics?format=prometheus``)
 GATEWAY_FAMILIES = (
     Family("uptime_seconds", "gauge", "Gateway uptime.", "uptime_seconds",
-           as_float=True),
+           as_float=True, view=True),
     Family("routed_total", "counter",
            "Forwards answered, by endpoint and replica.",
            "routed.*.*", ("endpoint", "replica")),
@@ -195,6 +149,9 @@ GATEWAY_FAMILIES = (
            "delta_retargets"),
     Family("requests_exhausted_total", "counter",
            "Requests every candidate replica failed (lost work).", "exhausted"),
+    Family("requests_no_replicas_total", "counter",
+           "Requests refused because the ring held no live replica.",
+           "no_replicas"),
     Family("peer_hints_total", "counter",
            "Forwards carrying a warm-cache peer hint.", "peer_hints"),
     Family("bad_requests_total", "counter",
@@ -210,10 +167,10 @@ GATEWAY_FAMILIES = (
     # a bool leaf is exposed as 1/0
     Family("replica_up", "gauge",
            "Replica liveness in the ring (1 = in, 0 = ejected).",
-           "membership.replicas.*.healthy", ("replica",)),
+           "membership.replicas.*.healthy", ("replica",), view=True),
     Family("membership_changes_total", "counter",
            "Ring membership transitions, by kind.",
-           "membership", ("kind",), sampler=_membership_changes),
+           "membership", ("kind",), sampler=_membership_changes, view=True),
     Family("request_latency_seconds", "histogram",
            "Gateway round-trip latency by endpoint.",
            "latency_seconds.*", ("endpoint",)),
@@ -241,7 +198,8 @@ class ClusterGateway(HttpApp):
             fail_after=config.fail_after,
             peer_window_seconds=config.peer_window_seconds,
         )
-        self.metrics = GatewayMetrics()
+        self.started = time.monotonic()
+        self.metrics = MetricStore(GATEWAY_FAMILIES)
         self.traces = TraceBuffer(config.trace_buffer_size)
         self._event_log = None
         self._previous_event_log = None
@@ -269,7 +227,10 @@ class ClusterGateway(HttpApp):
         }
 
     def metrics_snapshot(self) -> dict:
-        return self.metrics.snapshot(self.membership)
+        return self.metrics.snapshot({
+            "uptime_seconds": time.monotonic() - self.started,
+            "membership": self.membership.snapshot(),
+        })
 
     def background(self) -> list:
         return [self.probe_loop()]
@@ -296,13 +257,13 @@ class ClusterGateway(HttpApp):
                           if r.node not in tried]
             if not candidates:
                 if tried:
-                    self.metrics.exhausted += 1
+                    self.metrics.count("exhausted")
                     return 503, _error_bytes(
                         endpoint, "NoReplicaAnswered",
                         f"all {len(tried)} candidate replicas failed for "
                         f"key {key}",
                     ), None
-                self.metrics.no_replicas += 1
+                self.metrics.count("no_replicas")
                 return 503, _error_bytes(
                     endpoint, "NoReplicas",
                     "no live replicas in the ring; retry after the next "
@@ -316,7 +277,7 @@ class ClusterGateway(HttpApp):
                     hinted = dict(payload)
                     hinted["peer"] = {"host": peer.host, "port": peer.port}
                     body = json.dumps(hinted).encode()
-                    self.metrics.peer_hints += 1
+                    self.metrics.count("peer_hints")
             forward = request_span(tracer, "gateway.forward", replica=replica.node)
             with forward:
                 try:
@@ -338,7 +299,7 @@ class ClusterGateway(HttpApp):
                     self.membership.mark_down(
                         replica.node, f"{type(exc).__name__}: {exc}"
                     )
-                    self.metrics.failovers += 1
+                    self.metrics.count("failovers")
                     obs_events.emit("gateway.failover", trace_id=trace_id,
                                     endpoint=endpoint, key=key,
                                     replica=replica.node,
@@ -353,12 +314,12 @@ class ClusterGateway(HttpApp):
                 # idempotent, so asking the rest costs one miss each.
                 forward.annotate(outcome="retarget", status=status)
                 tried.add(replica.node)
-                self.metrics.delta_retargets += 1
+                self.metrics.count("delta_retargets")
                 obs_events.emit("gateway.delta_retarget", trace_id=trace_id,
                                 endpoint=endpoint, key=key,
                                 replica=replica.node)
                 continue
-            self.metrics.routed[endpoint][replica.node] += 1
+            self.metrics.count("routed", endpoint, replica.node)
             return status, response, (forward if tracer is not None else None)
 
     async def post(
@@ -395,9 +356,10 @@ class ClusterGateway(HttpApp):
         ``POST``: a rejection counts as a bad request, anything the
         gateway answered past validation lands in the latency histogram."""
         if scope.outcome == "rejected":
-            self.metrics.bad_requests += 1
+            self.metrics.count("bad_requests")
         else:
-            self.metrics.latency[scope.endpoint].observe(scope.seconds)
+            self.metrics.observe("latency_seconds", scope.endpoint,
+                                 value=scope.seconds)
         obs_events.emit("gateway.request", trace_id=scope.trace_id,
                         endpoint=scope.endpoint, key=scope.key,
                         status=scope.status, seconds=scope.seconds)
@@ -477,19 +439,19 @@ class ClusterGateway(HttpApp):
             payload = json.loads(body.decode() or "{}")
             spec = normalize_batch(payload, self.config.batch_window)
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            self.metrics.bad_requests += 1
+            self.metrics.count("bad_requests")
             await respond(writer, 400,
                           error_payload("batch", "BadJSON", str(exc)),
                           close=True)
             return
         except RequestError as exc:
-            self.metrics.bad_requests += 1
+            self.metrics.count("bad_requests")
             await respond(writer, exc.status,
                           error_payload("batch", "RequestError", str(exc)),
                           close=True)
             return
 
-        self.metrics.batches += 1
+        self.metrics.count("batch.batches")
         started = time.perf_counter()
         await start_chunked_response(writer)
         window = asyncio.Semaphore(spec.window)
@@ -501,9 +463,7 @@ class ClusterGateway(HttpApp):
             nonlocal inflight
             async with window:
                 inflight += 1
-                self.metrics.batch_inflight_peak = max(
-                    self.metrics.batch_inflight_peak, inflight
-                )
+                self.metrics.peak("batch.inflight_peak", value=inflight)
                 try:
                     line = await self._batch_line(spec.endpoint, item)
                 except asyncio.CancelledError:
@@ -557,7 +517,7 @@ class ClusterGateway(HttpApp):
             raise
         finally:
             for status, n in counts.items():
-                self.metrics.batch_items[status] += n
+                self.metrics.count("batch.items", status, by=n)
             for task in tasks:
                 if not task.done():
                     task.cancel()

@@ -41,19 +41,57 @@ from ..service.app import ServiceConfig, ServiceThread
 from ..service.client import ServiceClient
 from .gateway import GatewayConfig, GatewayThread
 
-__all__ = ["ClusterHarness", "ReplicaHandle"]
+__all__ = ["ClusterHarness", "ReplicaHandle", "launch_replica",
+           "stop_replica"]
 
 _ANNOUNCE = re.compile(r"repro-service listening on http://([^:]+):(\d+)")
 
 
 def _kill_group(process: subprocess.Popen, sig: int) -> None:
     """Signal a replica's whole process group (it runs in its own session
-    — see ``_start_replica``), falling back to the process alone."""
+    — see :func:`launch_replica`), falling back to the process alone."""
     try:
         os.killpg(process.pid, sig)
     except (ProcessLookupError, PermissionError, OSError):
         with contextlib.suppress(ProcessLookupError):
             process.send_signal(sig)
+
+
+def launch_replica(flags: list[str],
+                   port: int = 0) -> tuple[subprocess.Popen, str, int]:
+    """Start one ``python -m repro.service`` replica daemon with ``flags``
+    and wait until it answers ``/healthz``; returns the process and the
+    host and port it announced.
+
+    The replica runs in its own session: SIGKILLing its process group
+    takes its forked evaluator workers down too, like a real node death
+    (a surviving worker would hold duplicate fds of the replica's
+    sockets).
+    """
+    argv = [sys.executable, "-m", "repro.service", "--port", str(port),
+            *flags]
+    process = subprocess.Popen(argv, stdout=subprocess.PIPE, text=True,
+                               start_new_session=True)
+    line = process.stdout.readline()
+    match = _ANNOUNCE.search(line)
+    if match is None:
+        stop_replica(process)
+        raise RuntimeError(f"replica did not announce its port: {line!r}")
+    host, port = match.group(1), int(match.group(2))
+    with ServiceClient(host, port) as probe:
+        probe.wait_ready()
+    return process, host, port
+
+
+def stop_replica(process: subprocess.Popen) -> None:
+    """SIGTERM a launched replica's process group, SIGKILL after 10 s."""
+    if process.poll() is None:
+        _kill_group(process, signal.SIGTERM)
+        try:
+            process.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            _kill_group(process, signal.SIGKILL)
+            process.wait(timeout=10)
 
 
 @dataclass
@@ -119,28 +157,14 @@ class ClusterHarness:
             host, actual_port = thread.start()
             return ReplicaHandle(index, host, actual_port, cache_dir,
                                  self.mode, thread=thread)
-        argv = [sys.executable, "-m", "repro.service", "--port", str(port),
-                "--jobs", str(self.jobs), "--cache", cache_dir]
+        flags = ["--jobs", str(self.jobs), "--cache", cache_dir]
         for flag, value in self.replica_config.items():
-            argv.append(f"--{flag.replace('_', '-')}")
+            flags.append(f"--{flag.replace('_', '-')}")
             if value is not True:
-                argv.append(str(value))
-        # own process group: SIGKILLing the replica must take its forked
-        # evaluator workers down too, like a real node death — a surviving
-        # worker would hold duplicate fds of the replica's sockets
-        process = subprocess.Popen(argv, stdout=subprocess.PIPE, text=True,
-                                   env=dict(os.environ),
-                                   start_new_session=True)
-        line = process.stdout.readline()
-        match = _ANNOUNCE.search(line)
-        if match is None:
-            process.terminate()
-            raise RuntimeError(f"replica did not announce its port: {line!r}")
-        handle = ReplicaHandle(index, match.group(1), int(match.group(2)),
-                               cache_dir, self.mode, process=process)
-        with ServiceClient(handle.host, handle.port) as probe:
-            probe.wait_ready()
-        return handle
+                flags.append(str(value))
+        process, host, actual_port = launch_replica(flags, port)
+        return ReplicaHandle(index, host, actual_port, cache_dir, self.mode,
+                             process=process)
 
     def kill_replica(self, index: int) -> ReplicaHandle:
         """Take a replica down — SIGKILL in process mode, a server stop in
@@ -221,13 +245,7 @@ class ClusterHarness:
                 handle.thread.stop()
                 handle.thread = None
             elif handle.mode == "process" and handle.process is not None:
-                if handle.process.poll() is None:
-                    _kill_group(handle.process, signal.SIGTERM)
-                    try:
-                        handle.process.wait(timeout=10)
-                    except subprocess.TimeoutExpired:
-                        _kill_group(handle.process, signal.SIGKILL)
-                        handle.process.wait(timeout=10)
+                stop_replica(handle.process)
                 handle.process = None
         if self._own_cache_root:
             shutil.rmtree(self.cache_root, ignore_errors=True)

@@ -13,8 +13,9 @@ The expected shape *is* the paper's locality argument: classes 1 and 2
 localize an edit inside short reuse windows (incremental, exact, large
 speedup); classes 3a/3b couple an edit to trace-spanning windows, the
 budget overflows, and the engine falls back to the full pass — reported
-honestly rather than hidden.  ``benchmarks/bench_delta.py`` reuses this
-harness for its committed regression numbers.
+honestly rather than hidden.  ``tests/delta/test_class_cases.py``
+checks the per-class paths and byte identity through
+:func:`measure_delta`.
 """
 
 from __future__ import annotations

@@ -13,9 +13,10 @@ for every part of the reproduction:
   and the parent reassembles one deterministic tree per run.
 * :mod:`repro.obs.report` — the ``--trace`` console report (indented
   tree + self-time hot list).
-* :class:`LatencyHistogram` / :mod:`repro.obs.prometheus` — the metric
-  primitives behind the service's ``/metrics`` (JSON and Prometheus
-  text exposition).
+* :class:`LatencyHistogram` / :class:`MetricStore` /
+  :mod:`repro.obs.prometheus` — the metric families behind the daemon's
+  and the gateway's ``/metrics``: one declaration per family feeds the
+  value store, its JSON snapshot and the Prometheus text exposition.
 * :mod:`repro.obs.schema` — structural validation of serialized traces
   (also a CLI: ``python -m repro.obs.schema trace.json``).
 """
@@ -23,7 +24,7 @@ for every part of the reproduction:
 from .audit import AccuracyAuditor, compare_results
 from .context import TRACE_HEADER, TraceContext, new_span_id, new_trace_id
 from .histogram import LATENCY_BUCKETS, LatencyHistogram
-from .prometheus import parse_prometheus_text, render_prometheus
+from .prometheus import MetricStore, parse_prometheus_text, render_prometheus
 from .report import render_report, render_self_times, render_tree
 from .traces import TraceBuffer
 from .tracer import (
@@ -66,6 +67,7 @@ __all__ = [
     "EventLog",
     "LATENCY_BUCKETS",
     "LatencyHistogram",
+    "MetricStore",
     "NULL_SPAN",
     "Span",
     "SpanNode",

@@ -11,6 +11,15 @@ from __future__ import annotations
 LATENCY_BUCKETS = (0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
                    0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0)
 
+#: predicted-improvement histogram boundaries (fraction of baseline
+#: misses removed; 1.0 would mean every L2 miss optimized away)
+IMPROVEMENT_BUCKETS = (0.0, 0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1.0)
+
+#: accumulated-drift histogram boundaries (edited-edge fraction of the
+#: base pattern across a delta chain; 1.0 would mean as many edits as
+#: base nonzeros)
+DRIFT_BUCKETS = (0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0)
+
 
 class LatencyHistogram:
     """Cumulative histogram of observed seconds."""

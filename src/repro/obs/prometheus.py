@@ -1,15 +1,24 @@
-"""Prometheus text exposition, declared once per metric family.
+"""Metric families, declared once: the value store and the exposition.
 
 Each family of the daemon's (:data:`SERVICE_FAMILIES`) and the
-gateway's (``repro.cluster.gateway.GATEWAY_FAMILIES``) exposition is one
+gateway's (``repro.cluster.gateway.GATEWAY_FAMILIES``) metrics is one
 :class:`Family` row: name, type, help, where its samples sit in the JSON
-``/metrics`` snapshot, and its label names.  :func:`render` walks any
-table into the Prometheus text format (version 0.0.4): one ``# HELP``/
-``# TYPE`` pair per family, cumulative ``_bucket{le=...}`` histogram
-series reusing the snapshot's ``le``-convention buckets, counters
-suffixed ``_total``.  :func:`render_prometheus` is the daemon's table
-through it.  The operator catalogue in ``docs/OPERATIONS.md`` is checked
-against the same tables by the tests.
+``/metrics`` snapshot, and its label names.  That row is the only
+declaration of the metric:
+
+* a :class:`MetricStore` over a table holds the values of every family
+  that is not a ``view``, in the nested shape of its ``path``; its
+  :meth:`~MetricStore.snapshot` is the JSON ``/metrics`` object, with the
+  view families (breakers, cache stats, the audit, membership, uptime)
+  read off their own objects and placed at their paths;
+* :func:`render` walks that snapshot over the same table into the
+  Prometheus text format (version 0.0.4): one ``# HELP``/``# TYPE`` pair
+  per family, cumulative ``_bucket{le=...}`` histogram series reusing
+  the snapshot's ``le``-convention buckets, counters suffixed
+  ``_total``.  :func:`render_prometheus` is the daemon's table through
+  it;
+* the operator catalogue in ``docs/OPERATIONS.md`` is checked against
+  the same tables by the tests.
 
 :func:`parse_prometheus_text` is the matching strict reader used by the
 tests (and usable against any exposition text): it validates line syntax,
@@ -22,6 +31,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterator
+
+from .histogram import (
+    DRIFT_BUCKETS,
+    IMPROVEMENT_BUCKETS,
+    LATENCY_BUCKETS,
+    LatencyHistogram,
+)
 
 _NAME = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _SAMPLE = re.compile(
@@ -70,11 +86,15 @@ class Family:
     fans out over that level's keys, in sorted order, each becoming the
     value of the next name in ``labels``.  A missing key reads as an
     empty level, or 0 at the leaf.  A ``histogram`` leaf is a
-    :class:`~repro.obs.histogram.LatencyHistogram` snapshot.  ``when``
-    is a path that must hold a truthy value for the family to be
-    exposed at all.  ``sampler`` replaces the walk for the few families
-    that are not a plain read: it gets the value at ``path`` and yields
-    ``(suffix, labels, value)``; ``labels`` then only documents them.
+    :class:`~repro.obs.histogram.LatencyHistogram` snapshot over
+    ``buckets``.  ``when`` is a path that must hold a truthy value for
+    the family to be exposed at all.  ``sampler`` replaces the walk for
+    the few families that are not a plain read: it gets the value at
+    :attr:`prefix` and yields ``(suffix, labels, value)``; ``labels``
+    then only documents them.  A ``view`` family is read off another
+    object when the snapshot is taken; every other family's values live
+    in a :class:`MetricStore`, where a ``*`` may only follow the fixed
+    steps.
     """
 
     name: str
@@ -85,10 +105,17 @@ class Family:
     as_float: bool = False
     when: str | None = None
     sampler: Callable[[object], Iterator[Sample]] | None = None
+    buckets: tuple[float, ...] = LATENCY_BUCKETS
+    view: bool = False
+
+    @property
+    def prefix(self) -> str:
+        """The fixed steps of ``path``, before its first ``*``."""
+        return self.path.split(".*", 1)[0]
 
     def samples(self, snapshot: dict) -> Iterator[Sample]:
         if self.sampler is not None:
-            yield from self.sampler(_lookup(snapshot, self.path) or {})
+            yield from self.sampler(_lookup(snapshot, self.prefix) or {})
             return
         for labels, leaf in _walk(snapshot, self.path.split("."), self.labels, {}):
             if self.kind == "histogram":
@@ -115,6 +142,102 @@ def _histogram(labels: dict, hist: dict) -> Iterator[Sample]:
         yield "_bucket", {**labels, "le": bound}, cumulative
     yield "_sum", labels, float(hist.get("sum_seconds", 0.0))
     yield "_count", labels, hist.get("count", 0)
+
+
+class MetricStore:
+    """The values of a family table's stored (non-view) families.
+
+    A family is written by its :attr:`~Family.prefix` plus one label
+    value per ``*`` of its path: ``count("requests", "advise", "ok")``
+    adds to ``requests.advise.ok``.  Label values become strings, as in
+    the JSON and the exposition.
+    """
+
+    def __init__(self, families: tuple[Family, ...]) -> None:
+        self.families = families
+        self._stored: dict[str, Family] = {}
+        self._values: dict = {}
+        for family in families:
+            if family.view:
+                continue
+            prefix, depth = family.prefix, family.path.count("*")
+            if family.path != prefix + ".*" * depth:
+                raise ValueError(f"{family.name}: a stored path's * steps "
+                                 "must come last")
+            if prefix in self._stored:
+                raise ValueError(f"{family.name}: {prefix!r} is stored twice")
+            self._stored[prefix] = family
+            self._values[prefix] = (
+                {} if depth else
+                LatencyHistogram(family.buckets) if family.kind == "histogram"
+                else 0)
+
+    def _slot(self, path: str, labels: tuple) -> tuple[dict, str]:
+        if len(labels) != self._stored[path].path.count("*"):
+            raise ValueError(f"{path!r} takes one label value per '*' of "
+                             f"{self._stored[path].path!r}")
+        node, key = self._values, path
+        for label in labels:
+            node, key = node.setdefault(key, {}), str(label)
+        return node, key
+
+    def count(self, path: str, *labels, by=1):
+        """Add ``by`` to a counter (or a gauge); returns the new value."""
+        node, key = self._slot(path, labels)
+        node[key] = value = node.get(key, 0) + by
+        return value
+
+    def set(self, path: str, *labels, value) -> None:
+        node, key = self._slot(path, labels)
+        node[key] = value
+
+    def peak(self, path: str, *labels, value) -> None:
+        """Raise a high-water mark to ``value`` if it is higher."""
+        node, key = self._slot(path, labels)
+        node[key] = max(node.get(key, 0), value)
+
+    def observe(self, path: str, *labels, value: float) -> None:
+        """One observation into a histogram over the family's buckets."""
+        node, key = self._slot(path, labels)
+        if key not in node:
+            node[key] = LatencyHistogram(self._stored[path].buckets)
+        node[key].observe(value)
+
+    def value(self, path: str):
+        """The current value of an unlabelled counter or gauge."""
+        return self._values[path]
+
+    def snapshot(self, views: dict | None = None) -> dict:
+        """The JSON ``/metrics`` object: each stored family's values at its
+        path (labelled levels sorted), and each of ``views`` (dotted path
+        -> value) at its path, in table order."""
+        views = dict(views or {})
+        tree: dict = {}
+        for family in self.families:
+            if not family.view:
+                _place(tree, family.prefix, _frozen(
+                    self._values[family.prefix], family.path.count("*")))
+                continue
+            for path in [p for p in views if family.path == p
+                         or family.path.startswith(p + ".")]:
+                _place(tree, path, views.pop(path))
+        for path, value in views.items():
+            _place(tree, path, value)
+        return tree
+
+
+def _frozen(node, depth: int):
+    if depth:
+        return {key: _frozen(child, depth - 1)
+                for key, child in sorted(node.items())}
+    return node.snapshot() if isinstance(node, LatencyHistogram) else node
+
+
+def _place(tree: dict, path: str, value) -> None:
+    *parents, leaf = path.split(".")
+    for step in parents:
+        tree = tree.setdefault(step, {})
+    tree[leaf] = value
 
 
 def render(families: tuple[Family, ...], snapshot: dict, prefix: str) -> str:
@@ -173,7 +296,7 @@ def _cache_tier_events(cache: dict) -> Iterator[Sample]:
 #: the daemon's exposition (``GET /metrics?format=prometheus``)
 SERVICE_FAMILIES = (
     Family("uptime_seconds", "gauge", "Daemon uptime.", "uptime_seconds",
-           as_float=True),
+           as_float=True, view=True),
     Family("requests_total", "counter",
            "Terminal request count by endpoint and status.",
            "requests.*.*", ("endpoint", "status")),
@@ -194,30 +317,33 @@ SERVICE_FAMILIES = (
            "ladder.answers.*.*", ("endpoint", "tier")),
     Family("ladder_escalations", "histogram",
            "Tiers climbed per fidelity-ladder answer.",
-           "ladder.escalations", when="ladder.escalations",
+           "ladder.escalations.*", when="ladder.escalations",
            sampler=_ladder_escalations),
     Family("audit_observed_error", "gauge",
            "Observed floored relative error of audited cheap-tier answers "
            "vs tier 2, by class, tier and quantile.",
            "audit.observed_error.*.*.quantiles.*",
-           ("class", "tier", "quantile"), as_float=True, when="audit"),
+           ("class", "tier", "quantile"), as_float=True, when="audit",
+           view=True),
     Family("audit_samples_total", "counter",
            "Audited answers recorded, by class and tier.",
-           "audit.observed_error.*.*.count", ("class", "tier"), when="audit"),
+           "audit.observed_error.*.*.count", ("class", "tier"), when="audit",
+           view=True),
     Family("audit_bound_violations_total", "counter",
            "Audited answers whose observed error exceeded the calibrated "
            "bound, by class and tier.",
            "audit.observed_error.*.*.violations", ("class", "tier"),
-           when="audit"),
+           when="audit", view=True),
     Family("audit_backlog", "gauge",
            "Sampled answers waiting for an off-path tier-2 audit evaluation.",
-           "audit.backlog", when="audit"),
+           "audit.backlog", when="audit", view=True),
     Family("audit_dropped_total", "counter",
            "Sampled answers shed (backlog full or audit budget exhausted).",
-           "audit.dropped", when="audit"),
+           "audit.dropped", when="audit", view=True),
     Family("audit_budget_spent_seconds_total", "counter",
            "Cumulative evaluation seconds spent on audit re-answers.",
-           "audit.budget_spent_seconds", as_float=True, when="audit"),
+           "audit.budget_spent_seconds", as_float=True, when="audit",
+           view=True),
     Family("optimize_strategies_total", "counter",
            "Reordering-search candidate outcomes by strategy label and "
            "terminal status.",
@@ -225,7 +351,8 @@ SERVICE_FAMILIES = (
     Family("optimize_predicted_improvement", "histogram",
            "Confirmed predicted L2-miss improvement per fresh reordering "
            "search (fraction of baseline).",
-           "optimize.improvement", when="optimize.improvement.count"),
+           "optimize.improvement", when="optimize.improvement.count",
+           buckets=IMPROVEMENT_BUCKETS),
     Family("delta_applied_total", "counter",
            "Delta evaluations answered without a full stack pass, by "
            "endpoint and path.",
@@ -237,7 +364,7 @@ SERVICE_FAMILIES = (
     Family("delta_drift", "histogram",
            "Accumulated edit fraction (edits over base nonzeros) per delta "
            "evaluation.",
-           "delta.drift", when="delta.drift.count"),
+           "delta.drift", when="delta.drift.count", buckets=DRIFT_BUCKETS),
     Family("peer_fill_total", "counter",
            "Warm-cache fills attempted against a peer replica, by outcome.",
            "peer_fill.*", ("outcome",)),
@@ -255,19 +382,20 @@ SERVICE_FAMILIES = (
            "gc.quarantined"),
     Family("faults_injected_total", "counter",
            "Injected faults fired, by site and kind.",
-           "faults_injected", ("site", "kind"), sampler=_faults),
+           "faults_injected.*", ("site", "kind"), sampler=_faults),
     Family("breaker_state", "gauge",
            "Circuit-breaker state per endpoint (0=closed, 1=open, "
            "2=half_open).",
-           "breakers", ("endpoint",), when="breakers", sampler=_breaker_state),
+           "breakers", ("endpoint",), when="breakers", sampler=_breaker_state,
+           view=True),
     Family("breaker_events_total", "counter",
            "Circuit-breaker accounting events per endpoint.",
            "breakers", ("endpoint", "event"), when="breakers",
-           sampler=_breaker_events),
+           sampler=_breaker_events, view=True),
     Family("breaker_transitions_total", "counter",
            "Circuit-breaker state transitions per endpoint.",
            "breakers.*.transitions.*", ("endpoint", "transition"),
-           when="breakers"),
+           when="breakers", view=True),
     Family("evaluation_phase_seconds_total", "counter",
            "Cumulative model-evaluation self time by phase span.",
            "evaluation_phase_seconds.*.*", ("endpoint", "phase"),
@@ -276,17 +404,21 @@ SERVICE_FAMILIES = (
            "Request latency by endpoint.",
            "latency_seconds.*", ("endpoint",)),
     Family("cache_memory_entries", "gauge", "Memory-tier entries.",
-           "cache.memory.entries"),
+           "cache.memory.entries", view=True),
     Family("cache_memory_bytes", "gauge", "Memory-tier resident bytes.",
-           "cache.memory.bytes"),
+           "cache.memory.bytes", view=True),
     Family("cache_tier_events_total", "counter",
            "Cache events (hits/misses/evictions/expirations) by tier.",
-           "cache", ("tier", "event"), sampler=_cache_tier_events),
+           "cache", ("tier", "event"), sampler=_cache_tier_events,
+           view=True),
     Family("queue_depth", "gauge", "Requests waiting for a worker slot.",
            "queue.depth"),
     Family("queue_peak", "gauge", "Peak queue depth.", "queue.peak"),
     Family("workers_busy", "gauge", "Busy pool workers.", "workers.busy"),
-    Family("workers_jobs", "gauge", "Configured pool size.", "workers.jobs"),
+    Family("workers_peak_busy", "gauge", "Peak busy pool workers.",
+           "workers.peak_busy"),
+    Family("workers_jobs", "gauge", "Configured pool size.", "workers.jobs",
+           view=True),
     Family("worker_restarts_total", "counter",
            "Pool rebuilds after a worker death.", "workers.restarts"),
     Family("request_timeouts_total", "counter",

@@ -50,7 +50,7 @@ from ..ladder.tier0 import dims_from_task, num_cmgs
 from ..obs import events as obs_events
 from ..obs.audit import AccuracyAuditor, compare_results
 from ..obs.events import DEFAULT_MAX_BYTES, EventLog
-from ..obs.prometheus import render_prometheus
+from ..obs.prometheus import SERVICE_FAMILIES, MetricStore, render_prometheus
 from ..obs.traces import TraceBuffer
 from ..obs.tracer import Tracer
 from ..obs.tree import TraceTree
@@ -249,7 +249,9 @@ class LocalityService(HttpApp):
             max_bytes=config.memory_max_bytes,
             ttl_seconds=config.memory_ttl_seconds,
         )
-        self.metrics = ServiceMetrics(jobs=config.jobs)
+        self.started = time.monotonic()
+        self.metrics = MetricStore(SERVICE_FAMILIES)
+        self.meter = ServiceMetrics(self.metrics)
         self.breakers = {
             endpoint: CircuitBreaker(
                 failure_threshold=config.breaker_failure_threshold,
@@ -308,10 +310,11 @@ class LocalityService(HttpApp):
         (peer cache peeks are counted by ``cache_peek`` instead)."""
         if scope.endpoint == "cache/peek":
             return
-        self.metrics.observe_request(
-            scope.endpoint,
-            scope.outcome if scope.outcome in ("ok", "degraded") else "error",
-            scope.seconds)
+        self.metrics.count(
+            "requests", scope.endpoint,
+            scope.outcome if scope.outcome in ("ok", "degraded") else "error")
+        self.metrics.observe("latency_seconds", scope.endpoint,
+                             value=scope.seconds)
         obs_events.emit("request", trace_id=scope.trace_id,
                         endpoint=scope.endpoint, status=scope.outcome,
                         seconds=scope.seconds, key=scope.key, **scope.fields)
@@ -323,10 +326,16 @@ class LocalityService(HttpApp):
         return health
 
     def metrics_snapshot(self) -> dict:
-        snapshot = self.metrics.snapshot(self.cache.stats(), self.breakers)
+        views = {
+            "uptime_seconds": time.monotonic() - self.started,
+            "breakers": {endpoint: breaker.snapshot() for endpoint, breaker
+                         in sorted(self.breakers.items())},
+            "cache": self.cache.stats(),
+            "workers.jobs": self.config.jobs,
+        }
         if self.auditor is not None:
-            snapshot["audit"] = self.auditor.snapshot()
-        return snapshot
+            views["audit"] = self.auditor.snapshot()
+        return self.metrics.snapshot(views)
 
     def background(self) -> list:
         jobs = []
@@ -368,9 +377,9 @@ class LocalityService(HttpApp):
             raise RequestError(str(exc)) from None
         result, tier = self.cache.get(key, disk_path)
         if result is None:
-            self.metrics.cache_peek["miss"] += 1
+            self.metrics.count("cache_peek", "miss")
             return 200, {"ok": True, "found": False, "key": key}
-        self.metrics.cache_peek["hit"] += 1
+        self.metrics.count("cache_peek", "hit")
         return 200, {"ok": True, "found": True, "key": key, "tier": tier,
                      "result": result}
 
@@ -392,16 +401,16 @@ class LocalityService(HttpApp):
             )
         except (OSError, ValueError, ConnectionError, asyncio.TimeoutError,
                 asyncio.IncompleteReadError):
-            self.metrics.peer_fill["error"] += 1
+            self.metrics.count("peer_fill", "error")
             return None
         if status != 200 or not payload.get("found"):
-            self.metrics.peer_fill["miss"] += 1
+            self.metrics.count("peer_fill", "miss")
             return None
         result = payload.get("result")
         if not isinstance(result, dict):
-            self.metrics.peer_fill["error"] += 1
+            self.metrics.count("peer_fill", "error")
             return None
-        self.metrics.peer_fill["hit"] += 1
+        self.metrics.count("peer_fill", "hit")
         return result
 
     async def gc_once(self) -> dict:
@@ -416,7 +425,7 @@ class LocalityService(HttpApp):
                              max_age_seconds=config.gc_max_age_seconds,
                              max_bytes=config.gc_max_bytes),
         )
-        self.metrics.observe_gc(stats)
+        self.meter.observe_gc(stats)
         obs_events.emit("gc.sweep", **{k: v for k, v in stats.items()
                                        if isinstance(v, (int, float))})
         return stats
@@ -569,7 +578,7 @@ class LocalityService(HttpApp):
                                  "retry_after_seconds": exc.retry_after_seconds,
                              }} | extra
             scope.mark("degraded", reason=exc.reason)
-            self.metrics.degraded[endpoint][exc.reason] += 1
+            self.metrics.count("degraded", endpoint, exc.reason)
             # degraded answers are approximations: never cached, clearly
             # marked, and "cached" is null so clients can tell them apart
             return 200, {"ok": True, "endpoint": endpoint, "key": key,
@@ -597,7 +606,7 @@ class LocalityService(HttpApp):
             merged = scope.tree if trace is not None else None
         scope.mark("ok", cached=cached, tier=(fidelity or {}).get("tier"))
         if cached in ("memory", "disk"):
-            self.metrics.cache_served[endpoint][cached] += 1
+            self.metrics.count("cache_served", endpoint, cached)
         response = {"ok": True, "endpoint": endpoint, "key": key,
                     "cached": cached, "result": result} | extra
         meta = task.pop("_delta_meta", None)
@@ -652,7 +661,7 @@ class LocalityService(HttpApp):
         if not chaos:
             pending = self._inflight.get(key)
             if pending is not None:
-                self.metrics.coalesced[endpoint] += 1
+                self.metrics.count("coalesced", endpoint)
                 with request_span(tracer, "coalesce.wait"):
                     result = await asyncio.shield(pending)
                 return (result, "coalesced", None,
@@ -662,7 +671,7 @@ class LocalityService(HttpApp):
             if chaos:
                 # a perturbed request must not pull a healthy peer answer
                 # into its (never-cached) response path
-                self.metrics.peer_fill["skipped"] += 1
+                self.metrics.count("peer_fill", "skipped")
             else:
                 with request_span(tracer, "peer.fill", host=peer["host"],
                            port=peer["port"]) as sp:
@@ -682,7 +691,7 @@ class LocalityService(HttpApp):
             # counts per-strategy outcomes, the predicted-improvement
             # histogram, and the search's ladder answers (asserting "no
             # exact pass until confirmation" straight off /metrics)
-            self.metrics.observe_optimize(result)
+            self.meter.observe_optimize(result)
         if not chaos:
             self._cache_write(key, result, disk_path, disk_format)
         return result, None, payload.get("trace"), _embedded_fidelity(endpoint, result)
@@ -725,7 +734,7 @@ class LocalityService(HttpApp):
         fidelity = payload.get("fidelity") or {}
         answered = fidelity.get("tier")
         if answered is not None:
-            self.metrics.observe_ladder(endpoint, answered,
+            self.meter.observe_ladder(endpoint, answered,
                                         fidelity.get("escalations", 0))
         if plan is None:
             if answered == 2:
@@ -797,14 +806,14 @@ class LocalityService(HttpApp):
         finally:
             if future is not None:
                 self._inflight.pop(lead, None)
-        self.metrics.observe_phases(endpoint, payload.get("phase_seconds", {}))
+        self.meter.observe_phases(endpoint, payload.get("phase_seconds", {}))
         meta = payload.get("delta")
         if meta is not None:
             # delta metadata rides back to _finish_task on the task: the
             # envelope carries it, never the (byte-identical) cached
             # result; cache hits and coalesced followers ran no patch
             task["_delta_meta"] = meta
-            self.metrics.observe_delta(endpoint, meta)
+            self.meter.observe_delta(endpoint, meta)
         return payload
 
     def _tier2_bound(self, task: dict) -> float:
@@ -859,8 +868,8 @@ class LocalityService(HttpApp):
             await asyncio.sleep(poll_seconds)
             if self.auditor.backlog == 0 or self.auditor.budget_exhausted:
                 continue
-            if (self.metrics.queue_depth > 0
-                    or self.metrics.workers_busy >= self.config.jobs):
+            if (self.metrics.value("queue.depth") > 0
+                    or self.metrics.value("workers.busy") >= self.config.jobs):
                 continue
             item = self.auditor.pop()
             if item is not None:
@@ -928,7 +937,7 @@ class LocalityService(HttpApp):
         ambient daemon plan when the request carries none) and count it."""
         rule = plan.fire(site) if plan is not None else faults.fire(site)
         if rule is not None:
-            self.metrics.faults_injected[f"{site}:{rule.kind}"] += 1
+            self.metrics.count("faults_injected", f"{site}:{rule.kind}")
             obs_events.emit("fault.injected", site=site, kind=rule.kind)
         return rule
 
@@ -958,7 +967,8 @@ class LocalityService(HttpApp):
                                "site 'pool.submit'",
                 })
         depth_limit = self.config.saturation_queue_depth
-        if depth_limit is not None and self.metrics.queue_depth >= depth_limit:
+        if (depth_limit is not None
+                and self.metrics.value("queue.depth") >= depth_limit):
             raise _DegradedService("pool_saturated")
         breaker = self.breakers[endpoint]
         if not breaker.allow():
@@ -996,15 +1006,15 @@ class LocalityService(HttpApp):
                         tracer: Tracer | None = None) -> dict:
         """One pool evaluation with queueing, timeout and fault isolation."""
         timeout = task.get("timeout", self.config.request_timeout)
-        self.metrics.enqueue()
+        self.meter.enqueue()
         try:
             with request_span(tracer, "pool.queue"):
                 await self._slots.acquire()
         finally:
-            self.metrics.dequeue()
+            self.meter.dequeue()
         try:
-            self.metrics.worker_started()
-            self.metrics.evaluations[endpoint] += 1
+            self.meter.worker_started()
+            self.metrics.count("evaluations", endpoint)
             loop = asyncio.get_running_loop()
             try:
                 with request_span(tracer, "pool.evaluate", endpoint=endpoint):
@@ -1015,13 +1025,13 @@ class LocalityService(HttpApp):
             except asyncio.TimeoutError:
                 # the worker cannot be interrupted; it is abandoned to
                 # finish in the background (same policy as the sweep engine)
-                self.metrics.timeouts += 1
+                self.metrics.count("workers.timeouts")
                 raise _EvaluationError(504, {
                     "type": "TimeoutError",
                     "message": f"evaluation exceeded the {timeout:.3g}s budget",
                 }) from None
             except BrokenExecutor:
-                self.metrics.worker_restarts += 1
+                self.metrics.count("workers.restarts")
                 self._executor.shutdown(wait=False, cancel_futures=True)
                 self._executor = fork_executor(self.config.jobs)
                 raise _EvaluationError(500, {
@@ -1029,10 +1039,10 @@ class LocalityService(HttpApp):
                     "message": "worker process died; pool restarted",
                 }) from None
         finally:
-            self.metrics.worker_finished()
+            self.meter.worker_finished()
             self._slots.release()
         for site_kind, count in payload.pop("faults_fired", {}).items():
-            self.metrics.faults_injected[site_kind] += count
+            self.metrics.count("faults_injected", site_kind, by=count)
         if "error" in payload:
             detail = payload["error"]
             status = 400 if detail.get("type") in _CLIENT_ERRORS else 500

@@ -1,229 +1,103 @@
-"""Observability surface of the advisor service.
+"""The daemon's metric helpers over its :class:`~repro.obs.MetricStore`.
 
-Everything ``/metrics`` reports lives here: request counts per endpoint
-and status, model-evaluation counts (the coalescing tests key off these
-— N concurrent identical requests must increment an evaluation counter
-exactly once), coalesced and cache-served request counts, cumulative
-latency histograms, queue depth, and worker utilization.  The snapshot
-is a plain JSON object so any scraper can consume it; bucket boundaries
-follow the usual Prometheus-style ``le`` convention.
+Every value ``/metrics`` reports is declared once, as a row of
+:data:`~repro.obs.prometheus.SERVICE_FAMILIES`, and kept in the store
+built from that table.  This module holds what is more than one store
+write: the queue and worker gauges with their high-water marks, and the
+helpers that read a result (a ladder answer, a reordering search, a
+delta evaluation, a GC sweep, per-phase self seconds) into its families.
 """
 
 from __future__ import annotations
 
-import time
-from collections import Counter, defaultdict
-from typing import Callable
-
 # the histogram lives in the shared observability layer now; re-exported
 # here because service code and its tests import it from this module
-from ..obs.histogram import LATENCY_BUCKETS, LatencyHistogram
+from ..obs.histogram import (
+    DRIFT_BUCKETS,
+    IMPROVEMENT_BUCKETS,
+    LATENCY_BUCKETS,
+    LatencyHistogram,
+)
+from ..obs.prometheus import MetricStore
 
 __all__ = ["DRIFT_BUCKETS", "IMPROVEMENT_BUCKETS", "LATENCY_BUCKETS",
            "LatencyHistogram", "ServiceMetrics"]
 
-#: predicted-improvement histogram boundaries (fraction of baseline
-#: misses removed; 1.0 would mean every L2 miss optimized away)
-IMPROVEMENT_BUCKETS = (0.0, 0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1.0)
-
-#: accumulated-drift histogram boundaries (edited-edge fraction of the
-#: base pattern across a delta chain; 1.0 would mean as many edits as
-#: base nonzeros)
-DRIFT_BUCKETS = (0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0)
-
 
 class ServiceMetrics:
-    """Counters and gauges behind ``/metrics``."""
+    """Gauges and result accounting, written through ``store``."""
 
-    def __init__(self, jobs: int, clock: Callable[[], float] = time.monotonic) -> None:
-        self._clock = clock
-        self.started = clock()
-        self.jobs = jobs
-        #: endpoint -> {"ok": n, "error": n, ...} terminal statuses
-        self.requests: dict[str, Counter] = defaultdict(Counter)
-        #: endpoint -> model evaluations actually performed
-        self.evaluations: Counter = Counter()
-        #: endpoint -> requests that piggybacked on an in-flight evaluation
-        self.coalesced: Counter = Counter()
-        #: endpoint -> requests served from a cache tier
-        self.cache_served: dict[str, Counter] = defaultdict(Counter)
-        #: endpoint -> reason -> requests answered from the degraded path
-        self.degraded: dict[str, Counter] = defaultdict(Counter)
-        #: endpoint -> tier (as str) -> ladder answers delivered at that tier
-        self.ladder_answers: dict[str, Counter] = defaultdict(Counter)
-        #: escalations-per-answer -> ladder answers (the histogram of how
-        #: many extra tiers each SLO-carrying request had to climb)
-        self.ladder_escalations: Counter = Counter()
-        #: "site:kind" -> injected faults fired (parent-side sites plus
-        #: per-request worker plans; ambient worker-side fires are only
-        #: visible through their injected outcomes)
-        self.faults_injected: Counter = Counter()
-        #: outcome -> peer warm-cache fills attempted by this replica
-        #: ("hit", "miss", "error", "skipped")
-        self.peer_fill: Counter = Counter()
-        #: outcome -> /cache/peek requests served to peers
-        #: ("hit", "miss")
-        self.cache_peek: Counter = Counter()
-        #: periodic disk-cache GC totals (sweeps run, files deleted,
-        #: bytes reclaimed, quarantine files preserved)
-        self.gc_sweeps = 0
-        self.gc_deleted = 0
-        self.gc_deleted_bytes = 0
-        self.gc_quarantined = 0
-        #: delta: endpoint -> path ("incremental"/"tier0"/"ladder") ->
-        #: evaluations answered without a full stack pass
-        self.delta_applied: dict[str, Counter] = defaultdict(Counter)
-        #: delta: endpoint -> reason ("budget"/"threads"/"iterations") ->
-        #: evaluations that fell back to full re-evaluation
-        self.delta_fallback: dict[str, Counter] = defaultdict(Counter)
-        #: accumulated drift (edit fraction) per delta evaluation
-        self.delta_drift = LatencyHistogram(buckets=DRIFT_BUCKETS)
-        #: optimize: strategy label -> terminal status -> searches
-        self.optimize_strategies: dict[str, Counter] = defaultdict(Counter)
-        #: optimize: confirmed predicted improvement per fresh search
-        self.optimize_improvement = LatencyHistogram(buckets=IMPROVEMENT_BUCKETS)
-        #: endpoint -> cumulative worker-side self seconds per span name
-        self.phase_seconds: dict[str, Counter] = defaultdict(Counter)
-        self.latency: dict[str, LatencyHistogram] = defaultdict(LatencyHistogram)
-        self.queue_depth = 0
-        self.queue_peak = 0
-        self.workers_busy = 0
-        self.workers_peak = 0
-        self.worker_restarts = 0
-        self.timeouts = 0
+    def __init__(self, store: MetricStore) -> None:
+        self.store = store
 
     # -- gauges --------------------------------------------------------
     def enqueue(self) -> None:
-        self.queue_depth += 1
-        self.queue_peak = max(self.queue_peak, self.queue_depth)
+        self.store.peak("queue.peak", value=self.store.count("queue.depth"))
 
     def dequeue(self) -> None:
-        self.queue_depth -= 1
+        self.store.count("queue.depth", by=-1)
 
     def worker_started(self) -> None:
-        self.workers_busy += 1
-        self.workers_peak = max(self.workers_peak, self.workers_busy)
+        self.store.peak("workers.peak_busy",
+                        value=self.store.count("workers.busy"))
 
     def worker_finished(self) -> None:
-        self.workers_busy -= 1
+        self.store.count("workers.busy", by=-1)
 
-    # -- terminal accounting -------------------------------------------
-    def observe_request(self, endpoint: str, status: str, seconds: float) -> None:
-        self.requests[endpoint][status] += 1
-        self.latency[endpoint].observe(seconds)
-
+    # -- result accounting ---------------------------------------------
     def observe_ladder(self, endpoint: str, tier: int, escalations: int) -> None:
         """Account one fidelity-ladder answer (delivered tier + climbs)."""
-        self.ladder_answers[endpoint][str(tier)] += 1
-        self.ladder_escalations[int(escalations)] += 1
+        self.store.count("ladder.answers", endpoint, tier)
+        self.store.count("ladder.escalations", int(escalations))
 
     def observe_optimize(self, result: dict) -> None:
         """Account one fresh reordering search (its wire result dict).
 
         Per-strategy terminal statuses, the confirmed predicted
         improvement, and the search's ladder answers — the latter folded
-        into ``ladder_answers["optimize"]`` so the "screens at tier 0/1,
+        into ``ladder.answers.optimize`` so the "screens at tier 0/1,
         exact only at confirmation" invariant is assertable straight off
         ``/metrics`` (at most two tier-2 entries per search).
         """
         for entry in result.get("strategies", ()):
-            self.optimize_strategies[entry["label"]][entry["status"]] += 1
+            self.store.count("optimize.strategies", entry["label"],
+                             entry["status"])
         confirmation = result.get("confirmation", {})
         if "improvement" in confirmation:
-            self.optimize_improvement.observe(float(confirmation["improvement"]))
-        counter = self.ladder_answers["optimize"]
+            self.store.observe("optimize.improvement",
+                               value=float(confirmation["improvement"]))
         for tier, count in result.get("fidelity", {}).get(
                 "ladder_answers", {}).items():
-            counter[str(tier)] += int(count)
+            self.store.count("ladder.answers", "optimize", tier, by=int(count))
 
     def observe_delta(self, endpoint: str, meta: dict) -> None:
         """Account one fresh delta evaluation (its worker metadata).
 
         ``meta["path"]`` says how the worker priced it: any value but
         ``"fallback"`` means the full stack pass was avoided (counted in
-        ``delta_applied`` under the path), ``"fallback"`` counts under
+        ``delta.applied`` under the path), ``"fallback"`` counts under
         its reason.  The accumulated drift always feeds the histogram.
         """
         path = meta.get("path", "incremental")
         if path == "fallback":
-            self.delta_fallback[endpoint][meta.get("reason", "unknown")] += 1
+            self.store.count("delta.fallback", endpoint,
+                             meta.get("reason", "unknown"))
         else:
-            self.delta_applied[endpoint][path] += 1
+            self.store.count("delta.applied", endpoint, path)
         if "drift" in meta:
-            self.delta_drift.observe(float(meta["drift"]))
+            self.store.observe("delta.drift", value=float(meta["drift"]))
 
     def observe_gc(self, stats: dict) -> None:
         """Fold one :func:`~repro.service.cache.gc_sweep` result in."""
-        self.gc_sweeps += 1
-        self.gc_deleted += int(stats.get("deleted", 0))
-        self.gc_deleted_bytes += int(stats.get("deleted_bytes", 0))
-        self.gc_quarantined = int(stats.get("quarantined", 0))
+        self.store.count("gc.sweeps")
+        self.store.count("gc.deleted", by=int(stats.get("deleted", 0)))
+        self.store.count("gc.deleted_bytes",
+                         by=int(stats.get("deleted_bytes", 0)))
+        self.store.set("gc.quarantined",
+                       value=int(stats.get("quarantined", 0)))
 
     def observe_phases(self, endpoint: str, phases: dict) -> None:
         """Fold one evaluation's per-phase self seconds into the totals."""
-        counter = self.phase_seconds[endpoint]
         for name, seconds in phases.items():
-            counter[name] += float(seconds)
-
-    def snapshot(self, cache_stats: dict, breakers: dict | None = None) -> dict:
-        """The ``/metrics`` JSON object.
-
-        ``breakers`` maps endpoint -> :class:`repro.resilience.CircuitBreaker`;
-        their snapshots ride under ``"breakers"`` (empty when the caller
-        has none, e.g. unit tests of the bare metrics object).
-        """
-        return {
-            "uptime_seconds": self._clock() - self.started,
-            "requests": {ep: dict(c) for ep, c in sorted(self.requests.items())},
-            "evaluations": dict(self.evaluations),
-            "coalesced": dict(self.coalesced),
-            "cache_served": {ep: dict(c) for ep, c in sorted(self.cache_served.items())},
-            "degraded": {ep: dict(c) for ep, c in sorted(self.degraded.items())},
-            "ladder": {
-                "answers": {ep: {tier: c[tier] for tier in sorted(c)}
-                            for ep, c in sorted(self.ladder_answers.items())},
-                "escalations": {str(k): self.ladder_escalations[k]
-                                for k in sorted(self.ladder_escalations)},
-            },
-            "optimize": {
-                "strategies": {label: dict(c) for label, c
-                               in sorted(self.optimize_strategies.items())},
-                "improvement": self.optimize_improvement.snapshot(),
-            },
-            "delta": {
-                "applied": {ep: dict(c) for ep, c
-                            in sorted(self.delta_applied.items())},
-                "fallback": {ep: dict(c) for ep, c
-                             in sorted(self.delta_fallback.items())},
-                "drift": self.delta_drift.snapshot(),
-            },
-            "peer_fill": {k: self.peer_fill[k] for k in sorted(self.peer_fill)},
-            "cache_peek": {k: self.cache_peek[k]
-                           for k in sorted(self.cache_peek)},
-            "gc": {
-                "sweeps": self.gc_sweeps,
-                "deleted": self.gc_deleted,
-                "deleted_bytes": self.gc_deleted_bytes,
-                "quarantined": self.gc_quarantined,
-            },
-            "faults_injected": {k: self.faults_injected[k]
-                                for k in sorted(self.faults_injected)},
-            "breakers": {ep: breaker.snapshot()
-                         for ep, breaker in sorted((breakers or {}).items())},
-            "evaluation_phase_seconds": {
-                ep: {name: c[name] for name in sorted(c)}
-                for ep, c in sorted(self.phase_seconds.items())
-            },
-            "latency_seconds": {
-                ep: hist.snapshot() for ep, hist in sorted(self.latency.items())
-            },
-            "cache": cache_stats,
-            "queue": {"depth": self.queue_depth, "peak": self.queue_peak},
-            "workers": {
-                "jobs": self.jobs,
-                "busy": self.workers_busy,
-                "peak_busy": self.workers_peak,
-                "restarts": self.worker_restarts,
-                "timeouts": self.timeouts,
-            },
-        }
+            self.store.count("evaluation_phase_seconds", endpoint, name,
+                             by=float(seconds))

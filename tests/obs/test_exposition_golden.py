@@ -1,20 +1,24 @@
-"""Golden Prometheus exposition of the daemon and the gateway.
+"""Golden ``/metrics`` of the daemon and the gateway, JSON and Prometheus.
 
 Each snapshot below is built deterministically through the real metric
-classes; the rendered text must match the committed golden file byte
-for byte.  The full daemon snapshot fills every conditional family
+store; the rendered text must match the committed ``.prom`` golden file
+byte for byte, and the snapshot must equal the committed ``.json``
+golden file as parsed JSON (key order aside).  The full daemon snapshot fills every conditional family
 (ladder escalations, audit, breakers, faults, delta drift, optimize
 improvement, GC); the bare one pins the defaults of an idle daemon.
 """
 
 from pathlib import Path
 
+import json
+
 import pytest
 
-from repro.cluster.gateway import GatewayMetrics, render_gateway_prometheus
+from repro.cluster.gateway import GATEWAY_FAMILIES, render_gateway_prometheus
 from repro.cluster.membership import MembershipController
-from repro.obs import parse_prometheus_text, render_prometheus
+from repro.obs import MetricStore, parse_prometheus_text, render_prometheus
 from repro.obs.audit import AccuracyAuditor
+from repro.obs.prometheus import SERVICE_FAMILIES
 from repro.resilience.breaker import CircuitBreaker
 from repro.service.metrics import ServiceMetrics
 
@@ -30,25 +34,29 @@ class _Clock:
 
 
 def daemon_bare_snapshot() -> dict:
-    return ServiceMetrics(jobs=1, clock=_Clock()).snapshot({})
+    return MetricStore(SERVICE_FAMILIES).snapshot({
+        "uptime_seconds": 0.0, "breakers": {}, "cache": {}, "workers.jobs": 1,
+    })
 
 
 def daemon_full_snapshot() -> dict:
     clock = _Clock()
-    metrics = ServiceMetrics(jobs=2, clock=clock)
+    store = MetricStore(SERVICE_FAMILIES)
+    metrics = ServiceMetrics(store)
     for endpoint, status, seconds in [
         ("advise", "ok", 0.004), ("advise", "ok", 1.7), ("predict", "ok", 0.2),
         ("predict", "error", 0.03), ("classify", "degraded", 0.001),
         ("sweep", "ok", 12.0), ("delta", "error", 0.002),
     ]:
-        metrics.observe_request(endpoint, status, seconds)
-    metrics.evaluations["predict"] += 3
-    metrics.evaluations["advise"] += 1
-    metrics.coalesced["advise"] += 2
-    metrics.cache_served["advise"]["memory"] += 4
-    metrics.cache_served["predict"]["disk"] += 1
-    metrics.degraded["classify"]["breaker_open"] += 1
-    metrics.degraded["predict"]["pool_saturated"] += 2
+        store.count("requests", endpoint, status)
+        store.observe("latency_seconds", endpoint, value=seconds)
+    store.count("evaluations", "predict", by=3)
+    store.count("evaluations", "advise")
+    store.count("coalesced", "advise", by=2)
+    store.count("cache_served", "advise", "memory", by=4)
+    store.count("cache_served", "predict", "disk")
+    store.count("degraded", "classify", "breaker_open")
+    store.count("degraded", "predict", "pool_saturated", by=2)
     metrics.observe_ladder("predict", 0, 0)
     metrics.observe_ladder("predict", 1, 1)
     metrics.observe_ladder("advise", 2, 2)
@@ -63,12 +71,12 @@ def daemon_full_snapshot() -> dict:
     metrics.observe_delta("advise", {"path": "incremental", "drift": 0.01})
     metrics.observe_delta("predict", {"path": "tier0", "drift": 0.3})
     metrics.observe_delta("advise", {"path": "fallback", "reason": "budget"})
-    metrics.peer_fill["hit"] += 2
-    metrics.peer_fill["miss"] += 1
-    metrics.cache_peek["hit"] += 1
+    store.count("peer_fill", "hit", by=2)
+    store.count("peer_fill", "miss")
+    store.count("cache_peek", "hit")
     metrics.observe_gc({"deleted": 3, "deleted_bytes": 4096, "quarantined": 1})
-    metrics.faults_injected["pool.submit:error"] += 2
-    metrics.faults_injected["cache.disk_read:corrupt"] += 1
+    store.count("faults_injected", "pool.submit:error", by=2)
+    store.count("faults_injected", "cache.disk_read:corrupt")
     metrics.observe_phases("predict", {"evaluate": 0.25,
                                        "method_b.stack_pass": 0.5})
     metrics.observe_phases("advise", {"ladder.tier1": 0.125})
@@ -76,8 +84,8 @@ def daemon_full_snapshot() -> dict:
     metrics.enqueue()
     metrics.dequeue()
     metrics.worker_started()
-    metrics.worker_restarts += 1
-    metrics.timeouts += 2
+    store.count("workers.restarts")
+    store.count("workers.timeouts", by=2)
 
     tripped = CircuitBreaker(failure_threshold=2, recovery_seconds=30.0,
                              clock=clock)
@@ -108,9 +116,14 @@ def daemon_full_snapshot() -> dict:
         "disk": {"hits": 2, "misses": 4, "corrupt": 1, "enabled": True},
     }
     clock.now += 2.5
-    snapshot = metrics.snapshot(cache_stats, breakers)
-    snapshot["audit"] = auditor.snapshot()
-    return snapshot
+    return store.snapshot({
+        "uptime_seconds": clock.now - 100.0,
+        "breakers": {endpoint: breaker.snapshot()
+                     for endpoint, breaker in sorted(breakers.items())},
+        "cache": cache_stats,
+        "workers.jobs": 2,
+        "audit": auditor.snapshot(),
+    })
 
 
 def gateway_snapshot() -> dict:
@@ -122,27 +135,27 @@ def gateway_snapshot() -> dict:
     membership.observe_probe(membership.replica_for("127.0.0.1:9002"),
                              {"ok": True})
     membership.mark_down("127.0.0.1:9001", "TimeoutError")
-    metrics = GatewayMetrics()
-    metrics.routed["advise"]["127.0.0.1:9001"] += 5
-    metrics.routed["advise"]["127.0.0.1:9002"] += 3
-    metrics.routed["predict"]["127.0.0.1:9002"] += 1
-    metrics.failovers += 2
-    metrics.delta_retargets += 1
-    metrics.exhausted += 1
-    metrics.no_replicas += 1
-    metrics.peer_hints += 4
-    metrics.bad_requests += 2
-    metrics.batches += 2
-    metrics.batch_items["ok"] += 6
-    metrics.batch_items["error"] += 1
-    metrics.batch_items["invalid"] += 1
-    metrics.batch_inflight_peak = 3
+    store = MetricStore(GATEWAY_FAMILIES)
+    store.count("routed", "advise", "127.0.0.1:9001", by=5)
+    store.count("routed", "advise", "127.0.0.1:9002", by=3)
+    store.count("routed", "predict", "127.0.0.1:9002")
+    store.count("failovers", by=2)
+    store.count("delta_retargets")
+    store.count("exhausted")
+    store.count("no_replicas")
+    store.count("peer_hints", by=4)
+    store.count("bad_requests", by=2)
+    store.count("batch.batches", by=2)
+    store.count("batch.items", "ok", by=6)
+    store.count("batch.items", "error")
+    store.count("batch.items", "invalid")
+    store.peak("batch.inflight_peak", value=3)
     for endpoint, seconds in [("advise", 0.002), ("advise", 0.04),
                               ("predict", 0.9)]:
-        metrics.latency[endpoint].observe(seconds)
-    snapshot = metrics.snapshot(membership)
-    snapshot["uptime_seconds"] = 42.5  # wall clock: pinned for the golden
-    return snapshot
+        store.observe("latency_seconds", endpoint, value=seconds)
+    # uptime is wall clock: pinned for the golden
+    return store.snapshot({"uptime_seconds": 42.5,
+                           "membership": membership.snapshot()})
 
 
 CASES = {
@@ -157,3 +170,23 @@ def test_exposition_matches_golden_bytes(golden):
     text = CASES[golden]()
     assert text.encode() == (GOLDEN / golden).read_bytes()
     parse_prometheus_text(text)  # and it stays valid exposition
+
+
+JSON_CASES = {
+    "daemon_bare.json": daemon_bare_snapshot,
+    "daemon_full.json": daemon_full_snapshot,
+    "gateway.json": gateway_snapshot,
+}
+
+
+def _canonical(value) -> str:
+    # sorted keys: key order may differ, but an int turning into a float
+    # (or any other value change) must not
+    return json.dumps(value, sort_keys=True)
+
+
+@pytest.mark.parametrize("golden", sorted(JSON_CASES))
+def test_json_snapshot_matches_golden(golden):
+    snapshot = json.loads(json.dumps(JSON_CASES[golden]()))
+    expected = json.loads((GOLDEN / golden).read_text())
+    assert _canonical(snapshot) == _canonical(expected)

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.obs import LatencyHistogram, parse_prometheus_text, render_prometheus
+from repro.obs import (
+    LatencyHistogram,
+    MetricStore,
+    parse_prometheus_text,
+    render_prometheus,
+)
+from repro.obs.prometheus import SERVICE_FAMILIES, Family
 from repro.service.metrics import ServiceMetrics
 
 CACHE_STATS = {
@@ -14,16 +20,20 @@ CACHE_STATS = {
 
 
 def _snapshot():
-    metrics = ServiceMetrics(jobs=2, clock=lambda: 10.0)
-    metrics.observe_request("sweep", "ok", 0.02)
-    metrics.observe_request("sweep", "ok", 4.0)
-    metrics.observe_request("advise", "error", 0.3)
-    metrics.evaluations["sweep"] += 2
-    metrics.coalesced["sweep"] += 1
-    metrics.cache_served["sweep"]["memory"] += 1
+    store = MetricStore(SERVICE_FAMILIES)
+    for endpoint, status, seconds in [("sweep", "ok", 0.02),
+                                      ("sweep", "ok", 4.0),
+                                      ("advise", "error", 0.3)]:
+        store.count("requests", endpoint, status)
+        store.observe("latency_seconds", endpoint, value=seconds)
+    store.count("evaluations", "sweep", by=2)
+    store.count("coalesced", "sweep")
+    store.count("cache_served", "sweep", "memory")
+    metrics = ServiceMetrics(store)
     metrics.observe_phases("sweep", {"simulate": 1.5, "model_a": 0.5})
     metrics.observe_phases("sweep", {"simulate": 0.5})
-    return metrics.snapshot(CACHE_STATS)
+    return store.snapshot({"uptime_seconds": 0.0, "breakers": {},
+                           "cache": CACHE_STATS, "workers.jobs": 2})
 
 
 def test_rendered_snapshot_parses_under_the_strict_reader():
@@ -114,3 +124,37 @@ def test_latency_histogram_is_shared_between_obs_and_service():
     assert snap["count"] == 2
     assert snap["buckets"]["+Inf"] == 2
     assert snap["buckets"]["0.005"] == 1
+
+
+def test_store_keeps_each_family_in_the_shape_of_its_path():
+    store = MetricStore((
+        Family("up", "gauge", "Uptime.", "up", view=True),
+        Family("hits_total", "counter", "Hits.", "hits.*.*", ("a", "b")),
+        Family("depth", "gauge", "Depth.", "queue.depth"),
+        Family("peak", "gauge", "Peak.", "queue.peak"),
+        Family("wait", "histogram", "Wait.", "wait", buckets=(1.0,)),
+    ))
+    assert store.count("hits", "x", 2) == 1
+    assert store.count("hits", "x", 2, by=2) == 3
+    store.peak("queue.peak", value=store.count("queue.depth", by=4))
+    store.count("queue.depth", by=-1)
+    store.observe("wait", value=0.5)
+    assert store.value("queue.depth") == 3
+    assert store.snapshot({"up": 1.5}) == {
+        "up": 1.5,
+        "hits": {"x": {"2": 3}},
+        "queue": {"depth": 3, "peak": 4},
+        "wait": {"count": 1, "sum_seconds": 0.5,
+                 "buckets": {"1.0": 1, "+Inf": 1},
+                 "quantiles": {"p50": 0.5, "p95": 0.95, "p99": 0.99}},
+    }
+    with pytest.raises(ValueError, match="one label value per"):
+        store.count("hits", "x")
+
+
+def test_store_rejects_a_stored_path_it_cannot_hold():
+    with pytest.raises(ValueError, match="must come last"):
+        MetricStore((Family("x", "counter", "X.", "a.*.b", ("k",)),))
+    with pytest.raises(ValueError, match="stored twice"):
+        MetricStore((Family("x", "counter", "X.", "a"),
+                     Family("y", "counter", "Y.", "a")))

@@ -23,4 +23,6 @@ production computes faster.  None of them is importable from ``src/``.
   :func:`repro.experiments.common.measure_matrix`.
 * :mod:`.encoding` — per-element JSON conversion, checks
   :func:`repro.analysis.report.canonical_json`.
+* :mod:`.exhaustive` — every reordering candidate priced at tier 2,
+  checks the confirmed winner of :func:`repro.optimize.optimize`.
 """

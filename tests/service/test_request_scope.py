@@ -108,8 +108,9 @@ def test_gateway_answers_an_escaping_error_as_internal_error():
     snapshot = gateway.traces.snapshot()
     assert snapshot["in_flight"] == []
     assert [entry["status"] for entry in snapshot["traces"]] == ["error"]
-    assert gateway.metrics.latency["classify"].snapshot()["count"] == 1
-    assert gateway.metrics.bad_requests == 0
+    metrics = gateway.metrics_snapshot()
+    assert metrics["latency_seconds"]["classify"]["count"] == 1
+    assert metrics["bad_requests"] == 0
 
 
 def test_cancelled_request_drops_its_in_flight_trace():
@@ -133,4 +134,4 @@ def test_cancelled_request_drops_its_in_flight_trace():
     gateway = asyncio.run(scenario())
     snapshot = gateway.traces.snapshot()
     assert snapshot["in_flight"] == [] and snapshot["traces"] == []
-    assert "classify" not in gateway.metrics.latency
+    assert "classify" not in gateway.metrics_snapshot()["latency_seconds"]
