@@ -58,9 +58,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--peer-window", type=float,
                         default=gateway["peer_window_seconds"],
                         help="seconds remapped keys carry warm-cache peer "
-                             "hints after a membership change")
-    parser.add_argument("--no-peer-fill", action="store_true",
-                        help="never attach peer hints (rebalances re-evaluate)")
+                             "hints after a membership change (0 disables "
+                             "the hints)")
     parser.add_argument("--batch-window", type=int,
                         default=gateway["batch_window"],
                         help="default in-flight window for /batch")
@@ -115,7 +114,6 @@ def main(argv: list[str] | None = None) -> int:
             probe_timeout_seconds=args.probe_timeout,
             fail_after=args.fail_after,
             peer_window_seconds=args.peer_window,
-            peer_fill=not args.no_peer_fill,
             forward_timeout_seconds=args.forward_timeout,
             batch_window=args.batch_window,
             event_log_path=args.event_log,

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from ..service.protocol import (
     ENDPOINTS,
     RequestError,
+    _cast,
     matrix_name,
     normalize_request,
     request_key,
@@ -96,10 +97,8 @@ def normalize_batch(payload: object, default_window: int) -> BatchSpec:
     items = payload.get("items")
     if not isinstance(items, list) or not items:
         raise RequestError("'items' must be a non-empty list of matrix objects")
-    try:
-        window = int(payload.get("window", default_window))
-    except (TypeError, ValueError):
-        raise RequestError("window must be an integer") from None
+    window = _cast(payload.get("window", default_window), int,
+                   "window must be an integer")
     if window < 1:
         raise RequestError("window must be positive")
     window = min(window, MAX_WINDOW)

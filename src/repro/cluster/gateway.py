@@ -98,10 +98,8 @@ class GatewayConfig:
     #: consecutive failed probes that eject a replica
     fail_after: int = 1
     #: seconds after a membership change during which remapped keys carry
-    #: a peer hint toward their previous owner's warm cache
+    #: a peer hint toward their previous owner's warm cache (0 = never)
     peer_window_seconds: float = 120.0
-    #: attach peer hints at all (off = rebalances re-evaluate)
-    peer_fill: bool = True
     #: per-forward ceiling; requests may carry their own smaller timeout
     forward_timeout_seconds: float = 300.0
     #: default and per-request in-flight window for /batch
@@ -271,13 +269,12 @@ class ClusterGateway(HttpApp):
                 ), None
             replica = candidates[0]
             body = json.dumps(payload).encode()
-            if self.config.peer_fill:
-                peer = self.membership.peer_for(key)
-                if peer is not None and peer.node != replica.node:
-                    hinted = dict(payload)
-                    hinted["peer"] = {"host": peer.host, "port": peer.port}
-                    body = json.dumps(hinted).encode()
-                    self.metrics.count("peer_hints")
+            peer = self.membership.peer_for(key)
+            if peer is not None and peer.node != replica.node:
+                hinted = dict(payload)
+                hinted["peer"] = {"host": peer.host, "port": peer.port}
+                body = json.dumps(hinted).encode()
+                self.metrics.count("peer_hints")
             forward = request_span(tracer, "gateway.forward", replica=replica.node)
             with forward:
                 try:

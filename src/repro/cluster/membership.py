@@ -141,7 +141,7 @@ class MembershipController:
         window — the warm peer a remapped key should ``/cache/peek``."""
         if self._previous_ring is None or self._changed_at is None:
             return None
-        if self._clock() - self._changed_at > self.peer_window_seconds:
+        if self._clock() - self._changed_at >= self.peer_window_seconds:
             return None
         current = self.ring.owner(key)
         previous = self._previous_ring.owner(key)
@@ -245,6 +245,6 @@ class MembershipController:
             "ownership": self.ring.ownership_shares(1024),
             "peer_window_open": (
                 self._changed_at is not None
-                and self._clock() - self._changed_at <= self.peer_window_seconds
+                and self._clock() - self._changed_at < self.peer_window_seconds
             ),
         }

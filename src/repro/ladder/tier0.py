@@ -20,9 +20,9 @@ the stack-pass term replaced by its analytic envelope:
 ``predict``/``advise`` answers are approximations whose error the ladder
 bounds per request (see :mod:`repro.ladder.calibration`).
 
-This module is also the engine of the service's degraded mode —
-:mod:`repro.resilience.degraded` re-exports it — so degraded answers and
-ladder tier-0 answers are one implementation.  Everything works on
+This module is also the engine of the service's degraded mode (the
+daemon calls :func:`answer_task`), so degraded answers and ladder tier-0
+answers are one implementation.  Everything works on
 :class:`MatrixDims` — the three integers that determine every byte count
 — so named collection matrices only pay one materialization ever (dims
 are memoized) and inline matrices pay none.

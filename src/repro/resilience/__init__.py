@@ -18,14 +18,12 @@ testable.  This package supplies both halves, stdlib-only:
   rng, clock, sleep), used by :class:`repro.service.ServiceClient`.
 * :mod:`~repro.resilience.breaker` — a per-endpoint closed/open/half-open
   circuit breaker with counted transitions, exported via ``/metrics``.
-* :mod:`~repro.resilience.degraded` — approximate ``classify``/
-  ``predict``/``advise`` answers from Method B's closed forms alone
-  (scaling factors s1/s2 + streaming-miss terms), the daemon's
-  degraded-mode response when the pool is unavailable.
+
+The daemon's degraded-mode answers, when the pool is unavailable, are
+the fidelity ladder's tier 0 (:func:`repro.ladder.tier0.answer_task`).
 """
 
 from .breaker import CLOSED, HALF_OPEN, OPEN, STATE_VALUES, CircuitBreaker
-from .degraded import MatrixDims, degraded_advise, degraded_classify, degraded_predict
 from .faults import (
     KINDS,
     KNOWN_SITES,
@@ -56,11 +54,7 @@ __all__ = [
     "FaultInjected",
     "FaultPlan",
     "FaultRule",
-    "MatrixDims",
     "call_with_retries",
-    "degraded_advise",
-    "degraded_classify",
-    "degraded_predict",
     "fire",
     "get_plan",
     "install",

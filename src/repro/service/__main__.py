@@ -21,7 +21,9 @@ from ..resilience.schema import validate_plan
 from .app import ServiceConfig, run_server
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The daemon's flags, each defaulting to its :class:`ServiceConfig`
+    field (docs/OPERATIONS.md §1 has one row per flag)."""
     defaults = ServiceConfig()
     parser = argparse.ArgumentParser(prog="python -m repro.service",
                                      description=__doc__)
@@ -131,6 +133,11 @@ def main(argv: list[str] | None = None) -> int:
                              "incremental engine (summed dirty reuse-window "
                              "elements; past it a delta falls back to full "
                              "re-evaluation, 0 forces the fallback always)")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
     fault_plan = None
     if args.fault_plan is not None:

@@ -46,7 +46,7 @@ from ..experiments.common import cache_entry_path
 from ..experiments.pool import fork_executor
 from ..ladder.calibration import DEFAULT_CALIBRATION
 from ..ladder.engine import fidelity_payload, has_ladder_flags, tier2_apriori_bound
-from ..ladder.tier0 import dims_from_task, num_cmgs
+from ..ladder.tier0 import answer_task, dims_from_task, num_cmgs
 from ..obs import events as obs_events
 from ..obs.audit import AccuracyAuditor, compare_results
 from ..obs.events import DEFAULT_MAX_BYTES, EventLog
@@ -56,7 +56,6 @@ from ..obs.tracer import Tracer
 from ..obs.tree import TraceTree
 from ..resilience import faults
 from ..resilience.breaker import CircuitBreaker
-from ..resilience.degraded import answer_task as degraded_answer
 from ..resilience.faults import FaultPlan
 from .cache import TieredResultCache, gc_sweep
 from .httpd import (
@@ -74,6 +73,7 @@ from .protocol import (
     ENDPOINTS,
     RequestError,
     derive_delta_task,
+    keyed_form,
     matrix_name,
     normalize_delta,
     normalize_request,
@@ -214,8 +214,9 @@ class _DegradedService(Exception):
     """The pool cannot take this evaluation; answer analytically or shed.
 
     Raised by admission control (breaker open, saturation — injected or
-    natural) and caught in :meth:`LocalityService._handle_model`, which
-    either answers from :mod:`repro.resilience.degraded` or, when no
+    natural) and caught in :meth:`LocalityService._finish_task`, which
+    either answers from Method B's closed forms
+    (:func:`repro.ladder.tier0.answer_task`) or, when no
     analytic surrogate exists (``sweep``) or degraded mode is off,
     responds 503 with a retry hint.
     """
@@ -366,8 +367,7 @@ class LocalityService(HttpApp):
         """
         if not isinstance(payload, dict) or not isinstance(payload.get("task"), dict):
             raise RequestError("expected a JSON object with a 'task' object")
-        task = dict(payload["task"])
-        task.pop("peer", None)
+        task = payload["task"]
         if task.get("endpoint") not in ENDPOINTS:
             raise RequestError(f"unknown endpoint {task.get('endpoint')!r}")
         try:
@@ -521,13 +521,14 @@ class LocalityService(HttpApp):
                                        envelope=envelope)
 
     def _keyed(self, task: dict, register: bool) -> str:
-        """The task's request key, registering the task under it when
-        asked: the key's own encoding is the registry record, so an
+        """The task's request key, registering its keyed form under it
+        when asked: the key's own encoding is the registry record, so an
         inline matrix is encoded once for both."""
         if not register:
             return request_key(task)
-        key, record = request_key(task, with_record=True)
-        self.registry.put(key, task, record)
+        keyed = keyed_form(task)
+        key, record = request_key(keyed, with_record=True)
+        self.registry.put(key, keyed, record)
         return key
 
     def _ladder_defaults(self, task: dict) -> None:
@@ -551,15 +552,15 @@ class LocalityService(HttpApp):
         The shared tail of ``_handle_model`` and ``_handle_delta``: the
         resolve pipeline inside the request's trace, degraded/error
         handling, and the wire envelope.  ``envelope`` entries are
-        merged into every response (success or not); worker-side delta
-        metadata (``task["_delta_meta"]``, attached by the resolve path)
-        is folded into the envelope's ``"delta"`` object.
+        merged into every response (success or not); the delta metadata
+        of a fresh delta evaluation is folded into the envelope's
+        ``"delta"`` object.
         """
         extra = envelope or {}
         scope.endpoint, scope.key = endpoint, key
         try:
             with scope.traced(task):
-                result, cached, trace, fidelity = await self._resolve(
+                result, cached, trace, fidelity, meta = await self._resolve(
                     endpoint, task, key, plan, peer, tracer=scope.tracer
                 )
         except _DegradedService as exc:
@@ -609,7 +610,6 @@ class LocalityService(HttpApp):
             self.metrics.count("cache_served", endpoint, cached)
         response = {"ok": True, "endpoint": endpoint, "key": key,
                     "cached": cached, "result": result} | extra
-        meta = task.pop("_delta_meta", None)
         if meta is not None:
             response.setdefault("delta", {}).update(meta)
         if fidelity is not None:
@@ -628,14 +628,17 @@ class LocalityService(HttpApp):
         plan: faults.FaultPlan | None,
         peer: dict | None = None,
         tracer: Tracer | None = None,
-    ) -> tuple[dict, str | None, dict | None, dict | None]:
+    ) -> tuple[dict, str | None, dict | None, dict | None, dict | None]:
         """Resolve a key via cache, peer fill, coalescing, or a fresh
         evaluation.
 
-        Returns ``(result, cache_tier, span_tree, fidelity)``; the span
-        tree is only non-None for a fresh evaluation of a ``"trace":
-        true`` task, and fidelity only for ladder requests (see
-        :meth:`_resolve_ladder`).
+        Returns ``(result, cache_tier, span_tree, fidelity, delta)``; the
+        span tree is only non-None for a fresh evaluation of a ``"trace":
+        true`` task, fidelity only for ladder requests (see
+        :meth:`_resolve_ladder`), and the delta metadata only for a fresh
+        evaluation of a delta task — the envelope carries it, never the
+        (byte-identical) cached result; cache hits and coalesced followers
+        ran no patch.
 
         ``plan`` is the request's own fault plan (None for normal
         requests, which still consult the daemon-wide ambient plan at the
@@ -655,7 +658,7 @@ class LocalityService(HttpApp):
         if result is not None:
             # cache hits bypass admission control: they cost no pool slot,
             # so an open breaker or a saturated queue does not refuse them
-            return result, tier, None, _embedded_fidelity(endpoint, result)
+            return result, tier, None, _embedded_fidelity(endpoint, result), None
 
         chaos = plan is not None
         if not chaos:
@@ -665,7 +668,7 @@ class LocalityService(HttpApp):
                 with request_span(tracer, "coalesce.wait"):
                     result = await asyncio.shield(pending)
                 return (result, "coalesced", None,
-                        _embedded_fidelity(endpoint, result))
+                        _embedded_fidelity(endpoint, result), None)
 
         if peer is not None:
             if chaos:
@@ -682,7 +685,7 @@ class LocalityService(HttpApp):
                     # next hit is local — this replica owns the key now
                     self._cache_write(key, fetched, disk_path, disk_format)
                     return (fetched, "peer", None,
-                            _embedded_fidelity(endpoint, fetched))
+                            _embedded_fidelity(endpoint, fetched), None)
 
         payload = await self._run(endpoint, task, plan, tracer,
                                   lead=None if chaos else key)
@@ -694,12 +697,13 @@ class LocalityService(HttpApp):
             self.meter.observe_optimize(result)
         if not chaos:
             self._cache_write(key, result, disk_path, disk_format)
-        return result, None, payload.get("trace"), _embedded_fidelity(endpoint, result)
+        return (result, None, payload.get("trace"),
+                _embedded_fidelity(endpoint, result), payload.get("delta"))
 
     async def _resolve_ladder(
         self, endpoint: str, task: dict, key: str,
         plan: faults.FaultPlan | None, tracer: Tracer | None = None,
-    ) -> tuple[dict, str | None, dict | None, dict]:
+    ) -> tuple[dict, str | None, dict | None, dict, dict | None]:
         """Resolve a fidelity-ladder request (``accuracy``/``max_tier`` set).
 
         Cache policy: tier-2 answers live under the *plain* request key —
@@ -722,11 +726,11 @@ class LocalityService(HttpApp):
                 result, tier = self._cache_read(key, disk_path, plan)
                 if result is not None:
                     sp.annotate(tier=tier)
-                    return result, tier, None, self._cached_fidelity(2, task)
+                    return result, tier, None, self._cached_fidelity(2, task), None
             result, tier = self._cache_read(t3_key, t3_path, faultable=False)
             if result is not None:
                 sp.annotate(tier=tier)
-                return result, tier, None, self._cached_fidelity(3, task)
+                return result, tier, None, self._cached_fidelity(3, task), None
             sp.annotate(tier="miss")
 
         payload = await self._run(endpoint, task, plan, tracer)
@@ -743,7 +747,7 @@ class LocalityService(HttpApp):
                 self._cache_write(t3_key, result, t3_path)
             if answered in (0, 1):
                 self._offer_audit(endpoint, task, key, answered, result)
-        return result, None, payload.get("trace"), fidelity
+        return result, None, payload.get("trace"), fidelity, payload.get("delta")
 
     def _cache_read(self, key: str, disk_path: Path | None,
                     plan: faults.FaultPlan | None = None,
@@ -809,10 +813,6 @@ class LocalityService(HttpApp):
         self.meter.observe_phases(endpoint, payload.get("phase_seconds", {}))
         meta = payload.get("delta")
         if meta is not None:
-            # delta metadata rides back to _finish_task on the task: the
-            # envelope carries it, never the (byte-identical) cached
-            # result; cache hits and coalesced followers ran no patch
-            task["_delta_meta"] = meta
             self.meter.observe_delta(endpoint, meta)
         return payload
 
@@ -846,11 +846,8 @@ class LocalityService(HttpApp):
                 or not auditor.should_sample(key)):
             return
         trace_id = (task.get("trace_context") or {}).get("trace_id")
-        stripped = {k: v for k, v in task.items()
-                    if k not in ("accuracy", "max_tier", "trace",
-                                 "trace_context", "timeout", "faults")}
         if auditor.offer({"endpoint": endpoint, "key": key, "tier": tier,
-                          "task": stripped, "result": result,
+                          "task": keyed_form(task), "result": result,
                           "trace_id": trace_id}):
             obs_events.emit("audit.sample", trace_id=trace_id,
                             endpoint=endpoint, key=key, tier=tier)
@@ -858,11 +855,11 @@ class LocalityService(HttpApp):
     async def audit_loop(self, poll_seconds: float = 0.05) -> None:
         """Drain the audit backlog whenever the pool is idle.
 
-        Politeness is the invariant the latency benchmark pins: an audit
-        evaluation is only submitted when no foreground request is queued
-        and a pool slot is free, so ``--audit-rate`` never blocks the hot
-        path — at worst a foreground burst briefly waits behind one
-        in-flight audit evaluation, the same as behind any other request.
+        Politeness is the invariant: an audit evaluation is only
+        submitted when no foreground request is queued and a pool slot
+        is free, so ``--audit-rate`` never blocks the hot path — at worst
+        a foreground burst briefly waits behind one in-flight audit
+        evaluation, the same as behind any other request.
         """
         while self.auditor is not None:
             await asyncio.sleep(poll_seconds)
@@ -878,7 +875,7 @@ class LocalityService(HttpApp):
     async def _audit_once(self, item: dict) -> None:
         """Re-answer one sampled delivery exactly and score the error.
 
-        The reference pass is the stripped task as a plain request — the
+        The reference pass is the keyed task as a plain request — the
         tier-2 ladder answer — served from the shared plain-key cache
         when a plain or escalated request already warmed
         it, and cached back otherwise (an audit evaluation is a normal
@@ -987,7 +984,7 @@ class LocalityService(HttpApp):
             return None
         try:
             machine = setup_from_task(task).machine()
-            return degraded_answer(task, machine, matrix_name(task))
+            return answer_task(task, machine, matrix_name(task))
         except Exception:  # noqa: BLE001 - degrade to 503, never to a hang
             return None
 

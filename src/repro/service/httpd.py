@@ -9,7 +9,7 @@ routes and background loops.  It holds:
   for ``Connection: close``, and :func:`respond` only closes when told
   to.  Persistent connections matter here — the warm path is a
   dictionary lookup, so the TCP+handshake round trip would otherwise
-  dominate (see ``benchmarks/bench_service.py``);
+  dominate (``perfbench`` ``warm_gateway`` times that path);
 * :class:`HttpApp`, the routes every server answers the same way
   (``GET /healthz``, ``/metrics``, ``/debug/traces``, 404/405,
   ``POST /shutdown``) with the app's own ``POST`` routes behind them,

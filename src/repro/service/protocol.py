@@ -25,11 +25,13 @@ Every value is plain JSON except an inline matrix's index and value
 lists, which are read-only NumPy arrays from parse to worker (indices
 int32, or int64 when one does not fit; values float64);
 :func:`~repro.analysis.report.canonical_json` encodes them to the same
-bytes as the lists they came from.  :func:`request_key` hashes that
-canonical form — it is the key of the result cache and of in-flight
-coalescing.  The builder functions at the bottom
-(:func:`setup_from_task`, :func:`matrix_from_task`) run inside pool
-workers to reconstruct model inputs from a task.
+bytes as the lists they came from.  :func:`request_key` hashes the
+task's :func:`keyed_form` — the task without its per-request
+:data:`REQUEST_FLAGS` — and is the key of the result cache, of in-flight
+coalescing, of the stored ``/delta`` bases and of ring placement.  The
+builder functions at the bottom (:func:`setup_from_task`,
+:func:`matrix_from_task`) run inside pool workers to reconstruct model
+inputs from a task.
 """
 
 from __future__ import annotations
@@ -146,6 +148,119 @@ def _index_array(values: object, label: str) -> np.ndarray:
 def _value_array(values: object, label: str) -> np.ndarray:
     return _array(values, label, frozenset({int, float}), float, np.float64,
                   "numbers", "numbers within float64 range")
+
+
+# ----------------------------------------------------------------------
+# the task vocabulary: the keyed form and the per-request flags
+# ----------------------------------------------------------------------
+
+#: Task fields that steer *how* a request is answered, never *what* a
+#: correct evaluation computes, so they stay out of :func:`keyed_form`
+#: and requests differing only in them share one key, one cached result,
+#: one stored ``/delta`` base and one ring owner:
+#:
+#: * ``accuracy``/``max_tier`` pick a fidelity-ladder tier; every tier
+#:   answers the same question (the daemon decides per tier what to read
+#:   and write under the key — see :mod:`repro.service.app`);
+#: * ``timeout`` bounds the wait, ``trace`` shapes the presentation and
+#:   ``trace_context`` correlates the trace;
+#: * ``peer`` steers cache fill (the gateway's warm-cache hint);
+#: * ``faults`` perturbs the execution (fault-carrying requests only
+#:   *read* what a healthy request stored);
+#: * ``delta_budget`` is the daemon's patch-work ceiling, injected into
+#:   derived delta tasks: in-budget and fallback evaluations answer byte
+#:   for byte alike.
+#:
+#: ``optimize`` keeps its ``accuracy`` in the key: there it shapes the
+#: *search* (the confirmation tier is part of the result).
+REQUEST_FLAGS = ("accuracy", "max_tier", "timeout", "trace", "trace_context",
+                 "peer", "faults", "delta_budget")
+
+_UNKEYED = frozenset(REQUEST_FLAGS)
+_OPTIMIZE_UNKEYED = _UNKEYED - {"accuracy"}
+
+
+def keyed_form(task: dict) -> dict:
+    """The computation a task asks for: the task without its
+    :data:`REQUEST_FLAGS` (``optimize`` keeps ``accuracy``).
+
+    :func:`request_key` hashes it, the stored-task registry keeps it,
+    ``/delta`` derives from it and the accuracy audit re-answers it.
+    """
+    unkeyed = _OPTIMIZE_UNKEYED if task.get("endpoint") == "optimize" else _UNKEYED
+    return {k: v for k, v in task.items() if k not in unkeyed}
+
+
+def _bounded(name: str, caster, kind: str, check, bound: str):
+    def parse(value):
+        if value is None:
+            return None
+        value = _cast(value, caster, f"{name} must be {kind}")
+        _require(check(value), f"{name} must be {bound}")
+        return value
+    return parse
+
+
+def _trace_context(context: object) -> dict:
+    # distributed-trace hop carried in the envelope (or injected from the
+    # X-Repro-Trace header): the caller's (trace_id, span_id); the daemon
+    # childs its own span off it
+    problems = validate_context_dict(context)
+    _require(not problems, "invalid trace_context: " + "; ".join(problems))
+    return {"trace_id": context["trace_id"], "span_id": context["span_id"]}
+
+
+def _peer(peer: object) -> dict:
+    # warm-cache fill hint attached by the cluster gateway after a
+    # rebalance: on a full cache miss the daemon asks this peer's
+    # /cache/peek for the key before evaluating
+    _require(isinstance(peer, dict) and isinstance(peer.get("host"), str)
+             and peer["host"] != "",
+             "'peer' must be an object with a host string")
+    port = _cast(peer.get("port"), int, "peer.port must be an integer")
+    _require(0 < port < 65536, "peer.port out of range")
+    return {"host": peer["host"], "port": port}
+
+
+def _faults(plan: object) -> object:
+    # chaos-testing flag (the daemon refuses it unless started with
+    # --allow-fault-injection); validated here so a malformed plan is a
+    # 400 with the schema problems spelled out
+    from ..resilience.schema import validate_plan
+
+    problems = validate_plan(plan)
+    _require(not problems, "invalid fault plan: " + "; ".join(problems))
+    return plan
+
+
+#: flag -> parser of its request-body value (``None``: leave it unset);
+#: ``delta_budget`` is the daemon's, never a body field
+_FLAG_PARSERS = {
+    "accuracy": _bounded("accuracy", float, "a number", lambda v: v > 0,
+                         "positive"),
+    "max_tier": _bounded("max_tier", int, "an integer",
+                         lambda v: 0 <= v <= 3, "between 0 and 3"),
+    "timeout": _bounded("timeout", float, "a number", lambda v: v > 0,
+                        "positive"),
+    # best-effort observability flag: a span tree comes back only when
+    # the request triggers a fresh evaluation
+    "trace": lambda value: True if value else None,
+    "trace_context": _trace_context,
+    "peer": _peer,
+    "faults": _faults,
+}
+_DELTA_FLAGS = ("accuracy", "max_tier", "timeout", "trace", "trace_context")
+
+
+def _parse_flags(payload: dict, names) -> dict:
+    """The request flags ``names`` a body sets, validated (400 otherwise)."""
+    flags = {}
+    for name in names:
+        if name in payload:
+            value = _FLAG_PARSERS[name](payload[name])
+            if value is not None:
+                flags[name] = value
+    return flags
 
 
 @lru_cache(maxsize=8)
@@ -321,65 +436,7 @@ def normalize_request(endpoint: str, payload: object) -> dict:
                  "optimize does not accept max_tier (the search screens at "
                  "tiers 0/1 and confirms at tier 2; use 'accuracy' to "
                  "loosen the confirmation)")
-        accuracy = payload.get("accuracy")
-        if accuracy is not None:
-            accuracy = _cast(accuracy, float, "accuracy must be a number")
-            _require(accuracy > 0, "accuracy must be positive")
-            task["accuracy"] = accuracy
-    else:
-        accuracy = payload.get("accuracy")
-        if accuracy is not None:
-            accuracy = _cast(accuracy, float, "accuracy must be a number")
-            _require(accuracy > 0, "accuracy must be positive")
-            task["accuracy"] = accuracy
-        max_tier = payload.get("max_tier")
-        if max_tier is not None:
-            max_tier = _cast(max_tier, int, "max_tier must be an integer")
-            _require(0 <= max_tier <= 3, "max_tier must be between 0 and 3")
-            task["max_tier"] = max_tier
-
-    timeout = payload.get("timeout")
-    if timeout is not None:
-        timeout = _cast(timeout, float, "timeout must be a number")
-        _require(timeout > 0, "timeout must be positive")
-        task["timeout"] = timeout
-    if payload.get("trace"):
-        # best-effort observability flag: a span tree comes back only when
-        # the request triggers a fresh evaluation (cached or coalesced
-        # responses carry "trace": null)
-        task["trace"] = True
-    if "trace_context" in payload:
-        # distributed-trace hop carried in the envelope (or injected from
-        # the X-Repro-Trace header): the caller's (trace_id, span_id); the
-        # daemon childs its own span off it.  Correlation metadata, not
-        # computation — excluded from the request key.
-        context = payload["trace_context"]
-        problems = validate_context_dict(context)
-        _require(not problems, "invalid trace_context: " + "; ".join(problems))
-        task["trace_context"] = {"trace_id": context["trace_id"],
-                                 "span_id": context["span_id"]}
-    if "peer" in payload:
-        # warm-cache fill hint attached by the cluster gateway after a
-        # rebalance: on a full cache miss the daemon asks this peer's
-        # /cache/peek for the key before evaluating.  Routing metadata,
-        # not computation — excluded from the request key.
-        peer = payload["peer"]
-        _require(isinstance(peer, dict) and isinstance(peer.get("host"), str)
-                 and peer["host"] != "",
-                 "'peer' must be an object with a host string")
-        port = _cast(peer.get("port"), int, "peer.port must be an integer")
-        _require(0 < port < 65536, "peer.port out of range")
-        task["peer"] = {"host": peer["host"], "port": port}
-    if "faults" in payload:
-        # chaos-testing flag (the daemon refuses it unless started with
-        # --allow-fault-injection); validated here so a malformed plan is
-        # a 400 with the schema problems spelled out
-        from ..resilience.schema import validate_plan
-
-        problems = validate_plan(payload["faults"])
-        _require(not problems,
-                 "invalid fault plan: " + "; ".join(problems))
-        task["faults"] = payload["faults"]
+    task.update(_parse_flags(payload, _FLAG_PARSERS))
     return task
 
 
@@ -392,8 +449,8 @@ def normalize_delta(payload: object) -> dict:
         {"base": "<32-hex request key>",
          "delta": {"inserts": [[r, c, v?], ...], "deletes": [[r, c], ...]}}
 
-    plus the optional per-request flags the model endpoints accept
-    (``accuracy``/``max_tier``/``timeout``/``trace``/``trace_context``).
+    plus the optional request flags of a model request, bar the
+    gateway's ``peer`` hint and ``faults`` (see :data:`REQUEST_FLAGS`).
     The batch is canonicalized through
     :class:`repro.delta.delta.MatrixDelta` — sorted, deduplicated,
     values explicit — so equal edits derive equal chained keys.  Base
@@ -413,25 +470,7 @@ def normalize_delta(payload: object) -> dict:
     except DeltaError as exc:
         raise RequestError(f"bad delta: {exc}") from None
     normalized: dict = {"base": base, "delta": batch}
-    for name, caster, check, message in (
-        ("accuracy", float, lambda v: v > 0, "accuracy must be positive"),
-        ("max_tier", int, lambda v: 0 <= v <= 3,
-         "max_tier must be between 0 and 3"),
-        ("timeout", float, lambda v: v > 0, "timeout must be positive"),
-    ):
-        value = payload.get(name)
-        if value is not None:
-            value = _cast(value, caster, f"{name} must be a number")
-            _require(check(value), message)
-            normalized[name] = value
-    if payload.get("trace"):
-        normalized["trace"] = True
-    if "trace_context" in payload:
-        context = payload["trace_context"]
-        problems = validate_context_dict(context)
-        _require(not problems, "invalid trace_context: " + "; ".join(problems))
-        normalized["trace_context"] = {"trace_id": context["trace_id"],
-                                       "span_id": context["span_id"]}
+    normalized.update(_parse_flags(payload, _DELTA_FLAGS))
     return normalized
 
 
@@ -442,12 +481,10 @@ def derive_delta_task(stored: dict, normalized: dict, delta_budget: int) -> dict
     extended) as a ``{"kind": "delta"}`` spec — so the inner endpoint,
     setup and endpoint knobs are inherited verbatim and the derived
     request key chains deterministically from the base content plus the
-    canonical batch.  Volatile flags never survive from the stored task;
-    the fresh request's own flags are applied instead.
+    canonical batch.  Only the stored task's :func:`keyed_form` carries
+    over; the flags are the delta request's own.
     """
-    task = {k: v for k, v in stored.items()
-            if k not in ("timeout", "trace", "trace_context", "faults",
-                         "peer", "accuracy", "max_tier", "delta_budget")}
+    task = keyed_form(stored)
     matrix = task["matrix"]
     if matrix["kind"] == "delta":
         task["matrix"] = {"kind": "delta", "base": matrix["base"],
@@ -455,47 +492,23 @@ def derive_delta_task(stored: dict, normalized: dict, delta_budget: int) -> dict
     else:
         task["matrix"] = {"kind": "delta", "base": matrix,
                           "batches": [normalized["delta"]]}
-    for flag in ("accuracy", "max_tier", "timeout", "trace", "trace_context"):
-        if flag in normalized:
-            task[flag] = normalized[flag]
+    task.update((k, v) for k, v in normalized.items() if k in REQUEST_FLAGS)
     task["delta_budget"] = int(delta_budget)
     return task
 
 
 def request_key(task: dict, *, with_record: bool = False):
-    """Cache/coalescing key of a canonical task.
-
-    The per-request ``timeout``, ``trace``, ``trace_context``, ``faults``
-    and ``peer`` flags are excluded: they bound the wait, shape the
-    presentation, correlate the trace, perturb the execution, or steer
-    cache fill, not the computation a correct evaluation performs, so
-    requests differing only in those share one result.  (Fault-carrying
-    requests never *write* the cache — the key only lets them read what a
-    healthy request stored.)  The fidelity-ladder flags ``accuracy`` and
-    ``max_tier`` are excluded too: every tier answers the *same* question,
-    so a ladder request whose SLO a cached exact (tier-2) result satisfies
-    should hit that entry, and a ladder answer that escalated to tier 2
-    warms the cache for plain requests (the daemon decides per tier what
-    to read and write — see :mod:`repro.service.app`).  ``optimize`` is
-    the exception: its ``accuracy`` shapes the *search* (the confirmation
-    tier is part of the result), so it stays in the key alongside the
-    strategies/budget/seed search config.  ``delta_budget`` (the daemon's
-    patch-work ceiling, injected into derived delta tasks) is excluded
-    for the same reason as the ladder flags: in-budget and fallback
-    evaluations answer identically byte for byte, so daemons configured
-    with different budgets must still share cache entries.
+    """Cache/coalescing key of a canonical task: the hash of its
+    :func:`keyed_form`, so requests differing only in their
+    :data:`REQUEST_FLAGS` share one result.  (Fault-carrying requests
+    never *write* the cache — the key only lets them read what a healthy
+    request stored.)
 
     With ``with_record`` it returns ``(key, record)``: ``record`` is the
-    canonical JSON of the keyed fields, the bytes the stored-task
-    registry persists (for the delta base endpoints the keyed form *is*
-    :func:`repro.service.registry.stored_form`), so one encoding of an
-    inline matrix serves both.
+    canonical JSON of the keyed form, the bytes the stored-task registry
+    persists, so one encoding of an inline matrix serves both.
     """
-    excluded = ("timeout", "trace", "trace_context", "faults", "peer",
-                "delta_budget")
-    if task.get("endpoint") != "optimize":
-        excluded += ("accuracy", "max_tier")
-    record = canonical_json({k: v for k, v in task.items() if k not in excluded})
+    record = canonical_json(keyed_form(task))
     # the bytes of canonical_json(["v1", keyed]), hashed without the copy
     digest = hashlib.sha256(b'["v1",')
     digest.update(record.encode())

@@ -10,13 +10,13 @@ matches its file name (disk tampering, a truncated write, a format
 drift across versions) is treated as absent rather than silently
 patching the wrong base.
 
-Only the computation-defining fields are stored (volatile flags like
-``trace_context``/``timeout`` are stripped first), so the stored bytes
-reproduce the key exactly and registering the same request twice is
-idempotent.  Disk entries use the ``.task.json`` suffix — distinct from
-the result entries' ``.<endpoint>.json`` — and are subject to the same
-GC sweep as results: an expired base simply 404s and the client
-re-submits the full matrix once.
+The daemon stores a task's :func:`~repro.service.protocol.keyed_form`
+(no per-request flags), so the stored bytes reproduce the key exactly
+and registering the same request twice is idempotent.  Disk entries use
+the ``.task.json`` suffix — distinct from the result entries'
+``.<endpoint>.json`` — and are subject to the same GC sweep as results:
+an expired base simply 404s and the client re-submits the full matrix
+once.
 """
 
 from __future__ import annotations
@@ -24,15 +24,6 @@ from __future__ import annotations
 import json
 from collections import OrderedDict
 from pathlib import Path
-
-#: Fields stripped before storage so the stored bytes re-derive the key.
-VOLATILE_FIELDS = ("timeout", "trace", "trace_context", "faults", "peer",
-                   "accuracy", "max_tier", "delta_budget")
-
-
-def stored_form(task: dict) -> dict:
-    """The computation-defining subset of a canonical task."""
-    return {k: v for k, v in task.items() if k not in VOLATILE_FIELDS}
 
 
 class TaskRegistry:
@@ -50,17 +41,16 @@ class TaskRegistry:
         return self.cache_dir / f"{key}.task.json"
 
     def put(self, key: str, task: dict, record: str) -> None:
-        """Record a task under its request key (idempotent).
+        """Record a keyed-form task under its request key (idempotent).
 
-        ``record`` is ``canonical_json(stored_form(task))``, the bytes
-        persisted to disk: ``request_key(task, with_record=True)``
-        already encoded exactly that, so the matrix is not encoded again
-        here.  The memory map keeps the task's own values — an inline
-        matrix's arrays are shared by reference, never copied.
+        ``record`` is ``canonical_json(task)``, the bytes persisted to
+        disk: ``request_key(task, with_record=True)`` already encoded
+        exactly that, so the matrix is not encoded again here.  The
+        memory map keeps the task itself — an inline matrix's arrays are
+        shared by reference, never copied.
         """
-        stored = stored_form(task)
         known = key in self._memory
-        self._memory[key] = stored
+        self._memory[key] = task
         self._memory.move_to_end(key)
         while len(self._memory) > self.capacity:
             self._memory.popitem(last=False)

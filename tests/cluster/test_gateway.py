@@ -4,6 +4,7 @@ One in-process cluster (thread-mode :class:`ClusterHarness`) per module
 for the read-only tests; the kill/restart stories build their own.
 """
 
+import http.client
 import json
 import time
 
@@ -148,6 +149,25 @@ def test_batch_rejects_malformed_payloads(cluster):
     with pytest.raises(ServiceError) as err:
         list(client.batch("advise", _items(), window=0))
     assert err.value.status == 400
+
+
+def test_batch_with_an_infinite_window_is_a_400(cluster):
+    harness, client = cluster
+    before = client.metrics()["bad_requests"]
+    host, port = harness.address
+    conn = http.client.HTTPConnection(host, port, timeout=60.0)
+    try:
+        # 1e999 parses as a float infinity, which int() cannot take
+        conn.request("POST", "/batch", body=(
+            '{"endpoint": "advise", "items": [{"name": "%s", '
+            '"collection": "tiny"}], "window": 1e999}' % NAMES[0]))
+        response = conn.getresponse()
+        error = json.loads(response.read())["error"]
+    finally:
+        conn.close()
+    assert response.status == 400
+    assert error["message"] == "window must be an integer"
+    assert client.metrics()["bad_requests"] == before + 1
 
 
 def test_failover_loses_nothing_and_readmits(tmp_path, direct_answers):

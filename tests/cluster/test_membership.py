@@ -120,6 +120,21 @@ def test_peer_for_names_previous_owner_during_window(membership, clock):
     assert membership.snapshot()["peer_window_open"] is False
 
 
+@pytest.mark.parametrize("window, hinted", [(0.0, False), (60.0, True)])
+def test_zero_peer_window_never_hints(clock, window, hinted):
+    membership = MembershipController(REPLICAS, peer_window_seconds=window,
+                                      clock=clock)
+    victim = membership.replicas[0]
+    key = next(f"k{i}" for i in range(10_000)
+               if membership.owner(f"k{i}") is victim)
+    membership.mark_down(victim.node)
+    membership.observe_probe(victim, GOOD)
+    # asked at the very instant of the readmission: a window of 0 is
+    # already closed, any positive window is still open
+    assert (membership.peer_for(key) is not None) is hinted
+    assert membership.snapshot()["peer_window_open"] is hinted
+
+
 def test_snapshot_records_events_and_ownership(membership):
     victim = membership.replicas[0]
     membership.mark_down(victim.node)

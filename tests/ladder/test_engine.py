@@ -29,7 +29,6 @@ from repro.ladder import Ladder, MatrixDims, SampledMethodB, build_sim
 from repro.ladder import tier0 as ladder_tier0
 from repro.matrices import banded, random_uniform
 from repro.matrices.collection import MatrixSpec
-from repro.resilience import degraded
 from repro.service import matrix_payload, protocol, worker
 from repro.service.protocol import normalize_request
 from repro.spmv.sector_policy import SectorPolicy, listing1_policy
@@ -273,11 +272,8 @@ def test_tier3_predict_matches_raw_simulator():
 
 
 def test_degraded_mode_is_the_ladder_tier0():
-    assert degraded.degraded_predict is ladder_tier0.closed_predict
-    assert degraded.degraded_classify is ladder_tier0.closed_classify
-    assert degraded.predict_policy is ladder_tier0.predict_policy
     answer = _answer(TINY, TINY_DIMS, max_tier=0)
-    direct = degraded.degraded_predict(
+    direct = ladder_tier0.closed_predict(
         TINY_DIMS, MACHINE, SETUP.num_threads, POLICIES, TINY.name
     )
     assert answer.result == direct

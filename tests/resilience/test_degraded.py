@@ -1,5 +1,6 @@
-"""Degraded-mode analytic answers: exact where the model is closed-form
-(classify), shape-faithful where it approximates (predict/advise)."""
+"""Degraded-mode analytic answers (the ladder's tier 0): exact where the
+model is closed-form (classify), shape-faithful where it approximates
+(predict/advise)."""
 
 import pytest
 
@@ -7,12 +8,12 @@ from repro.core.advisor import Recommendation, SectorAdvisor
 from repro.core.classification import classify
 from repro.experiments.common import ExperimentSetup
 from repro.matrices.collection import collection
-from repro.resilience.degraded import (
+from repro.ladder.tier0 import (
     MatrixDims,
     answer_task,
-    degraded_advise,
-    degraded_classify,
-    degraded_predict,
+    closed_advise,
+    closed_classify,
+    closed_predict,
     dims_from_task,
 )
 from repro.service.protocol import matrix_name, normalize_request
@@ -51,7 +52,7 @@ def test_matrix_dims_rejects_negative():
 def test_degraded_classify_is_exact():
     matrix = _spec().materialize()
     dims = MatrixDims.of(matrix)
-    result = degraded_classify(dims, MACHINE, 8, [2, 5], matrix.name)
+    result = closed_classify(dims, MACHINE, 8, [2, 5], matrix.name)
     for ways in (2, 5):
         assert result["classes"][str(ways)] == classify(
             matrix, MACHINE, ways, result["num_cmgs"]
@@ -100,7 +101,7 @@ def test_degraded_advise_parses_as_recommendation_with_same_candidates():
 def test_degraded_advise_requires_way_options():
     dims = MatrixDims(64, 64, 256)
     with pytest.raises(ValueError):
-        degraded_advise(dims, MACHINE, 8, [])
+        closed_advise(dims, MACHINE, 8, [])
 
 
 def test_answer_task_returns_none_for_sweep():
@@ -136,5 +137,5 @@ def test_dims_from_task_inline_csr_with_empty_rowptr():
 
 def test_degraded_predict_empty_policy_list_is_empty_predictions():
     dims = MatrixDims(8, 8, 16)
-    result = degraded_predict(dims, MACHINE, 8, [], "tiny")
+    result = closed_predict(dims, MACHINE, 8, [], "tiny")
     assert result["predictions"] == []

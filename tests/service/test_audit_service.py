@@ -7,6 +7,7 @@ observed error within the calibrated bound — the live falsification of
 the fidelity ladder's central claim.
 """
 
+import asyncio
 import time
 
 import pytest
@@ -14,6 +15,7 @@ import pytest
 from repro.obs import parse_prometheus_text
 from repro.obs.events import validate_log_text
 from repro.service import ServiceClient, ServiceConfig, ServiceThread
+from repro.service.app import LocalityService
 
 from .conftest import SETUP
 
@@ -107,6 +109,52 @@ def test_audit_exports_prometheus_families(audit_client):
     violations = samples["repro_audit_bound_violations_total"]
     assert sum(value for _, value in violations) == 0
     assert "repro_audit_backlog" in samples
+
+
+def test_audit_loop_pops_only_while_the_pool_is_idle():
+    """Politeness, deterministically: the audit loop pops nothing while a
+    foreground evaluation is queued or every worker is busy, and pops as
+    soon as both clear — so ``--audit-rate`` never blocks the hot path."""
+
+    async def scenario():
+        service = LocalityService(ServiceConfig(jobs=2, cache_dir=None,
+                                                audit_rate=1.0))
+        meter, popped = service.meter, []
+
+        async def audit_once(item):
+            # the audit evaluation holds a pool slot while it runs
+            popped.append(item["key"])
+            meter.worker_started()
+
+        service._audit_once = audit_once
+        for key in ("a", "b", "c"):
+            assert service.auditor.offer({"key": key})
+        draining = asyncio.create_task(service.audit_loop(poll_seconds=0))
+
+        async def polls():
+            for _ in range(20):
+                await asyncio.sleep(0)
+
+        try:
+            meter.enqueue()  # a foreground request waits for a slot
+            await polls()
+            assert popped == []
+            meter.dequeue()
+            meter.worker_started()
+            meter.worker_started()  # every worker busy, nothing queued
+            await polls()
+            assert popped == []
+            meter.worker_finished()  # one slot free and nothing queued
+            await polls()
+            # one pop: the audit evaluation took the freed slot
+            assert popped == ["a"]
+            assert service.auditor.backlog == 2
+        finally:
+            draining.cancel()
+            await asyncio.gather(draining, return_exceptions=True)
+            service.close()
+
+    asyncio.run(scenario())
 
 
 def test_audit_disabled_daemon_has_no_audit_surface(client):

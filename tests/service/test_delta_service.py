@@ -1,10 +1,13 @@
 """``POST /delta`` end to end: identity, chaining, failure modes, metrics."""
 
+import json
+
 import pytest
 
 from repro.delta import MatrixDelta
 from repro.matrices.generators import banded
 from repro.service.client import ServiceError
+from repro.service.protocol import derive_delta_task, normalize_delta, request_key
 
 #: The incremental engine patches single-thread traces, so delta bases
 #: are submitted sequentially (the module conftest's 8-thread SETUP is
@@ -85,6 +88,39 @@ def test_tampered_registry_record_is_409(server, client):
         assert "revalidation" in exc.error["message"]
     finally:
         registry._memory[key] = original
+
+
+def test_flags_written_into_a_stored_record_stay_out_of_the_delta(server, client):
+    """A ``<key>.task.json`` whose bytes gain request flags still
+    revalidates (flags are outside the key), and the derived task carries
+    none of them: a leaked ``faults`` plan would fail the evaluation and
+    a leaked ``timeout`` would cut it short."""
+    matrix = banded(900, 8, 6, seed=11)
+    key = client.advise(matrix=matrix, **SEQ)["key"]
+    registry = server.service.registry
+    path = registry.cache_dir / f"{key}.task.json"
+    clean = json.loads(path.read_text())
+    path.write_text(json.dumps(dict(
+        clean, timeout=1e-6, peer={"host": "127.0.0.1", "port": 9},
+        faults={"schema": "repro.resilience.plan/v1",
+                "rules": [{"site": "worker.evaluate", "kind": "error"}]})))
+    del registry._memory[key]  # the next lookup reads the file back
+
+    ins, del_ = band_edits(matrix, [50, 500])
+    body = {"base": key, "delta": {"inserts": ins, "deletes": del_}}
+    stored = registry.get(key)
+    assert {"faults", "peer", "timeout"} <= set(stored)
+    assert request_key(stored) == key
+    derived = derive_delta_task(stored, normalize_delta(body), 65_536)
+    assert not {"faults", "peer", "timeout"} & set(derived)
+
+    answer = client.delta(key, inserts=ins, deletes=del_)
+    assert answer["ok"] and answer["cached"] is None, answer
+    assert answer["key"] == request_key(
+        derive_delta_task(clean, normalize_delta(body), 65_536))
+    edited = MatrixDelta.from_dict(
+        {"inserts": ins, "deletes": del_}).apply(matrix).matrix
+    assert answer["result"] == client.advise(matrix=edited, **SEQ)["result"]
 
 
 def test_bad_batches_are_400(client):

@@ -16,12 +16,13 @@ from repro.matrices import banded
 from repro.service.client import matrix_payload
 from repro.service.protocol import (
     derive_delta_task,
+    keyed_form,
     matrix_name,
     normalize_delta,
     normalize_request,
     request_key,
 )
-from repro.service.registry import TaskRegistry, stored_form
+from repro.service.registry import TaskRegistry
 
 #: label -> (request key, matrix name, sha256 of the stored record, length)
 GOLDEN = {
@@ -75,11 +76,11 @@ def _corpus() -> dict:
             "accuracy": 0.5}),
     }
     base = tasks["csr_values"]
-    step1 = derive_delta_task(stored_form(base), normalize_delta({
+    step1 = derive_delta_task(keyed_form(base), normalize_delta({
         "base": request_key(base),
         "delta": {"inserts": [[0, 20, 2.0], [5, 17]], "deletes": [[1, 0]]}}),
         65536)
-    step2 = derive_delta_task(stored_form(step1), normalize_delta({
+    step2 = derive_delta_task(keyed_form(step1), normalize_delta({
         "base": request_key(step1),
         "delta": {"inserts": [[23, 0, 0.5]]}, "max_tier": 2}), 100)
     tasks["delta_1"] = step1
@@ -100,7 +101,7 @@ def test_key_name_and_record_are_byte_stable(label):
     key, name, record_sha, record_len = GOLDEN[label]
     assert request_key(task) == key
     assert matrix_name(task) == name
-    assert _digest(canonical_json(stored_form(task))) == (record_sha, record_len)
+    assert _digest(canonical_json(keyed_form(task))) == (record_sha, record_len)
 
 
 @pytest.mark.parametrize("label", sorted(GOLDEN))

@@ -8,9 +8,14 @@ from hypothesis import strategies as st
 from repro.matrices import banded
 from repro.matrices.collection import collection
 from repro.service.client import matrix_payload
+from repro.cluster.batch import normalize_batch
 from repro.service.protocol import (
+    DELTA_BASE_ENDPOINTS,
     ENDPOINTS,
+    REQUEST_FLAGS,
     RequestError,
+    derive_delta_task,
+    keyed_form,
     matrix_from_task,
     matrix_name,
     normalize_delta,
@@ -105,6 +110,24 @@ def test_malformed_requests_rejected(payload, fragment):
     with pytest.raises(RequestError) as err:
         normalize_request("advise", payload)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("accuracy", "x", "accuracy must be a number"),
+    ("accuracy", 0, "accuracy must be positive"),
+    ("max_tier", "x", "max_tier must be an integer"),
+    ("max_tier", 4, "max_tier must be between 0 and 3"),
+    ("timeout", float("nan"), "timeout must be positive"),
+    ("trace_context", {}, "invalid trace_context: "),
+])
+def test_delta_flags_are_validated_like_model_flags(flag, value, message):
+    model = {"matrix": {"name": "banded_001", "collection": "tiny"}}
+    delta = {"base": "0" * 32, "delta": {"inserts": [[0, 1]]}}
+    for normalize in (lambda: normalize_request("advise", {**model, flag: value}),
+                      lambda: normalize_delta({**delta, flag: value})):
+        with pytest.raises(RequestError) as err:
+            normalize()
+        assert str(err.value).startswith(message)
 
 
 def test_unknown_named_matrix_is_404():
@@ -319,7 +342,8 @@ _MATRIX = st.one_of(
     _object({"name": st.sampled_from(["banded_001", "nope"])},
             {"collection": st.sampled_from(["tiny", "small"])}),
 )
-_REQUEST = _object({"matrix": _MATRIX}, {
+#: the optional fields of a model request, shared by a batch's items
+_KNOBS = {
     "setup": _object({}, {
         "scale": st.sampled_from([16, 8]), "num_threads": st.integers(1, 48),
         "iterations": st.integers(1, 3), "l1_prefetch_distance": _INT,
@@ -338,7 +362,14 @@ _REQUEST = _object({"matrix": _MATRIX}, {
     "seed": _INT,
     "peer": _object({"host": st.just("h"), "port": st.integers(1, 65535)}),
     **_FLAGS,
-})
+}
+_REQUEST = _object({"matrix": _MATRIX}, _KNOBS)
+_BATCH = _object({
+    "endpoint": st.sampled_from(ENDPOINTS),
+    "items": st.lists(_MATRIX, min_size=1, max_size=3),
+    "window": st.one_of(st.integers(-2, 100), st.floats(), st.sampled_from(
+        [float("inf"), float("-inf"), 10**400, "8", "abc"])),
+}, _KNOBS)
 _EDGES = st.lists(st.lists(_INT, min_size=2, max_size=2), max_size=3)
 _DELTA = _object({
     "base": st.text(alphabet=_HEX, min_size=32, max_size=32),
@@ -397,3 +428,26 @@ def test_any_request_body_is_a_task_or_a_4xx(endpoint, body):
 @given(_mutated(_DELTA))
 def test_any_delta_body_is_normalized_or_a_4xx(body):
     _normalized_or_4xx(lambda: normalize_delta(body))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mutated(_BATCH))
+def test_any_batch_body_is_a_spec_or_a_4xx(body):
+    _normalized_or_4xx(lambda: normalize_batch(body, 8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(ENDPOINTS), _REQUEST, _DELTA, st.integers(0, 2**20))
+def test_keyed_form_holds_no_request_flag(endpoint, body, delta, budget):
+    try:
+        tasks = [normalize_request(endpoint, body)]
+        if endpoint in DELTA_BASE_ENDPOINTS:
+            tasks.append(derive_delta_task(tasks[0], normalize_delta(delta),
+                                           budget))
+    except RequestError:
+        return
+    for task in tasks:
+        keyed = keyed_form(task)
+        kept = {"accuracy"} if task["endpoint"] == "optimize" else set()
+        assert set(keyed) & set(REQUEST_FLAGS) <= kept
+        assert request_key(task) == request_key(keyed)
