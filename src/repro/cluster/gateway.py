@@ -16,7 +16,8 @@ daemon).  Per model request it:
 5. while a rebalance window is open, attaches a ``peer`` hint naming
    the key's *previous* owner, so the newly-responsible replica can
    warm-fill from the peer's cache (``/cache/peek``) instead of
-   re-evaluating.
+   re-evaluating.  Only the gateway sets the hint: a client body that
+   carries ``peer`` is refused with a 400.
 
 Membership is driven by the existing health surface: a background loop
 probes every replica's ``/healthz`` and breaker state
@@ -333,6 +334,7 @@ class ClusterGateway(HttpApp):
             task = normalize_delta(payload)
             key = task["base"]
         else:
+            _refuse_peer(payload)
             task = normalize_request(endpoint, payload)
             key = request_key(task)
         scope.key = key
@@ -434,6 +436,7 @@ class ClusterGateway(HttpApp):
     ) -> None:
         try:
             payload = json.loads(body.decode() or "{}")
+            _refuse_peer(payload)
             spec = normalize_batch(payload, self.config.batch_window)
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             self.metrics.count("bad_requests")
@@ -548,6 +551,14 @@ class ClusterGateway(HttpApp):
             await self.membership.probe_all(self.config.probe_timeout_seconds)
             with contextlib.suppress(asyncio.TimeoutError):
                 await asyncio.wait_for(self.shutdown_event.wait(), interval)
+
+
+def _refuse_peer(payload: object) -> None:
+    """Only the gateway sets ``peer``: a replica adopts whatever the named
+    host's ``/cache/peek`` returns, so a client-set hint could poison it."""
+    if isinstance(payload, dict) and "peer" in payload:
+        raise RequestError("'peer' is set by the gateway only; "
+                           "a client request may not carry it")
 
 
 def _find_node(node, name: str):

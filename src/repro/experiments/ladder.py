@@ -4,8 +4,10 @@ Runs every matrix of a collection through :class:`repro.ladder.Ladder`
 at one accuracy SLO and prints, per matrix, the tier that answered, its
 error bound, the measured and predicted cost, and the escalation path —
 then a per-tier summary.  This is the operational view of the fidelity
-ladder (which tier would your SLO actually buy?); the calibration view
-(are the bounds honest?) lives in ``benchmarks/bench_fidelity.py``.
+ladder (which tier would your SLO actually buy?); forcing one tier
+(``max_tier``, or an unattainable ``accuracy`` for tier 3) re-measures
+the cost constants of :mod:`repro.ladder.cost`.  The calibration view
+(are the bounds honest?) is the ladder's observed-error test.
 """
 
 from __future__ import annotations

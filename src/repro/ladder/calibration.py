@@ -20,8 +20,9 @@ Bound composition
 * Tier 2 vs tier 3 is a *model* error (Method B's analytic envelope and
   average-scaling assumption vs the set-associative simulation); it is
   calibrated per paper class, worst-cased over the generator collection
-  and the advisor's policy grid; ``benchmarks/bench_fidelity.py --check``
-  (or ``--json``) re-measures every tier's observed error against it.
+  and the advisor's policy grid; ``test_observed_errors_within_reported_bounds``
+  in ``tests/ladder/test_engine.py`` re-measures every tier's observed
+  error against it on matrices of all four paper classes.
 * Tier 0 adds the fit-test surrogate's error *vs tier 2*, also calibrated
   per class — but refined per request: when every x fit test is deep
   (clearly inside or clearly outside capacity by ``fit_margin``), the

@@ -16,9 +16,12 @@ zero for the analytic tiers, whose single stack pass serves every way
 split, and dominant for the simulation, which thresholds (and for a
 fresh sector assignment re-simulates) per configuration.
 
-Constants are calibrated by ``benchmarks/bench_fidelity.py`` on the
-reference container; absolute seconds move with the host, but the
-*ratios* between tiers — which is what tier selection needs — are stable.
+Constants are calibrated on the reference container from the measured
+and predicted cost per matrix that ``python -m repro.experiments --exp
+ladder`` prints with one tier forced (``--max-tier N`` for tiers 0-2,
+``--accuracy 1e-9`` for tier 3); absolute seconds move with the host,
+but the *ratios* between tiers — which is what tier selection needs —
+are stable.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ class TierCostModel:
         )
 
 
-#: tier -> cost model, calibrated on the bench_fidelity reference matrices.
+#: tier -> cost model, calibrated with the forced-tier ``ladder`` experiment.
 DEFAULT_COST_MODELS: dict[int, TierCostModel] = {
     # closed forms: dict building and a handful of divisions per policy
     0: TierCostModel(base_seconds=2e-5, per_reference_seconds=0.0,

@@ -201,6 +201,18 @@ class ServiceConfig:
             raise ValueError("delta_budget must be non-negative")
 
 
+#: The stored answers of one request key: ``tier -> key suffix``.  A
+#: fresh tier-*t* answer fills the tier-*t* entry.  Tier 2 is
+#: byte-identical to a plain answer, so plain and ladder requests share
+#: the plain key; a ladder request reads it only when the tier-2 a-priori
+#: bound meets its SLO, and only its disk read is a fault site.  Tier 3
+#: is a different payload (``"method": "sim"``, simulated counts) under
+#: ``<key>.t3``, read by ladder requests only.  Tier-0/1 answers are
+#: never stored — recomputing beats caching and they must never shadow
+#: an exact entry — and are offered to the accuracy audit instead.
+STORED_TIERS = {2: "", 3: ".t3"}
+
+
 class _EvaluationError(Exception):
     """A failed evaluation, carrying the HTTP status and structured detail."""
 
@@ -629,142 +641,96 @@ class LocalityService(HttpApp):
         peer: dict | None = None,
         tracer: Tracer | None = None,
     ) -> tuple[dict, str | None, dict | None, dict | None, dict | None]:
-        """Resolve a key via cache, peer fill, coalescing, or a fresh
-        evaluation.
+        """Resolve a key via a stored answer, coalescing, peer fill, or a
+        fresh evaluation, under the :data:`STORED_TIERS` policy.
 
         Returns ``(result, cache_tier, span_tree, fidelity, delta)``; the
         span tree is only non-None for a fresh evaluation of a ``"trace":
-        true`` task, fidelity only for ladder requests (see
-        :meth:`_resolve_ladder`), and the delta metadata only for a fresh
-        evaluation of a delta task — the envelope carries it, never the
-        (byte-identical) cached result; cache hits and coalesced followers
-        ran no patch.
+        true`` task, fidelity only for ladder requests (``accuracy``/
+        ``max_tier`` set) and optimize, and the delta metadata only for a
+        fresh evaluation of a delta task — the envelope carries it, never
+        the (byte-identical) cached result.
 
-        ``plan`` is the request's own fault plan (None for normal
-        requests, which still consult the daemon-wide ambient plan at the
-        parent-side sites).  Fault-carrying requests may *read* the cache
-        — that is how ``cache.disk_read`` corruption is exercised — but
-        never write it, never register as a coalescing leader, and never
-        join another request's in-flight future: their perturbed outcome
+        Only plain requests coalesce or take a peer's answer: two ladder
+        requests with different SLOs legitimately need different
+        evaluations.  ``plan`` is the request's own fault plan (None for
+        normal requests, which still consult the daemon-wide ambient plan
+        at the parent-side sites).  A fault-carrying request may *read*
+        the cache — that is how ``cache.disk_read`` corruption is
+        exercised — but never writes it, never leads or joins a coalesced
+        evaluation and never takes a peer's answer: its perturbed outcome
         must not leak into healthy responses.
         """
-        if endpoint != "optimize" and has_ladder_flags(task):
-            return await self._resolve_ladder(endpoint, task, key, plan,
-                                              tracer=tracer)
-        disk_path, disk_format = self._disk_entry(task, key)
-        with request_span(tracer, "cache.lookup") as sp:
-            result, tier = self._cache_read(key, disk_path, plan)
-            sp.annotate(tier=tier or "miss")
-        if result is not None:
-            # cache hits bypass admission control: they cost no pool slot,
-            # so an open breaker or a saturated queue does not refuse them
-            return result, tier, None, _embedded_fidelity(endpoint, result), None
-
+        ladder = endpoint != "optimize" and has_ladder_flags(task)
         chaos = plan is not None
-        if not chaos:
-            pending = self._inflight.get(key)
-            if pending is not None:
-                self.metrics.count("coalesced", endpoint)
-                with request_span(tracer, "coalesce.wait"):
-                    result = await asyncio.shield(pending)
-                return (result, "coalesced", None,
-                        _embedded_fidelity(endpoint, result), None)
+        entries = {tier: (key + suffix, *self._disk_entry(task, key + suffix))
+                   for tier, suffix in STORED_TIERS.items()
+                   if ladder or tier == 2}
+        with request_span(tracer, "cache.lookup") as sp:
+            for tier, (entry_key, disk_path, _) in entries.items():
+                bound = None
+                if ladder and tier == 2 and task.get("accuracy") is not None:
+                    bound = self._tier2_bound(task)
+                    if bound > task["accuracy"]:
+                        continue
+                corrupt = (tier == 2 and disk_path is not None
+                           and self._fire(plan, "cache.disk_read") is not None)
+                result, where = self.cache.get(entry_key, disk_path,
+                                               corrupt_read=corrupt)
+                if where == "disk":
+                    self.cache.promote(entry_key, canonical_json(result).encode())
+                if result is not None:
+                    # cache hits bypass admission control: they cost no
+                    # pool slot, so an open breaker or a saturated queue
+                    # does not refuse them
+                    sp.annotate(tier=where)
+                    return result, where, None, self._served_fidelity(
+                        endpoint, task, result, tier if ladder else None,
+                        bound), None
+            sp.annotate(tier="miss")
 
-        if peer is not None:
+        shared = not (ladder or chaos)
+        pending = self._inflight.get(key) if shared else None
+        if pending is not None:
+            self.metrics.count("coalesced", endpoint)
+            with request_span(tracer, "coalesce.wait"):
+                result = await asyncio.shield(pending)
+            return (result, "coalesced", None,
+                    self._served_fidelity(endpoint, task, result), None)
+        if peer is not None and not ladder:
             if chaos:
-                # a perturbed request must not pull a healthy peer answer
-                # into its (never-cached) response path
                 self.metrics.count("peer_fill", "skipped")
             else:
                 with request_span(tracer, "peer.fill", host=peer["host"],
-                           port=peer["port"]) as sp:
+                                  port=peer["port"]) as sp:
                     fetched = await self._peer_fill(endpoint, task, key, peer)
                     sp.annotate(outcome="hit" if fetched is not None else "miss")
                 if fetched is not None:
                     # adopt the peer's answer into our own tiers so the
                     # next hit is local — this replica owns the key now
-                    self._cache_write(key, fetched, disk_path, disk_format)
+                    self._cache_write(fetched, *entries[2])
                     return (fetched, "peer", None,
-                            _embedded_fidelity(endpoint, fetched), None)
+                            self._served_fidelity(endpoint, task, fetched), None)
 
         payload = await self._run(endpoint, task, plan, tracer,
-                                  lead=None if chaos else key)
-        result = payload["result"]
+                                  lead=key if shared else None)
+        result, fidelity = payload["result"], payload.get("fidelity")
         if endpoint == "optimize":
-            # counts per-strategy outcomes, the predicted-improvement
-            # histogram, and the search's ladder answers (asserting "no
-            # exact pass until confirmation" straight off /metrics)
+            # per-strategy outcomes, the predicted-improvement histogram
+            # and the search's ladder answers
             self.meter.observe_optimize(result)
-        if not chaos:
-            self._cache_write(key, result, disk_path, disk_format)
-        return (result, None, payload.get("trace"),
-                _embedded_fidelity(endpoint, result), payload.get("delta"))
-
-    async def _resolve_ladder(
-        self, endpoint: str, task: dict, key: str,
-        plan: faults.FaultPlan | None, tracer: Tracer | None = None,
-    ) -> tuple[dict, str | None, dict | None, dict, dict | None]:
-        """Resolve a fidelity-ladder request (``accuracy``/``max_tier`` set).
-
-        Cache policy: tier-2 answers live under the *plain* request key —
-        byte-identical to plain results, so ladder and plain requests
-        warm one entry — and a cached one serves any SLO the tier-2 bound
-        satisfies.  Tier-3 answers live under the suffixed ``<key>.t3``
-        (a different wire payload: ``"method": "sim"``, simulated counts).
-        Tier-0/1 answers are cheap approximations: recomputing beats
-        caching, and they must never shadow an exact entry.  Ladder
-        requests skip coalescing — two requests with different SLOs
-        legitimately need different evaluations, and fidelity metadata is
-        per-request.
-        """
-        accuracy = task.get("accuracy")
-        disk_path, _ = self._disk_entry(task, key)
-        t3_key = f"{key}.t3"
-        t3_path, _ = self._disk_entry(task, t3_key)
-        with request_span(tracer, "cache.lookup") as sp:
-            if accuracy is None or self._tier2_bound(task) <= accuracy:
-                result, tier = self._cache_read(key, disk_path, plan)
-                if result is not None:
-                    sp.annotate(tier=tier)
-                    return result, tier, None, self._cached_fidelity(2, task), None
-            result, tier = self._cache_read(t3_key, t3_path, faultable=False)
-            if result is not None:
-                sp.annotate(tier=tier)
-                return result, tier, None, self._cached_fidelity(3, task), None
-            sp.annotate(tier="miss")
-
-        payload = await self._run(endpoint, task, plan, tracer)
-        result = payload["result"]
-        fidelity = payload.get("fidelity") or {}
-        answered = fidelity.get("tier")
-        if answered is not None:
+        answered = fidelity["tier"] if ladder else 2  # plain = tier 2
+        if ladder:
             self.meter.observe_ladder(endpoint, answered,
-                                        fidelity.get("escalations", 0))
-        if plan is None:
-            if answered == 2:
-                self._cache_write(key, result, disk_path)
-            elif answered == 3:
-                self._cache_write(t3_key, result, t3_path)
-            if answered in (0, 1):
+                                      fidelity.get("escalations", 0))
+        if not chaos:
+            if answered in entries:
+                self._cache_write(result, *entries[answered])
+            elif answered in (0, 1):
                 self._offer_audit(endpoint, task, key, answered, result)
         return result, None, payload.get("trace"), fidelity, payload.get("delta")
 
-    def _cache_read(self, key: str, disk_path: Path | None,
-                    plan: faults.FaultPlan | None = None,
-                    faultable: bool = True) -> tuple[dict | None, str | None]:
-        """Both cache tiers for one key; a disk hit is promoted to memory.
-
-        A faultable disk read fires the ``cache.disk_read`` site against
-        ``plan`` (or the ambient daemon plan); a rule there corrupts it.
-        """
-        corrupt = (faultable and disk_path is not None
-                   and self._fire(plan, "cache.disk_read") is not None)
-        result, tier = self.cache.get(key, disk_path, corrupt_read=corrupt)
-        if tier == "disk":
-            self.cache.promote(key, canonical_json(result).encode())
-        return result, tier
-
-    def _cache_write(self, key: str, result: dict, disk_path: Path | None,
+    def _cache_write(self, result: dict, key: str, disk_path: Path | None,
                      disk_format: str | None = None) -> None:
         self.cache.put(
             key,
@@ -824,9 +790,19 @@ class LocalityService(HttpApp):
         except Exception:  # noqa: BLE001 - fall through to a fresh evaluation
             return float("inf")
 
-    def _cached_fidelity(self, tier: int, task: dict) -> dict:
-        bound = 0.0 if tier == 3 else self._tier2_bound(task)
-        return fidelity_payload(tier, bound, task.get("accuracy"))
+    def _served_fidelity(self, endpoint: str, task: dict, result: dict,
+                         tier: int | None = None,
+                         bound: float | None = None) -> dict | None:
+        """The envelope ``fidelity`` of a stored, coalesced or peer answer:
+        a ladder request's stored ``tier`` against its SLO (tier 3 is
+        exact), or an optimize result's inline search fidelity."""
+        if tier is not None:
+            if bound is None:
+                bound = 0.0 if tier == 3 else self._tier2_bound(task)
+            return fidelity_payload(tier, bound, task.get("accuracy"))
+        if endpoint == "optimize" and isinstance(result, dict):
+            return result.get("fidelity")
+        return None
 
     # ------------------------------------------------------------------
     # continuous accuracy audit (--audit-rate)
@@ -891,7 +867,7 @@ class LocalityService(HttpApp):
             if reference is None:
                 payload = await self._evaluate(endpoint, task)
                 reference = payload["result"]
-                self._cache_write(key, reference, disk_path)
+                self._cache_write(reference, key, disk_path)
             setup = setup_from_task(task)
             machine = setup.machine()
             dims = dims_from_task(task, machine)
@@ -1065,14 +1041,6 @@ def _require_budget(budget_seconds: float, cap: float) -> None:
             f"budget_seconds {budget_seconds:g} exceeds the daemon cap "
             f"{cap:g} (raise --max-optimize-budget to allow it)"
         )
-
-
-def _embedded_fidelity(endpoint: str, result: dict) -> dict | None:
-    """Optimize results carry their search fidelity inline; surface it in
-    the envelope like ladder answers do (cached and coalesced included)."""
-    if endpoint == "optimize" and isinstance(result, dict):
-        return result.get("fidelity")
-    return None
 
 
 async def run_server(

@@ -675,9 +675,13 @@ async def request_json(
     timeout: float | None = None,
     headers: dict[str, str] | None = None,
 ) -> tuple[int, dict]:
-    """:func:`request_bytes` with JSON bodies both ways."""
+    """:func:`request_bytes` with JSON bodies both ways; a response body
+    that is not a JSON object raises :class:`ValueError`."""
     body = b"" if payload is None else json.dumps(payload).encode()
     status, raw = await request_bytes(host, port, method, path, body, timeout,
                                       headers)
-    return status, json.loads(raw or b"{}")
+    answer = json.loads(raw or b"{}")
+    if not isinstance(answer, dict):
+        raise ValueError(f"expected a JSON object, got {type(answer).__name__}")
+    return status, answer
 

@@ -255,6 +255,35 @@ def test_rebalanced_keys_fill_from_peers_not_reevaluation(tmp_path):
         client.close()
 
 
+def test_client_peer_hints_are_refused_so_no_forged_answer_is_adopted(
+        tmp_path, json_stub):
+    """A replica adopts whatever its ``peer`` hint's ``/cache/peek``
+    returns, so only the gateway may set the hint: a client's is a 400 on
+    a model body and on a ``/batch`` body, and nothing reaches a replica."""
+    forged_host, forged_port = json_stub({"/cache/peek": {
+        "ok": True, "found": True, "key": "x", "tier": "memory",
+        "result": {"name": "forged"}}})
+    peer = {"host": forged_host, "port": forged_port}
+    with ClusterHarness(replicas=1, jobs=1, cache_root=tmp_path) as harness:
+        client = harness.client(timeout=120.0)
+        matrix = {"name": NAMES[0], "collection": "tiny"}
+        with pytest.raises(ServiceError) as err:
+            client.request("POST", "/classify",
+                           {"matrix": matrix, "setup": SETUP, "peer": peer})
+        assert err.value.status == 400
+        with pytest.raises(ServiceError) as err:
+            list(client.batch("classify", [matrix], setup=SETUP, peer=peer))
+        assert err.value.status == 400
+        metrics = client.metrics()
+        assert metrics["bad_requests"] == 2
+        assert metrics["routed"] == {}
+        honest = client.classify(name=NAMES[0], collection="tiny", **SETUP)
+        assert honest["cached"] is None
+        assert honest["result"]["name"] == NAMES[0]
+        assert "classes" in honest["result"]
+        client.close()
+
+
 def _band_edits(matrix, rows):
     """Band-local edits (the incremental path) for the delta routing tests."""
     inserts, deletes = [], []

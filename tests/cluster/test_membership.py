@@ -1,8 +1,10 @@
 """MembershipController transitions driven by synthetic probes."""
 
+import asyncio
+
 import pytest
 
-from repro.cluster.membership import MembershipController
+from repro.cluster.membership import MembershipController, probe_replica
 
 REPLICAS = [("127.0.0.1", 9001), ("127.0.0.1", 9002), ("127.0.0.1", 9003)]
 
@@ -60,6 +62,15 @@ def test_failed_probe_ejects_and_clean_probe_readmits(membership):
     assert membership.readmissions == 1
     assert victim.node in membership.ring
     assert victim.consecutive_failures == 0
+
+
+def test_probe_of_a_non_object_healthz_fails_without_raising(json_stub):
+    """A ``/healthz`` that is JSON but not an object is a failed probe, not
+    an exception that would end the gateway's probe loop."""
+    host, port = json_stub({"/healthz": []})
+    probe = asyncio.run(probe_replica(host, port, timeout=5.0))
+    assert probe["ok"] is False and probe["breakers"] == {}
+    assert probe["error"].startswith("ValueError")
 
 
 def test_open_breaker_ejects_even_when_healthz_is_ok(membership):

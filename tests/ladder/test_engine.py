@@ -326,9 +326,16 @@ def test_sampling_bound_covers_sampled_vs_exact(factory):
         )
 
 
+#: The error check's matrices: the four classes plus a random matrix
+#: whose classes differ across the (0, 2, 5) way splits.
+ERROR_MATRICES = CLASS_MATRICES + [
+    ("random40k", lambda: random_uniform(40_000, 8, seed=4)),
+]
+
+
 @pytest.mark.parametrize(
-    "factory", [CLASS_MATRICES[0][1], CLASS_MATRICES[1][1]],
-    ids=["class1", "class2"],
+    "factory", [f for _, f in ERROR_MATRICES],
+    ids=[name for name, _ in ERROR_MATRICES],
 )
 def test_observed_errors_within_reported_bounds(factory):
     """Tiers 0-2 stay inside their bounds against simulated ground truth."""

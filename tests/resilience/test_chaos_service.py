@@ -198,6 +198,21 @@ def test_corrupt_disk_entry_is_quarantined_and_healed(chaos_server, chaos_client
     assert chaos_client.advise(matrix=matrix, **SETUP)["cached"] == "disk"
 
 
+def test_disk_read_fault_spares_the_tier3_entry(chaos_client):
+    """A request's ``cache.disk_read`` fault corrupts only the plain
+    entry's read: a tier-3 answer (``<key>.t3``) is served from disk."""
+    matrix = inline_matrix(46)
+    first = chaos_client.predict(matrix=matrix, accuracy=1e-9, **SETUP)
+    assert first["cached"] is None and first["fidelity"]["tier"] == 3
+    served = chaos_client.predict(
+        matrix=matrix, accuracy=1e-9,
+        faults=make_plan({"site": "cache.disk_read", "kind": "corrupt"}),
+        **SETUP,
+    )
+    assert served["cached"] == "disk" and served["fidelity"]["tier"] == 3
+    assert served["result"] == first["result"]
+
+
 # ----------------------------------------------------------------------
 # circuit breaker: deterministic transitions end to end
 # ----------------------------------------------------------------------

@@ -107,6 +107,24 @@ def test_inline_task_fills_from_its_previous_owner(server, client, tmp_path):
     assert client.cache_peek(task)["found"] is True
 
 
+def test_peer_answering_a_non_object_falls_back_to_evaluation(tmp_path,
+                                                              json_stub):
+    """A peek reply that is JSON but not an object is a failed fill: the
+    replica counts it and evaluates, instead of answering 500."""
+    peer_host, peer_port = json_stub({"/cache/peek": []})
+    config = ServiceConfig(jobs=1, cache_dir=str(tmp_path))
+    with ServiceThread(config) as (host, port):
+        with ServiceClient(host, port, timeout=60.0) as replica:
+            envelope = replica.request("POST", "/advise", {
+                "matrix": {"name": "banded_001", "collection": "tiny"},
+                "setup": SETUP, "peer": {"host": peer_host, "port": peer_port},
+            })
+            assert envelope["ok"] and envelope["cached"] is None
+            assert envelope["result"] == replica.advise(
+                name="banded_001", collection="tiny", **SETUP)["result"]
+            assert replica.metrics()["peer_fill"] == {"error": 1}
+
+
 def test_cache_peek_rejects_malformed_tasks(client):
     from repro.service.client import ServiceError
 

@@ -10,6 +10,8 @@ and the escalation histogram surface in ``/metrics`` (JSON and
 Prometheus).
 """
 
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.analysis.report import canonical_json
@@ -20,6 +22,7 @@ from repro.delta import engine as delta_engine
 from repro.delta.delta import MatrixDelta
 from repro.matrices import banded
 from repro.obs.prometheus import parse_prometheus_text
+from repro.resilience.faults import FaultPlan
 from repro.service import (
     ServiceClient,
     ServiceConfig,
@@ -104,6 +107,50 @@ def test_max_tier_cap_over_the_wire(client):
     capped = client.predict(matrix, accuracy=SIM_ONLY_SLO, max_tier=2, **SETUP)
     assert capped["fidelity"]["tier"] == 2
     assert capped["fidelity"]["slo_met"] is False
+
+
+def test_concurrent_ladder_duplicates_do_not_coalesce(tmp_path):
+    """Two overlapping identical ladder requests run two evaluations:
+    ladder requests never lead or join a coalesced evaluation."""
+    # a daemon-wide delay makes the duplicates overlap (see the plain
+    # coalescing test in test_service.py)
+    slow = FaultPlan.from_dict({"schema": "repro.resilience.plan/v1",
+                                "rules": [{"site": "worker.evaluate",
+                                           "kind": "delay",
+                                           "delay_seconds": 0.8}]})
+    config = ServiceConfig(jobs=2, cache_dir=str(tmp_path),
+                           allow_fault_injection=True, fault_plan=slow)
+    payload = {"matrix": matrix_payload(banded(690, 27, 5, seed=38)),
+               "setup": SETUP, "accuracy": SIM_ONLY_SLO}
+    with ServiceThread(config) as (host, port), \
+            ServiceClient(host, port, timeout=120.0) as daemon:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            envelopes = list(pool.map(
+                lambda _: daemon.request("POST", "/predict", payload),
+                range(2)))
+        metrics = daemon.metrics()
+    assert [e["cached"] for e in envelopes] == [None, None]
+    # tier 3 is a stored tier: a coalesced follower would not evaluate
+    assert [e["fidelity"]["tier"] for e in envelopes] == [3, 3]
+    assert metrics["evaluations"]["predict"] == 2
+    assert not metrics["coalesced"]
+
+
+def test_ladder_request_ignores_a_peer_hint(server, client, tmp_path):
+    """A ladder request never takes a peer's answer, even from a warm
+    peer: it evaluates locally and leaves the peer-fill counters alone."""
+    matrix = banded(710, 29, 5, seed=39)
+    warm = client.predict(matrix, **SETUP)  # the peer's plain entry
+    host, port = server.address
+    config = ServiceConfig(jobs=1, cache_dir=str(tmp_path))
+    with ServiceThread(config) as (new_host, new_port), \
+            ServiceClient(new_host, new_port, timeout=120.0) as new_owner:
+        envelope = new_owner.request("POST", "/predict", {
+            "matrix": matrix_payload(matrix), "setup": SETUP,
+            "accuracy": TIER2_SLO, "peer": {"host": host, "port": port}})
+        assert envelope["key"] == warm["key"]
+        assert envelope["cached"] is None
+        assert not new_owner.metrics()["peer_fill"]
 
 
 def test_advise_and_classify_carry_fidelity(client):
