@@ -2,7 +2,7 @@
 
 PY ?= python3
 
-.PHONY: install test bench experiments full-sweep clean
+.PHONY: install test experiments full-sweep clean
 
 install:
 	$(PY) setup.py develop
@@ -10,15 +10,11 @@ install:
 test:
 	$(PY) -m pytest tests/
 
-bench:
-	$(PY) -m pytest benchmarks/ --benchmark-only
-
 experiments:
 	$(PY) -m repro.experiments --exp all --collection small
 
 full-sweep:
-	REPRO_BENCH_COLLECTION=full REPRO_BENCH_LIMIT=0 \
-		$(PY) -m pytest benchmarks/ --benchmark-only
+	$(PY) -m repro.experiments --exp all --collection full
 
 clean:
 	rm -rf .repro_cache .pytest_cache build *.egg-info

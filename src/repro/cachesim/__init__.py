@@ -2,25 +2,18 @@
 
 from .events import CacheEvents, combine, per_array_counts
 from .hierarchy import SimConfig, SpMVCacheSim
-from .plru import PLRUCache, TreePLRU, events_from_hits, simulate_plru
 from .prefetch import STREAMED_ARRAYS, inject_prefetches
 from .setassoc import SetAssocRD, set_index, simulate
-from .software_prefetch import inject_x_software_prefetch
 
 __all__ = [
     "CacheEvents",
-    "PLRUCache",
     "STREAMED_ARRAYS",
     "SetAssocRD",
     "SimConfig",
     "SpMVCacheSim",
-    "TreePLRU",
     "combine",
-    "events_from_hits",
     "inject_prefetches",
     "per_array_counts",
     "set_index",
     "simulate",
-    "simulate_plru",
-    "inject_x_software_prefetch",
 ]

@@ -9,7 +9,7 @@ segments simulate together through composite group keys.
 
 True LRU stands in for the A64FX's undisclosed (pseudo-)LRU policy — the
 same approximation the paper makes for its model (Section 2.2); the
-sequential tree-PLRU simulator in :mod:`repro.cachesim.plru` quantifies the
+sequential tree-PLRU oracle in ``tests/oracles/plru.py`` quantifies the
 difference on small traces.
 """
 

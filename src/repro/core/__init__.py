@@ -3,13 +3,10 @@
 from .advisor import PolicyChoice, Recommendation, SectorAdvisor
 from .analytic import StreamMisses, method_b_scale_factors, stream_misses
 from .classification import MatrixClass, classify, reusable_bytes, working_set_bytes
-from .csc_trace import csc_layout, csc_trace
 from .layout import ARRAY_ID, MemoryLayout
 from .method_a import MethodA, MissPrediction
 from .method_b import MethodB
 from .model import CacheMissModel, ModelComparison
-from .partition import PartitionSpec, eq2_misses, unpartitioned_misses
-from .sellcs_trace import sellcs_layout, sellcs_trace
 from .trace import (
     MemoryTrace,
     concat_traces,
@@ -29,25 +26,18 @@ __all__ = [
     "MethodB",
     "MissPrediction",
     "ModelComparison",
-    "PartitionSpec",
     "PolicyChoice",
     "Recommendation",
     "SectorAdvisor",
     "StreamMisses",
     "classify",
     "concat_traces",
-    "csc_layout",
-    "csc_trace",
-    "eq2_misses",
     "method_b_scale_factors",
     "repeat_trace",
     "reusable_bytes",
-    "sellcs_layout",
-    "sellcs_trace",
     "spmv_thread_trace",
     "spmv_trace",
     "stream_misses",
-    "unpartitioned_misses",
     "working_set_bytes",
     "x_only_trace",
 ]

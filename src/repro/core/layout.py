@@ -48,12 +48,7 @@ class MemoryLayout:
 
     @classmethod
     def from_counts(cls, counts: dict[str, int], line_size: int) -> "MemoryLayout":
-        """Lay out the five kernel arrays with explicit element counts.
-
-        Used for storage formats whose array extents differ from CSR's
-        (e.g. SELL-C-sigma, whose value/colidx arrays include padding and
-        whose "rowptr" slot holds the chunk pointer).
-        """
+        """Lay out the five kernel arrays with explicit element counts."""
         if line_size <= 0:
             raise ValueError("line_size must be positive")
         missing = set(ARRAYS) - set(counts)

@@ -6,6 +6,7 @@ Usage::
     python -m repro.experiments --exp figure2 --collection small
     python -m repro.experiments --exp all --collection full --cache .repro_cache
     python -m repro.experiments --exp figure3 --collection full --jobs 8
+    python -m repro.experiments --exp section43
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from pathlib import Path
 from ..obs.report import render_report
 from ..obs.schema import TRACE_SCHEMA_ID
 from ..obs.tracer import Tracer, installed
+from .ablations import section42, section43
+from .bandwidth import render_section44, section44_summary
 from .cluster import render_cluster, run_cluster
 from .common import ExperimentSetup, collection_records
 from .figure2 import figure2_series, render_figure2
@@ -35,7 +38,8 @@ from .tables23 import (
     render_accuracy_table,
 )
 
-EXPERIMENTS = ("table1", "table2", "table3", "figure2", "figure3", "figure4", "figure5", "overhead")
+EXPERIMENTS = ("table1", "table2", "table3", "figure2", "figure3", "figure4", "figure5",
+               "overhead", "section42", "section43", "section44")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -202,7 +206,8 @@ def _run(args: argparse.Namespace, cache: str | None, wanted: tuple[str, ...]) -
         print()
 
     parallel_setup = ExperimentSetup(scale=args.scale, num_threads=48)
-    needs_parallel = {"table3", "figure2", "figure3", "figure4", "figure5", "overhead"}
+    needs_parallel = {"table3", "figure2", "figure3", "figure4", "figure5", "overhead",
+                      "section44"}
     if needs_parallel & set(wanted):
         records = collection_records(
             args.collection, parallel_setup, cache, limit=args.limit,
@@ -244,6 +249,19 @@ def _run(args: argparse.Namespace, cache: str | None, wanted: tuple[str, ...]) -
         if "overhead" in wanted:
             print("Section 4.5.1 overhead:", method_overhead(records))
             print()
+        if "section44" in wanted:
+            print(render_section44(records, machine, count=8))
+            summary = section44_summary(records, machine, count=10)
+            print(
+                "top-bandwidth set: "
+                f"{summary['top_bandwidth_min_gbs']:.0f}-{summary['top_bandwidth_max_gbs']:.0f} GB/s; "
+                "top-speedup set: "
+                f"{summary['top_speedup_bandwidth_min_gbs']:.0f}-"
+                f"{summary['top_speedup_bandwidth_max_gbs']:.0f} GB/s "
+                f"(overlap {summary['overlap_count']:.0f})"
+            )
+            print("paper: 513-783 GB/s vs 74-376 GB/s, no overlap in the top-20 sets")
+            print()
 
     if "table2" in wanted:
         sequential = ExperimentSetup(scale=args.scale, num_threads=1)
@@ -258,6 +276,13 @@ def _run(args: argparse.Namespace, cache: str | None, wanted: tuple[str, ...]) -
             rows, "Table 2: L2 miss prediction error, sequential SpMV"
         ))
         print(l1_accuracy(records, machine, parallel=False))
+        print()
+
+    if "section43" in wanted:
+        print(section43(parallel_setup))
+        print()
+    if "section42" in wanted:
+        print(section42(parallel_setup))
         print()
     return 0
 

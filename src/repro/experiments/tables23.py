@@ -20,6 +20,7 @@ import numpy as np
 from ..analysis.mape import ErrorStats, error_stats
 from ..analysis.report import render_table
 from ..machine.a64fx import A64FX
+from ..matrices.stats import meets_method_b_regularity
 from .common import MatrixRecord
 
 
@@ -47,9 +48,7 @@ def accuracy_rows(
     """MAPE rows for the given configurations over eligible matrices."""
     eligible = _eligible(records, machine, parallel)
     if regular_only:
-        eligible = [
-            r for r in eligible if r.mean_nnz_per_row >= 8.0 and r.cv_nnz_per_row <= 1.0
-        ]
+        eligible = [r for r in eligible if meets_method_b_regularity(r)]
     rows = []
     for l2w in l2_way_options:
         usable = [r for r in eligible if r.l2_misses(l2w, 0) > 0]

@@ -67,6 +67,8 @@ def meets_method_b_regularity(stats: MatrixStats) -> bool:
     """The paper's Section 4.5.2 filter: ``mu_K >= 8`` and ``CV_K <= 1``.
 
     Matrices passing this filter are the ones for which method (B)'s
-    average scaling factor is representative.
+    average scaling factor is representative.  Only ``mean_nnz_per_row``
+    and ``cv_nnz_per_row`` are read, so an experiment record carrying
+    both qualifies as well.
     """
     return stats.mean_nnz_per_row >= 8.0 and stats.cv_nnz_per_row <= 1.0

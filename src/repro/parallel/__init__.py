@@ -1,6 +1,5 @@
-"""Parallelism substrate: trace interleaving and the MCS-lock collator."""
+"""Parallelism substrate: interleaving per-thread traces for shared caches."""
 
 from .interleave import interleave
-from .mcs import MCSLock, collate_fifo
 
-__all__ = ["MCSLock", "collate_fifo", "interleave"]
+__all__ = ["interleave"]

@@ -1,9 +1,7 @@
-"""SpMV substrate: sparse storage formats, kernels, schedules, sector policies."""
+"""SpMV substrate: CSR storage, kernels, schedules, sector policies."""
 
-from .csc import CSCMatrix
 from .csr import CSRMatrix
-from .kernels import flops, spmv, spmv_reference, spmv_rows
-from .merge import merge_path_search, merge_schedule, spmv_merge
+from .kernels import flops, spmv, spmv_reference
 from .schedule import RowSchedule, balanced_schedule, static_schedule
 from .sector_policy import (
     ARRAYS,
@@ -13,26 +11,19 @@ from .sector_policy import (
     listing1_policy,
     no_sector_cache,
 )
-from .sellcs import SellCSigmaMatrix
 
 __all__ = [
     "ARRAYS",
-    "CSCMatrix",
     "CSRMatrix",
     "MATRIX_DATA",
     "RowSchedule",
     "SectorPolicy",
-    "SellCSigmaMatrix",
     "balanced_schedule",
     "flops",
     "isolate_x_policy",
     "listing1_policy",
-    "merge_path_search",
-    "merge_schedule",
     "no_sector_cache",
     "spmv",
-    "spmv_merge",
     "spmv_reference",
-    "spmv_rows",
     "static_schedule",
 ]

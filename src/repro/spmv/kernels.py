@@ -55,25 +55,6 @@ def spmv(matrix: CSRMatrix, x: np.ndarray, y: np.ndarray | None = None) -> np.nd
     return y
 
 
-def spmv_rows(matrix: CSRMatrix, x: np.ndarray, y: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Vectorized SpMV restricted to a subset of rows (one thread's share)."""
-    _check_operands(matrix, x, y)
-    rows = np.asarray(rows, dtype=np.int64)
-    lengths = matrix.row_lengths[rows]
-    nonzero_rows = rows[lengths > 0]
-    if nonzero_rows.size == 0:
-        return y
-    starts = matrix.rowptr[nonzero_rows]
-    lens = matrix.row_lengths[nonzero_rows]
-    idx = np.repeat(starts - np.concatenate(([0], np.cumsum(lens)[:-1])), lens) + np.arange(
-        int(lens.sum())
-    )
-    products = matrix.values[idx] * x[matrix.colidx[idx]]
-    bounds = np.concatenate(([0], np.cumsum(lens)[:-1]))
-    y[nonzero_rows] += np.add.reduceat(products, bounds)
-    return y
-
-
 def flops(matrix: CSRMatrix) -> int:
     """Floating-point operations of one SpMV: 2 per nonzero."""
     return 2 * matrix.nnz

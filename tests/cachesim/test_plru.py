@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.cachesim import PLRUCache, TreePLRU, simulate, simulate_plru
-from repro.cachesim.plru import events_from_hits
+from repro.cachesim import simulate
 from repro.core import MemoryLayout
 from repro.core.trace import MemoryTrace
 from repro.machine.a64fx import CacheGeometry
 from repro.matrices import random_uniform
 from repro.spmv import listing1_policy
+from tests.oracles.plru import PLRUCache, TreePLRU, events_from_hits, simulate_plru
 
 
 def test_tree_plru_points_away_from_touched_way():

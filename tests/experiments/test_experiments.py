@@ -147,3 +147,30 @@ def test_best_l2_ways_picks_lowest_median(records):
     assert series[(best, 0)].median == min(
         series[(w, 0)].median for w in (2, 5)
     )
+
+
+def _accuracy_record(name, mean_nnz, cv_nnz, predicted):
+    return MatrixRecord(
+        name=name, num_rows=1, num_cols=1, nnz=1,
+        mean_nnz_per_row=mean_nnz, cv_nnz_per_row=cv_nnz,
+        x_bytes=8, working_set_bytes=1 << 40, threads=1,
+        measured={"0,0": {"l2_refill": 100}},
+        model_a={"0": predicted}, model_b={"0": predicted},
+    )
+
+
+def test_regular_only_applies_the_section452_filter():
+    machine = SETUP.machine()
+    records = [
+        _accuracy_record("regular", 8.0, 1.0, 90),
+        _accuracy_record("short rows", 7.9, 0.5, 50),
+        _accuracy_record("irregular", 12.0, 1.1, 50),
+    ]
+    (every,) = accuracy_rows(records, machine, parallel=False, l2_way_options=(0,))
+    (regular,) = accuracy_rows(
+        records, machine, parallel=False, l2_way_options=(0,), regular_only=True
+    )
+    assert every.method_a.count == 3
+    assert regular.method_a.count == 1
+    # only the regular record's 10 % error is left in the statistics
+    assert regular.method_a.mape == pytest.approx(10.0)

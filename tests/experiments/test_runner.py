@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.runner import main
+from repro.experiments.runner import EXPERIMENTS, main
 
 
 def test_runner_figure_drivers(capsys, tmp_path):
@@ -49,3 +49,21 @@ def test_runner_cache_reuse(capsys, tmp_path):
     )
     assert code == 0
     assert "correlation" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "exp, titles",
+    [
+        ("section44", ["Section 4.4", "top-bandwidth set"]),
+        ("section43", ["Ablation: prefetch distance"]),
+        ("section42", ["Ablation: RCM via the optimizer objective",
+                       "Ablation: RCM + load balancing"]),
+    ],
+)
+def test_runner_paper_sections(capsys, exp, titles):
+    assert exp in EXPERIMENTS  # so --exp all regenerates it too
+    code = main(["--exp", exp, "--collection", "tiny", "--limit", "3", "--cache", ""])
+    assert code == 0
+    out = capsys.readouterr().out
+    for title in titles:
+        assert title in out

@@ -25,4 +25,8 @@ production computes faster.  None of them is importable from ``src/``.
   :func:`repro.analysis.report.canonical_json`.
 * :mod:`.exhaustive` — every reordering candidate priced at tier 2,
   checks the confirmed winner of :func:`repro.optimize.optimize`.
+* :mod:`.plru` — sequential tree-PLRU caches, checks the vectorized LRU
+  simulator :func:`repro.cachesim.simulate` (equal at 2 ways, close at 16).
+* :mod:`.mcs` — an emulated MCS queue lock collating per-thread streams,
+  checks the ``"mcs"`` order of :func:`repro.parallel.interleave`.
 """

@@ -4,8 +4,8 @@ The paper records multi-threaded traces by ordering access submissions
 through an MCS lock because it guarantees starvation freedom and FIFO
 fairness.  This module provides a discrete-event emulation of the lock and a
 collator built on it; the collator's output is the fair round-robin order
-that :func:`repro.parallel.interleave.interleave` produces directly, which a
-test asserts.
+that :func:`repro.parallel.interleave` produces directly, which
+``tests/parallel/test_interleave.py`` asserts.
 """
 
 from __future__ import annotations

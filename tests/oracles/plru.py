@@ -8,8 +8,8 @@ its own decision bits, so victims are always chosen inside the sector of
 the incoming line — the semantics of the A64FX sector cache.
 
 It is O(1) per access but runs a Python loop per reference, so it serves as
-ground truth for the vectorized LRU simulator on small traces (tests and
-the replacement-policy ablation), not for full sweeps.
+ground truth for the vectorized LRU simulator
+(:func:`repro.cachesim.simulate`) on small traces, not for full sweeps.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.trace import MemoryTrace
-from ..machine.a64fx import CacheGeometry
-from .events import CacheEvents, per_array_counts
+from repro.cachesim.events import CacheEvents, per_array_counts
+from repro.core.trace import MemoryTrace
+from repro.machine.a64fx import CacheGeometry
 
 
 class TreePLRU:

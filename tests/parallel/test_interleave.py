@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from repro.core import MemoryLayout, spmv_trace
 from repro.matrices import banded
-from repro.parallel import MCSLock, collate_fifo, interleave
-from repro.parallel.mcs import _QNode
+from repro.parallel import interleave
 from repro.spmv import static_schedule
+from tests.oracles.mcs import MCSLock, _QNode, collate_fifo
 
 
 def make_traces(num_threads=3, n=120):

@@ -1,20 +1,11 @@
-"""SpMV kernels: vectorized and merge-based vs. the scalar oracle."""
+"""SpMV kernels: vectorized vs. the scalar oracle."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.spmv import (
-    CSRMatrix,
-    balanced_schedule,
-    flops,
-    spmv,
-    spmv_merge,
-    spmv_reference,
-    spmv_rows,
-    static_schedule,
-)
+from repro.spmv import CSRMatrix, flops, spmv, spmv_reference
 
 
 def random_csr(n: int, density: float, seed: int) -> CSRMatrix:
@@ -72,48 +63,3 @@ def test_vectorized_matches_reference(n, density, seed):
     y0 = rng.standard_normal(n)
     expected = spmv_reference(m, x, y0.copy())
     np.testing.assert_allclose(spmv(m, x, y0.copy()), expected, rtol=1e-12, atol=1e-9)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    n=st.integers(1, 20),
-    density=st.floats(0.05, 0.9),
-    seed=st.integers(0, 999),
-    threads=st.integers(1, 7),
-)
-def test_merge_based_matches_reference(n, density, seed, threads):
-    m = random_csr(n, density, seed)
-    rng = np.random.default_rng(seed + 1)
-    x = rng.standard_normal(n)
-    y0 = rng.standard_normal(n)
-    expected = spmv_reference(m, x, y0.copy())
-    np.testing.assert_allclose(
-        spmv_merge(m, x, y0.copy(), num_threads=threads), expected, rtol=1e-12, atol=1e-9
-    )
-
-
-@settings(max_examples=30, deadline=None)
-@given(n=st.integers(2, 20), seed=st.integers(0, 999), threads=st.integers(1, 5))
-def test_spmv_rows_partitions_compose(n, seed, threads):
-    m = random_csr(n, 0.3, seed)
-    rng = np.random.default_rng(seed + 1)
-    x = rng.standard_normal(n)
-    expected = spmv(m, x)
-    y = np.zeros(n)
-    sched = static_schedule(m, threads)
-    for t in range(threads):
-        r0, r1 = sched.rows_of(t)
-        spmv_rows(m, x, y, np.arange(r0, r1))
-    np.testing.assert_allclose(y, expected, rtol=1e-12, atol=1e-9)
-
-
-def test_spmv_rows_with_balanced_schedule():
-    m = random_csr(30, 0.2, 3)
-    x = np.ones(30)
-    expected = spmv(m, x)
-    y = np.zeros(30)
-    sched = balanced_schedule(m, 4)
-    for t in range(4):
-        r0, r1 = sched.rows_of(t)
-        spmv_rows(m, x, y, np.arange(r0, r1))
-    np.testing.assert_allclose(y, expected)

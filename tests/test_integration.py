@@ -20,9 +20,7 @@ from repro import (
     spmv,
 )
 from repro.matrices import banded, power_law, random_uniform, rcm_reorder, stencil_2d
-from repro.spmv import CSRMatrix, spmv_merge
-from repro.spmv.csc import CSCMatrix
-from repro.spmv.sellcs import SellCSigmaMatrix
+from repro.spmv import CSRMatrix
 
 MACHINE = scaled_machine(16)
 
@@ -46,11 +44,6 @@ def test_all_kernels_match_scipy(seed):
     x = rng.standard_normal(n)
     expected = to_scipy(m) @ x
     np.testing.assert_allclose(spmv(m, x), expected, rtol=1e-10)
-    np.testing.assert_allclose(spmv_merge(m, x, num_threads=5), expected, rtol=1e-10)
-    np.testing.assert_allclose(
-        SellCSigmaMatrix.from_csr(m).spmv(x), expected, rtol=1e-10
-    )
-    np.testing.assert_allclose(CSCMatrix.from_csr(m).spmv(x), expected, rtol=1e-10)
 
 
 def test_transpose_matches_scipy():
