@@ -28,7 +28,10 @@ from .harness import launch_replica, stop_replica
 _UNSPAWNED = ("127.0.0.1", 0)
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The gateway's flags, each defaulting to its :class:`GatewayConfig`
+    field or, for the spawned-replica flags, its :class:`ServiceConfig`
+    field (docs/OPERATIONS.md §6 has one row per flag)."""
     replica = ServiceConfig()
     gateway = {f.name: f.default for f in fields(GatewayConfig)}
     parser = argparse.ArgumentParser(prog="python -m repro.cluster",
@@ -46,13 +49,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--cache", default=replica.cache_dir,
                         help="cache root for spawned replicas (each gets "
                              "<cache>/replica-<i>; '' disables disk caching)")
-    parser.add_argument("--vnodes", type=int, default=gateway["vnodes"],
-                        help="virtual nodes per replica on the hash ring")
     parser.add_argument("--probe-interval", type=float,
                         default=gateway["probe_interval_seconds"],
                         help="seconds between health/breaker probe rounds")
-    parser.add_argument("--probe-timeout", type=float,
-                        default=gateway["probe_timeout_seconds"])
     parser.add_argument("--fail-after", type=int, default=gateway["fail_after"],
                         help="consecutive failed probes that eject a replica")
     parser.add_argument("--peer-window", type=float,
@@ -63,9 +62,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--batch-window", type=int,
                         default=gateway["batch_window"],
                         help="default in-flight window for /batch")
-    parser.add_argument("--forward-timeout", type=float,
-                        default=gateway["forward_timeout_seconds"],
-                        help="per-forward ceiling in seconds")
     parser.add_argument("--event-log", default=None, metavar="PATH",
                         help="gateway structured event log (JSON lines); "
                              "spawned replicas get <PATH dir>/replica-<i>-"
@@ -78,9 +74,11 @@ def main(argv: list[str] | None = None) -> int:
                         metavar="SECONDS",
                         help="forwarded to spawned replicas: audit time "
                              "budget per replica")
-    parser.add_argument("--trace-buffer", type=int,
-                        default=gateway["trace_buffer_size"], metavar="N",
-                        help="traced requests kept for GET /debug/traces")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
     if not args.replica and args.spawn < 1:
         parser.error("give at least one --replica or --spawn N")
@@ -109,15 +107,11 @@ def main(argv: list[str] | None = None) -> int:
                           audit_budget_seconds=args.audit_budget_seconds)
         config = GatewayConfig(
             replicas=tuple(replicas) + (_UNSPAWNED,) * args.spawn,
-            vnodes=args.vnodes,
             probe_interval_seconds=args.probe_interval,
-            probe_timeout_seconds=args.probe_timeout,
             fail_after=args.fail_after,
             peer_window_seconds=args.peer_window,
-            forward_timeout_seconds=args.forward_timeout,
             batch_window=args.batch_window,
             event_log_path=args.event_log,
-            trace_buffer_size=args.trace_buffer,
         )
     except ValueError as exc:
         parser.error(str(exc))

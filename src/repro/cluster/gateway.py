@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from ..obs import events as obs_events
-from ..obs.events import DEFAULT_MAX_BYTES, EventLog
+from ..obs.events import EventLog
 from ..obs.prometheus import Family, MetricStore, Sample, render
 from ..obs.traces import TraceBuffer
 from ..obs.tracer import Tracer
@@ -79,7 +79,6 @@ from ..service.protocol import (
 )
 from .batch import BatchItem, normalize_batch
 from .membership import MembershipController
-from .ring import DEFAULT_VNODES
 
 __all__ = ["GATEWAY_FAMILIES", "ClusterGateway", "GatewayConfig",
            "GatewayThread", "render_gateway_prometheus", "run_gateway"]
@@ -87,30 +86,28 @@ __all__ = ["GATEWAY_FAMILIES", "ClusterGateway", "GatewayConfig",
 
 @dataclass(frozen=True)
 class GatewayConfig:
-    """Gateway tunables (CLI flags map 1:1)."""
+    """Gateway tunables.
+
+    Each field has one ``python -m repro.cluster`` flag (docs/OPERATIONS.md
+    §6), except ``max_body_bytes``, which is set in-process only;
+    ``--replica`` and ``--spawn`` together fill ``replicas``.
+    """
 
     #: replica daemons as ``(host, port)`` pairs
     replicas: tuple = ()
-    vnodes: int = DEFAULT_VNODES
     #: seconds between health/breaker probe rounds (0 disables the loop —
     #: tests drive probes by hand; data-path ejection still works)
     probe_interval_seconds: float = 2.0
-    probe_timeout_seconds: float = 2.0
     #: consecutive failed probes that eject a replica
     fail_after: int = 1
     #: seconds after a membership change during which remapped keys carry
     #: a peer hint toward their previous owner's warm cache (0 = never)
     peer_window_seconds: float = 120.0
-    #: per-forward ceiling; requests may carry their own smaller timeout
-    forward_timeout_seconds: float = 300.0
     #: default and per-request in-flight window for /batch
     batch_window: int = 8
     max_body_bytes: int = 256 * 2**20
     #: structured JSON-lines event log (None disables)
     event_log_path: str | None = None
-    event_log_max_bytes: int = DEFAULT_MAX_BYTES
-    #: traced requests kept for ``GET /debug/traces``
-    trace_buffer_size: int = 64
 
     def __post_init__(self) -> None:
         if not self.replicas:
@@ -119,12 +116,6 @@ class GatewayConfig:
             raise ValueError("fail_after must be positive")
         if self.batch_window < 1:
             raise ValueError("batch_window must be positive")
-        if self.forward_timeout_seconds <= 0:
-            raise ValueError("forward_timeout_seconds must be positive")
-        if self.event_log_max_bytes < 4096:
-            raise ValueError("event_log_max_bytes must be at least 4096")
-        if self.trace_buffer_size < 1:
-            raise ValueError("trace_buffer_size must be positive")
 
 
 def _membership_changes(membership: dict) -> Iterator[Sample]:
@@ -181,6 +172,11 @@ def render_gateway_prometheus(snapshot: dict, prefix: str = "repro_gateway") -> 
     return render(GATEWAY_FAMILIES, snapshot, prefix)
 
 
+#: ceiling, in seconds, on one forward; a request may carry its own
+#: smaller ``timeout``
+FORWARD_TIMEOUT_SECONDS = 300.0
+
+
 class ClusterGateway(HttpApp):
     """Gateway logic behind the server shell: route, fail over, stream."""
 
@@ -193,19 +189,16 @@ class ClusterGateway(HttpApp):
         self.config = config
         self.membership = MembershipController(
             [tuple(r) for r in config.replicas],
-            vnodes=config.vnodes,
             fail_after=config.fail_after,
             peer_window_seconds=config.peer_window_seconds,
         )
         self.started = time.monotonic()
         self.metrics = MetricStore(GATEWAY_FAMILIES)
-        self.traces = TraceBuffer(config.trace_buffer_size)
+        self.traces = TraceBuffer()
         self._event_log = None
         self._previous_event_log = None
         if config.event_log_path is not None:
-            self._event_log = EventLog(config.event_log_path,
-                                       max_bytes=config.event_log_max_bytes,
-                                       role="gateway")
+            self._event_log = EventLog(config.event_log_path, role="gateway")
             self._previous_event_log = obs_events.install(self._event_log)
         self.shutdown_event = asyncio.Event()
 
@@ -248,8 +241,8 @@ class ClusterGateway(HttpApp):
         the key's preference sequence; returns ``(status, response,
         winning_forward_span)`` — the span is the anchor the caller grafts
         the winning replica's trace under (None without a tracer)."""
-        timeout = min(float(task.get("timeout", self.config.forward_timeout_seconds)),
-                      self.config.forward_timeout_seconds) + 5.0
+        timeout = min(float(task.get("timeout", FORWARD_TIMEOUT_SECONDS)),
+                      FORWARD_TIMEOUT_SECONDS) + 5.0
         tried: set[str] = set()
         while True:
             candidates = [r for r in self.membership.preference(key)
@@ -548,7 +541,7 @@ class ClusterGateway(HttpApp):
         if interval <= 0:
             return
         while not self.shutdown_event.is_set():
-            await self.membership.probe_all(self.config.probe_timeout_seconds)
+            await self.membership.probe_all()
             with contextlib.suppress(asyncio.TimeoutError):
                 await asyncio.wait_for(self.shutdown_event.wait(), interval)
 

@@ -12,6 +12,7 @@ the Alappat et al. column.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Callable
 
@@ -71,6 +72,9 @@ def _entry(
 ) -> Table1Entry:
     rows = int(rows_m * 1e6)
     nnz = int(nnz_m * 1e6)
+    # a stable digest of the name, not hash(name): Python salts string
+    # hashes per process, so the proxies would differ from run to run
+    seed = int.from_bytes(hashlib.sha256(name.encode()).digest()[:4], "big")
     return Table1Entry(
         name=name,
         rows=rows,
@@ -78,7 +82,7 @@ def _entry(
         gflops_paper=ours,
         gflops_alappat=alappat,
         family=family,
-        build=lambda scale: build(max(64, rows // scale), max(1, nnz // scale), hash(name) & 0x7FFFFFFF),
+        build=lambda scale: build(max(64, rows // scale), max(1, nnz // scale), seed),
     )
 
 

@@ -35,9 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cache", default=defaults.cache_dir,
                         help="disk cache directory shared with the sweep "
                              "engine ('' disables the disk tier)")
-    parser.add_argument("--cache-ttl", type=float,
-                        default=defaults.memory_ttl_seconds,
-                        help="memory-tier TTL in seconds")
     parser.add_argument("--cache-bytes", type=int,
                         default=defaults.memory_max_bytes,
                         help="memory-tier byte budget")
@@ -58,12 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--breaker-recovery", type=float,
                         default=defaults.breaker_recovery_seconds,
                         help="seconds an open breaker waits before probing")
-    parser.add_argument("--breaker-probes", type=int,
-                        default=defaults.breaker_half_open_probes,
-                        help="trial evaluations through a half-open breaker")
-    parser.add_argument("--no-degraded", action="store_true",
-                        help="shed with 503 instead of answering from the "
-                             "analytic degraded path")
     parser.add_argument("--saturation-depth", type=int,
                         default=defaults.saturation_queue_depth,
                         help="queue depth at which requests degrade instead "
@@ -83,11 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="SECONDS",
                         help="largest budget_seconds an /optimize request "
                              "may ask for (400 above it)")
-    parser.add_argument("--peer-timeout", type=float,
-                        default=defaults.peer_timeout_seconds,
-                        metavar="SECONDS",
-                        help="ceiling on one /cache/peek round trip to a "
-                             "peer replica before evaluating locally")
     parser.add_argument("--gc-interval", type=float, default=None,
                         metavar="SECONDS",
                         help="run a disk-cache GC sweep this often (off by "
@@ -103,11 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="append structured repro.obs.events/v1 JSON "
                              "lines here (validated by `python -m "
                              "repro.obs.events --validate PATH`)")
-    parser.add_argument("--event-log-bytes", type=int,
-                        default=defaults.event_log_max_bytes,
-                        metavar="BYTES",
-                        help="rotate the event log once it exceeds this "
-                             "(default 16 MiB; one .1 generation is kept)")
     parser.add_argument("--audit-rate", type=float,
                         default=defaults.audit_rate,
                         metavar="FRACTION",
@@ -122,10 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--audit-seed", type=int, default=defaults.audit_seed,
                         help="seed of the deterministic audit sampler "
                              "(replicas sharing a seed audit the same keys)")
-    parser.add_argument("--trace-buffer", type=int,
-                        default=defaults.trace_buffer_size,
-                        metavar="N",
-                        help="traced requests kept for GET /debug/traces")
     parser.add_argument("--delta-budget", type=int,
                         default=defaults.delta_budget,
                         metavar="ELEMENTS",
@@ -156,20 +133,16 @@ def main(argv: list[str] | None = None) -> int:
         config = ServiceConfig(
             jobs=args.jobs,
             cache_dir=args.cache or None,
-            memory_ttl_seconds=args.cache_ttl,
             memory_max_bytes=args.cache_bytes,
             request_timeout=args.timeout,
             allow_fault_injection=args.allow_fault_injection,
             fault_plan=fault_plan,
             breaker_failure_threshold=args.breaker_threshold,
             breaker_recovery_seconds=args.breaker_recovery,
-            breaker_half_open_probes=args.breaker_probes,
-            degraded_mode=not args.no_degraded,
             saturation_queue_depth=args.saturation_depth or None,
             default_accuracy=args.default_accuracy,
             default_max_tier=args.max_tier,
             max_optimize_budget_seconds=args.max_optimize_budget,
-            peer_timeout_seconds=args.peer_timeout,
             gc_interval_seconds=args.gc_interval,
             gc_max_age_seconds=args.gc_max_age,
             gc_max_bytes=args.gc_max_bytes,
@@ -177,9 +150,7 @@ def main(argv: list[str] | None = None) -> int:
             audit_rate=args.audit_rate,
             audit_budget_seconds=args.audit_budget_seconds,
             audit_seed=args.audit_seed,
-            trace_buffer_size=args.trace_buffer,
             delta_budget=args.delta_budget,
-            event_log_max_bytes=args.event_log_bytes,
         )
     except ValueError as exc:
         parser.error(str(exc))

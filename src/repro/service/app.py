@@ -49,7 +49,7 @@ from ..ladder.engine import fidelity_payload, has_ladder_flags, tier2_apriori_bo
 from ..ladder.tier0 import answer_task, dims_from_task, num_cmgs
 from ..obs import events as obs_events
 from ..obs.audit import AccuracyAuditor, compare_results
-from ..obs.events import DEFAULT_MAX_BYTES, EventLog
+from ..obs.events import EventLog
 from ..obs.prometheus import SERVICE_FAMILIES, MetricStore, render_prometheus
 from ..obs.traces import TraceBuffer
 from ..obs.tracer import Tracer
@@ -86,11 +86,14 @@ from .worker import evaluate
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Daemon tunables (CLI flags map 1:1)."""
+    """Daemon tunables.
+
+    Each field has one ``python -m repro.service`` flag (docs/OPERATIONS.md
+    §1), except ``max_body_bytes``, which is set in-process only.
+    """
 
     jobs: int = 2
     cache_dir: str | None = ".repro_cache"
-    memory_ttl_seconds: float = 300.0
     memory_max_bytes: int = 64 * 2**20
     request_timeout: float = 120.0
     max_body_bytes: int = 64 * 2**20
@@ -105,11 +108,6 @@ class ServiceConfig:
     breaker_failure_threshold: int = 5
     #: seconds an open breaker refuses the pool before probing again
     breaker_recovery_seconds: float = 30.0
-    #: trial evaluations allowed through a half-open breaker
-    breaker_half_open_probes: int = 1
-    #: answer from the analytic degraded path instead of shedding with a
-    #: 503 when the pool is unavailable (breaker open / saturated)
-    degraded_mode: bool = True
     #: queue depth at which new evaluations degrade instead of queueing
     #: (None disables natural-saturation degradation)
     saturation_queue_depth: int | None = 64
@@ -121,10 +119,6 @@ class ServiceConfig:
     #: largest ``budget_seconds`` an ``/optimize`` request may ask for —
     #: admission control for the most expensive endpoint (400 above it)
     max_optimize_budget_seconds: float = 120.0
-    #: ceiling on one ``/cache/peek`` round trip to a peer replica; a
-    #: slow or dead peer must never cost more than this before the
-    #: replica falls back to evaluating itself
-    peer_timeout_seconds: float = 5.0
     #: seconds between periodic disk-cache GC sweeps (None disables the
     #: daemon task; ``python -m repro.service.cache --gc`` still works)
     gc_interval_seconds: float | None = None
@@ -135,8 +129,6 @@ class ServiceConfig:
     #: structured JSON-lines event log (``repro.obs.events/v1``); None
     #: disables event logging entirely
     event_log_path: str | None = None
-    #: event-log rotation byte budget (owner-only rotation to ``.1``)
-    event_log_max_bytes: int = DEFAULT_MAX_BYTES
     #: fraction of delivered tier-0/1 ladder answers shadow-audited at
     #: tier 2 off the hot path (0 disables the continuous accuracy audit)
     audit_rate: float = 0.0
@@ -146,8 +138,6 @@ class ServiceConfig:
     #: seed of the deterministic audit sampling hash — replicas sharing a
     #: seed agree on which request keys are audited
     audit_seed: int = 0
-    #: finished traced requests retained for ``GET /debug/traces``
-    trace_buffer_size: int = 64
     #: patch-work ceiling of the incremental delta engine (summed dirty
     #: reuse-window elements); past it a ``POST /delta`` evaluation falls
     #: back to full re-evaluation.  0 forces the fallback always.
@@ -162,8 +152,6 @@ class ServiceConfig:
             raise ValueError("breaker_failure_threshold must be positive")
         if self.breaker_recovery_seconds <= 0:
             raise ValueError("breaker_recovery_seconds must be positive")
-        if self.breaker_half_open_probes < 1:
-            raise ValueError("breaker_half_open_probes must be positive")
         if self.saturation_queue_depth is not None and self.saturation_queue_depth < 1:
             raise ValueError("saturation_queue_depth must be positive (or None)")
         if self.fault_plan is not None and not self.allow_fault_injection:
@@ -174,8 +162,6 @@ class ServiceConfig:
             raise ValueError("default_max_tier must be between 0 and 3")
         if self.max_optimize_budget_seconds <= 0:
             raise ValueError("max_optimize_budget_seconds must be positive")
-        if self.peer_timeout_seconds <= 0:
-            raise ValueError("peer_timeout_seconds must be positive")
         if self.gc_interval_seconds is not None and self.gc_interval_seconds <= 0:
             raise ValueError("gc_interval_seconds must be positive (or None)")
         if self.gc_max_age_seconds is not None and self.gc_max_age_seconds < 0:
@@ -187,16 +173,12 @@ class ServiceConfig:
                 and self.gc_max_bytes is None):
             raise ValueError("gc_interval_seconds needs gc_max_age_seconds "
                              "and/or gc_max_bytes (nothing to collect otherwise)")
-        if self.event_log_max_bytes < 4096:
-            raise ValueError("event_log_max_bytes must be at least 4096")
         if not 0.0 <= self.audit_rate <= 1.0:
             raise ValueError("audit_rate must be in [0, 1]")
         if self.audit_budget_seconds is not None and self.audit_budget_seconds <= 0:
             raise ValueError("audit_budget_seconds must be positive")
         if self.audit_seed < 0:
             raise ValueError("audit_seed must be non-negative")
-        if self.trace_buffer_size < 1:
-            raise ValueError("trace_buffer_size must be positive")
         if self.delta_budget < 0:
             raise ValueError("delta_budget must be non-negative")
 
@@ -211,6 +193,11 @@ class ServiceConfig:
 #: never stored — recomputing beats caching and they must never shadow
 #: an exact entry — and are offered to the accuracy audit instead.
 STORED_TIERS = {2: "", 3: ".t3"}
+
+#: ceiling on one ``/cache/peek`` round trip to a peer replica: a slow
+#: or dead peer never costs more than this before the replica evaluates
+#: the request itself
+PEER_TIMEOUT_SECONDS = 5.0
 
 
 class _EvaluationError(Exception):
@@ -229,8 +216,8 @@ class _DegradedService(Exception):
     natural) and caught in :meth:`LocalityService._finish_task`, which
     either answers from Method B's closed forms
     (:func:`repro.ladder.tier0.answer_task`) or, when no
-    analytic surrogate exists (``sweep``) or degraded mode is off,
-    responds 503 with a retry hint.
+    analytic surrogate exists (``sweep``, ``optimize``), responds 503 with
+    a retry hint.
     """
 
     def __init__(self, reason: str, retry_after_seconds: float = 0.0) -> None:
@@ -257,11 +244,8 @@ class LocalityService(HttpApp):
 
     def __init__(self, config: ServiceConfig) -> None:
         self.config = config
-        self.cache = TieredResultCache(
-            config.cache_dir,
-            max_bytes=config.memory_max_bytes,
-            ttl_seconds=config.memory_ttl_seconds,
-        )
+        self.cache = TieredResultCache(config.cache_dir,
+                                       max_bytes=config.memory_max_bytes)
         self.started = time.monotonic()
         self.metrics = MetricStore(SERVICE_FAMILIES)
         self.meter = ServiceMetrics(self.metrics)
@@ -269,12 +253,11 @@ class LocalityService(HttpApp):
             endpoint: CircuitBreaker(
                 failure_threshold=config.breaker_failure_threshold,
                 recovery_seconds=config.breaker_recovery_seconds,
-                half_open_max_probes=config.breaker_half_open_probes,
                 on_transition=self._breaker_observer(endpoint),
             )
             for endpoint in ENDPOINTS
         }
-        self.traces = TraceBuffer(config.trace_buffer_size)
+        self.traces = TraceBuffer()
         # stored base tasks POST /delta patches against (same dir as the
         # result cache: a GC'd base 404s and the client re-submits once)
         self.registry = TaskRegistry(config.cache_dir)
@@ -294,9 +277,7 @@ class LocalityService(HttpApp):
         self._event_log = None
         self._previous_event_log = None
         if config.event_log_path is not None:
-            self._event_log = EventLog(config.event_log_path,
-                                       max_bytes=config.event_log_max_bytes,
-                                       role="service")
+            self._event_log = EventLog(config.event_log_path, role="service")
             self._previous_event_log = obs_events.install(self._event_log)
         self._executor = fork_executor(config.jobs)
         self._slots = asyncio.Semaphore(config.jobs)
@@ -409,7 +390,7 @@ class LocalityService(HttpApp):
                 peer["host"], peer["port"], "POST", "/cache/peek",
                 # jsonable: an inline matrix rides the task as arrays
                 {"task": jsonable(task)},
-                timeout=self.config.peer_timeout_seconds,
+                timeout=PEER_TIMEOUT_SECONDS,
             )
         except (OSError, ValueError, ConnectionError, asyncio.TimeoutError,
                 asyncio.IncompleteReadError):
@@ -578,8 +559,8 @@ class LocalityService(HttpApp):
         except _DegradedService as exc:
             result = self._degraded_result(task)
             if result is None:
-                # sweep has no analytic surrogate (its whole point is the
-                # stack-distance measurement), and degraded mode may be off
+                # sweep and optimize have no analytic surrogate (sweep's
+                # whole point is the stack-distance measurement)
                 scope.mark("unavailable", reason=exc.reason)
                 return 503, {"ok": False, "endpoint": endpoint, "key": key,
                              "error": {
@@ -956,8 +937,6 @@ class LocalityService(HttpApp):
         no stack pass, no pool, event-loop-cheap.  Any surprise in the
         surrogate falls back to shedding rather than a dropped connection.
         """
-        if not self.config.degraded_mode:
-            return None
         try:
             machine = setup_from_task(task).machine()
             return answer_task(task, machine, matrix_name(task))

@@ -1,5 +1,11 @@
 """Synthetic collection: determinism, stratification, Table-1 proxies."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -82,3 +88,34 @@ def test_table1_proxy_scale_shrinks_size():
     assert abs(small.num_rows - smaller_rows) < smaller_rows * 0.5
     with pytest.raises(ValueError):
         entry.proxy(scale=0)
+
+
+_PROXY_DIGESTS = """
+import hashlib, json
+from repro.matrices import TABLE1
+digests = {}
+for entry in TABLE1:
+    proxy = entry.proxy()
+    digest = hashlib.sha256()
+    for array in (proxy.rowptr, proxy.colidx, proxy.values):
+        digest.update(array.tobytes())
+    digests[entry.name] = digest.hexdigest()
+print(json.dumps(digests))
+"""
+
+
+def test_table1_proxies_do_not_depend_on_the_hash_seed():
+    """Every proxy is the same array in every process: its seed may not
+    come from Python's per-process salted string hash."""
+    src = Path(__file__).resolve().parents[2] / "src"
+
+    def digests(hash_seed: str) -> dict:
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(src))
+        out = subprocess.run([sys.executable, "-c", _PROXY_DIGESTS], env=env,
+                             capture_output=True, text=True, check=True)
+        return json.loads(out.stdout)
+
+    first = digests("1")
+    assert len(first) == len(TABLE1)
+    assert first == digests("2")
+

@@ -153,6 +153,29 @@ def test_ladder_request_ignores_a_peer_hint(server, client, tmp_path):
         assert not new_owner.metrics()["peer_fill"]
 
 
+@pytest.mark.parametrize("defaults, own, injected_slo, tiers", [
+    ({"default_max_tier": 0}, {"max_tier": 2}, None, (0, 2)),
+    ({"default_accuracy": TIER0_SLO}, {"accuracy": SIM_ONLY_SLO}, TIER0_SLO,
+     (0, 3)),
+], ids=["max_tier", "accuracy"])
+def test_daemon_wide_ladder_defaults(client, tmp_path, defaults, own,
+                                     injected_slo, tiers):
+    """A daemon-wide ladder default turns a plain request into a ladder
+    request; a request's own flag wins over it; neither enters the key."""
+    matrix = banded(730, 30, 5, seed=40)
+    plain_key = client.predict(matrix, **SETUP)["key"]
+    config = ServiceConfig(jobs=1, cache_dir=str(tmp_path), **defaults)
+    with ServiceThread(config) as (host, port), \
+            ServiceClient(host, port, timeout=120.0) as daemon:
+        injected = daemon.predict(matrix, **SETUP)
+        overridden = daemon.predict(matrix, **SETUP, **own)
+    assert injected["fidelity"]["tier"] == tiers[0]
+    assert injected["fidelity"]["accuracy_slo"] == injected_slo
+    assert overridden["fidelity"]["tier"] == tiers[1]
+    assert overridden["fidelity"]["accuracy_slo"] == own.get("accuracy")
+    assert injected["key"] == overridden["key"] == plain_key
+
+
 def test_advise_and_classify_carry_fidelity(client):
     matrix = banded(700, 28, 5, seed=35)
     advised = client.advise(matrix, accuracy=TIER0_SLO, **SETUP)
