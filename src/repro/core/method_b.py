@@ -16,10 +16,17 @@ analytically:
 One stack pass covers every sector configuration.  The documented accuracy
 loss for matrices with few nonzeros per row and high row-length variation
 (the scaling factor is an average) is evaluated in Table 2/3 benches.
+
+A model built with ``query_points`` (the ``(scale, capacity)`` pairs it
+will be asked, as ladder tier 2 declares them) runs its x stack pass with
+the window floor of those points: references that hit at every point are
+not counted.  It answers exactly every query at or above that floor and
+raises on any other.  Without query points the pass is exact.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import cached_property
 
 import numpy as np
@@ -29,7 +36,7 @@ from ..obs.tracer import count as obs_count
 from ..obs.tracer import span as obs_span
 from ..parallel.interleave import interleave
 from ..reuse.cdq import reuse_distances
-from ..reuse.histogram import ReuseProfile, scale_distances
+from ..reuse.histogram import ReuseProfile, scale_distances, window_floor
 from ..reuse.periodic import steady_state_reuse_distances
 from ..spmv.csr import CSRMatrix
 from ..spmv.schedule import RowSchedule, static_schedule
@@ -50,6 +57,7 @@ class MethodB:
         schedule: RowSchedule | None = None,
         iterations: int = 2,
         interleave_policy: str = "mcs",
+        query_points: Iterable[tuple[float, int]] | None = None,
     ) -> None:
         if matrix.nnz == 0:
             raise ValueError("method B requires a non-empty matrix")
@@ -71,6 +79,12 @@ class MethodB:
         self._cmgs = (self.trace.threads // machine.cores_per_cmg).astype(np.int64)
         self.s1, self.s2 = method_b_scale_factors(matrix)
         self._streams = stream_misses(matrix, machine.line_size)
+        #: window floor of the L2 x pass (``None``: exact distances)
+        self.window_floor = (
+            None if query_points is None
+            else min((window_floor(scale, capacity)
+                      for scale, capacity in query_points), default=None)
+        )
 
     @property
     def periodic(self) -> bool:
@@ -81,19 +95,23 @@ class MethodB:
     def num_cmgs_used(self) -> int:
         return int(self._cmgs.max()) + 1 if len(self.trace) else 1
 
-    def _stack_pass(self, groups: np.ndarray) -> np.ndarray:
+    def _stack_pass(self, groups: np.ndarray,
+                    floor: int | None = None) -> np.ndarray:
         """Steady-state distances of the period, or a cold pass for one
         iteration (see :meth:`repro.core.method_a.MethodA._stack_pass`)."""
+        references = len(self.trace)
+        # a floored pass re-annotates `counted` with what it counted
         with obs_span("method_b.stack_pass", periodic=self.periodic,
-                      references=len(self.trace)):
+                      references=references, counted=references):
             if self.periodic:
-                return steady_state_reuse_distances(self.trace.lines, groups)
-            return reuse_distances(self.trace.lines, groups)
+                return steady_state_reuse_distances(
+                    self.trace.lines, groups, window_floor=floor)
+            return reuse_distances(self.trace.lines, groups, window_floor=floor)
 
     @cached_property
     def _x_rd(self) -> np.ndarray:
         """The single stack pass over x references, per CMG segment."""
-        return self._stack_pass(self._cmgs)
+        return self._stack_pass(self._cmgs, self.window_floor)
 
     @cached_property
     def _x_rd_l1(self) -> np.ndarray:
@@ -124,8 +142,15 @@ class MethodB:
         """Misses of x references with inflated distances vs. a capacity.
 
         ``scale=1.0`` prices the Section-3.2.2 case (3) where x owns a
-        partition alone; s1/s2 price the shared-partition cases.
+        partition alone; s1/s2 price the shared-partition cases.  A query
+        the model's window floor cannot answer exactly raises.
         """
+        floor = self.window_floor
+        if floor is not None and window_floor(scale, capacity_lines) < floor:
+            raise ValueError(
+                f"x_misses({scale!r}, {capacity_lines}) is below the window "
+                f"floor {floor} of this model's query points"
+            )
         obs_count("method_b.profile_queries")
         return self._x_profile("l2", scale).misses(capacity_lines)
 

@@ -327,6 +327,20 @@ class Ladder:
                         points.append(point(ways, scale_override=1.0))
         return tuple(points)
 
+    def _profile_queries(self, request: _Request) -> list | None:
+        """The ``(scale, capacity)`` pairs tier 2 asks of its Method B, so
+        that its stack pass counts only what they tell apart.
+
+        ``None`` (the exact pass) for a request the model rejects, such as
+        an empty matrix or a way split the cache does not have: the model
+        then raises its own error, exactly as without query points.
+        """
+        try:
+            points = self._query_points(request)
+        except ValueError:
+            return None
+        return [(pt.scale, pt.capacity) for pt in points if pt.scale is not None]
+
     def _floor(self, dims: MatrixDims) -> int:
         return max(1, stream_misses(dims, self.machine.line_size).total)
 
@@ -460,7 +474,8 @@ class Ladder:
             # model, whatever iteration count the setup measures
             model = MethodB(matrix, self.machine, num_threads=threads,
                             iterations=(self.setup.iterations
-                                        if endpoint == "predict" else 2))
+                                        if endpoint == "predict" else 2),
+                            query_points=self._profile_queries(request))
         return (self._model_result(request, model),
                 model if tier == 1 else None)
 

@@ -284,3 +284,10 @@ def count(name: str, value: int = 1) -> None:
     tracer = _ambient
     if tracer is not None:
         tracer.count(name, value)
+
+
+def annotate(**attrs) -> None:
+    """Attach attributes to the innermost open span (no-op when disabled)."""
+    tracer = _ambient
+    if tracer is not None and tracer._stack:
+        tracer._stack[-1].annotate(**attrs)

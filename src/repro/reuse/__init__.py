@@ -2,7 +2,7 @@
 
 from .cdq import COLD, hit_mask, miss_count, reuse_distances
 from .fenwick import compute_prev
-from .histogram import ReuseProfile, partition_profiles, scale_distances
+from .histogram import ReuseProfile, partition_profiles, scale_distances, window_floor
 from .periodic import steady_state_reuse_distances
 from .sampling import SpatialSampledProfile, spatial_sample_mask, spatial_sample_profile
 
@@ -19,4 +19,5 @@ __all__ = [
     "partition_profiles",
     "scale_distances",
     "steady_state_reuse_distances",
+    "window_floor",
 ]

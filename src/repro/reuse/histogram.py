@@ -126,3 +126,29 @@ def scale_distances(rd: np.ndarray, factor: float) -> np.ndarray:
     finite = rd < COLD
     out[finite] = np.rint(rd[finite] * float(factor)).astype(np.int64)
     return out
+
+
+def window_floor(factor: float, capacity_lines: int) -> int:
+    """Smallest distance whose scaled value reaches ``capacity_lines``.
+
+    Uses the rounding of :func:`scale_distances`, which is monotone in the
+    distance: every distance below the result hits an LRU cache of
+    ``capacity_lines`` once scaled by ``factor``, every distance at or
+    above it misses.  A stack pass with this window floor (see
+    :mod:`repro.reuse.cdq`) therefore answers that one query exactly.
+    """
+    if factor < 0:
+        raise ValueError("factor must be non-negative")
+    if capacity_lines < 0:
+        raise ValueError("capacity must be non-negative")
+    if capacity_lines == 0:
+        return 0
+    factor = float(factor)
+    if factor == 0 or (capacity_lines - 0.5) / factor >= COLD:
+        return int(COLD)  # no finite distance scales up to the capacity
+    distance = max(0, int((capacity_lines - 0.5) / factor) - 1)
+    while distance > 0 and np.rint(np.int64(distance - 1) * factor) >= capacity_lines:
+        distance -= 1
+    while np.rint(np.int64(distance) * factor) < capacity_lines:
+        distance += 1
+    return distance

@@ -38,13 +38,19 @@ The cache-hierarchy simulator needs this because its first SpMV iteration
 carries prefetcher ramp references that later iterations do not; lines that
 never occur in the first period are reported :data:`COLD`, exactly as in the
 explicitly concatenated trace.
+
+An optional *window floor* (see :mod:`repro.reuse.cdq`) gives in-period
+references whose window is below it the placeholder distance 0 and
+counts only the rest.  Period-first (wrap-around) and cold references
+stay exact.  Only Method B's ladder tier 2 passes a floor; the cache
+simulator, Method A, the miss curves and the delta engine stay exact.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .cdq import COLD, _dominance_counts
+from .cdq import COLD, _dominance_counts, _warm_distances
 from .fenwick import compute_prev
 
 
@@ -71,6 +77,7 @@ def steady_state_reuse_distances(
     groups: np.ndarray | None = None,
     first_lines: np.ndarray | None = None,
     first_groups: np.ndarray | None = None,
+    window_floor: int | None = None,
 ) -> np.ndarray:
     """Exact steady-state reuse distances of one period of a periodic trace.
 
@@ -87,6 +94,9 @@ def steady_state_reuse_distances(
         period (e.g. prefetcher warm-up ramps).  The modelled trace is
         ``[first, period, period, ...]``; by default the first period is the
         period itself.
+    window_floor:
+        Optional window floor: in-period references whose window is below
+        it get the placeholder distance 0 instead of their exact distance.
 
     Returns
     -------
@@ -137,7 +147,7 @@ def steady_state_reuse_distances(
         first_groups = None  # alias of groups; drop it so the del frees it
     del groups
     prev = compute_prev(keys)
-    rd = _dominance_counts(prev) - (prev + 1)
+    rd = _warm_distances(prev, window_floor)
     is_first = prev < 0
 
     # last occurrence of each distinct (group, line) key in the first

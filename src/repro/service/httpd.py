@@ -477,7 +477,10 @@ class HttpApp:
         finally:
             if conn_sock is not None:
                 unregister_parent_socket(conn_sock)
-            with contextlib.suppress(Exception):
+            # teardown may cancel the wait as well; a cancellation that
+            # escaped here would end the task cancelled, which the
+            # streams machinery logs as an error
+            with contextlib.suppress(Exception, asyncio.CancelledError):
                 writer.close()
                 await writer.wait_closed()
             if shutdown:

@@ -9,7 +9,9 @@ checked, not a client's reading of it.
 """
 
 import json
+import logging
 import socket
+import threading
 
 import pytest
 
@@ -20,18 +22,20 @@ from repro.service import ServiceConfig, ServiceThread
 MAX_BODY = 1024
 
 
+def _server(role: str):
+    if role == "daemon":
+        return ServiceThread(ServiceConfig(jobs=1, cache_dir=None,
+                                           max_body_bytes=MAX_BODY))
+    # the shell cases never forward, so the replica need not exist;
+    # probe_interval 0 keeps the membership loop quiet
+    return GatewayThread(GatewayConfig(replicas=(("127.0.0.1", 9),),
+                                       probe_interval_seconds=0,
+                                       max_body_bytes=MAX_BODY))
+
+
 @pytest.fixture(scope="module", params=["daemon", "gateway"])
 def address(request):
-    if request.param == "daemon":
-        thread = ServiceThread(ServiceConfig(jobs=1, cache_dir=None,
-                                             max_body_bytes=MAX_BODY))
-    else:
-        # the shell cases never forward, so the replica need not exist;
-        # probe_interval 0 keeps the membership loop quiet
-        thread = GatewayThread(GatewayConfig(replicas=(("127.0.0.1", 9),),
-                                             probe_interval_seconds=0,
-                                             max_body_bytes=MAX_BODY))
-    with thread as addr:
+    with _server(request.param) as addr:
         yield addr
 
 
@@ -133,6 +137,28 @@ def test_two_requests_share_one_keep_alive_socket(address):
         assert status == 200
         assert headers["connection"] == "keep-alive"
         assert "uptime_seconds" in json.loads(payload)
+
+
+@pytest.mark.parametrize("role", ["daemon", "gateway"])
+def test_stop_with_keep_alive_connections_open_logs_no_error(role, caplog):
+    # the clients hang up while the server's loop tears down: a handler
+    # cancelled while it waits for its socket to close must end cleanly
+    caplog.set_level(logging.ERROR)
+    for _ in range(3):
+        server = _server(role)
+        address = server.start()
+        socks = []
+        for _ in range(4):
+            _, headers, _, sock = _exchange(address, _request("GET", "/healthz"))
+            assert headers["connection"] == "keep-alive"
+            socks.append(sock)
+        closer = threading.Thread(target=lambda: [s.close() for s in socks])
+        closer.start()
+        server.stop()
+        closer.join(timeout=30)
+        assert not closer.is_alive()
+    assert [r.getMessage() for r in caplog.records
+            if r.levelno >= logging.ERROR] == []
 
 
 def test_connection_close_is_honoured(address):
