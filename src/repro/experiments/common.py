@@ -4,15 +4,15 @@ All tables and figures of the paper derive from the same per-matrix
 measurements: simulated PMU events for a grid of sector configurations,
 model predictions by methods (A) and (B), and performance estimates.
 :func:`measure_matrix` computes one matrix's bundle; :func:`run_collection`
-sweeps a collection with JSON on-disk caching so drivers and benches share
-work across invocations.
+sweeps a collection with JSON on-disk caching, so drivers and the service
+share work across invocations.  The sweep itself, at every ``jobs`` value,
+is the engine in :mod:`repro.experiments.pool`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -25,7 +25,6 @@ from ..machine.perfmodel import PerformanceModel
 from ..matrices.collection import MatrixSpec, collection
 from ..matrices.stats import matrix_stats
 from ..obs.tracer import Tracer, get_tracer, peak_rss_bytes
-from ..obs.tracer import span as obs_span
 from ..spmv.csr import CSRMatrix
 from ..spmv.sector_policy import SectorPolicy, no_sector_cache
 
@@ -260,7 +259,7 @@ VOLATILE_FIELDS: tuple[str, ...] = (
 def record_fingerprint(record: MatrixRecord) -> str:
     """Canonical digest of a record's deterministic content.
 
-    Serial, parallel and cached sweeps of the same inputs must agree on
+    In-process, pooled and cached sweeps of the same inputs must agree on
     this digest; the instrumentation fields of :data:`VOLATILE_FIELDS` are
     excluded because wall time and RSS are not reproducible.
     """
@@ -301,7 +300,7 @@ def load_cached_record(
 def store_record(
     cache_path: Path | None, setup: ExperimentSetup, record: MatrixRecord
 ) -> None:
-    """Persist a record; serial and parallel sweeps share this writer.
+    """Persist a record; the sweep engine writes each one as it lands.
 
     A stale failure record for the same matrix is removed: the matrix
     evidently measures fine now, so a later sweep must not skip it.
@@ -324,55 +323,25 @@ def run_collection(
 ) -> list[MatrixRecord]:
     """Measurement bundles for a list of matrix specs, with disk caching.
 
-    ``jobs > 1`` dispatches cache misses to the process-pool sweep engine
-    (:mod:`repro.experiments.pool`): results, ordering and cache records
-    are identical to the serial path, and individual matrix failures are
-    recorded instead of aborting the sweep.
+    A thin front for the sweep engine,
+    :func:`repro.experiments.pool.run_collection_parallel`, at every
+    ``jobs`` value: ``1`` measures in-process, more fans out over a process
+    pool, and results, ordering and cache records are the same either way.
+    A matrix whose measurement raises is recorded as
+    ``<cache_key>.failure.json`` instead of aborting the sweep, and each
+    record is written as soon as it is measured.
 
-    Matrices with a persisted ``<cache_key>.failure.json`` record from a
-    previous sweep are skipped (so one pathological matrix does not re-pay
-    its timeout on every invocation) unless ``retry_failures`` is set, in
-    which case they are re-queued and the failure record is deleted on
-    success.
+    Matrices with a persisted failure record from a previous sweep are
+    skipped (so one pathological matrix does not re-pay its timeout on
+    every invocation) unless ``retry_failures`` is set, in which case they
+    are re-queued and the failure record is deleted on success.
     """
-    if jobs > 1:
-        from .pool import run_collection_parallel
+    from .pool import run_collection_parallel
 
-        return run_collection_parallel(
-            specs, setup, cache_dir, jobs=jobs, timeout=timeout, verbose=verbose,
-            retry_failures=retry_failures,
-        ).records
-    records = []
-    cache_path = Path(cache_dir) if cache_dir else None
-    if cache_path:
-        cache_path.mkdir(parents=True, exist_ok=True)
-    with obs_span("run_collection", matrices=len(specs), jobs=1):
-        for i, spec in enumerate(specs):
-            cached = load_cached_record(cache_path, setup, spec.name)
-            if cached is not None:
-                records.append(cached)
-                continue
-            if (
-                cache_path is not None
-                and not retry_failures
-                and failure_entry_path(cache_path, setup, spec.name).exists()
-            ):
-                if verbose:
-                    print(f"[{i + 1}/{len(specs)}] {spec.name}: skipped (failed "
-                          "previously; rerun with --retry-failures)")
-                continue
-            with obs_span("materialize", matrix=spec.name):
-                matrix = spec.materialize()
-            started = time.perf_counter()
-            record = measure_matrix(matrix, setup)
-            if verbose:
-                print(
-                    f"[{i + 1}/{len(specs)}] {spec.name}: nnz={matrix.nnz} "
-                    f"({time.perf_counter() - started:.1f}s)"
-                )
-            store_record(cache_path, setup, record)
-            records.append(record)
-    return records
+    return run_collection_parallel(
+        specs, setup, cache_dir, jobs=jobs, timeout=timeout, verbose=verbose,
+        retry_failures=retry_failures,
+    ).records
 
 
 def collection_records(

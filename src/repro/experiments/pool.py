@@ -1,20 +1,20 @@
-"""Process-pool sweep engine for multi-matrix model evaluations.
+"""The collection sweep engine: one path for every ``jobs`` value.
 
 The paper's headline experiments sweep 490 matrices x ~16 sector
-configurations; the serial :func:`repro.experiments.common.run_collection`
-walks them on one core.  This module fans the per-matrix work out over a
-``ProcessPoolExecutor`` while keeping three guarantees:
+configurations.  :func:`run_collection_parallel` measures the cache
+misses in-process at ``jobs=1`` and fans them out over a
+``ProcessPoolExecutor`` otherwise, with the same three guarantees:
 
 * **Determinism** — results, their ordering, and the on-disk cache records
-  are identical to the serial path (instrumentation fields excepted; see
+  do not depend on ``jobs`` (instrumentation fields excepted; see
   :data:`repro.experiments.common.VOLATILE_FIELDS`).  Workers only compute;
-  the parent writes cache entries in spec order with the same serializer
-  the serial path uses.
-* **Fault isolation** — a worker exception is caught *inside* the worker
-  and returned as a structured :class:`SweepFailure`; a per-matrix timeout
-  is enforced by the parent.  Either way the sweep continues, and the
-  failure is persisted next to the cache records as
-  ``<cache_key>.failure.json``.
+  the parent absorbs their payloads in spec order and writes each cache
+  entry or failure record as it absorbs it.
+* **Fault isolation** — a measurement exception is caught where it is
+  raised and returned as a structured :class:`SweepFailure`; with
+  ``jobs >= 2`` a per-matrix timeout is enforced by the parent.  Either
+  way the sweep continues, and the failure is persisted next to the cache
+  records as ``<cache_key>.failure.json``.
 * **Work stealing** — matrices are submitted as small chunks, so idle
   workers pick up remaining chunks regardless of how unevenly sized the
   matrices are.
@@ -22,8 +22,7 @@ walks them on one core.  This module fans the per-matrix work out over a
 ``MatrixSpec.build`` closures are not picklable, so the pool uses the
 ``fork`` start method and publishes the work list through module globals:
 workers inherit the specs at fork time and only integer indices cross the
-process boundary.  Platforms without ``fork`` fall back to an in-process
-sweep with the same fault isolation and result shape.
+process boundary.  Platforms without ``fork`` sweep in-process.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ import os
 import signal
 import time
 import traceback
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import asdict, dataclass, field
@@ -253,19 +253,24 @@ def run_collection_parallel(
     chunksize: int | None = None,
     retry_failures: bool = False,
 ) -> SweepResult:
-    """Sweep a collection over a process pool with per-matrix isolation.
+    """Sweep a collection with per-matrix isolation and per-matrix writes.
+
+    Each outcome is persisted the moment the parent absorbs it, in spec
+    order: a record through :func:`store_record`, a new failure as its
+    ``<cache_key>.failure.json``.  An interrupted sweep keeps every matrix
+    absorbed before the interruption.
 
     Parameters
     ----------
     jobs:
-        Worker process count.  ``1`` still goes through the pooled result
-        assembly (useful for failure isolation without parallelism) but
-        runs in-process.
+        Worker process count.  ``1`` measures in-process, through the same
+        isolation, persistence and result assembly as a pooled sweep.
     timeout:
         Per-matrix wall-clock budget in seconds, enforced by the parent
         while collecting a chunk (budget = ``timeout * len(chunk)``).  A
         timed-out chunk is recorded as failures and the sweep continues;
-        the stuck worker is abandoned to finish in the background.
+        the stuck worker is abandoned to finish in the background.  Needs
+        ``jobs >= 2``: an in-process sweep cannot stop a matrix.
     chunksize:
         Matrices per submitted task; defaults to a size giving each worker
         ~4 chunks so stragglers are stolen.
@@ -277,6 +282,9 @@ def run_collection_parallel(
     """
     if jobs < 1:
         raise ValueError("jobs must be positive")
+    if timeout is not None and jobs < 2:
+        raise ValueError("timeout needs jobs >= 2: an in-process sweep "
+                         "cannot stop a matrix")
     started = time.perf_counter()
     cache_path = Path(cache_dir) if cache_dir else None
     if cache_path:
@@ -284,133 +292,113 @@ def run_collection_parallel(
 
     slots: list[MatrixRecord | None] = [None] * len(specs)
     failures: list[SweepFailure] = []
-    pending: list[int] = []
+    tracer = get_tracer()
+
+    def progress(index: int, message: str) -> None:
+        if verbose:
+            print(f"[{index + 1}/{len(specs)}] {specs[index].name}: {message}")
+
+    def absorb(payload: dict) -> None:
+        # payloads arrive in spec order, so records, failure files and
+        # adopted worker trees do too, whatever order workers finish in
+        index = payload["index"]
+        if "record" in payload:
+            record = slots[index] = MatrixRecord(**payload["record"])
+            store_record(cache_path, setup, record)
+            progress(index, f"nnz={record.nnz} ({record.timings['total']:.1f}s)")
+        else:
+            failure = SweepFailure(**payload["failure"])
+            failures.append(failure)
+            if cache_path:
+                failure_entry_path(cache_path, setup, failure.name).write_text(
+                    failure.to_json()
+                )
+            progress(index, f"failed ({failure.error_type}: {failure.message})")
+        if "trace" in payload:
+            tracer.adopt(TraceTree.from_dict(payload["trace"]))
+
     from_cache = 0
-    for i, spec in enumerate(specs):
-        cached = load_cached_record(cache_path, setup, spec.name)
-        if cached is not None:
-            slots[i] = cached
-            from_cache += 1
-            continue
-        if cache_path is not None and not retry_failures:
-            entry = failure_entry_path(cache_path, setup, spec.name)
-            if entry.exists():
-                payload = json.loads(entry.read_text())
-                payload["index"] = i  # position in *this* sweep's spec list
-                failures.append(SweepFailure(**payload))
+    with obs_span("run_collection", matrices=len(specs), jobs=jobs):
+        pending: list[int] = []
+        for i, spec in enumerate(specs):
+            cached = load_cached_record(cache_path, setup, spec.name)
+            if cached is not None:
+                slots[i] = cached
                 from_cache += 1
                 continue
-        pending.append(i)
+            if cache_path is not None and not retry_failures:
+                entry = failure_entry_path(cache_path, setup, spec.name)
+                if entry.exists():
+                    payload = json.loads(entry.read_text())
+                    payload["index"] = i  # position in *this* sweep's spec list
+                    failures.append(SweepFailure(**payload))
+                    from_cache += 1
+                    progress(i, "skipped (failed previously; rerun with "
+                                "--retry-failures)")
+                    continue
+            pending.append(i)
+        if pending:
+            _measure_pending(specs, setup, pending, jobs, timeout, chunksize, absorb)
 
-    trees: dict[int, dict] = {}
-    if pending:
-        use_pool = jobs > 1 and "fork" in mp.get_all_start_methods()
-        global _WORK_SPECS, _WORK_SETUP, _WORK_TRACE
-        _WORK_SPECS, _WORK_SETUP = list(specs), setup
-        _WORK_TRACE = get_tracer() is not None
-        try:
-            with obs_span("run_collection", matrices=len(specs), jobs=jobs):
-                if use_pool:
-                    _run_pooled(
-                        pending, jobs, timeout, chunksize, slots, failures, specs,
-                        trees,
-                    )
-                else:
-                    for payload in _measure_chunk(pending):
-                        _absorb(payload, slots, failures, trees)
-                # reassemble one tree per run: worker span trees are adopted
-                # in spec order, independent of completion order
-                tracer = get_tracer()
-                if tracer is not None:
-                    for index in sorted(trees):
-                        tracer.adopt(TraceTree.from_dict(trees[index]))
-        finally:
-            _WORK_SPECS, _WORK_SETUP, _WORK_TRACE = [], None, False
-
-    # deterministic persistence: cache entries and failure records are
-    # written by the parent, in spec order, with the serial serializer
-    pending_set = set(pending)
-    for i, spec in enumerate(specs):
-        if i in pending_set and slots[i] is not None:
-            store_record(cache_path, setup, slots[i])
     failures.sort(key=lambda f: f.index)
-    if cache_path:
-        for failure in failures:
-            failure_entry_path(cache_path, setup, failure.name).write_text(
-                failure.to_json()
-            )
-    if verbose:
-        for failure in failures:
-            print(
-                f"[failed] {failure.name}: {failure.error_type}: {failure.message}"
-            )
-
-    records = [record for record in slots if record is not None]
     return SweepResult(
-        records=records,
+        records=[record for record in slots if record is not None],
         failures=failures,
         from_cache=from_cache,
         wall_seconds=time.perf_counter() - started,
     )
 
 
-def _run_pooled(
+def _measure_pending(
+    specs: list[MatrixSpec],
+    setup: ExperimentSetup,
     pending: list[int],
     jobs: int,
     timeout: float | None,
     chunksize: int | None,
-    slots: list[MatrixRecord | None],
-    failures: list[SweepFailure],
-    specs: list[MatrixSpec],
-    trees: dict[int, dict],
+    absorb: Callable[[dict], None],
 ) -> None:
-    chunks = _chunk(pending, jobs, chunksize)
-    pool = fork_executor(jobs)
+    """Measure the pending specs and hand each payload to ``absorb``, in
+    spec order: in-process at ``jobs=1`` (or without ``fork``), otherwise
+    as chunks over a forked pool."""
+    global _WORK_SPECS, _WORK_SETUP, _WORK_TRACE
+    use_pool = jobs > 1 and "fork" in mp.get_all_start_methods()
+    _WORK_SPECS, _WORK_SETUP = list(specs), setup
+    # in-process, spans land on the ambient tracer directly
+    _WORK_TRACE = use_pool and get_tracer() is not None
     try:
-        futures = [(chunk, pool.submit(_measure_chunk, chunk)) for chunk in chunks]
-        for chunk, future in futures:
-            budget = timeout * len(chunk) if timeout is not None else None
-            try:
-                payloads = future.result(timeout=budget)
-            except FutureTimeout:
-                future.cancel()
-                for index in chunk:
-                    failures.append(
-                        SweepFailure(
-                            name=specs[index].name,
-                            index=index,
-                            error_type="TimeoutError",
-                            message=f"exceeded {timeout:.3g}s per-matrix budget",
-                        )
-                    )
-                continue
-            except Exception as exc:  # pool breakage (worker died hard)
-                for index in chunk:
-                    failures.append(
-                        SweepFailure(
-                            name=specs[index].name,
-                            index=index,
-                            error_type=type(exc).__name__,
-                            message=str(exc),
-                        )
-                    )
-                continue
-            for payload in payloads:
-                _absorb(payload, slots, failures, trees)
+        if not use_pool:
+            for index in pending:
+                absorb(_measure_chunk([index])[0])
+            return
+        pool = fork_executor(jobs)
+        try:
+            chunks = _chunk(pending, jobs, chunksize)
+            futures = [(chunk, pool.submit(_measure_chunk, chunk)) for chunk in chunks]
+            for chunk, future in futures:
+                budget = timeout * len(chunk) if timeout is not None else None
+                try:
+                    payloads = future.result(timeout=budget)
+                except FutureTimeout:
+                    future.cancel()
+                    message = f"exceeded {timeout:.3g}s per-matrix budget"
+                    payloads = [_lost(i, "TimeoutError", message) for i in chunk]
+                except Exception as exc:  # pool breakage (worker died hard)
+                    payloads = [
+                        _lost(i, type(exc).__name__, str(exc)) for i in chunk
+                    ]
+                for payload in payloads:
+                    absorb(payload)
+        finally:
+            # don't block the sweep on abandoned (timed-out) workers
+            pool.shutdown(wait=timeout is None, cancel_futures=True)
     finally:
-        # don't block the sweep on abandoned (timed-out) workers
-        pool.shutdown(wait=timeout is None, cancel_futures=True)
+        _WORK_SPECS, _WORK_SETUP, _WORK_TRACE = [], None, False
 
 
-def _absorb(
-    payload: dict,
-    slots: list[MatrixRecord | None],
-    failures: list[SweepFailure],
-    trees: dict[int, dict],
-) -> None:
-    if "record" in payload:
-        slots[payload["index"]] = MatrixRecord(**payload["record"])
-    else:
-        failures.append(SweepFailure(**payload["failure"]))
-    if "trace" in payload:
-        trees[payload["index"]] = payload["trace"]
+def _lost(index: int, error_type: str, message: str) -> dict:
+    """Failure payload for a matrix whose chunk never reported back."""
+    return {"index": index, "failure": {
+        "name": _WORK_SPECS[index].name, "index": index,
+        "error_type": error_type, "message": message,
+    }}

@@ -58,11 +58,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--scale", type=int, default=16, help="machine scale factor")
     parser.add_argument(
         "--jobs", type=int, default=1,
-        help="worker processes for the matrix sweep (1 = serial)",
+        help="worker processes for the matrix sweep (1 = in-process)",
     )
     parser.add_argument(
         "--timeout", type=float, default=None,
-        help="per-matrix wall-clock budget in seconds (parallel sweeps only)",
+        help="per-matrix wall-clock budget in seconds (needs --jobs >= 2: an "
+             "in-process sweep cannot stop a matrix)",
     )
     parser.add_argument(
         "--retry-failures", action="store_true",
@@ -119,6 +120,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--seed must be non-negative")
     if args.jobs < 1:
         parser.error("--jobs must be positive")
+    if args.timeout is not None and args.jobs < 2:
+        parser.error("--timeout needs --jobs >= 2")
     if args.replicas < 1:
         parser.error("--replicas must be positive")
     if args.window < 1:

@@ -1,8 +1,7 @@
 """Cumulative latency histograms (Prometheus ``le`` bucket convention).
 
-Moved here from ``repro.service.metrics`` so every observability consumer
-— the advisor daemon, benchmarks, ad-hoc scripts — shares one histogram
-implementation; the service module re-exports it for compatibility.
+Every observability consumer — the advisor daemon, benchmarks, ad-hoc
+scripts — shares this one histogram implementation.
 """
 
 from __future__ import annotations

@@ -10,18 +10,9 @@ delta evaluation, a GC sweep, per-phase self seconds) into its families.
 
 from __future__ import annotations
 
-# the histogram lives in the shared observability layer now; re-exported
-# here because service code and its tests import it from this module
-from ..obs.histogram import (
-    DRIFT_BUCKETS,
-    IMPROVEMENT_BUCKETS,
-    LATENCY_BUCKETS,
-    LatencyHistogram,
-)
 from ..obs.prometheus import MetricStore
 
-__all__ = ["DRIFT_BUCKETS", "IMPROVEMENT_BUCKETS", "LATENCY_BUCKETS",
-           "LatencyHistogram", "ServiceMetrics"]
+__all__ = ["ServiceMetrics"]
 
 
 class ServiceMetrics:

@@ -1,4 +1,4 @@
-"""The parallel sweep engine vs. the serial collection runner."""
+"""The sweep engine, run in-process (``jobs=1``) and over a fork pool."""
 
 import json
 import time
@@ -31,6 +31,10 @@ def _raise_injected():
 def _sleep_forever():
     time.sleep(4.0)
     raise AssertionError("timeout should have fired first")
+
+
+def _interrupt():
+    raise KeyboardInterrupt
 
 
 def _bad_spec(name="injected_bad"):
@@ -92,6 +96,28 @@ def test_in_process_fallback_isolates_failures(tmp_path):
     assert result.failed_names == ["injected_bad"]
 
 
+def test_jobs_1_records_a_failing_matrix_and_continues(tmp_path):
+    specs = _specs(2)
+    specs.insert(1, _bad_spec())
+    records = run_collection(specs, SETUP, tmp_path)
+    assert [r.name for r in records] == [specs[0].name, specs[2].name]
+    payload = json.loads(failure_entry_path(tmp_path, SETUP, "injected_bad").read_text())
+    assert payload["error_type"] == "RuntimeError"
+    assert payload["index"] == 1
+
+
+def test_interrupted_sweep_keeps_the_records_absorbed_so_far(tmp_path):
+    specs = _specs(3)
+    specs.insert(2, MatrixSpec(
+        name="injected_interrupt", family="banded", target_class="1", build=_interrupt
+    ))
+    with pytest.raises(KeyboardInterrupt):
+        run_collection_parallel(specs, SETUP, tmp_path, jobs=2, chunksize=1)
+    for spec in specs[:2]:
+        assert cache_entry_path(tmp_path, SETUP, spec.name).exists()
+    assert not failure_entry_path(tmp_path, SETUP, "injected_interrupt").exists()
+
+
 def test_cached_records_short_circuit_the_pool(tmp_path):
     specs = _specs(2)
     first = run_collection_parallel(specs, SETUP, tmp_path, jobs=2)
@@ -132,6 +158,12 @@ def test_records_carry_timing_and_rss_instrumentation(tmp_path):
 def test_rejects_nonpositive_jobs(tmp_path):
     with pytest.raises(ValueError):
         run_collection_parallel(_specs(1), SETUP, tmp_path, jobs=0)
+
+
+def test_rejects_a_timeout_it_cannot_enforce(tmp_path):
+    # an in-process sweep cannot stop a matrix, so a budget would be a no-op
+    with pytest.raises(ValueError, match="jobs >= 2"):
+        run_collection_parallel(_specs(1), SETUP, tmp_path, jobs=1, timeout=1.0)
 
 
 def _now_good_build():

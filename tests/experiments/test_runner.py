@@ -39,6 +39,14 @@ def test_runner_rejects_unknown_experiment():
         main(["--exp", "bogus"])
 
 
+def test_runner_rejects_timeout_without_a_pool(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--exp", "figure2", "--collection", "tiny", "--limit", "1",
+              "--cache", "", "--timeout", "5"])
+    assert exit_info.value.code == 2
+    assert "--timeout needs --jobs >= 2" in capsys.readouterr().err
+
+
 def test_runner_cache_reuse(capsys, tmp_path):
     cache = str(tmp_path / "cache")
     main(["--exp", "figure5", "--collection", "tiny", "--limit", "2", "--cache", cache])

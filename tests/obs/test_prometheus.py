@@ -112,15 +112,18 @@ def test_parser_rejects_inconsistent_histograms():
 
 
 def test_latency_histogram_is_shared_between_obs_and_service():
-    # the satellite move: one histogram class, re-exported by the service
-    from repro.obs import histogram as obs_histogram
+    # one histogram class: it lives in repro.obs only, and the service's
+    # latency series are that class's snapshots
     from repro.service import metrics as service_metrics
 
-    assert service_metrics.LatencyHistogram is obs_histogram.LatencyHistogram
+    assert not hasattr(service_metrics, "LatencyHistogram")
+    metrics = ServiceMetrics(MetricStore(SERVICE_FAMILIES))
     hist = LatencyHistogram()
-    hist.observe(0.003)
-    hist.observe(100.0)
+    for seconds in (0.003, 100.0):
+        metrics.store.observe("latency_seconds", "sweep", value=seconds)
+        hist.observe(seconds)
     snap = hist.snapshot()
+    assert metrics.store.snapshot()["latency_seconds"]["sweep"] == snap
     assert snap["count"] == 2
     assert snap["buckets"]["+Inf"] == 2
     assert snap["buckets"]["0.005"] == 1
