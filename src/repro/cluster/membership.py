@@ -98,6 +98,7 @@ class MembershipController:
         fail_after: int = 1,
         peer_window_seconds: float = 120.0,
         clock: Callable[[], float] = time.monotonic,
+        on_eject: Callable[[Replica], None] | None = None,
     ) -> None:
         if not replicas:
             raise ValueError("at least one replica is required")
@@ -113,6 +114,9 @@ class MembershipController:
         self.fail_after = fail_after
         self.peer_window_seconds = peer_window_seconds
         self._clock = clock
+        #: called with each replica as it leaves the ring (the gateway
+        #: closes its idle forward sockets)
+        self._on_eject = on_eject
         self.ring = HashRing((r.node for r in self.replicas), vnodes=vnodes)
         self._previous_ring: HashRing | None = None
         self._changed_at: float | None = None
@@ -172,6 +176,8 @@ class MembershipController:
         self.ring.remove(replica.node)
         self.ejections += 1
         self._record("ejected", replica, reason)
+        if self._on_eject is not None:
+            self._on_eject(replica)
 
     def _readmit(self, replica: Replica) -> None:
         if replica.healthy:

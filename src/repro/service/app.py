@@ -59,6 +59,7 @@ from ..resilience.breaker import CircuitBreaker
 from ..resilience.faults import FaultPlan
 from .cache import TieredResultCache, gc_sweep
 from .httpd import (
+    MAX_BODY_BYTES,
     HttpApp,
     RequestScope,
     ServerThread,
@@ -96,7 +97,8 @@ class ServiceConfig:
     cache_dir: str | None = ".repro_cache"
     memory_max_bytes: int = 64 * 2**20
     request_timeout: float = 120.0
-    max_body_bytes: int = 64 * 2**20
+    #: request-body cap, shared with the gateway's default
+    max_body_bytes: int = MAX_BODY_BYTES
     #: accept the ``"faults"`` request flag (chaos testing); off by
     #: default — a production daemon refuses injected faults with a 403
     allow_fault_injection: bool = False
