@@ -8,6 +8,7 @@ against both over a raw socket, so the exact wire behaviour is what is
 checked, not a client's reading of it.
 """
 
+import asyncio
 import json
 import logging
 import socket
@@ -16,7 +17,9 @@ import threading
 import pytest
 
 from repro.cluster import GatewayConfig, GatewayThread
+from repro.obs.traces import TraceBuffer
 from repro.service import ServiceConfig, ServiceThread
+from repro.service.httpd import HttpApp, read_response, serve
 
 #: small enough that a test body trips it
 MAX_BODY = 1024
@@ -159,6 +162,66 @@ def test_stop_with_keep_alive_connections_open_logs_no_error(role, caplog):
         assert not closer.is_alive()
     assert [r.getMessage() for r in caplog.records
             if r.levelno >= logging.ERROR] == []
+
+
+class _HeldApp(HttpApp):
+    """A shell app whose one ``POST`` route waits until released."""
+
+    role = "held"
+    post_routes = frozenset({"hold"})
+    trace_root = "held.request"
+
+    def __init__(self) -> None:
+        self.config = ServiceConfig(max_body_bytes=MAX_BODY)
+        self.shutdown_event = asyncio.Event()
+        self.traces = TraceBuffer()
+        self.held = asyncio.Event()
+        self.release = asyncio.Event()
+
+    async def post(self, route, payload, scope):
+        self.held.set()
+        await self.release.wait()
+        return 200, {"ok": True}
+
+    def observe(self, scope) -> None:
+        pass
+
+    def health(self) -> dict:
+        return {"ok": True}
+
+    def close(self) -> None:
+        pass
+
+
+def test_shutdown_ends_idle_connections_and_lets_busy_ones_answer():
+    async def scenario():
+        app = _HeldApp()
+        bound = asyncio.get_running_loop().create_future()
+        server = asyncio.ensure_future(serve(
+            app, "127.0.0.1", 0, announce=False,
+            ready=lambda _app, host, port, _loop: bound.set_result(port)))
+        port = await asyncio.wait_for(bound, 30)
+        parked, parked_writer = await asyncio.open_connection("127.0.0.1", port)
+        busy, busy_writer = await asyncio.open_connection("127.0.0.1", port)
+        parked_writer.write(_request("GET", "/healthz"))
+        assert (await read_response(parked))[::2] == (200, True)
+        busy_writer.write(_request("POST", "/hold", b"{}"))
+        await asyncio.wait_for(app.held.wait(), 30)
+        app.shutdown_event.set()
+        # the connection waiting for a next request is ended at once ...
+        assert await asyncio.wait_for(parked.read(), 30) == b""
+        # ... while the one serving a request answers it, then closes
+        app.release.set()
+        status, body, reusable = await asyncio.wait_for(
+            read_response(busy), 30)
+        assert (status, json.loads(body), reusable) == (200, {"ok": True},
+                                                         False)
+        assert await asyncio.wait_for(busy.read(), 30) == b""
+        await asyncio.wait_for(server, 30)
+        for writer in (parked_writer, busy_writer):
+            writer.close()
+
+    asyncio.run(scenario())
 
 
 def test_connection_close_is_honoured(address):
