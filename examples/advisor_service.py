@@ -6,9 +6,11 @@ port, then walks the client through the daemon's behaviour:
 
 1. an ``advise`` call (the class-(2) wide-band matrix) and its verdict,
 2. the same call again — served from the memory tier,
-3. four *concurrent* duplicate calls on a fresh matrix — the daemon
-   performs exactly one model evaluation (in-flight coalescing plus the
-   result cache absorb the other three, asserted via ``/metrics``),
+3. four *concurrent* duplicate calls on a fresh matrix, two of them
+   spelled with ``values`` (the model reads the pattern only, so every
+   spelling shares one key) — the daemon performs exactly one model
+   evaluation (in-flight coalescing plus the result cache absorb the
+   other three, asserted via ``/metrics``),
 4. a ``/metrics`` scrape, and a clean ``/shutdown``.
 
 Run:  python examples/advisor_service.py
@@ -24,7 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from repro.core.advisor import Recommendation
 from repro.matrices import banded
-from repro.service import ServiceClient
+from repro.service import ServiceClient, matrix_payload
 
 _ANNOUNCE = re.compile(r"repro-service listening on http://([^:]+):(\d+)")
 
@@ -75,10 +77,14 @@ def main() -> int:
 
             # -- coalescing: 4 concurrent duplicates, 1 evaluation ----
             other = banded(1_200, 40, 9, seed=5)
+            pattern = matrix_payload(other)["csr"]
+            spellings = [other, other,
+                         {"csr": dict(pattern, values=other.values.tolist())},
+                         {"csr": dict(pattern, values=[0.0] * other.nnz)}]
             before = client.metrics()["evaluations"].get("advise", 0)
             with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [pool.submit(client.advise, other, num_threads=8)
-                           for _ in range(4)]
+                futures = [pool.submit(client.advise, spelling, num_threads=8)
+                           for spelling in spellings]
                 envelopes = [f.result() for f in futures]
             after = client.metrics()["evaluations"].get("advise", 0)
             assert after - before == 1, (
@@ -86,7 +92,8 @@ def main() -> int:
             )
             assert len({e["key"] for e in envelopes}) == 1
             tiers = sorted(str(e["cached"]) for e in envelopes)
-            say("\n4 concurrent duplicate requests -> 1 evaluation "
+            say("\n4 concurrent duplicate requests (2 spelled with values) "
+                "-> 1 evaluation "
                 f"(served as: {', '.join(tiers)})")
 
             # -- metrics ----------------------------------------------

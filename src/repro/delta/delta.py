@@ -1,11 +1,12 @@
 """Edge-delta representation for dynamic sparse matrices.
 
 A :class:`MatrixDelta` is one batch of sparsity-pattern edits — edge
-*inserts* (with optional values) and edge *deletes* — in canonical form:
-each list sorted by ``(row, col)``, no duplicates, no overlap between the
-two lists.  Canonicalization makes the :meth:`fingerprint` stable, which
-is what lets the service derive deterministic chained cache keys from a
-base key plus its accumulated deltas.
+*inserts* (an insert's optional value is checked and dropped: inserted
+entries hold 1) and edge *deletes* — in canonical form: each list sorted
+by ``(row, col)``, no duplicates, no overlap between the two lists.
+Canonicalization makes the :meth:`fingerprint` stable, which is what
+lets the service derive deterministic chained cache keys from a base key
+plus its accumulated deltas.
 
 :meth:`MatrixDelta.apply` patches a :class:`~repro.spmv.csr.CSRMatrix`
 *and* reports the coordinate bookkeeping the incremental reuse engine
@@ -40,29 +41,25 @@ class DeltaError(ValueError):
     """A malformed delta or one inconsistent with the matrix pattern."""
 
 
-def _edge_array(entries: object, label: str, with_values: bool):
-    """Validate a JSON edit list into (rows, cols[, values]) arrays."""
+def _edge_array(entries: object, label: str, max_len: int):
+    """Validate a JSON edit list into (rows, cols) arrays; entries of
+    ``max_len`` 3 may carry a numeric third element, which is dropped."""
     if not isinstance(entries, (list, tuple)):
         raise DeltaError(f"{label} must be a list of [row, col] pairs")
     rows = np.empty(len(entries), dtype=np.int64)
     cols = np.empty(len(entries), dtype=np.int64)
-    values = np.ones(len(entries), dtype=np.float64) if with_values else None
     for i, entry in enumerate(entries):
-        if not isinstance(entry, (list, tuple)) or not 2 <= len(entry) <= (
-            3 if with_values else 2
-        ):
-            raise DeltaError(
-                f"{label}[{i}] must be [row, col]"
-                + (" or [row, col, value]" if with_values else "")
-            )
+        if not isinstance(entry, (list, tuple)) or not 2 <= len(entry) <= max_len:
+            raise DeltaError(f"{label}[{i}] must be [row, col]"
+                             + (" or [row, col, value]" if max_len == 3 else ""))
         try:
             rows[i] = int(entry[0])
             cols[i] = int(entry[1])
-            if with_values and len(entry) == 3:
-                values[i] = float(entry[2])
+            if len(entry) == 3:
+                float(entry[2])
         except (TypeError, ValueError, OverflowError) as exc:
             raise DeltaError(f"{label}[{i}] is not numeric: {exc}") from None
-    return (rows, cols, values) if with_values else (rows, cols)
+    return rows, cols
 
 
 @dataclass(frozen=True)
@@ -71,7 +68,6 @@ class MatrixDelta:
 
     insert_rows: np.ndarray
     insert_cols: np.ndarray
-    insert_values: np.ndarray
     delete_rows: np.ndarray
     delete_cols: np.ndarray
 
@@ -95,18 +91,15 @@ class MatrixDelta:
         unknown = set(payload) - {"inserts", "deletes"}
         if unknown:
             raise DeltaError(f"unknown delta fields: {sorted(unknown)}")
-        ins_r, ins_c, ins_v = _edge_array(
-            payload.get("inserts", []), "inserts", with_values=True
-        )
-        del_r, del_c = _edge_array(payload.get("deletes", []), "deletes",
-                                   with_values=False)
+        ins_r, ins_c = _edge_array(payload.get("inserts", []), "inserts", 3)
+        del_r, del_c = _edge_array(payload.get("deletes", []), "deletes", 2)
         if ins_r.shape[0] + del_r.shape[0] == 0:
             raise DeltaError("delta must carry at least one insert or delete")
         if ins_r.shape[0] + del_r.shape[0] > MAX_EDITS:
             raise DeltaError(f"delta exceeds {MAX_EDITS} edits")
 
         order = np.lexsort((ins_c, ins_r))
-        ins_r, ins_c, ins_v = ins_r[order], ins_c[order], ins_v[order]
+        ins_r, ins_c = ins_r[order], ins_c[order]
         order = np.lexsort((del_c, del_r))
         del_r, del_c = del_r[order], del_c[order]
 
@@ -125,15 +118,14 @@ class MatrixDelta:
             del_keys = del_r * (ins_c.max() + del_c.max() + 2) + del_c
             if np.intersect1d(ins_keys, del_keys).shape[0]:
                 raise DeltaError("an edge appears in both inserts and deletes")
-        return cls(ins_r, ins_c, ins_v, del_r, del_c)
+        return cls(ins_r, ins_c, del_r, del_c)
 
     def to_dict(self) -> dict:
-        """Canonical JSON form (sorted lists; insert values always explicit)."""
+        """Canonical JSON form (sorted ``[row, col]`` lists)."""
         return {
             "inserts": [
-                [int(r), int(c), float(v)]
-                for r, c, v in zip(self.insert_rows, self.insert_cols,
-                                   self.insert_values)
+                [int(r), int(c)]
+                for r, c in zip(self.insert_rows, self.insert_cols)
             ],
             "deletes": [
                 [int(r), int(c)]
@@ -239,13 +231,12 @@ class MatrixDelta:
 
         n_new = nnz - self.num_deletes + self.num_inserts
         new_colidx = np.empty(n_new, dtype=np.int32)
-        new_values = np.empty(n_new, dtype=np.float64)
+        new_values = np.ones(n_new, dtype=np.float64)  # inserts hold 1
         kept_slots = np.ones(n_new, dtype=bool)
         kept_slots[inserted_new] = False
         new_colidx[kept_slots] = colidx[kept_mask]
         new_values[kept_slots] = matrix.values[kept_mask]
         new_colidx[inserted_new] = self.insert_cols
-        new_values[inserted_new] = self.insert_values
 
         shift = np.zeros(num_rows + 1, dtype=np.int64)
         if self.num_inserts:

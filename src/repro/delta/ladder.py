@@ -50,8 +50,7 @@ def _num_policies(task: dict) -> int:
     return 1
 
 
-def tier0_drift_bound(task: dict, machine, setup,
-                      calibration=DEFAULT_CALIBRATION) -> tuple[float, float]:
+def tier0_drift_bound(task: dict, machine, setup) -> tuple[float, float]:
     """``(bound, drift)``: the drift-inflated tier-0 bound of a delta task.
 
     ``bound = tier2_apriori + worst tier-0 term over the priced way
@@ -69,8 +68,8 @@ def tier0_drift_bound(task: dict, machine, setup,
         return 0.0, drift
     cmgs = num_cmgs(machine, task["setup"]["num_threads"])
     tier0_term = max(
-        calibration.tier0_term(classify(dims, machine, ways, cmgs).value,
-                               deep=False)
+        DEFAULT_CALIBRATION.tier0_term(classify(dims, machine, ways, cmgs).value,
+                                       deep=False)
         for ways in _request_ways(task)
     )
     return tier2_apriori_bound(task, machine, setup) + tier0_term + drift, drift

@@ -53,8 +53,8 @@ from ..spmv.sector_policy import (
     listing1_policy,
     no_sector_cache,
 )
-from .calibration import DEFAULT_CALIBRATION, LadderCalibration
-from .cost import DEFAULT_COST_MODELS, TierCostModel
+from .calibration import DEFAULT_CALIBRATION
+from .cost import DEFAULT_COST_MODELS
 from .tier0 import (
     MatrixDims,
     closed_advise,
@@ -180,20 +180,11 @@ def has_ladder_flags(task: dict) -> bool:
 class Ladder:
     """Four-tier prediction engine with cost estimates and error bounds."""
 
-    def __init__(
-        self,
-        setup,
-        calibration: LadderCalibration = DEFAULT_CALIBRATION,
-        cost_models: dict[int, TierCostModel] | None = None,
-        sampling_rate: float | None = None,
-    ) -> None:
+    def __init__(self, setup, sampling_rate: float | None = None) -> None:
         self.setup = setup
         self.machine: A64FX = setup.machine()
-        self.calibration = calibration
-        self.cost_models = dict(DEFAULT_COST_MODELS if cost_models is None
-                                else cost_models)
-        self.sampling_rate = (calibration.sampling_rate if sampling_rate is None
-                              else sampling_rate)
+        self.sampling_rate = (DEFAULT_CALIBRATION.sampling_rate
+                              if sampling_rate is None else sampling_rate)
 
     # -- public API ----------------------------------------------------
     def answer(
@@ -288,7 +279,7 @@ class Ladder:
         return self._escalate(request, accuracy, max_tier)
 
     def predicted_cost(self, tier: int, nnz: int, num_policies: int) -> float:
-        return self.cost_models[tier].predict_seconds(nnz, num_policies)
+        return DEFAULT_COST_MODELS[tier].predict_seconds(nnz, num_policies)
 
     # -- bounds --------------------------------------------------------
     def _query_points(self, request: _Request) -> tuple[_QueryPoint, ...]:
@@ -348,7 +339,7 @@ class Ladder:
         """Worst-case bound of a tier before evaluating it."""
         if tier >= 3:
             return 0.0
-        cal = self.calibration
+        cal = DEFAULT_CALIBRATION
         line = self.machine.line_size
         worst = 0.0
         for pt in self._query_points(request):
@@ -369,7 +360,7 @@ class Ladder:
         """Bound of a tier once its queries ran (tightens tier 1)."""
         if tier != 1 or model is None:
             return self.apriori_bound(tier, request)
-        cal = self.calibration
+        cal = DEFAULT_CALIBRATION
         floor = self._floor(request.dims)
         worst = 0.0
         for pt in self._query_points(request):
@@ -524,9 +515,7 @@ def _memoize(materialize: Callable[[], CSRMatrix]) -> Callable[[], CSRMatrix]:
     return cached
 
 
-def tier2_apriori_bound(task: dict, machine: A64FX, setup,
-                        calibration: LadderCalibration = DEFAULT_CALIBRATION,
-                        ) -> float:
+def tier2_apriori_bound(task: dict, machine: A64FX, setup) -> float:
     """Tier-2 bound of a canonical task from dims alone (event-loop cheap).
 
     The daemon uses this to decide whether a cached tier-2 result (stored
@@ -541,4 +530,4 @@ def tier2_apriori_bound(task: dict, machine: A64FX, setup,
         task, dims_from_task(task, machine), "",
         lambda: (_ for _ in ()).throw(RuntimeError("dims only")),
     )
-    return Ladder(setup, calibration=calibration).apriori_bound(2, request)
+    return Ladder(setup).apriori_bound(2, request)

@@ -11,15 +11,15 @@ objective (min over the setup's L2 way splits of ``l2_misses``):
    When the closed forms price x's misses at zero under the best policy
    (class 1/2: x fits its partition), the search short-circuits to the
    identity and only pays one confirmation.
-2. **Screen (tier 1, SHARDS rate ``screen_rate``).**  Every candidate is
+2. **Screen (tier 1, SHARDS rate :data:`SCREEN_RATE`).**  Every candidate is
    screened by a cheap sampled stack pass, under a deterministic cost
    budget: a candidate is admitted only while the *predicted* build +
    screen seconds (the ladder/strategy cost models, never wall clock —
    so the trace replays identically across the fork pool) fit
-   ``budget_seconds``.  Candidates worse than ``prune_factor`` times the
-   best screen are pruned.
-3. **Refine (tier 1, rate ``refine_rate``).**  The surviving top
-   ``refine_top_k`` non-identity candidates are re-screened at a higher
+   ``budget_seconds``.  Candidates worse than :data:`PRUNE_FACTOR` times
+   the best screen are pruned.
+3. **Refine (tier 1, rate :data:`REFINE_RATE`).**  The surviving top
+   :data:`REFINE_TOP_K` non-identity candidates are re-screened at a higher
    sampling rate, budget permitting, to stabilise the ranking.
 4. **Confirm (tier 2, exact).**  The winner is confirmed by exact
    before/after predictions — the only exact stack passes of the whole
@@ -50,6 +50,12 @@ from .strategies import DEFAULT_STRATEGIES, Candidate, candidates_for
 #: searches (wall-clock timings); everything else is fingerprinted.
 OPTIMIZE_VOLATILE_FIELDS = ("timings",)
 
+#: the fixed search schedule (steps 2-3 above), reported in ``search``
+SCREEN_RATE = 0.1
+REFINE_RATE = 0.25
+REFINE_TOP_K = 2
+PRUNE_FACTOR = 1.25
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -58,10 +64,6 @@ class SearchConfig:
     strategies: tuple[str, ...] = DEFAULT_STRATEGIES
     budget_seconds: float = 30.0
     seed: int = 0
-    screen_rate: float = 0.1
-    refine_rate: float = 0.25
-    refine_top_k: int = 2
-    prune_factor: float = 1.25
     #: confirmation accuracy SLO: ``None`` pins the exact tier-2 pass;
     #: a bound lets the ladder pick the cheapest satisfying tier (and
     #: escalate to the tier-3 simulation for very tight bounds)
@@ -72,12 +74,6 @@ class SearchConfig:
             raise ValueError("budget_seconds must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if not 0 < self.screen_rate <= 1 or not 0 < self.refine_rate <= 1:
-            raise ValueError("sampling rates must be in (0, 1]")
-        if self.refine_top_k < 0:
-            raise ValueError("refine_top_k must be non-negative")
-        if self.prune_factor < 1.0:
-            raise ValueError("prune_factor must be >= 1")
         if self.accuracy is not None and self.accuracy <= 0:
             raise ValueError("accuracy must be positive")
 
@@ -141,10 +137,10 @@ class OptimizeResult:
                 "strategies": list(self.config.strategies),
                 "budget_seconds": self.config.budget_seconds,
                 "seed": self.config.seed,
-                "screen_rate": self.config.screen_rate,
-                "refine_rate": self.config.refine_rate,
-                "refine_top_k": self.config.refine_top_k,
-                "prune_factor": self.config.prune_factor,
+                "screen_rate": SCREEN_RATE,
+                "refine_rate": REFINE_RATE,
+                "refine_top_k": REFINE_TOP_K,
+                "prune_factor": PRUNE_FACTOR,
                 "accuracy": self.config.accuracy,
             },
             "objective": {
@@ -185,8 +181,8 @@ def optimize(matrix: CSRMatrix, setup, config: SearchConfig | None = None,
         SectorPolicy.from_dict({"l2_sector1_ways": w}).to_dict()
         for w in setup.l2_way_options
     ]
-    screen_ladder = Ladder(setup, sampling_rate=config.screen_rate)
-    refine_ladder = Ladder(setup, sampling_rate=config.refine_rate)
+    screen_ladder = Ladder(setup, sampling_rate=SCREEN_RATE)
+    refine_ladder = Ladder(setup, sampling_rate=REFINE_RATE)
     exact_ladder = Ladder(setup)
     answers = {0: 0, 1: 0, 2: 0, 3: 0}
     trace: list[dict] = []
@@ -224,7 +220,7 @@ def optimize(matrix: CSRMatrix, setup, config: SearchConfig | None = None,
             matrix, dims, name, config, policies, screen_ladder,
             entries, trace, answers, spent,
         )
-        _prune(entries, config, trace)
+        _prune(entries, trace)
         spent = _refine_candidates(
             matrix, dims, name, config, policies, refine_ladder,
             entries, trace, answers, spent,
@@ -310,8 +306,8 @@ def optimize(matrix: CSRMatrix, setup, config: SearchConfig | None = None,
     }
     fidelity = {
         "ladder_answers": {str(t): n for t, n in answers.items() if n},
-        "screen_rate": config.screen_rate,
-        "refine_rate": config.refine_rate,
+        "screen_rate": SCREEN_RATE,
+        "refine_rate": REFINE_RATE,
         "budget_seconds": config.budget_seconds,
         "budget_spent_seconds": spent,
         "predicted_cost_seconds": total_predicted,
@@ -377,12 +373,12 @@ def _screen_candidates(matrix, dims, name, config, policies, ladder,
     return spent
 
 
-def _prune(entries, config, trace) -> None:
+def _prune(entries, trace) -> None:
     screened = [e.screened_misses for e in entries
                 if e.status == "screened" and e.screened_misses is not None]
     if not screened:
         return
-    cutoff = min(screened) * config.prune_factor
+    cutoff = min(screened) * PRUNE_FACTOR
     for entry in entries:
         if (entry.status == "screened"
                 and entry.candidate.label != "identity"
@@ -401,7 +397,7 @@ def _refine_candidates(matrix, dims, name, config, policies, ladder,
         (e for e in entries
          if e.status == "screened" and e.candidate.label != "identity"),
         key=lambda e: (e.screened_misses, entries.index(e)),
-    )[:config.refine_top_k]
+    )[:REFINE_TOP_K]
     for entry in survivors:
         if spent + refine_cost > config.budget_seconds:
             trace.append({"event": "skip_refine",

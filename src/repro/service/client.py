@@ -75,14 +75,14 @@ def _retryable(exc: BaseException) -> bool:
 
 
 def matrix_payload(matrix: CSRMatrix) -> dict:
-    """The inline-CSR request form of a :class:`CSRMatrix`."""
+    """The inline-CSR request form of a :class:`CSRMatrix`: its sparsity
+    pattern, which is all the service models (its ``values`` stay home)."""
     return {
         "csr": {
             "num_rows": matrix.num_rows,
             "num_cols": matrix.num_cols,
             "rowptr": matrix.rowptr.tolist(),
             "colidx": matrix.colidx.tolist(),
-            "values": matrix.values.tolist(),
         }
     }
 
@@ -292,8 +292,9 @@ class ServiceClient:
 
         ``base`` is the ``"key"`` of a previous classify/predict/advise
         envelope (or of a previous delta response — edits chain);
-        ``inserts`` is ``[[row, col, value?], ...]`` and ``deletes``
-        ``[[row, col], ...]``.  The response envelope carries the derived
+        ``inserts`` and ``deletes`` are ``[[row, col], ...]`` (an
+        insert's optional third element, a value, is checked and
+        ignored).  The response envelope carries the derived
         ``"key"`` (the next base), the inner endpoint's result —
         byte-identical to re-submitting the edited matrix in full — and a
         ``"delta"`` object saying how it was priced.

@@ -55,8 +55,8 @@ __all__ = ["CONNECTION_ERRORS", "HttpApp", "KeptAlive", "MAX_BODY_BYTES",
            "request_bytes", "request_json", "request_span", "respond",
            "serve", "start_chunked_response", "write_chunk"]
 
-#: the request-body cap of both servers: a gateway relays a caller's
-#: bytes unchanged, so a body it accepts must also fit its replicas
+#: the default request-body cap of both servers (a gateway relays a
+#: caller's bytes unchanged; a replica capped lower answers them 413)
 MAX_BODY_BYTES = 64 * 2**20
 
 #: the gateway's warm-cache hint as a header, ``host:port`` of the key's
@@ -73,10 +73,12 @@ REASONS = {200: "OK", 400: "Bad Request", 403: "Forbidden",
 class PayloadTooLarge(Exception):
     """A request body above the configured cap; carries the target path."""
 
-    def __init__(self, target: str, limit: int) -> None:
+    def __init__(self, target: str, limit: int, length: int) -> None:
         super().__init__(f"body exceeds {limit} bytes")
         self.target = target
         self.limit = limit
+        #: the declared (unread) body length
+        self.length = length
 
 
 @dataclass
@@ -126,7 +128,7 @@ async def read_request(
     length = int(declared)
     if length > max_body_bytes:
         # the oversized body is unread; the connection cannot be reused
-        raise PayloadTooLarge(target, max_body_bytes)
+        raise PayloadTooLarge(target, max_body_bytes, length)
     body = await reader.readexactly(length) if length else b""
     close = headers.get("connection", "").lower() == "close"
     return ParsedRequest(method, target, headers, body, close=close)
@@ -456,9 +458,9 @@ class HttpApp:
         Keep-alive by default: the loop re-reads after each response, so
         a client reusing its connection pays the TCP setup once and the
         warm path stays a dictionary lookup.  ``Connection: close``,
-        oversized bodies (the unread body poisons the stream), malformed
-        requests, streams, ``/shutdown`` and a set ``shutdown_event`` all
-        end the loop.  ``idle``, if given, holds this connection's task
+        oversized bodies (answered 413, then read off before the close),
+        malformed requests, streams, ``/shutdown`` and a set
+        ``shutdown_event`` all end the loop.  ``idle``, if given, holds this connection's task
         while it waits for a next request (:func:`serve` cancels those at
         shutdown).
         """
@@ -484,6 +486,7 @@ class HttpApp:
                                   error_payload(exc.target, "PayloadTooLarge",
                                                 str(exc)),
                                   close=True)
+                    await _drain_refused(reader, writer, exc.length)
                     return
                 finally:
                     idle.discard(task)
@@ -524,6 +527,18 @@ class HttpApp:
                 await writer.wait_closed()
             if shutdown:
                 self.shutdown_event.set()
+
+
+async def _drain_refused(reader: asyncio.StreamReader,
+                         writer: asyncio.StreamWriter, length: int) -> None:
+    """Half-close after a 413 and read off a refused body of up to
+    :data:`MAX_BODY_BYTES`.  A sender still writing it (a gateway under a
+    larger cap) then reads the 413: a close with unread bytes resets the
+    connection, and asyncio reports a reset before any buffered answer."""
+    if length <= MAX_BODY_BYTES:
+        writer.write_eof()
+        while length > 0 and (chunk := await reader.read(min(length, 2**16))):
+            length -= len(chunk)
 
 
 async def serve(app: HttpApp, host: str, port: int, ready=None,

@@ -12,8 +12,10 @@ or submitted *inline* as CSR or COO arrays::
     {"matrix": {"coo": {"num_rows": 4, "num_cols": 4,
                         "rows": [0, 1], "cols": [1, 2]}}}
 
-(``values`` is optional and defaults to ones — the model only reads the
-pattern).  An optional ``"setup"`` object carries the
+The service models the sparsity pattern only: a sent ``values`` list
+is validated (one number in float64 range per entry) and dropped, so two
+spellings of one pattern key and evaluate as one, and the worker builds
+unit values.  An optional ``"setup"`` object carries the
 :class:`~repro.experiments.common.ExperimentSetup` fields (scale, thread
 count, iterations, prefetch distances, way options); endpoint-specific
 knobs ride at the top level.
@@ -21,17 +23,16 @@ knobs ride at the top level.
 :func:`normalize_request` validates a payload and rewrites it into a
 *canonical task*: a dict with every default filled in, so that two
 requests asking for the same computation normalize to identical bytes.
-Every value is plain JSON except an inline matrix's index and value
-lists, which are read-only NumPy arrays from parse to worker (indices
-int32, or int64 when one does not fit; values float64);
-:func:`~repro.analysis.report.canonical_json` encodes them to the same
-bytes as the lists they came from.  :func:`request_key` hashes the
-task's :func:`keyed_form` — the task without its per-request
-:data:`REQUEST_FLAGS` — and is the key of the result cache, of in-flight
-coalescing, of the stored ``/delta`` bases and of ring placement.  The
-builder functions at the bottom (:func:`setup_from_task`,
-:func:`matrix_from_task`) run inside pool workers to reconstruct model
-inputs from a task.
+Every value is plain JSON except an inline matrix's index lists, which
+are read-only NumPy arrays from parse to worker (int32, or int64 when
+one does not fit); :func:`~repro.analysis.report.canonical_json`
+encodes them to the same bytes as the lists they came from.
+:func:`request_key` hashes the task's :func:`keyed_form` — the task
+without its per-request :data:`REQUEST_FLAGS` — and is the key of the
+result cache, of in-flight coalescing, of the stored ``/delta`` bases
+and of ring placement.  The builder functions at the bottom
+(:func:`setup_from_task`, :func:`matrix_from_task`) run inside pool
+workers to reconstruct model inputs from a task.
 """
 
 from __future__ import annotations
@@ -145,9 +146,17 @@ def _index_array(values: object, label: str) -> np.ndarray:
     return array
 
 
-def _value_array(values: object, label: str) -> np.ndarray:
-    return _array(values, label, frozenset({int, float}), float, np.float64,
-                  "numbers", "numbers within float64 range")
+def _check_values(fields: dict, label: str, entries: int) -> None:
+    """A 400 unless a sent ``values`` list holds one number within
+    float64 range per pattern entry (the task then leaves it out)."""
+    values = fields.get("values")
+    if values is None:
+        return
+    array = _array(values, f"{label}.values", frozenset({int, float}), float,
+                   np.float64, "numbers", "numbers within float64 range")
+    _require(len(array) == entries,
+             f"{label}.values must have one number per entry: expected "
+             f"{entries}, got {len(array)}")
 
 
 # ----------------------------------------------------------------------
@@ -306,8 +315,7 @@ def _normalize_matrix(payload: object, scale: int) -> dict:
             "rowptr": _index_array(csr.get("rowptr"), "csr.rowptr"),
             "colidx": _index_array(csr.get("colidx"), "csr.colidx"),
         }
-        if csr.get("values") is not None:
-            task["values"] = _value_array(csr["values"], "csr.values")
+        _check_values(csr, "csr", len(task["colidx"]))
         _require(task["num_rows"] >= 0 and task["num_cols"] >= 0,
                  "csr.num_rows/num_cols must be non-negative integers")
         return task
@@ -323,8 +331,7 @@ def _normalize_matrix(payload: object, scale: int) -> dict:
             "rows": _index_array(coo.get("rows"), "coo.rows"),
             "cols": _index_array(coo.get("cols"), "coo.cols"),
         }
-        if coo.get("values") is not None:
-            task["values"] = _value_array(coo["values"], "coo.values")
+        _check_values(coo, "coo", len(task["rows"]))
         _require(task["num_rows"] >= 0 and task["num_cols"] >= 0,
                  "coo.num_rows/num_cols must be non-negative integers")
         _require(len(task["rows"]) == len(task["cols"]),
@@ -452,11 +459,11 @@ def normalize_delta(payload: object) -> dict:
     plus the optional request flags of a model request, bar the
     gateway's ``peer`` hint and ``faults`` (see :data:`REQUEST_FLAGS`).
     The batch is canonicalized through
-    :class:`repro.delta.delta.MatrixDelta` — sorted, deduplicated,
-    values explicit — so equal edits derive equal chained keys.  Base
-    resolution (404/409) happens in the daemon, which owns the stored
-    task registry; this function is shape validation only, shared with
-    the cluster gateway.
+    :class:`repro.delta.delta.MatrixDelta` — sorted, deduplicated, every
+    insert ``[r, c]`` (a sent value is validated and dropped) — so equal
+    edits derive equal chained keys.  Base resolution (404/409) happens
+    in the daemon, which owns the stored task registry; this function is
+    shape validation only, shared with the cluster gateway.
     """
     from ..delta.delta import DeltaError, MatrixDelta
 
@@ -609,24 +616,16 @@ def matrix_from_task(task: dict, name: str | None = None) -> CSRMatrix:
             if candidate.name == name:
                 return candidate.materialize()
         raise KeyError(f"matrix {name!r} not in the {spec['collection']!r} collection")
+    # the pattern is all a task holds: every entry gets the value 1
     if spec["kind"] == "csr":
-        values = spec.get("values")
         rowptr = np.asarray(spec["rowptr"], dtype=np.int64)
         nnz = int(rowptr[-1]) if rowptr.size else 0
-        return CSRMatrix(
-            spec["num_rows"],
-            spec["num_cols"],
-            rowptr,
-            _int32(spec["colidx"]),
-            np.ones(nnz) if values is None else np.asarray(values, dtype=np.float64),
-            name=name,
-        )
+        return CSRMatrix(spec["num_rows"], spec["num_cols"], rowptr,
+                         _int32(spec["colidx"]), np.ones(nnz), name=name)
     return CSRMatrix.from_coo(
         spec["num_rows"],
         spec["num_cols"],
         np.asarray(spec["rows"], dtype=np.int64),
         np.asarray(spec["cols"], dtype=np.int64),
-        None if spec.get("values") is None
-        else np.asarray(spec["values"], dtype=np.float64),
         name=name,
     )

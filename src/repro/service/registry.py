@@ -4,11 +4,11 @@ A delta request references an earlier request by its cache key; to
 derive the edited task the daemon must recover the *canonical task* that
 key was computed from.  The registry records it at request time — a
 bounded in-memory map fronting optional ``<key>.task.json`` files next
-to the result cache — and revalidates on the way out: a stored task
-whose recomputed :func:`~repro.service.protocol.request_key` no longer
-matches its file name (disk tampering, a truncated write, a format
-drift across versions) is treated as absent rather than silently
-patching the wrong base.
+to the result cache — and hands back what it holds (an unreadable file
+is absent: 404).  The daemon's ``/delta`` handler recomputes the
+:func:`~repro.service.protocol.request_key` of a stored task and answers
+409 when it no longer matches (disk tampering, a format drift across
+versions) rather than silently patching the wrong base.
 
 The daemon stores a task's :func:`~repro.service.protocol.keyed_form`
 (no per-request flags), so the stored bytes reproduce the key exactly

@@ -18,10 +18,17 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from repro.cluster import ClusterHarness, GatewayConfig, GatewayThread
+from repro.matrices import banded
 from repro.obs.context import TraceContext
-from repro.service import ServiceClient
+from repro.service import (ServiceClient, ServiceConfig, ServiceThread,
+                           matrix_payload)
 from repro.service.httpd import json_body, read_response
-from repro.service.protocol import RequestError, normalize_request, request_key
+from repro.service.protocol import (
+    RequestError,
+    matrix_name,
+    normalize_request,
+    request_key,
+)
 
 SETUP = {"num_threads": 8}
 BODY = json.dumps({"matrix": {"name": "banded_001", "collection": "tiny"},
@@ -211,14 +218,19 @@ def test_an_invalid_body_is_rejected_every_time_and_never_forwarded(stub):
                                  "collection": "tiny"}}).encode()
     peer = json.dumps({"matrix": {"name": "banded_001", "collection": "tiny"},
                        "peer": {"host": "127.0.0.1", "port": 9}}).encode()
+    # one value short of the pattern's two entries
+    short = json.dumps({"matrix": {"csr": {
+        "num_rows": 2, "num_cols": 2, "rowptr": [0, 1, 2], "colidx": [0, 1],
+        "values": [1.0]}}}).encode()
     with _gateway(replica) as address:
         for _ in range(3):
             assert _post(address, "/classify", bad)[0] == 404
             assert _post(address, "/classify", peer)[0] == 400
             assert _post(address, "/classify", b"{not json")[0] == 400
+            assert _post(address, "/classify", short)[0] == 400
         metrics = _metrics(address)
     assert replica.posts == []
-    assert metrics["bad_requests"] == 9
+    assert metrics["bad_requests"] == 12
 
 
 def test_each_forward_takes_its_callers_trace_header(stub):
@@ -252,15 +264,26 @@ def test_a_body_trace_context_is_re_encoded(stub):
 
 def test_differently_spelled_bodies_reach_the_same_ring_owner(stub):
     replicas = [stub(), stub(), stub()]
-    payload = json.loads(BODY)
-    spellings = [BODY, json.dumps(payload).encode(),
-                 json.dumps(payload, sort_keys=True, indent=4).encode()]
+    matrix = banded(40, 3, 2, seed=1)
+    csr = {k: v for k, v in matrix_payload(matrix)["csr"].items()
+           if k != "values"}
+    payload = {"matrix": {"csr": csr}, "setup": SETUP}
+    # the models read the pattern only: sent values change no key or name
+    valued = {"matrix": {"csr": dict(csr, values=[0.5] * matrix.nnz)},
+              "setup": SETUP}
+    spellings = [json.dumps(payload, indent=1).encode(),
+                 json.dumps(payload).encode(),
+                 json.dumps(payload, sort_keys=True, indent=4).encode(),
+                 json.dumps(valued).encode()]
+    tasks = [normalize_request("classify", json.loads(body))
+             for body in spellings]
+    assert len({request_key(task) for task in tasks}) == 1
+    assert len({matrix_name(task) for task in tasks}) == 1
     thread = _gateway(*replicas)
     with thread as address:
         for body in spellings:
             assert _post(address, "/classify", body)[0] == 200
-        owner = thread.gateway.membership.owner(
-            request_key(normalize_request("classify", payload)))
+        owner = thread.gateway.membership.owner(request_key(tasks[0]))
     target, = [r for r in replicas if r.posts]
     assert "%s:%d" % target.node == owner.node
     assert [body for _, _, body in target.posts] == spellings
@@ -389,9 +412,8 @@ def test_stopping_the_gateway_closes_every_idle_socket(stub):
 
 
 def test_a_body_over_the_shared_cap_is_refused_at_the_gateway(tmp_path):
-    """Gateway and replicas share one 64 MiB default body cap, so a body
-    the gateway would forward as sent never meets a replica's 413 (which
-    closes mid-write and would read as a dead replica)."""
+    """A body over the gateway's own cap is answered 413 at the gateway:
+    nothing is routed and no replica is touched."""
     with ClusterHarness(replicas=2, jobs=1, cache_root=tmp_path) as harness:
         named = json.dumps({"matrix": {"name": "banded_001",
                                        "collection": "tiny"}}).encode()
@@ -415,3 +437,23 @@ def test_a_body_over_the_shared_cap_is_refused_at_the_gateway(tmp_path):
     assert metrics["failovers"] == 0
     assert metrics["membership"]["alive"] == 2
     assert metrics["routed"] == {}
+
+
+def test_a_replicas_413_under_a_larger_gateway_cap_is_relayed(tmp_path):
+    """A replica capped below the gateway refuses a body the gateway
+    accepted: it answers 413, reads off the unread body and only then
+    closes, so the gateway relays the answer instead of reading a reset
+    as a dead replica."""
+    replica = ServiceThread(ServiceConfig(jobs=1, cache_dir=str(tmp_path),
+                                          max_body_bytes=2**20))
+    with replica as node, GatewayThread(GatewayConfig(
+            replicas=(node,), probe_interval_seconds=0)) as address:
+        named = json.dumps({"matrix": {"name": "banded_001",
+                                       "collection": "tiny"}}).encode()
+        body = named[:-1] + b" " * (4 * 2**20) + b"}"
+        status, answer = _post(address, "/classify", body)
+        metrics = _metrics(address)
+    assert status == 413
+    assert answer["error"]["type"] == "PayloadTooLarge"
+    assert metrics["failovers"] == 0
+    assert metrics["membership"]["alive"] == 1

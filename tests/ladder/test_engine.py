@@ -25,7 +25,8 @@ from repro.core import MethodB, SectorAdvisor
 from repro.core.analytic import method_b_scale_factors, stream_misses
 from repro.core.classification import classify
 from repro.experiments import ExperimentSetup
-from repro.ladder import Ladder, MatrixDims, SampledMethodB, build_sim
+from repro.ladder import (DEFAULT_CALIBRATION, Ladder, MatrixDims,
+                          SampledMethodB, build_sim)
 from repro.ladder import tier0 as ladder_tier0
 from repro.matrices import banded, random_uniform
 from repro.matrices.collection import MatrixSpec
@@ -305,7 +306,7 @@ def test_sampling_bound_covers_sampled_vs_exact(factory):
     composition of the posterior tier-1 bound.
     """
     matrix = factory()
-    cal = LADDER.calibration
+    cal = DEFAULT_CALIBRATION
     floor = max(1, stream_misses(matrix, MACHINE.line_size).total)
     exact = MethodB(matrix, MACHINE, num_threads=SETUP.num_threads,
                     iterations=SETUP.iterations)

@@ -113,8 +113,4 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(seed=-1)
     with pytest.raises(ValueError):
-        SearchConfig(screen_rate=0)
-    with pytest.raises(ValueError):
-        SearchConfig(prune_factor=0.5)
-    with pytest.raises(ValueError):
         SearchConfig(accuracy=-0.1)

