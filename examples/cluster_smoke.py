@@ -14,12 +14,13 @@ repro.service`` subprocesses (:class:`repro.cluster.ClusterHarness` in
    walks the failover preference), and every answer must match the
    direct daemon byte for byte;
 3. the killed replica restarts on its original port, the probe loop
-   readmits it, and a final warm pass serves the whole collection from
-   the replicas' caches with zero errors.  It runs twice: four items in
-   flight, opening at most four forward connections per replica (the
-   restarted one lost its idle sockets at ejection), then one at a
-   time, opening at most one per replica; every other forward reuses a
-   kept-alive connection;
+   readmits it, and a final warm pass serves the whole collection with
+   zero errors, every answer again byte-identical to the direct
+   daemon's: the readmitted replica answers from its own tiers or
+   evaluates afresh.  It runs twice: four items in flight, opening at
+   most four forward connections per replica (the restarted one lost
+   its idle sockets at ejection), then one at a time, opening at most
+   one per replica; every other forward reuses a kept-alive connection;
 4. distributed tracing under failover: the preferred owner of a fresh
    key is SIGKILLed and a traced request routed immediately — the
    gateway must return ONE schema-valid merged tree rooted at
@@ -186,8 +187,14 @@ def main():
                 warm = list(client.batch("advise", items, window=window,
                                          setup=SETUP))
                 assert warm[-1]["batch"]["errors"] == 0
+                assert len(warm) == len(names) + 1, "a warm answer is missing"
                 tiers = {}
                 for line in warm[:-1]:
+                    key, expected = reference[line["name"]]
+                    assert line["ok"], line
+                    assert line["key"] == key, line["name"]
+                    assert canonical_json(line["result"]) == expected, \
+                        line["name"]
                     tier = line.get("cached") or "fresh"
                     tiers[tier] = tiers.get(tier, 0) + 1
                 after = client.metrics()
@@ -201,8 +208,9 @@ def main():
                 # answered
                 assert opened + reused == len(names), (window, opened, reused)
                 say(f"warm pass (window {window}) after recovery: "
-                    f"{warm[-1]['batch']['ok']}/{len(names)} ok, served from "
-                    f"{tiers}; {opened} connection(s) opened, {reused} reused")
+                    f"{warm[-1]['batch']['ok']}/{len(names)} ok, byte-identical "
+                    f"to the direct daemon, served from {tiers}; {opened} "
+                    f"connection(s) opened, {reused} reused")
 
             # -- traced request surviving a mid-request kill ----------
             for attempt in range(3):

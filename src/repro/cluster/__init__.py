@@ -14,9 +14,10 @@ wire protocol:
   open circuit breaker ejects a replica with bounded key remapping,
   recovery re-admits it; a dead socket on the data path ejects
   immediately and the request fails over — zero lost requests;
-* rebalanced keys carry a **peer hint**: the newly-responsible replica
-  asks the key's previous owner over ``/cache/peek`` before paying for
-  an evaluation, so membership changes don't stampede the pool;
+* a key that remaps after a membership change is answered by its new
+  owner from its own cache tiers or a fresh evaluation; a replica
+  restarted with its disk tier intact is warm again for the keys that
+  remap back to it;
 * ``POST /batch`` streams a whole collection sweep back as NDJSON under
   a bounded in-flight window (:mod:`repro.cluster.batch`) — the paper's
   490-matrix study as one long-lived request with backpressure.

@@ -54,11 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seconds between health/breaker probe rounds")
     parser.add_argument("--fail-after", type=int, default=gateway["fail_after"],
                         help="consecutive failed probes that eject a replica")
-    parser.add_argument("--peer-window", type=float,
-                        default=gateway["peer_window_seconds"],
-                        help="seconds remapped keys carry warm-cache peer "
-                             "hints after a membership change (0 disables "
-                             "the hints)")
     parser.add_argument("--batch-window", type=int,
                         default=gateway["batch_window"],
                         help="default in-flight window for /batch")
@@ -109,7 +104,6 @@ def main(argv: list[str] | None = None) -> int:
             replicas=tuple(replicas) + (_UNSPAWNED,) * args.spawn,
             probe_interval_seconds=args.probe_interval,
             fail_after=args.fail_after,
-            peer_window_seconds=args.peer_window,
             batch_window=args.batch_window,
             event_log_path=args.event_log,
         )

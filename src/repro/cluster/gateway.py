@@ -20,13 +20,9 @@ daemon).  Per model request it:
    spot and fails over to the next node in the key's preference
    sequence — a replica killed mid-burst loses zero requests.  A failed
    *reused* socket is retried once on a fresh one first (the replica
-   may only have restarted); ejection closes the replica's idle sockets;
-5. while a rebalance window is open, names the key's *previous* owner in
-   an ``X-Repro-Peer: host:port`` header, so the newly-responsible
-   replica can warm-fill from the peer's cache (``/cache/peek``) instead
-   of re-evaluating.  Only the gateway sets the hint: a client body that
-   carries ``peer`` is refused with a 400, and a client's
-   ``X-Repro-Peer`` header is never forwarded.
+   may only have restarted); ejection closes the replica's idle sockets.
+   A key that remaps after a membership change is answered by its new
+   owner from that replica's own cache tiers or a fresh evaluation.
 
 Membership is driven by the existing health surface: a background loop
 probes every replica's ``/healthz`` and breaker state
@@ -69,9 +65,7 @@ from ..obs.tree import TraceTree
 from ..service.httpd import (
     CONNECTION_ERRORS,
     MAX_BODY_BYTES,
-    PEER_HEADER,
     HttpApp,
-    KeptAlive,
     ParsedRequest,
     RequestScope,
     ServerThread,
@@ -114,9 +108,6 @@ class GatewayConfig:
     probe_interval_seconds: float = 2.0
     #: consecutive failed probes that eject a replica
     fail_after: int = 1
-    #: seconds after a membership change during which remapped keys carry
-    #: a peer hint toward their previous owner's warm cache (0 = never)
-    peer_window_seconds: float = 120.0
     #: default and per-request in-flight window for /batch
     batch_window: int = 8
     #: request-body cap, the replicas' default: a body is forwarded as
@@ -158,8 +149,6 @@ GATEWAY_FAMILIES = (
     Family("requests_no_replicas_total", "counter",
            "Requests refused because the ring held no live replica.",
            "no_replicas"),
-    Family("peer_hints_total", "counter",
-           "Forwards carrying a warm-cache peer hint.", "peer_hints"),
     Family("forward_connections_total", "counter",
            "Forwards answered, by connection: a fresh one opened or an "
            "idle one reused.",
@@ -210,12 +199,7 @@ class ClusterGateway(HttpApp):
         self.membership = MembershipController(
             [tuple(r) for r in config.replicas],
             fail_after=config.fail_after,
-            peer_window_seconds=config.peer_window_seconds,
-            on_eject=lambda replica: self._connections[replica.node].close(),
         )
-        #: node -> that replica's idle forward connections
-        self._connections = {r.node: KeptAlive(r.host, r.port)
-                             for r in self.membership.replicas}
         self.started = time.monotonic()
         self.metrics = MetricStore(GATEWAY_FAMILIES)
         self.traces = TraceBuffer()
@@ -227,8 +211,8 @@ class ClusterGateway(HttpApp):
         self.shutdown_event = asyncio.Event()
 
     def close(self) -> None:
-        for connections in self._connections.values():
-            connections.close()
+        for replica in self.membership.replicas:
+            replica.connections.close()
         if self._event_log is not None:
             obs_events.emit("gateway.stop")
             obs_events.install(self._previous_event_log)
@@ -292,18 +276,12 @@ class ClusterGateway(HttpApp):
                     "probe round",
                 ), None
             replica = candidates[0]
-            connections = self._connections[replica.node]
-            hinted = headers
-            peer = self.membership.peer_for(key)
-            if peer is not None and peer.node != replica.node:
-                hinted = {**headers, PEER_HEADER: peer.node}
-                self.metrics.count("peer_hints")
             forward = request_span(tracer, "gateway.forward", replica=replica.node)
             with forward:
                 try:
                     status, response, reused = await asyncio.wait_for(
-                        connections.request("POST", f"/{endpoint}", body,
-                                            hinted),
+                        replica.connections.request("POST", f"/{endpoint}",
+                                                    body, headers),
                         timeout)
                 except (*CONNECTION_ERRORS, asyncio.TimeoutError) as exc:
                     # a dead socket (a fresh one: a stale reused socket
@@ -330,7 +308,7 @@ class ClusterGateway(HttpApp):
             if not replica.healthy:
                 # ejected while this forward was in flight: its socket
                 # just went back on a stack nothing should keep
-                connections.close()
+                replica.connections.close()
             if endpoint == "delta" and status == 404 and len(candidates) > 1:
                 # the ring owner of a *derived* base key need not hold the
                 # chain root's registry entry (the root request was routed
@@ -352,7 +330,7 @@ class ClusterGateway(HttpApp):
         """Parse one model or ``/delta`` body for :meth:`_post`, which
         forwards its bytes as sent."""
         # the body's own fields only: the caller's X-Repro-Trace is read
-        # in _post, and a client's X-Repro-Peer is never adopted
+        # in _post
         return self._post(route, body, json_body(body, {}), headers, scope)
 
     async def _post(self, route: str, body: bytes, payload: object,
@@ -369,7 +347,6 @@ class ClusterGateway(HttpApp):
             task = normalize_delta(payload)
             key = task["base"]
         else:
-            _refuse_peer(payload)
             task = normalize_request(route, payload)
             key = request_key(task)
         scope.key = key
@@ -491,7 +468,6 @@ class ClusterGateway(HttpApp):
     ) -> None:
         try:
             payload = json.loads(body.decode() or "{}")
-            _refuse_peer(payload)
             spec = normalize_batch(payload, self.config.batch_window)
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             self.metrics.count("bad_requests")
@@ -607,14 +583,6 @@ class ClusterGateway(HttpApp):
             await self.membership.probe_all()
             with contextlib.suppress(asyncio.TimeoutError):
                 await asyncio.wait_for(self.shutdown_event.wait(), interval)
-
-
-def _refuse_peer(payload: object) -> None:
-    """Only the gateway sets ``peer``: a replica adopts whatever the named
-    host's ``/cache/peek`` returns, so a client-set hint could poison it."""
-    if isinstance(payload, dict) and "peer" in payload:
-        raise RequestError("'peer' is set by the gateway only; "
-                           "a client request may not carry it")
 
 
 def _find_node(node, name: str):

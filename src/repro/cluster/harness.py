@@ -13,14 +13,14 @@ Two replica modes:
   (``examples/cluster_smoke.py``) exercises.
 
 Each replica gets its **own** disk-cache directory
-(``<cache_root>/replica-<i>``): a shared directory would make every
-replica warm for every key and mask the peer-fill path entirely.
+(``<cache_root>/replica-<i>``), as separate machines would have: a
+shared directory would make every replica warm for every key.
 
 >>> with ClusterHarness(replicas=3) as harness:
 ...     client = harness.client()
 ...     client.advise(matrix, num_threads=8)
 ...     harness.kill_replica(0)          # gateway fails over, zero lost
-...     harness.restart_replica(0)       # re-admitted; peer fill warms it
+...     harness.restart_replica(0)       # re-admitted, its disk tier intact
 """
 
 from __future__ import annotations
@@ -180,18 +180,13 @@ class ClusterHarness:
             handle.process = None
         return handle
 
-    def restart_replica(self, index: int, wait_ready: bool = True,
-                        clear_cache: bool = False) -> ReplicaHandle:
+    def restart_replica(self, index: int,
+                        wait_ready: bool = True) -> ReplicaHandle:
         """Bring a killed replica back **on its original port** (the
-        membership's configured address), warm disk cache intact —
-        or wiped first with ``clear_cache=True`` (models a replacement
-        node, and lets peer warm-cache fill actually show up: a surviving
-        disk tier would otherwise answer before the peer is consulted)."""
+        membership's configured address), warm disk cache intact."""
         old = self.replicas[index]
         if old.alive:
             return old
-        if clear_cache:
-            shutil.rmtree(old.cache_dir, ignore_errors=True)
         deadline = time.monotonic() + 30.0
         while True:
             try:

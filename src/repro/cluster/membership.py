@@ -16,16 +16,16 @@ one clean probe re-admits it.  The data path can also call
 killed replica leaves the ring mid-burst instead of waiting out the
 probe interval.
 
-Every ring change snapshots the *previous* ring for
-``peer_window_seconds``: while the window is open,
-:meth:`MembershipController.peer_for` answers "which *live* node owned
-this key before the last rebalance?" — the peer a freshly-responsible
-replica should ask for a warm copy (``/cache/peek``) before paying for
-an evaluation.
+Each :class:`Replica` owns its idle keep-alive connections
+(:class:`~repro.service.httpd.KeptAlive`): the gateway's forwards and
+the probes share them, and ejection closes them.  A key that remaps
+after a ring change is answered by its new owner from that replica's
+own cache tiers or by a fresh evaluation.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 import time
 from dataclasses import dataclass, field
@@ -33,6 +33,7 @@ from typing import Callable
 
 from ..obs import events as obs_events
 from ..resilience.breaker import OPEN
+from ..service.httpd import CONNECTION_ERRORS, KeptAlive
 from .ring import DEFAULT_VNODES, HashRing
 
 __all__ = ["MembershipController", "Replica", "probe_replica"]
@@ -50,35 +51,45 @@ class Replica:
     last_error: str | None = None
     #: breaker states seen on the last successful /metrics probe
     breaker_states: dict = field(default_factory=dict)
+    #: idle keep-alive sockets to this replica (forwards and probes)
+    connections: KeptAlive = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.connections = KeptAlive(self.host, self.port)
 
     @property
     def node(self) -> str:
         return f"{self.host}:{self.port}"
 
 
-async def probe_replica(host: str, port: int, timeout: float = 2.0) -> dict:
+async def _get_object(replica: Replica, path: str,
+                      timeout: float) -> tuple[int, dict]:
+    """One ``GET`` over the replica's connections; a body that is not a
+    JSON object raises ``ValueError``."""
+    status, raw, _ = await asyncio.wait_for(
+        replica.connections.request("GET", path), timeout)
+    answer = json.loads(raw or b"{}")
+    if not isinstance(answer, dict):
+        raise ValueError(f"expected a JSON object, got {type(answer).__name__}")
+    return status, answer
+
+
+async def probe_replica(replica: Replica, timeout: float = 2.0) -> dict:
     """One health probe: ``/healthz`` liveness plus breaker states.
 
     Returns ``{"ok": bool, "breakers": {endpoint: state}, "error": ...}``;
     never raises.
     """
-    import asyncio
-
-    from ..service.httpd import request_json
-
     try:
-        status, health = await request_json(host, port, "GET", "/healthz",
-                                            timeout=timeout)
+        status, health = await _get_object(replica, "/healthz", timeout)
         if status != 200 or not health.get("ok"):
             return {"ok": False, "breakers": {},
                     "error": f"/healthz answered {status}: {health}"}
-        status, metrics = await request_json(host, port, "GET", "/metrics",
-                                             timeout=timeout)
+        status, metrics = await _get_object(replica, "/metrics", timeout)
         if status != 200:
             return {"ok": False, "breakers": {},
                     "error": f"/metrics answered {status}"}
-    except (OSError, asyncio.TimeoutError, asyncio.IncompleteReadError,
-            json.JSONDecodeError, ConnectionError, ValueError) as exc:
+    except (*CONNECTION_ERRORS, asyncio.TimeoutError) as exc:
         return {"ok": False, "breakers": {},
                 "error": f"{type(exc).__name__}: {exc}"}
     breakers = {
@@ -96,9 +107,7 @@ class MembershipController:
         replicas: list[tuple[str, int]],
         vnodes: int = DEFAULT_VNODES,
         fail_after: int = 1,
-        peer_window_seconds: float = 120.0,
         clock: Callable[[], float] = time.monotonic,
-        on_eject: Callable[[Replica], None] | None = None,
     ) -> None:
         if not replicas:
             raise ValueError("at least one replica is required")
@@ -112,14 +121,8 @@ class MembershipController:
             by_node[replica.node] = replica
         self._by_node = by_node
         self.fail_after = fail_after
-        self.peer_window_seconds = peer_window_seconds
         self._clock = clock
-        #: called with each replica as it leaves the ring (the gateway
-        #: closes its idle forward sockets)
-        self._on_eject = on_eject
         self.ring = HashRing((r.node for r in self.replicas), vnodes=vnodes)
-        self._previous_ring: HashRing | None = None
-        self._changed_at: float | None = None
         self.events: list[dict] = []
         self.ejections = 0
         self.readmissions = 0
@@ -140,22 +143,6 @@ class MembershipController:
         """Owner-first failover sequence of live replicas for a key."""
         return [self._by_node[node] for node in self.ring.preference(key)]
 
-    def peer_for(self, key: str) -> Replica | None:
-        """The live previous-epoch owner of a key, during the rebalance
-        window — the warm peer a remapped key should ``/cache/peek``."""
-        if self._previous_ring is None or self._changed_at is None:
-            return None
-        if self._clock() - self._changed_at >= self.peer_window_seconds:
-            return None
-        current = self.ring.owner(key)
-        previous = self._previous_ring.owner(key)
-        if previous is None or previous == current:
-            return None
-        replica = self._by_node.get(previous)
-        if replica is None or not replica.healthy:
-            return None
-        return replica
-
     # -- transitions ---------------------------------------------------
     def _record(self, event: str, replica: Replica, detail: str | None) -> None:
         self.events.append({
@@ -168,24 +155,21 @@ class MembershipController:
                         detail=detail, alive=len(self.alive))
 
     def _eject(self, replica: Replica, reason: str) -> None:
+        # a replica out of the ring keeps no idle sockets, also when a
+        # failed probe of an ejected replica has just parked one
+        replica.connections.close()
         if not replica.healthy:
             return
         replica.healthy = False
-        self._previous_ring = self.ring.copy()
-        self._changed_at = self._clock()
         self.ring.remove(replica.node)
         self.ejections += 1
         self._record("ejected", replica, reason)
-        if self._on_eject is not None:
-            self._on_eject(replica)
 
     def _readmit(self, replica: Replica) -> None:
         if replica.healthy:
             return
         replica.healthy = True
         replica.consecutive_failures = 0
-        self._previous_ring = self.ring.copy()
-        self._changed_at = self._clock()
         self.ring.add(replica.node)
         self.readmissions += 1
         self._record("readmitted", replica, None)
@@ -222,10 +206,8 @@ class MembershipController:
 
     async def probe_all(self, timeout: float = 2.0) -> None:
         """Probe every configured replica once, concurrently."""
-        import asyncio
-
         probes = await asyncio.gather(*(
-            probe_replica(r.host, r.port, timeout) for r in self.replicas
+            probe_replica(r, timeout) for r in self.replicas
         ))
         for replica, probe in zip(self.replicas, probes):
             self.observe_probe(replica, probe)
@@ -249,8 +231,4 @@ class MembershipController:
             "readmissions": self.readmissions,
             "events": self.events[-32:],
             "ownership": self.ring.ownership_shares(1024),
-            "peer_window_open": (
-                self._changed_at is not None
-                and self._clock() - self._changed_at < self.peer_window_seconds
-            ),
         }

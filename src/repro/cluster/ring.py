@@ -105,7 +105,7 @@ class HashRing:
         return node in self._nodes
 
     def copy(self) -> "HashRing":
-        """An independent snapshot (used for previous-epoch owner lookups)."""
+        """An independent snapshot."""
         return HashRing(sorted(self._nodes), vnodes=self.vnodes)
 
     # -- placement -----------------------------------------------------

@@ -12,10 +12,9 @@ story end to end:
 3. **failover** — one replica is killed and the batch repeated; the
    gateway ejects it on the first dead socket and fails the affected
    keys over (zero lost requests), while unaffected keys stay warm;
-4. **recovery** — the replica restarts cache-cold (a replacement node)
-   and is re-admitted; keys that remapped back carry peer hints, so the
-   rebalanced entries are refilled from the interim owners' caches
-   instead of re-evaluated.
+4. **recovery** — the replica restarts with its disk tier intact and is
+   re-admitted; the keys that remap back to it are answered from that
+   disk tier, and only the keys it never held are evaluated.
 
 Run via ``python -m repro.experiments --exp cluster`` (opt-in, not part
 of ``all``); ``--replicas`` and ``--window`` tune the topology.
@@ -90,25 +89,15 @@ def run_cluster(
         if verbose:
             print(f"  failover pass: {summary['failover']}")
 
-        # restart with a wiped cache dir (a replacement node): entries that
-        # remap back must come from the interim owners' caches via peer
-        # fill, not from a conveniently surviving local disk tier
-        h.restart_replica(victim, clear_cache=True)
+        h.restart_replica(victim)
         h.wait_alive(replicas)
         with span("cluster.pass", label="recovery"):
             summary["recovery"] = _batch_pass(client, names, collection_name,
                                               setup_fields, window)
-        peer_fill: dict[str, int] = {}
-        for index in range(replicas):
-            for outcome, count in h.replica_client(index).metrics()[
-                    "peer_fill"].items():
-                peer_fill[outcome] = peer_fill.get(outcome, 0) + count
         metrics = client.metrics()
         summary["recovery"]["gateway"] = {
-            "peer_hints": metrics["peer_hints"],
             "readmissions": metrics["membership"]["readmissions"],
         }
-        summary["recovery"]["peer_fill"] = peer_fill
         summary["routing"] = metrics["routed"].get("advise", {})
 
         # under --trace, fold one distributed trace into the run's tree:
@@ -158,12 +147,7 @@ def render_cluster(summary: dict) -> str:
         f"{gateway['exhausted']} lost, {gateway['alive']} replicas left"
     )
     recovery = summary["recovery"]["gateway"]
-    peer = summary["recovery"]["peer_fill"]
-    lines.append(
-        f"recovery: {recovery['readmissions']} readmission(s), "
-        f"{recovery['peer_hints']} peer hint(s), peer fill "
-        + (" ".join(f"{k}:{v}" for k, v in sorted(peer.items())) or "none")
-    )
+    lines.append(f"recovery: {recovery['readmissions']} readmission(s)")
     lines.append("routing (advise forwards per replica): " + " ".join(
         f"{node}:{count}" for node, count in sorted(summary["routing"].items())
     ))

@@ -365,12 +365,6 @@ SERVICE_FAMILIES = (
            "Accumulated edit fraction (edits over base nonzeros) per delta "
            "evaluation.",
            "delta.drift", when="delta.drift.count", buckets=DRIFT_BUCKETS),
-    Family("peer_fill_total", "counter",
-           "Warm-cache fills attempted against a peer replica, by outcome.",
-           "peer_fill.*", ("outcome",)),
-    Family("cache_peek_total", "counter",
-           "/cache/peek requests served to peer replicas, by outcome.",
-           "cache_peek.*", ("outcome",)),
     Family("cache_gc_sweeps_total", "counter",
            "Disk-cache GC sweeps run by the daemon.", "gc.sweeps"),
     Family("cache_gc_deleted_total", "counter",

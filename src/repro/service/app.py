@@ -23,11 +23,9 @@ module adds only the daemon's ``POST`` routes, its ``/healthz`` and
 ``/metrics`` content, and its background loops (disk-cache GC and the
 accuracy audit).
 
-Cluster hooks (see :mod:`repro.cluster`): ``POST /cache/peek`` answers
-"do *you* have this key?" from the cache tiers only — no pool, no
-breaker — and a request carrying a ``"peer"`` hint (attached by the
-gateway after a membership change) asks that previous owner over the
-same endpoint before paying for an evaluation.
+A replica holds no cluster state (see :mod:`repro.cluster`): it answers
+from its own cache tiers or evaluates, and never adopts an answer from
+another host.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..analysis.report import canonical_json, jsonable
+from ..analysis.report import canonical_json
 from ..core.analytic import stream_misses
 from ..core.classification import classify
 from ..experiments.common import cache_entry_path
@@ -63,7 +61,6 @@ from .httpd import (
     HttpApp,
     RequestScope,
     ServerThread,
-    request_json,
     request_span,
     serve,
 )
@@ -196,11 +193,6 @@ class ServiceConfig:
 #: an exact entry — and are offered to the accuracy audit instead.
 STORED_TIERS = {2: "", 3: ".t3"}
 
-#: ceiling on one ``/cache/peek`` round trip to a peer replica: a slow
-#: or dead peer never costs more than this before the replica evaluates
-#: the request itself
-PEER_TIMEOUT_SECONDS = 5.0
-
 
 class _EvaluationError(Exception):
     """A failed evaluation, carrying the HTTP status and structured detail."""
@@ -240,7 +232,7 @@ class LocalityService(HttpApp):
     """The daemon's request handling: cache, coalescing, pool."""
 
     role = "service"
-    post_routes = frozenset(ENDPOINTS) | {"cache/peek", "delta"}
+    post_routes = frozenset(ENDPOINTS) | {"delta"}
     trace_root = "service.request"
     render_metrics = staticmethod(render_prometheus)
 
@@ -291,9 +283,7 @@ class LocalityService(HttpApp):
     # ------------------------------------------------------------------
     async def post(self, target: str, payload: object,
                    scope: RequestScope) -> tuple[int, dict]:
-        """One ``POST`` to a model endpoint, ``/delta`` or ``/cache/peek``."""
-        if target == "cache/peek":
-            return self._handle_cache_peek(payload)
+        """One ``POST`` to a model endpoint or ``/delta``."""
         # the handler holds the only reference to the parsed body, so a
         # model request frees its number lists once its task holds arrays
         handler = (self._handle_delta(payload, scope) if target == "delta"
@@ -302,10 +292,7 @@ class LocalityService(HttpApp):
         return await handler
 
     def observe(self, scope: RequestScope) -> None:
-        """The terminal metric and ``request`` event of one ``POST``
-        (peer cache peeks are counted by ``cache_peek`` instead)."""
-        if scope.endpoint == "cache/peek":
-            return
+        """The terminal metric and ``request`` event of one ``POST``."""
         self.metrics.count(
             "requests", scope.endpoint,
             scope.outcome if scope.outcome in ("ok", "degraded") else "error")
@@ -346,68 +333,8 @@ class LocalityService(HttpApp):
         return {"jobs": self.config.jobs}
 
     # ------------------------------------------------------------------
-    # cluster hooks
+    # disk-cache GC
     # ------------------------------------------------------------------
-    def _handle_cache_peek(self, payload: object) -> tuple[int, dict]:
-        """``POST /cache/peek {"task": <normalized task>}`` — cache tiers
-        only, no pool, no breaker, no evaluation.
-
-        The caller is another replica holding a normalized task whose key
-        this replica owned before a membership change; it sends the task
-        verbatim and we recompute the key, so a peek can never answer a
-        different question than the one being asked.  Only the plain-key
-        entry is consulted (the one plain and tier-2 ladder answers
-        share); a miss just means the caller evaluates — exactly what it
-        would have done anyway.
-        """
-        if not isinstance(payload, dict) or not isinstance(payload.get("task"), dict):
-            raise RequestError("expected a JSON object with a 'task' object")
-        task = payload["task"]
-        if task.get("endpoint") not in ENDPOINTS:
-            raise RequestError(f"unknown endpoint {task.get('endpoint')!r}")
-        try:
-            key = request_key(task)
-            disk_path, _ = self._disk_entry(task, key)
-        except Exception as exc:  # noqa: BLE001 - a bad task is the caller's bug
-            raise RequestError(str(exc)) from None
-        result, tier = self.cache.get(key, disk_path)
-        if result is None:
-            self.metrics.count("cache_peek", "miss")
-            return 200, {"ok": True, "found": False, "key": key}
-        self.metrics.count("cache_peek", "hit")
-        return 200, {"ok": True, "found": True, "key": key, "tier": tier,
-                     "result": result}
-
-    async def _peer_fill(
-        self, endpoint: str, task: dict, key: str, peer: dict
-    ) -> dict | None:
-        """Ask the key's previous ring owner for its cached answer.
-
-        Best-effort by construction: any failure — dead peer, timeout,
-        malformed reply — returns None and the replica evaluates as if no
-        hint existed.  The hint is routing metadata, never correctness.
-        """
-        try:
-            status, payload = await request_json(
-                peer["host"], peer["port"], "POST", "/cache/peek",
-                # jsonable: an inline matrix rides the task as arrays
-                {"task": jsonable(task)},
-                timeout=PEER_TIMEOUT_SECONDS,
-            )
-        except (OSError, ValueError, ConnectionError, asyncio.TimeoutError,
-                asyncio.IncompleteReadError):
-            self.metrics.count("peer_fill", "error")
-            return None
-        if status != 200 or not payload.get("found"):
-            self.metrics.count("peer_fill", "miss")
-            return None
-        result = payload.get("result")
-        if not isinstance(result, dict):
-            self.metrics.count("peer_fill", "error")
-            return None
-        self.metrics.count("peer_fill", "hit")
-        return result
-
     async def gc_once(self) -> dict:
         """One disk-cache GC sweep off the event loop; folds into /metrics."""
         if self.cache.cache_dir is None:
@@ -462,10 +389,7 @@ class LocalityService(HttpApp):
         # perturbed answers are never cached either)
         key = self._keyed(task, register=(
             endpoint in DELTA_BASE_ENDPOINTS and plan is None))
-        # the gateway's warm-cache hint is routing metadata: excluded
-        # from the key, stripped before the task reaches a worker
-        peer = task.pop("peer", None)
-        return await self._finish_task(scope, endpoint, task, key, peer, plan)
+        return await self._finish_task(scope, endpoint, task, key, plan)
 
     async def _handle_delta(self, payload: object,
                             scope: RequestScope) -> tuple[int, dict]:
@@ -512,7 +436,7 @@ class LocalityService(HttpApp):
             "base": base_key,
             "chain_length": len(task["matrix"]["batches"]),
         }}
-        return await self._finish_task(scope, endpoint, task, key, None, None,
+        return await self._finish_task(scope, endpoint, task, key, None,
                                        envelope=envelope)
 
     def _keyed(self, task: dict, register: bool) -> str:
@@ -539,7 +463,7 @@ class LocalityService(HttpApp):
 
     async def _finish_task(
         self, scope: RequestScope, endpoint: str, task: dict, key: str,
-        peer: dict | None, plan: faults.FaultPlan | None,
+        plan: faults.FaultPlan | None,
         envelope: dict | None = None,
     ) -> tuple[int, dict]:
         """Resolve a normalized task and build its response envelope.
@@ -556,7 +480,7 @@ class LocalityService(HttpApp):
         try:
             with scope.traced(task):
                 result, cached, trace, fidelity, meta = await self._resolve(
-                    endpoint, task, key, plan, peer, tracer=scope.tracer
+                    endpoint, task, key, plan, tracer=scope.tracer
                 )
         except _DegradedService as exc:
             result = self._degraded_result(task)
@@ -592,7 +516,7 @@ class LocalityService(HttpApp):
             # the envelope trace: this hop's service.request root next to
             # the worker's evaluate root — linked by span-id attrs, merged
             # into one forest so the gateway can graft it whole.  With no
-            # evaluation (cache tier, coalesced, peer fill) /debug/traces
+            # evaluation (cache tier, coalesced) /debug/traces
             # still keeps this hop's spans — cache.lookup marks the
             # serving tier — but no evaluate span is fabricated
             tree = scope.tracer.tree()
@@ -621,11 +545,10 @@ class LocalityService(HttpApp):
         task: dict,
         key: str,
         plan: faults.FaultPlan | None,
-        peer: dict | None = None,
         tracer: Tracer | None = None,
     ) -> tuple[dict, str | None, dict | None, dict | None, dict | None]:
-        """Resolve a key via a stored answer, coalescing, peer fill, or a
-        fresh evaluation, under the :data:`STORED_TIERS` policy.
+        """Resolve a key via a stored answer, coalescing, or a fresh
+        evaluation, under the :data:`STORED_TIERS` policy.
 
         Returns ``(result, cache_tier, span_tree, fidelity, delta)``; the
         span tree is only non-None for a fresh evaluation of a ``"trace":
@@ -634,15 +557,14 @@ class LocalityService(HttpApp):
         fresh evaluation of a delta task — the envelope carries it, never
         the (byte-identical) cached result.
 
-        Only plain requests coalesce or take a peer's answer: two ladder
-        requests with different SLOs legitimately need different
+        Only plain requests coalesce: two ladder requests with different SLOs legitimately need different
         evaluations.  ``plan`` is the request's own fault plan (None for
         normal requests, which still consult the daemon-wide ambient plan
         at the parent-side sites).  A fault-carrying request may *read*
         the cache — that is how ``cache.disk_read`` corruption is
-        exercised — but never writes it, never leads or joins a coalesced
-        evaluation and never takes a peer's answer: its perturbed outcome
-        must not leak into healthy responses.
+        exercised — but never writes it and never leads or joins a
+        coalesced evaluation: its perturbed outcome must not leak into
+        healthy responses.
         """
         ladder = endpoint != "optimize" and has_ladder_flags(task)
         chaos = plan is not None
@@ -680,20 +602,6 @@ class LocalityService(HttpApp):
                 result = await asyncio.shield(pending)
             return (result, "coalesced", None,
                     self._served_fidelity(endpoint, task, result), None)
-        if peer is not None and not ladder:
-            if chaos:
-                self.metrics.count("peer_fill", "skipped")
-            else:
-                with request_span(tracer, "peer.fill", host=peer["host"],
-                                  port=peer["port"]) as sp:
-                    fetched = await self._peer_fill(endpoint, task, key, peer)
-                    sp.annotate(outcome="hit" if fetched is not None else "miss")
-                if fetched is not None:
-                    # adopt the peer's answer into our own tiers so the
-                    # next hit is local — this replica owns the key now
-                    self._cache_write(fetched, *entries[2])
-                    return (fetched, "peer", None,
-                            self._served_fidelity(endpoint, task, fetched), None)
 
         payload = await self._run(endpoint, task, plan, tracer,
                                   lead=key if shared else None)
@@ -776,7 +684,7 @@ class LocalityService(HttpApp):
     def _served_fidelity(self, endpoint: str, task: dict, result: dict,
                          tier: int | None = None,
                          bound: float | None = None) -> dict | None:
-        """The envelope ``fidelity`` of a stored, coalesced or peer answer:
+        """The envelope ``fidelity`` of a stored or coalesced answer:
         a ladder request's stored ``tier`` against its SLO (tier 3 is
         exact), or an optimize result's inline search fidelity."""
         if tier is not None:

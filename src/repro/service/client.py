@@ -34,7 +34,6 @@ import socket
 import threading
 import time
 
-from ..analysis.report import jsonable
 from ..obs.context import TRACE_HEADER, TraceContext
 from ..resilience.retry import BackoffPolicy, call_with_retries
 from ..spmv.csr import CSRMatrix
@@ -341,14 +340,6 @@ class ServiceClient:
         if status >= 400:
             raise ServiceError(status, json.loads(raw).get("error", {}))
         return raw
-
-    def cache_peek(self, task: dict) -> dict:
-        """``POST /cache/peek`` — does this daemon hold the task's key in
-        a cache tier?  (Replicas use this between themselves for peer
-        warm-cache fill; exposed here for tests and operators.)  An
-        inline matrix in a normalized task rides as arrays, hence the
-        :func:`~repro.analysis.report.jsonable` pass."""
-        return self.request("POST", "/cache/peek", {"task": jsonable(task)})
 
     def batch(self, endpoint: str, items: list, *, window: int | None = None,
               timeout: float | None = None, **shared):

@@ -18,9 +18,8 @@ routes and background loops.  It holds:
   traced, and finished exactly once whatever the outcome;
 * :func:`serve`, the bind/announce/signals/fork-hygiene/teardown
   lifecycle, and :class:`ServerThread`, its background-thread harness;
-* a small async client: one-shot requests (peer cache peeks, probes)
-  and :class:`KeptAlive`, a server's idle keep-alive connections (the
-  gateway's forwards), both reading responses with one reader.
+* a small async client: :class:`KeptAlive`, a server's idle keep-alive
+  connections (the gateway's forwards and health probes).
 
 The parser is deliberately small: no pipelining guarantees beyond
 serial request/response on one socket, no request chunked bodies, no
@@ -49,19 +48,14 @@ from ..obs.tracer import NULL_SPAN, Tracer
 from .protocol import RequestError
 
 __all__ = ["CONNECTION_ERRORS", "HttpApp", "KeptAlive", "MAX_BODY_BYTES",
-           "PEER_HEADER", "ParsedRequest", "PayloadTooLarge", "RequestScope",
+           "ParsedRequest", "PayloadTooLarge", "RequestScope",
            "ServerThread", "error_payload", "finish_chunked_response",
-           "json_body", "read_request",
-           "request_bytes", "request_json", "request_span", "respond",
+           "json_body", "read_request", "request_span", "respond",
            "serve", "start_chunked_response", "write_chunk"]
 
 #: the default request-body cap of both servers (a gateway relays a
 #: caller's bytes unchanged; a replica capped lower answers them 413)
 MAX_BODY_BYTES = 64 * 2**20
-
-#: the gateway's warm-cache hint as a header, ``host:port`` of the key's
-#: previous owner; a daemon adopts it as the body's ``peer``
-PEER_HEADER = "X-Repro-Peer"
 
 REASONS = {200: "OK", 400: "Bad Request", 403: "Forbidden",
            404: "Not Found", 405: "Method Not Allowed",
@@ -211,21 +205,14 @@ def json_body(body: bytes, headers: dict[str, str]) -> object:
     Transports that only see headers (the gateway forward, any standard
     HTTP client) propagate trace context via ``X-Repro-Trace``: it is
     adopted as the body's ``trace_context`` unless the body carries one
-    (an explicit JSON context always wins).  The gateway's peer hint
-    arrives the same way, ``X-Repro-Peer`` adopted as ``peer`` and then
-    validated like a body field.
+    (an explicit JSON context always wins).
     """
     payload = json.loads(body.decode() or "{}")
-    if isinstance(payload, dict):
-        if "trace_context" not in payload:
-            header_ctx = TraceContext.from_header(
-                headers.get(TRACE_HEADER.lower()))
-            if header_ctx is not None:
-                payload["trace_context"] = header_ctx.to_dict()
-        peer = headers.get(PEER_HEADER.lower())
-        if peer is not None and "peer" not in payload:
-            host, _, port = peer.rpartition(":")
-            payload["peer"] = {"host": host, "port": port}
+    if isinstance(payload, dict) and "trace_context" not in payload:
+        header_ctx = TraceContext.from_header(
+            headers.get(TRACE_HEADER.lower()))
+        if header_ctx is not None:
+            payload["trace_context"] = header_ctx.to_dict()
     return payload
 
 
@@ -655,7 +642,7 @@ class ServerThread:
 
 
 # ----------------------------------------------------------------------
-# async client side (gateway forwards, peer cache peeks, health probes)
+# async client side (gateway forwards and health probes)
 # ----------------------------------------------------------------------
 
 #: what a dead or misbehaving peer raises out of one exchange
@@ -665,7 +652,7 @@ CONNECTION_ERRORS = (OSError, asyncio.IncompleteReadError, ValueError)
 
 
 def _request_head(host: str, port: int, method: str, path: str, length: int,
-                  headers: dict[str, str] | None, keep_alive: bool) -> bytes:
+                  headers: dict[str, str] | None) -> bytes:
     extra = "".join(f"{name}: {value}\r\n"
                     for name, value in (headers or {}).items())
     return (
@@ -674,7 +661,7 @@ def _request_head(host: str, port: int, method: str, path: str, length: int,
         "Content-Type: application/json\r\n"
         f"Content-Length: {length}\r\n"
         f"{extra}"
-        f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n\r\n"
+        "Connection: keep-alive\r\n\r\n"
     ).encode("latin1")
 
 
@@ -716,42 +703,6 @@ async def read_response(
     if length is not None:
         return status, await reader.readexactly(int(length)), reusable
     return status, await reader.read(), False
-
-
-async def request_bytes(
-    host: str,
-    port: int,
-    method: str,
-    path: str,
-    body: bytes = b"",
-    timeout: float | None = None,
-    headers: dict[str, str] | None = None,
-) -> tuple[int, bytes]:
-    """One ``Connection: close`` request from inside an event loop.
-
-    Returns ``(status, body_bytes)``; raises one of
-    :data:`CONNECTION_ERRORS` or ``asyncio.TimeoutError`` on connection
-    trouble (callers fail over or degrade).  The stdlib has no async HTTP
-    client, and running ``http.client`` in a thread per request would
-    serialize the caller on its thread pool — hence this small one.
-    """
-
-    async def _exchange() -> tuple[int, bytes]:
-        reader, writer = await asyncio.open_connection(host, port)
-        try:
-            writer.write(_request_head(host, port, method, path, len(body),
-                                       headers, keep_alive=False) + body)
-            await writer.drain()
-            status, data, _ = await read_response(reader)
-            return status, data
-        finally:
-            writer.close()
-            with contextlib.suppress(ConnectionError, OSError):
-                await writer.wait_closed()
-
-    if timeout is None:
-        return await _exchange()
-    return await asyncio.wait_for(_exchange(), timeout)
 
 
 class KeptAlive:
@@ -799,8 +750,7 @@ class KeptAlive:
         reader, writer = connection
         try:
             writer.write(_request_head(self.host, self.port, method, path,
-                                       len(body), headers, keep_alive=True)
-                         + body)
+                                       len(body), headers) + body)
             await writer.drain()
             status, data, reusable = await read_response(reader)
         except BaseException:
@@ -817,24 +767,3 @@ class KeptAlive:
         while self._idle:
             _, writer = self._idle.pop()
             writer.close()
-
-
-async def request_json(
-    host: str,
-    port: int,
-    method: str,
-    path: str,
-    payload: dict | None = None,
-    timeout: float | None = None,
-    headers: dict[str, str] | None = None,
-) -> tuple[int, dict]:
-    """:func:`request_bytes` with JSON bodies both ways; a response body
-    that is not a JSON object raises :class:`ValueError`."""
-    body = b"" if payload is None else json.dumps(payload).encode()
-    status, raw = await request_bytes(host, port, method, path, body, timeout,
-                                      headers)
-    answer = json.loads(raw or b"{}")
-    if not isinstance(answer, dict):
-        raise ValueError(f"expected a JSON object, got {type(answer).__name__}")
-    return status, answer
-

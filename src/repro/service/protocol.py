@@ -173,7 +173,6 @@ def _check_values(fields: dict, label: str, entries: int) -> None:
 #:   and write under the key — see :mod:`repro.service.app`);
 #: * ``timeout`` bounds the wait, ``trace`` shapes the presentation and
 #:   ``trace_context`` correlates the trace;
-#: * ``peer`` steers cache fill (the gateway's warm-cache hint);
 #: * ``faults`` perturbs the execution (fault-carrying requests only
 #:   *read* what a healthy request stored);
 #: * ``delta_budget`` is the daemon's patch-work ceiling, injected into
@@ -183,7 +182,7 @@ def _check_values(fields: dict, label: str, entries: int) -> None:
 #: ``optimize`` keeps its ``accuracy`` in the key: there it shapes the
 #: *search* (the confirmation tier is part of the result).
 REQUEST_FLAGS = ("accuracy", "max_tier", "timeout", "trace", "trace_context",
-                 "peer", "faults", "delta_budget")
+                 "faults", "delta_budget")
 
 _UNKEYED = frozenset(REQUEST_FLAGS)
 _OPTIMIZE_UNKEYED = _UNKEYED - {"accuracy"}
@@ -219,18 +218,6 @@ def _trace_context(context: object) -> dict:
     return {"trace_id": context["trace_id"], "span_id": context["span_id"]}
 
 
-def _peer(peer: object) -> dict:
-    # warm-cache fill hint attached by the cluster gateway after a
-    # rebalance: on a full cache miss the daemon asks this peer's
-    # /cache/peek for the key before evaluating
-    _require(isinstance(peer, dict) and isinstance(peer.get("host"), str)
-             and peer["host"] != "",
-             "'peer' must be an object with a host string")
-    port = _cast(peer.get("port"), int, "peer.port must be an integer")
-    _require(0 < port < 65536, "peer.port out of range")
-    return {"host": peer["host"], "port": port}
-
-
 def _faults(plan: object) -> object:
     # chaos-testing flag (the daemon refuses it unless started with
     # --allow-fault-injection); validated here so a malformed plan is a
@@ -255,7 +242,6 @@ _FLAG_PARSERS = {
     # the request triggers a fresh evaluation
     "trace": lambda value: True if value else None,
     "trace_context": _trace_context,
-    "peer": _peer,
     "faults": _faults,
 }
 _DELTA_FLAGS = ("accuracy", "max_tier", "timeout", "trace", "trace_context")
@@ -456,8 +442,8 @@ def normalize_delta(payload: object) -> dict:
         {"base": "<32-hex request key>",
          "delta": {"inserts": [[r, c, v?], ...], "deletes": [[r, c], ...]}}
 
-    plus the optional request flags of a model request, bar the
-    gateway's ``peer`` hint and ``faults`` (see :data:`REQUEST_FLAGS`).
+    plus the optional request flags of a model request, bar ``faults``
+    (see :data:`REQUEST_FLAGS`).
     The batch is canonicalized through
     :class:`repro.delta.delta.MatrixDelta` — sorted, deduplicated, every
     insert ``[r, c]`` (a sent value is validated and dropped) — so equal

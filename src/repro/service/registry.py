@@ -50,10 +50,7 @@ class TaskRegistry:
         shared by reference, never copied.
         """
         known = key in self._memory
-        self._memory[key] = task
-        self._memory.move_to_end(key)
-        while len(self._memory) > self.capacity:
-            self._memory.popitem(last=False)
+        self._hold(key, task)
         path = self._path(key)
         if path is not None and not known and not path.exists():
             path.write_text(record)
@@ -73,5 +70,13 @@ class TaskRegistry:
             return None
         if not isinstance(task, dict):
             return None
-        self._memory[key] = task
+        self._hold(key, task)
         return task
+
+    def _hold(self, key: str, task: dict) -> None:
+        """Keep a task in the memory map as its newest entry, evicting
+        the oldest past ``capacity``."""
+        self._memory[key] = task
+        self._memory.move_to_end(key)
+        while len(self._memory) > self.capacity:
+            self._memory.popitem(last=False)

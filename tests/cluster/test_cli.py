@@ -32,7 +32,6 @@ def test_every_flag_reaches_its_own_field(monkeypatch, tmp_path):
         "--cache": str(tmp_path / "cache"),
         "--probe-interval": "0.5",
         "--fail-after": "4",
-        "--peer-window": "6",
         "--batch-window": "9",
         "--event-log": str(tmp_path / "gateway.jsonl"),
         "--audit-rate": "0.25",
@@ -62,7 +61,6 @@ def test_every_flag_reaches_its_own_field(monkeypatch, tmp_path):
         replicas=(("127.0.0.3", 9001), ("127.0.0.4", 9002)),
         probe_interval_seconds=0.5,
         fail_after=4,
-        peer_window_seconds=6.0,
         batch_window=9,
         event_log_path=str(tmp_path / "gateway.jsonl"),
     ), "127.0.0.2", 9123)]

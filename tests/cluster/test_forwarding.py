@@ -2,9 +2,9 @@
 
 A stub replica records exactly what reaches it (path, headers, body
 bytes), so these tests pin the wire: the caller's bytes go through
-unchanged, the gateway's own trace context and peer hint ride in
-headers, a client's ``X-Repro-Peer`` never does, and an invalid body
-never leaves the gateway.  The trace tests run real replicas, whose
+unchanged, the gateway's own trace context rides in a header, a
+client's other headers never do, and an invalid body never leaves the
+gateway.  The trace tests run real replicas, whose
 spans must still parent under the gateway's ``gateway.forward``.
 """
 
@@ -24,7 +24,6 @@ from repro.service import (ServiceClient, ServiceConfig, ServiceThread,
                            matrix_payload)
 from repro.service.httpd import json_body, read_response
 from repro.service.protocol import (
-    RequestError,
     matrix_name,
     normalize_request,
     request_key,
@@ -198,26 +197,20 @@ def test_a_clients_peer_header_is_not_forwarded(stub):
         assert body == BODY
 
 
-def test_a_daemon_adopts_the_peer_header_as_its_peer_field():
+def test_a_daemon_ignores_a_peer_header_and_a_peer_field():
     named = {"matrix": {"name": "banded_001", "collection": "tiny"}}
-    adopted = json_body(json.dumps(named).encode(),
-                        {"x-repro-peer": "10.0.0.2:8787"})
-    assert normalize_request("classify", adopted)["peer"] == {
-        "host": "10.0.0.2", "port": 8787}
-    own = dict(named, peer={"host": "10.0.0.3", "port": 1})
-    kept = json_body(json.dumps(own).encode(), {"x-repro-peer": "10.0.0.2:8787"})
-    assert kept["peer"] == own["peer"]  # a body field wins, as for traces
-    with pytest.raises(RequestError):
-        normalize_request("classify", json_body(
-            json.dumps(named).encode(), {"x-repro-peer": "10.0.0.2"}))
+    plain = normalize_request("classify", named)
+    for body in (named, dict(named, peer={"host": "10.0.0.3", "port": 1})):
+        for header in ("10.0.0.2:8787", "10.0.0.2"):
+            parsed = json_body(json.dumps(body).encode(),
+                               {"x-repro-peer": header})
+            assert normalize_request("classify", parsed) == plain
 
 
 def test_an_invalid_body_is_rejected_every_time_and_never_forwarded(stub):
     replica = stub()
     bad = json.dumps({"matrix": {"name": "no_such_matrix",
                                  "collection": "tiny"}}).encode()
-    peer = json.dumps({"matrix": {"name": "banded_001", "collection": "tiny"},
-                       "peer": {"host": "127.0.0.1", "port": 9}}).encode()
     # one value short of the pattern's two entries
     short = json.dumps({"matrix": {"csr": {
         "num_rows": 2, "num_cols": 2, "rowptr": [0, 1, 2], "colidx": [0, 1],
@@ -225,12 +218,11 @@ def test_an_invalid_body_is_rejected_every_time_and_never_forwarded(stub):
     with _gateway(replica) as address:
         for _ in range(3):
             assert _post(address, "/classify", bad)[0] == 404
-            assert _post(address, "/classify", peer)[0] == 400
             assert _post(address, "/classify", b"{not json")[0] == 400
             assert _post(address, "/classify", short)[0] == 400
         metrics = _metrics(address)
     assert replica.posts == []
-    assert metrics["bad_requests"] == 12
+    assert metrics["bad_requests"] == 9
 
 
 def test_each_forward_takes_its_callers_trace_header(stub):

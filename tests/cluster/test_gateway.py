@@ -1,4 +1,4 @@
-"""Gateway end-to-end tests: routing, failover, peer fill, batches.
+"""Gateway end-to-end tests: routing, failover, readmission, batches.
 
 One in-process cluster (thread-mode :class:`ClusterHarness`) per module
 for the read-only tests; the kill/restart stories build their own.
@@ -7,6 +7,7 @@ for the read-only tests; the kill/restart stories build their own.
 import http.client
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +16,6 @@ from repro.cluster import ClusterHarness
 from repro.matrices.collection import collection
 from repro.service import ServiceClient, ServiceConfig, ServiceThread
 from repro.service.client import ServiceError
-from repro.service.protocol import normalize_request
 
 SETUP = {"num_threads": 8}
 NAMES = [spec.name for spec in collection("tiny")[:4]]
@@ -78,19 +78,10 @@ def test_requests_route_by_key_and_warm_their_owner(cluster):
     envelope = client.advise(name=NAMES[0], collection="tiny", **SETUP)
     owner = harness.gateway.membership.owner(envelope["key"])
     # the owning replica now has the entry; the other replica does not
-    task = normalize_request("advise", {
-        "matrix": {"name": NAMES[0], "collection": "tiny"}, "setup": SETUP,
-    })
-    owner_client = ServiceClient(owner.host, owner.port, timeout=30.0)
-    peeked = owner_client.cache_peek(task)
-    assert peeked["found"] is True
-    assert peeked["key"] == envelope["key"]
-    owner_client.close()
-    other = next(r for r in harness.replicas
-                 if (r.host, r.port) != (owner.host, owner.port))
-    other_client = harness.replica_client(other.index, timeout=30.0)
-    assert other_client.cache_peek(task)["found"] is False
-    other_client.close()
+    entry = f"{envelope['key']}.advise.json"
+    holders = [r.index for r in harness.replicas
+               if (Path(r.cache_dir) / entry).exists()]
+    assert [harness.replicas[i].node for i in holders] == [owner.node]
     routed = client.metrics()["routed"]["advise"]
     assert sum(routed.values()) >= 1
 
@@ -215,9 +206,10 @@ def test_failover_loses_nothing_and_readmits(tmp_path, direct_answers):
         client.close()
 
 
-def test_rebalanced_keys_fill_from_peers_not_reevaluation(tmp_path):
-    """After a cache-cold restart, remapped keys come from ``/cache/peek``
-    on the interim owner — the peer-fill counters prove it."""
+def test_a_readmitted_replica_answers_its_keys_from_its_own_disk_tier(
+        tmp_path):
+    """A replica restarted with its disk tier intact is warm again for the
+    keys that remap back to it: after readmission no key is evaluated."""
     with ClusterHarness(
         replicas=3, jobs=1, cache_root=tmp_path,
         gateway_config={"probe_interval_seconds": 0.2},
@@ -225,9 +217,10 @@ def test_rebalanced_keys_fill_from_peers_not_reevaluation(tmp_path):
         client = harness.client(timeout=120.0)
         first = list(client.batch("advise", _items(), window=2, setup=SETUP))
         # ring placement hashes ephemeral ports: kill the replica that owns
-        # the first key, so at least one key must be refilled from a peer
-        owner = harness.gateway.membership.owner(
-            next(line["key"] for line in first if line.get("index") == 0))
+        # the first key, so at least one key remaps away and back
+        first_key = next(line["key"] for line in first
+                         if line.get("index") == 0)
+        owner = harness.gateway.membership.owner(first_key)
         victim = next(r.index for r in harness.replicas
                       if (r.host, r.port) == (owner.host, owner.port))
         harness.kill_replica(victim)
@@ -235,31 +228,23 @@ def test_rebalanced_keys_fill_from_peers_not_reevaluation(tmp_path):
         down = list(client.batch("advise", _items(), window=2, setup=SETUP))
         assert down[-1]["batch"]["errors"] == 0
 
-        harness.restart_replica(victim, clear_cache=True)
+        harness.restart_replica(victim)
         assert harness.wait_alive(3, deadline_seconds=15.0)
         lines = list(client.batch("advise", _items(), window=2, setup=SETUP))
         *item_lines, tail = lines
         assert tail["batch"]["errors"] == 0
-        peer_served = [line for line in item_lines
-                       if line["cached"] == "peer"]
-        assert peer_served, "no key was served by peer warm-cache fill"
-        assert client.metrics()["peer_hints"] >= len(peer_served)
-        fills = harness.replica_client(victim).metrics()["peer_fill"]
-        assert fills.get("hit", 0) >= len(peer_served)
-        # some interim owner answered the peeks
-        peeks = sum(
-            harness.replica_client(i).metrics()["cache_peek"].get("hit", 0)
-            for i in range(3) if i != victim
-        )
-        assert peeks >= len(peer_served)
+        assert all(line["cached"] in ("memory", "disk") for line in item_lines)
+        assert next(line["cached"] for line in item_lines
+                    if line["key"] == first_key) == "disk"
+        assert not harness.replica_client(victim).metrics()["evaluations"]
         client.close()
 
 
-def test_client_peer_hints_are_refused_so_no_forged_answer_is_adopted(
+def test_a_client_peer_field_is_ignored_so_no_forged_answer_is_adopted(
         tmp_path, json_stub):
-    """A replica adopts whatever its ``peer`` hint's ``/cache/peek``
-    returns, so only the gateway may set the hint: a client's is a 400 on
-    a model body and on a ``/batch`` body, and nothing reaches a replica."""
+    """A ``peer`` field names a host that would answer a forged result:
+    through the gateway, on a model body and on a ``/batch`` body, it is
+    ignored like any unknown field and no host it names is contacted."""
     forged_host, forged_port = json_stub({"/cache/peek": {
         "ok": True, "found": True, "key": "x", "tier": "memory",
         "result": {"name": "forged"}}})
@@ -267,21 +252,21 @@ def test_client_peer_hints_are_refused_so_no_forged_answer_is_adopted(
     with ClusterHarness(replicas=1, jobs=1, cache_root=tmp_path) as harness:
         client = harness.client(timeout=120.0)
         matrix = {"name": NAMES[0], "collection": "tiny"}
-        with pytest.raises(ServiceError) as err:
-            client.request("POST", "/classify",
-                           {"matrix": matrix, "setup": SETUP, "peer": peer})
-        assert err.value.status == 400
-        with pytest.raises(ServiceError) as err:
-            list(client.batch("classify", [matrix], setup=SETUP, peer=peer))
-        assert err.value.status == 400
-        metrics = client.metrics()
-        assert metrics["bad_requests"] == 2
-        assert metrics["routed"] == {}
+        hinted = client.request("POST", "/classify",
+                                {"matrix": matrix, "setup": SETUP,
+                                 "peer": peer})
+        assert hinted["cached"] is None
+        line, tail = client.batch("classify", [matrix], setup=SETUP, peer=peer)
+        assert tail["batch"]["errors"] == 0
         honest = client.classify(name=NAMES[0], collection="tiny", **SETUP)
-        assert honest["cached"] is None
+        for envelope in (hinted, line):
+            assert envelope["key"] == honest["key"]
+            assert envelope["result"] == honest["result"]
         assert honest["result"]["name"] == NAMES[0]
         assert "classes" in honest["result"]
+        assert client.metrics()["bad_requests"] == 0
         client.close()
+    assert json_stub.seen == []
 
 
 def _band_edits(matrix, rows):

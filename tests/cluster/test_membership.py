@@ -4,7 +4,8 @@ import asyncio
 
 import pytest
 
-from repro.cluster.membership import MembershipController, probe_replica
+from repro.cluster.membership import MembershipController, Replica, probe_replica
+from repro.service import ServiceConfig, ServiceThread
 
 REPLICAS = [("127.0.0.1", 9001), ("127.0.0.1", 9002), ("127.0.0.1", 9003)]
 
@@ -28,8 +29,7 @@ def clock():
 
 @pytest.fixture
 def membership(clock):
-    return MembershipController(REPLICAS, peer_window_seconds=60.0,
-                                clock=clock)
+    return MembershipController(REPLICAS, clock=clock)
 
 
 def test_constructor_validation():
@@ -46,7 +46,6 @@ def test_starts_fully_alive(membership):
     assert membership.owner("some-key") is not None
     snap = membership.snapshot()
     assert snap["alive"] == snap["total"] == 3
-    assert snap["peer_window_open"] is False
 
 
 def test_failed_probe_ejects_and_clean_probe_readmits(membership):
@@ -68,9 +67,24 @@ def test_probe_of_a_non_object_healthz_fails_without_raising(json_stub):
     """A ``/healthz`` that is JSON but not an object is a failed probe, not
     an exception that would end the gateway's probe loop."""
     host, port = json_stub({"/healthz": []})
-    probe = asyncio.run(probe_replica(host, port, timeout=5.0))
+    probe = asyncio.run(probe_replica(Replica(host, port), timeout=5.0))
     assert probe["ok"] is False and probe["breakers"] == {}
     assert probe["error"].startswith("ValueError")
+
+
+def test_probes_of_a_live_replica_share_one_kept_alive_socket():
+    async def probe_twice(replica):
+        probes = [await probe_replica(replica) for _ in range(2)]
+        idle = len(replica.connections._idle)
+        replica.connections.close()
+        return probes, idle
+
+    with ServiceThread(ServiceConfig(jobs=1, cache_dir=None)) as (host, port):
+        probes, idle = asyncio.run(probe_twice(Replica(host, port)))
+    for probe in probes:
+        assert probe["ok"] is True and probe["error"] is None
+        assert probe["breakers"]["advise"] == "closed"
+    assert idle == 1
 
 
 def test_open_breaker_ejects_even_when_healthz_is_ok(membership):
@@ -99,51 +113,6 @@ def test_mark_down_ejects_immediately(membership):
     assert membership.ejections == 1
     membership.mark_down("unknown:1")  # unknown nodes are ignored
     assert membership.ejections == 1
-
-
-def test_peer_for_names_previous_owner_during_window(membership, clock):
-    # find a key owned by replica 0 so its ejection remaps that key
-    victim = membership.replicas[0]
-    key = next(f"k{i}" for i in range(10_000)
-               if membership.owner(f"k{i}") is victim)
-    membership.mark_down(victim.node)
-    interim = membership.owner(key)
-    assert interim is not victim
-
-    # dead previous owners are never handed out as peers
-    assert membership.peer_for(key) is None
-
-    # after readmission the key maps home; the live interim owner is
-    # the peer to ask for a warm copy
-    membership.observe_probe(victim, GOOD)
-    assert membership.owner(key) is victim
-    peer = membership.peer_for(key)
-    assert peer is interim
-
-    # keys whose owner never changed have no peer
-    stable = next(f"s{i}" for i in range(10_000)
-                  if membership.owner(f"s{i}") is not victim)
-    assert membership.peer_for(stable) is None
-
-    # the window closes
-    clock.now += 61.0
-    assert membership.peer_for(key) is None
-    assert membership.snapshot()["peer_window_open"] is False
-
-
-@pytest.mark.parametrize("window, hinted", [(0.0, False), (60.0, True)])
-def test_zero_peer_window_never_hints(clock, window, hinted):
-    membership = MembershipController(REPLICAS, peer_window_seconds=window,
-                                      clock=clock)
-    victim = membership.replicas[0]
-    key = next(f"k{i}" for i in range(10_000)
-               if membership.owner(f"k{i}") is victim)
-    membership.mark_down(victim.node)
-    membership.observe_probe(victim, GOOD)
-    # asked at the very instant of the readmission: a window of 0 is
-    # already closed, any positive window is still open
-    assert (membership.peer_for(key) is not None) is hinted
-    assert membership.snapshot()["peer_window_open"] is hinted
 
 
 def test_snapshot_records_events_and_ownership(membership):

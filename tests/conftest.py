@@ -13,13 +13,16 @@ def json_stub():
 
     ``json_stub({"/healthz": []})`` returns the server's ``(host, port)``;
     any method on a listed path gets a 200 with that body, anything else
-    a 404.  Servers stop at teardown.
+    a 404.  ``json_stub.seen`` lists every ``(method, path)`` any stub
+    received.  Servers stop at teardown.
     """
     servers = []
+    seen: list[tuple[str, str]] = []
 
     def start(answers: dict) -> tuple[str, int]:
         class Handler(BaseHTTPRequestHandler):
             def do_GET(self):
+                seen.append((self.command, self.path))
                 self.rfile.read(int(self.headers.get("Content-Length") or 0))
                 found = self.path in answers
                 body = json.dumps(answers.get(self.path, {})).encode()
@@ -39,6 +42,7 @@ def json_stub():
         servers.append(server)
         return server.server_address[:2]
 
+    start.seen = seen
     yield start
     for server in servers:
         server.shutdown()

@@ -71,9 +71,6 @@ def daemon_full_snapshot() -> dict:
     metrics.observe_delta("advise", {"path": "incremental", "drift": 0.01})
     metrics.observe_delta("predict", {"path": "tier0", "drift": 0.3})
     metrics.observe_delta("advise", {"path": "fallback", "reason": "budget"})
-    store.count("peer_fill", "hit", by=2)
-    store.count("peer_fill", "miss")
-    store.count("cache_peek", "hit")
     metrics.observe_gc({"deleted": 3, "deleted_bytes": 4096, "quarantined": 1})
     store.count("faults_injected", "pool.submit:error", by=2)
     store.count("faults_injected", "cache.disk_read:corrupt")
@@ -143,7 +140,6 @@ def gateway_snapshot() -> dict:
     store.count("delta_retargets")
     store.count("exhausted")
     store.count("no_replicas")
-    store.count("peer_hints", by=4)
     store.count("forward_connections", "opened", by=3)
     store.count("forward_connections", "reused", by=7)
     store.count("bad_requests", by=2)

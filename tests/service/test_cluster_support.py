@@ -1,5 +1,6 @@
-"""Cluster-era service plumbing: keep-alive client, disk GC, /cache/peek."""
+"""Cluster-era service plumbing: keep-alive client, disk GC, peer hints."""
 
+import http.client
 import json
 import os
 import subprocess
@@ -9,11 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.matrices import banded
 from repro.service import ServiceClient, ServiceConfig, ServiceThread
 from repro.service.cache import QUARANTINE_SUFFIXES, gc_sweep
-from repro.service.client import matrix_payload
-from repro.service.protocol import normalize_request
+from repro.service.protocol import normalize_request, request_key
 
 SETUP = {"num_threads": 8}
 
@@ -61,92 +60,45 @@ def test_close_drops_the_pool_and_client_still_works(client):
     assert client.health()["ok"]
 
 
-# -- /cache/peek ---------------------------------------------------------
+# -- peer hints are ignored ----------------------------------------------
 
 
-def test_cache_peek_hits_only_after_a_real_request(client):
-    task = normalize_request("advise", {
-        "matrix": {"name": "banded_001", "collection": "tiny"},
-        "setup": SETUP,
-    })
-    miss = client.cache_peek(task)
-    assert miss["ok"] and miss["found"] is False
-
-    envelope = client.advise(name="banded_001", collection="tiny", **SETUP)
-    hit = client.cache_peek(task)
-    assert hit["found"] is True
-    assert hit["key"] == envelope["key"]
-    assert hit["result"] == envelope["result"]
-    assert hit["tier"] in ("memory", "disk")
-
-    counters = client.metrics()["cache_peek"]
-    assert counters.get("hit") == 1 and counters.get("miss") == 1
+def _post(host: str, port: int, payload: dict, headers: dict) -> dict:
+    conn = http.client.HTTPConnection(host, port, timeout=60.0)
+    try:
+        conn.request("POST", "/advise", body=json.dumps(payload),
+                     headers={"Content-Type": "application/json", **headers})
+        return json.loads(conn.getresponse().read())
+    finally:
+        conn.close()
 
 
-def test_inline_task_fills_from_its_previous_owner(server, client, tmp_path):
-    """Peer fill with an inline matrix: the new owner sends its normalized
-    task (matrix arrays and all) to the old owner's ``/cache/peek`` and
-    serves the hit instead of evaluating."""
-    matrix = banded(300, 4, 3, seed=11)
-    first = client.advise(matrix=matrix, **SETUP)
-    assert first["cached"] is None
-    host, port = server.address
-    hinted = {"matrix": matrix_payload(matrix), "setup": SETUP,
-              "peer": {"host": host, "port": port}}
-    config = ServiceConfig(jobs=1, cache_dir=str(tmp_path))
-    with ServiceThread(config) as (new_host, new_port):
-        with ServiceClient(new_host, new_port, timeout=60.0) as new_owner:
-            filled = new_owner.request("POST", "/advise", hinted)
-            assert filled["cached"] == "peer"
-            assert filled["key"] == first["key"]
-            assert filled["result"] == first["result"]
-            assert new_owner.metrics()["peer_fill"] == {"hit": 1}
-    # the normalized inline task peeks through the client as well
-    task = normalize_request("advise", {"matrix": matrix_payload(matrix),
-                                        "setup": SETUP})
-    assert client.cache_peek(task)["found"] is True
-
-
-def test_peer_answering_a_non_object_falls_back_to_evaluation(tmp_path,
-                                                              json_stub):
-    """A peek reply that is JSON but not an object is a failed fill: the
-    replica counts it and evaluates, instead of answering 500."""
-    peer_host, peer_port = json_stub({"/cache/peek": []})
-    config = ServiceConfig(jobs=1, cache_dir=str(tmp_path))
-    with ServiceThread(config) as (host, port):
-        with ServiceClient(host, port, timeout=60.0) as replica:
-            envelope = replica.request("POST", "/advise", {
-                "matrix": {"name": "banded_001", "collection": "tiny"},
-                "setup": SETUP, "peer": {"host": peer_host, "port": peer_port},
-            })
-            assert envelope["ok"] and envelope["cached"] is None
-            assert envelope["result"] == replica.advise(
-                name="banded_001", collection="tiny", **SETUP)["result"]
-            assert replica.metrics()["peer_fill"] == {"error": 1}
-
-
-def test_cache_peek_rejects_malformed_tasks(client):
-    from repro.service.client import ServiceError
-
-    with pytest.raises(ServiceError) as err:
-        client.cache_peek({"endpoint": "nonsense"})
-    assert err.value.status == 400
-    with pytest.raises(ServiceError):
-        client.request("POST", "/cache/peek", {"task": "not-an-object"})
-
-
-def test_cache_peek_never_evaluates(client):
-    """A peek for a never-requested matrix is a cheap miss, not a fresh
-    evaluation (the whole point: peers peek before paying)."""
-    task = normalize_request("advise", {
-        "matrix": {"name": "stencil_2d_004", "collection": "tiny"},
-        "setup": SETUP,
-    })
-    t0 = time.perf_counter()
-    assert client.cache_peek(task)["found"] is False
-    assert time.perf_counter() - t0 < 1.0
-    # still a miss afterwards: nothing was admitted or computed
-    assert client.cache_peek(task)["found"] is False
+def test_a_replica_ignores_a_peer_hint_from_any_caller(json_stub):
+    """A body ``peer`` field or an ``X-Repro-Peer`` header names a host
+    that would answer a forged result: the replica contacts no host a
+    caller names and answers the request itself."""
+    peer_host, peer_port = json_stub({"/cache/peek": {
+        "ok": True, "found": True, "key": "0" * 32, "tier": "memory",
+        "result": {"name": "forged"}}})
+    body = {"matrix": {"name": "banded_001", "collection": "tiny"},
+            "setup": SETUP}
+    key = request_key(normalize_request("advise", body))
+    hinted = [
+        (dict(body, peer={"host": peer_host, "port": peer_port}), {}),
+        (body, {"X-Repro-Peer": f"{peer_host}:{peer_port}"}),
+    ]
+    for payload, headers in hinted:
+        # a fresh replica each time: no tier holds the answer yet
+        with ServiceThread(ServiceConfig(jobs=1, cache_dir=None)) as (host, port):
+            envelope = _post(host, port, payload, headers)
+            with ServiceClient(host, port, timeout=60.0) as replica:
+                plain = replica.advise(name="banded_001", collection="tiny",
+                                       **SETUP)
+        assert envelope["ok"] and envelope["cached"] is None
+        assert envelope["key"] == key
+        assert plain["cached"] == "memory"
+        assert envelope["result"] == plain["result"]
+    assert json_stub.seen == []
 
 
 # -- disk-cache GC -------------------------------------------------------

@@ -4,10 +4,12 @@ import json
 
 import pytest
 
+from repro.analysis.report import canonical_json
 from repro.delta import MatrixDelta
 from repro.matrices.generators import banded
 from repro.service.client import ServiceError
 from repro.service.protocol import derive_delta_task, normalize_delta, request_key
+from repro.service.registry import TaskRegistry
 
 #: The incremental engine patches single-thread traces, so delta bases
 #: are submitted sequentially (the module conftest's 8-thread SETUP is
@@ -90,6 +92,20 @@ def test_tampered_registry_record_is_409(server, client):
         registry._memory[key] = original
 
 
+def test_records_read_back_from_disk_respect_the_registry_capacity(tmp_path):
+    """A ``/delta`` whose base fails revalidation ends before any ``put``,
+    so the disk read of ``get`` must trim the memory map by itself."""
+    tasks = {f"{i:032x}": {"endpoint": "advise", "n": i} for i in range(3)}
+    writer = TaskRegistry(tmp_path, capacity=2)
+    for key, task in tasks.items():
+        writer.put(key, task, canonical_json(task))
+    reader = TaskRegistry(tmp_path, capacity=2)
+    for key, task in tasks.items():
+        assert reader.get(key) == task
+    assert len(reader._memory) <= 2
+    assert list(reader._memory) == list(tasks)[1:]
+
+
 def test_flags_written_into_a_stored_record_stay_out_of_the_delta(server, client):
     """A ``<key>.task.json`` whose bytes gain request flags still
     revalidates (flags are outside the key), and the derived task carries
@@ -101,7 +117,7 @@ def test_flags_written_into_a_stored_record_stay_out_of_the_delta(server, client
     path = registry.cache_dir / f"{key}.task.json"
     clean = json.loads(path.read_text())
     path.write_text(json.dumps(dict(
-        clean, timeout=1e-6, peer={"host": "127.0.0.1", "port": 9},
+        clean, timeout=1e-6,
         faults={"schema": "repro.resilience.plan/v1",
                 "rules": [{"site": "worker.evaluate", "kind": "error"}]})))
     del registry._memory[key]  # the next lookup reads the file back
@@ -109,10 +125,10 @@ def test_flags_written_into_a_stored_record_stay_out_of_the_delta(server, client
     ins, del_ = band_edits(matrix, [50, 500])
     body = {"base": key, "delta": {"inserts": ins, "deletes": del_}}
     stored = registry.get(key)
-    assert {"faults", "peer", "timeout"} <= set(stored)
+    assert {"faults", "timeout"} <= set(stored)
     assert request_key(stored) == key
     derived = derive_delta_task(stored, normalize_delta(body), 65_536)
-    assert not {"faults", "peer", "timeout"} & set(derived)
+    assert not {"faults", "timeout"} & set(derived)
 
     answer = client.delta(key, inserts=ins, deletes=del_)
     assert answer["ok"] and answer["cached"] is None, answer

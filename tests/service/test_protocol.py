@@ -249,7 +249,6 @@ _NUMBER_FIELDS = [
     ("advise", ("accuracy",)),
     ("advise", ("max_tier",)),
     ("advise", ("timeout",)),
-    ("advise", ("peer", "port")),
     ("predict", ("policies", 0, "l2_sector1_ways")),
     ("predict", ("policies", 0, "sector1_arrays")),
     ("optimize", ("budget_seconds",)),
@@ -267,8 +266,7 @@ def _payload(endpoint: str) -> dict:
     else:
         matrix = {"csr": {"num_rows": 2, "num_cols": 2, "rowptr": [0, 1, 2],
                           "colidx": [0, 1], "values": [1.0, 2.0]}}
-    payload = {"matrix": matrix, "setup": {"l2_way_options": [4, 5]},
-               "peer": {"host": "h", "port": 1}}
+    payload = {"matrix": matrix, "setup": {"l2_way_options": [4, 5]}}
     if endpoint == "predict":
         payload["policies"] = [{"l2_sector1_ways": 3}]
     elif endpoint != "optimize":
@@ -364,7 +362,6 @@ _KNOBS = {
     "strategies": st.lists(st.sampled_from(["rcm", "degree"]), max_size=2),
     "budget_seconds": st.floats(0.1, 60.0),
     "seed": _INT,
-    "peer": _object({"host": st.just("h"), "port": st.integers(1, 65535)}),
     **_FLAGS,
 }
 _REQUEST = _object({"matrix": _MATRIX}, _KNOBS)
