@@ -7,6 +7,14 @@ sector owns.  One reuse-distance pass therefore evaluates *every* way split
 of the sector cache at once, and any number of private caches or CMG
 segments simulate together through composite group keys.
 
+Both passes carry a window floor (:mod:`repro.reuse.cdq`) derived from
+the geometry alone: the shared pass is only ever asked ``rd < ways`` and
+the split pass ``rd < w`` for some ``w >= 1`` (every legal split leaves
+each sector at least one way), so a reference whose in-set window is
+below that floor hits at every split and is decided without counting.
+The distances of such references are placeholders; only the hit masks
+are exact.  The exact in-set distances live in ``tests/oracles/``.
+
 True LRU stands in for the A64FX's undisclosed (pseudo-)LRU policy — the
 same approximation the paper makes for its model (Section 2.2); the
 sequential tree-PLRU oracle in ``tests/oracles/plru.py`` quantifies the
@@ -45,9 +53,10 @@ def set_index(lines: np.ndarray, num_sets: int) -> np.ndarray:
 class SetAssocRD:
     """Precomputed in-set reuse distances of a trace against one cache level.
 
-    ``rd_split`` treats the two sectors as separate caches (partitioned
-    mode); ``rd_shared`` lets all data compete for every way (sector cache
-    disabled).  Both are computed on demand and cached.
+    The split pass treats the two sectors as separate caches (partitioned
+    mode); the shared pass lets all data compete for every way (sector
+    cache disabled).  Both are computed on demand, floored at the smallest
+    way count their masks can ask about, and cached.
 
     When a ``first_trace`` (with matching ``first_sectors``/
     ``first_cache_ids``) is given, ``trace`` is interpreted as the steady
@@ -119,8 +128,12 @@ class SetAssocRD:
                 groups = self._groups(
                     self.trace.lines, self.cache_ids, self.sectors, partitioned
                 )
+                # the fewest ways any legal split gives a reference's stack
+                floor = 1 if partitioned else self.geometry.ways
                 if self.first_trace is None:
-                    self._cache[key] = reuse_distances(self.trace.lines, groups)
+                    self._cache[key] = reuse_distances(
+                        self.trace.lines, groups, window_floor=floor
+                    )
                 else:
                     self._cache[key] = steady_state_reuse_distances(
                         self.trace.lines,
@@ -132,6 +145,7 @@ class SetAssocRD:
                             self.first_sectors,
                             partitioned,
                         ),
+                        window_floor=floor,
                     )
         return self._cache[key]
 

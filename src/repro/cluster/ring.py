@@ -104,10 +104,6 @@ class HashRing:
     def __contains__(self, node: str) -> bool:
         return node in self._nodes
 
-    def copy(self) -> "HashRing":
-        """An independent snapshot."""
-        return HashRing(sorted(self._nodes), vnodes=self.vnodes)
-
     # -- placement -----------------------------------------------------
     def owner(self, key: str) -> str | None:
         """The node owning a key, or None on an empty ring."""

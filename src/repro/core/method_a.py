@@ -15,6 +15,15 @@ MCS-fair interleaved trace, one logical LRU stack per CMG segment.  The
 model is fully associative (the paper's choice); associativity, prefetching
 and L1 filtering are exactly the effects the MAPE evaluation quantifies.
 
+Each pass carries a window floor (:mod:`repro.reuse.cdq`) taken from the
+cache geometry alone: the shared passes are queried at the full capacity
+only, and a legal split leaves each sector at least one way, so the
+partitioned passes are never queried below ``num_sets`` lines.  References
+whose window is below the floor hit at every legal policy and are decided
+without counting; their distances are placeholders, which is why the
+profiles answer miss counts at legal capacities only.  The exact distances
+live in ``tests/oracles/``.
+
 Each stack pass runs over one SpMV period and is condensed into per-array
 :class:`ReuseProfile` buckets (the single-pass-many-capacities property the
 paper's Section 2.2 highlights), so every subsequent policy query —
@@ -125,36 +134,44 @@ class MethodA:
         """CMG segments actually touched by the scheduled threads."""
         return int(self._cmgs.max()) + 1 if len(self.trace) else 1
 
-    def _stack_pass(self, groups: np.ndarray) -> np.ndarray:
-        """One grouped stack pass over the period.
+    def _stack_pass(self, groups: np.ndarray, floor: int) -> np.ndarray:
+        """One grouped stack pass over the period, floored at ``floor``.
 
         From the second iteration on the trace is periodic, so the
         steady-state distances come exactly from the one period
         (wrap-around reuse for period-first accesses); a single iteration
-        is a plain cold pass.
+        is a plain cold pass.  ``floor`` is the smallest capacity any
+        legal policy queries the pass at, so the placeholder distances
+        below it never change a miss count.
         """
         with obs_span("method_a.stack_pass", periodic=self.periodic,
                       references=len(self.trace)):
             if self.periodic:
-                return steady_state_reuse_distances(self.trace.lines, groups)
-            return reuse_distances(self.trace.lines, groups)
+                return steady_state_reuse_distances(
+                    self.trace.lines, groups, window_floor=floor)
+            return reuse_distances(self.trace.lines, groups, window_floor=floor)
 
+    # -- floors: a shared pass is queried at the full capacity only, a
+    # partitioned one at sector capacities of at least one way (num_sets)
     @cached_property
     def _rd_partitioned(self) -> np.ndarray:
-        return self._stack_pass(self._cmgs * 2 + self._sectors)
+        return self._stack_pass(self._cmgs * 2 + self._sectors,
+                                self.machine.l2.num_sets)
 
     @cached_property
     def _rd_shared(self) -> np.ndarray:
-        return self._stack_pass(self._cmgs)
+        return self._stack_pass(self._cmgs, self.machine.l2.capacity_lines)
 
     @cached_property
     def _rd_l1_partitioned(self) -> np.ndarray:
         threads = self.trace.threads.astype(np.int64)
-        return self._stack_pass(threads * 2 + self._sectors)
+        return self._stack_pass(threads * 2 + self._sectors,
+                                self.machine.l1.num_sets)
 
     @cached_property
     def _rd_l1_shared(self) -> np.ndarray:
-        return self._stack_pass(self.trace.threads.astype(np.int64))
+        return self._stack_pass(self.trace.threads.astype(np.int64),
+                                self.machine.l1.capacity_lines)
 
     # -- per-array reuse profiles of the period -------------------------
     def _array_profiles(self, rd: np.ndarray) -> tuple[ReuseProfile, ...]:

@@ -42,9 +42,12 @@ can pass a *window floor* ``F``: every warm reference with ``w(i) < F``
 is decided without counting and gets the placeholder distance 0, and the
 dominance count runs for the queried positions only
 (``_dominance_counts(prev, at=...)``).  Cold references are reported
-exactly as always.  Only Method B's ladder tier 2, which knows its query
-points, passes a floor; Method A, the cache simulator, the sampler, the
-miss curves and the delta engine's ``ReuseState`` use the exact pass.
+exactly as always.  Floors come only from what a caller can be asked:
+Method B's ladder tier 2 from its declared query points, the cache
+simulator from its way counts and Method A from the smallest capacity a
+legal policy queries (see their modules).  The sampler, the miss curves
+and the delta engine's ``ReuseState`` use the exact pass; the unfloored
+oracles that check the floored callers live in ``tests/oracles/``.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from ..obs.tracer import annotate as obs_annotate
-from .fenwick import compute_prev
+from .fenwick import compute_prev, stable_order
 
 #: Sentinel reuse distance of a cold (first-ever) access; effectively
 #: infinite, so ``rd >= capacity`` classifies cold accesses as misses.
@@ -233,7 +236,7 @@ def reuse_distances(
             raise ValueError("groups must have the same length as trace")
         if groups.min() < 0:
             raise ValueError("group labels must be non-negative")
-        order = np.argsort(groups, kind="stable")
+        order = stable_order(groups)
         span = int(trace.max()) + 1
         gmax = int(groups.max())
         if gmax and gmax > (2**62) // span:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cdq import COLD
+from .fenwick import stable_order
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,7 @@ def partition_profiles(
         mask = np.asarray(mask, dtype=bool)
         rd = rd[mask]
         labels = labels[mask]
-    order = np.argsort(labels, kind="stable")
+    order = stable_order(labels)
     labels_sorted = labels[order]
     rd_sorted = rd[order]
     bounds = np.searchsorted(labels_sorted, np.arange(num_labels + 1))

@@ -42,8 +42,10 @@ explicitly concatenated trace.
 An optional *window floor* (see :mod:`repro.reuse.cdq`) gives in-period
 references whose window is below it the placeholder distance 0 and
 counts only the rest.  Period-first (wrap-around) and cold references
-stay exact.  Only Method B's ladder tier 2 passes a floor; the cache
-simulator, Method A, the miss curves and the delta engine stay exact.
+stay exact.  Method B's ladder tier 2, the cache simulator and Method A
+pass floors (each derived from what it can be asked, see
+:mod:`repro.reuse.cdq`); the miss curves and the delta engine stay
+exact.
 """
 
 from __future__ import annotations
@@ -51,12 +53,12 @@ from __future__ import annotations
 import numpy as np
 
 from .cdq import COLD, _dominance_counts, _warm_distances
-from .fenwick import compute_prev
+from .fenwick import compute_prev, stable_order
 
 
 def _group_sorted(lines: np.ndarray, groups: np.ndarray, span: int):
     """Stable group sort plus combined (group, line) keys."""
-    order = np.argsort(groups, kind="stable")
+    order = stable_order(groups)
     g_sorted = groups[order]
     keys = g_sorted * np.int64(span) + lines[order]
     return order, g_sorted, keys
@@ -177,7 +179,7 @@ def steady_state_reuse_distances(
     # one entry per distinct key: key-sorted lookup table of last positions
     last_positions = np.flatnonzero(is_last_f)
     last_keys = fkeys[last_positions]
-    kord = np.argsort(last_keys, kind="stable")
+    kord = stable_order(last_keys)
     uniq_keys = last_keys[kord]
     last_pos = last_positions[kord]
     del last_positions, last_keys, kord

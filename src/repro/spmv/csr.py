@@ -145,7 +145,11 @@ class CSRMatrix:
                 raise ValueError("row indices out of range")
             if cols.min() < 0 or cols.max() >= num_cols:
                 raise ValueError("column indices out of range")
-        order = np.lexsort((cols, rows))
+        if int(num_rows) * int(num_cols) <= np.iinfo(np.int64).max:
+            # one stable sort of the row-major position: lexsort's order
+            order = np.argsort(rows * num_cols + cols, kind="stable")
+        else:
+            order = np.lexsort((cols, rows))
         rows, cols, vals = rows[order], cols[order], vals[order]
         if sum_duplicates and rows.size:
             keep = np.empty(rows.shape[0], dtype=bool)
@@ -156,8 +160,7 @@ class CSRMatrix:
             np.add.at(summed, group, vals)
             rows, cols, vals = rows[keep], cols[keep], summed
         rowptr = np.zeros(num_rows + 1, dtype=np.int64)
-        np.add.at(rowptr, rows + 1, 1)
-        np.cumsum(rowptr, out=rowptr)
+        np.cumsum(np.bincount(rows, minlength=num_rows), out=rowptr[1:])
         return cls(num_rows, num_cols, rowptr, cols.astype(np.int32), vals, name=name)
 
     @classmethod

@@ -1,4 +1,5 @@
-"""Vectorized set-associative LRU vs. a brute-force per-set LRU oracle."""
+"""Vectorized set-associative LRU vs. a brute-force per-set LRU oracle
+and vs. exact (unfloored) in-set distances."""
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from repro.core.trace import MemoryTrace
 from repro.machine.a64fx import CacheGeometry
 from repro.matrices import random_uniform
 from repro.spmv import listing1_policy
+from tests.oracles.doubled import set_distances, set_misses
 
 
 def brute_force_lru(lines, sets, ways_of_ref, sectors, cache_ids):
@@ -118,3 +120,50 @@ def test_set_index_breaks_stride_phase_locking():
     b = set_index(np.arange(sets, 5 * sets, dtype=np.int64), sets)
     collisions = float((a == b).mean())
     assert collisions < 0.25  # plain modulo would give 1.0
+
+
+def _random_trace(rng, n, num_lines, num_threads):
+    layout = MemoryLayout.for_matrix(random_uniform(16, 2, seed=0), 256)
+    return MemoryTrace(
+        rng.integers(0, num_lines, n),
+        rng.integers(0, 5, n).astype(np.int8),  # every array, both sectors
+        rng.integers(0, num_threads, n).astype(np.int32),
+        layout,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    sets=st.sampled_from([1, 2, 8]),
+    ways=st.sampled_from([2, 4, 16]),
+    periodic=st.booleans(),
+)
+def test_floored_hit_masks_equal_the_exact_pass_at_every_split(seed, sets, ways, periodic):
+    """The shared and split passes run with window floors; at every legal
+    way split their masks equal those of exact in-set distances, cold
+    and in steady state (``first_trace``) alike."""
+    rng = np.random.default_rng(seed)
+    geometry = CacheGeometry(line_size=256, num_sets=sets, ways=ways)
+    num_lines = int(rng.integers(1, 4 * sets * ways))
+    trace = _random_trace(rng, int(rng.integers(1, 400)), num_lines, 3)
+    policy = listing1_policy(1)
+    first = _random_trace(rng, int(rng.integers(0, 400)), num_lines, 3) if periodic else None
+    sim = simulate(trace, geometry, policy, cache_ids=trace.threads.astype(np.int64),
+                   first_trace=first,
+                   first_cache_ids=None if first is None else first.threads.astype(np.int64))
+    # the exact reference: in-set distances of [first, trace] (or of the
+    # trace alone), read off the trace's references
+    full = trace if first is None else MemoryTrace(
+        np.concatenate([first.lines, trace.lines]),
+        np.concatenate([first.arrays, trace.arrays]),
+        np.concatenate([first.threads, trace.threads]),
+        trace.layout,
+    )
+    tail = slice(len(full) - len(trace), None)
+    sectors = full.sectors(policy)
+    cache_ids = full.threads.astype(np.int64)
+    for split in range(ways):
+        rd = set_distances(full, geometry, sectors, cache_ids, split=bool(split))
+        expected = ~set_misses(rd, geometry, sectors, split)[tail]
+        np.testing.assert_array_equal(sim.hit_mask(split), expected)

@@ -1,12 +1,14 @@
 """Profile-backed policy queries vs. the full-trace mask sweep.
 
-The O(log n) query layer (per-array ReuseProfiles over the period) must
-reproduce the O(n) boolean-mask evaluation of :mod:`tests.oracles.masked`
-bit-for-bit: same total misses, same per-array breakdown, for every
-grouping (L2 shared, L2 partitioned, L1 private, L1 partitioned), policy
-and way split.
+The O(log n) query layer (per-array ReuseProfiles over window-floored
+passes of the period) must reproduce the O(n) boolean-mask evaluation of
+:mod:`tests.oracles.masked` over exact passes bit-for-bit: same total
+misses, same per-array breakdown, for every grouping (L2 shared, L2
+partitioned, L1 private, L1 partitioned), policy and way split.
 """
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +18,12 @@ from repro.machine import scaled_machine
 from repro.matrices import banded, power_law, random_uniform
 from repro.reuse import ReuseProfile, scale_distances
 from repro.spmv import SectorPolicy, no_sector_cache
-from tests.oracles.masked import cold_misses_masked, predict_l1_masked, predict_masked
+from tests.oracles.masked import (
+    cold_misses_masked,
+    exact_distances,
+    predict_l1_masked,
+    predict_masked,
+)
 
 MACHINE = scaled_machine(16)
 
@@ -85,6 +92,26 @@ def test_way_sweep_matches_mask_for_all_splits():
                 model.predict_l1(policy).per_array
                 == predict_l1_masked(model, policy).per_array
             )
+
+
+@pytest.mark.parametrize("iterations", [1, 2])
+@pytest.mark.parametrize("threads", [1, 13])
+def test_floored_passes_match_the_exact_oracle_at_every_legal_split(threads, iterations):
+    # x reuse spans far more than one L2 way (128 lines) and less than the
+    # whole L2, so a floor above a split's smallest sector would show
+    matrix = random_uniform(6_000, 4, seed=21)
+    model = MethodA(matrix, MACHINE, num_threads=threads, iterations=iterations)
+    for l2w in range(MACHINE.l2.ways):
+        policy = _policy(l2w, 0)
+        fast, slow = model.predict(policy), predict_masked(model, policy)
+        assert (fast.l2_misses, fast.per_array) == (slow.l2_misses, slow.per_array), l2w
+    for l1w in range(MACHINE.l1.ways):
+        policy = _policy(0, l1w)
+        fast, slow = model.predict_l1(policy), predict_l1_masked(model, policy)
+        assert (fast.l2_misses, fast.per_array) == (slow.l2_misses, slow.per_array), l1w
+    # the floors did skip counting: some distances are placeholders
+    assert np.any(model._rd_partitioned != exact_distances(model, "l2", split=True))
+    assert np.any(model._rd_shared != exact_distances(model, "l2", split=False))
 
 
 def test_method_b_profile_cache_matches_direct_computation():

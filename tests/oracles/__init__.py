@@ -11,8 +11,9 @@ production computes faster.  None of them is importable from ``src/``.
   checks :func:`repro.reuse.reuse_distances`.
 * :mod:`.sampling` — temporal per-reference sampler, the reference
   estimator next to :func:`repro.reuse.spatial_sample_profile`.
-* :mod:`.masked` — Method A's full mask sweep over a model's ``_rd_*``
-  arrays, checks the profile queries of
+* :mod:`.masked` — Method A's full mask sweep over exact (unfloored)
+  distances of a model's period, checks the floored passes and profile
+  queries of
   :meth:`repro.core.MethodA.predict`, :meth:`~repro.core.MethodA.predict_l1`
   and :meth:`~repro.core.MethodA.cold_misses`.
 * :mod:`.doubled` — the repeated-trace pipeline, checks the single-period

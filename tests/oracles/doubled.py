@@ -4,10 +4,11 @@ The models and the simulator price the steady state of iterative SpMV
 from one period (:func:`repro.reuse.steady_state_reuse_distances`).  This
 oracle is the pipeline that engine replaced: materialize ``iterations``
 copies of the period with :func:`repro.core.repeat_trace`, run the plain
-stack pass (:func:`repro.reuse.reuse_distances`) or the set-associative
-simulation (:func:`repro.cachesim.simulate`, after
-:func:`repro.cachesim.inject_prefetches`) over the whole repeated trace,
-and count only the final iteration.
+stack pass (:func:`repro.reuse.reuse_distances`) over the whole repeated
+trace, grouped by cache set (:func:`repro.cachesim.set_index`) after
+:func:`repro.cachesim.inject_prefetches` for the simulator, and count
+only the final iteration.  Every pass here is exact (no window floor),
+so the floored production passes are checked against exact distances.
 
 :func:`doubled_engines` swaps these classes in for the simulator and the
 model facade that :func:`repro.experiments.common.measure_matrix` uses,
@@ -26,7 +27,7 @@ from repro.cachesim import (
     SimConfig,
     inject_prefetches,
     per_array_counts,
-    simulate,
+    set_index,
 )
 from repro.core import (
     MissPrediction,
@@ -182,6 +183,24 @@ class DoubledModel:
         return [self.predict(policy, method) for policy in policies]
 
 
+def set_distances(trace, geometry, sectors, cache_ids, split: bool) -> np.ndarray:
+    """Exact in-set distances: one LRU stack per (cache, set), and per
+    sector when ``split``."""
+    groups = cache_ids * geometry.num_sets + set_index(trace.lines, geometry.num_sets)
+    if split:
+        groups = groups * 2 + sectors
+    return reuse_distances(trace.lines, groups)
+
+
+def set_misses(rd, geometry, sectors, sector1_ways: int) -> np.ndarray:
+    """Misses of a way split: a reference misses iff its in-set distance
+    reaches the ways of its stack (``rd`` split by sector iff
+    ``sector1_ways``)."""
+    if not sector1_ways:
+        return rd >= geometry.ways
+    return rd >= np.where(sectors == 1, sector1_ways, geometry.ways - sector1_ways)
+
+
 class DoubledSim:
     """:meth:`repro.cachesim.SpMVCacheSim.events` over the repeated trace:
     L1 and L2 prefetches injected into the whole trace, every cache
@@ -199,23 +218,34 @@ class DoubledSim:
             config.interleave_policy, config.iterations)
         self.l1_stream = inject_prefetches(self.demand_trace,
                                            config.l1_prefetch_distance)
-        self.l1_rd = simulate(self.l1_stream, machine.l1, self.assignment,
-                              level="l1",
-                              cache_ids=self.l1_stream.threads.astype(np.int64))
+        self.l1_sectors = self.l1_stream.sectors(self.assignment)
+        self._l1_rd: dict[bool, np.ndarray] = {}
+
+    def l1_rd(self, split: bool) -> np.ndarray:
+        if split not in self._l1_rd:
+            self._l1_rd[split] = set_distances(
+                self.l1_stream, self.machine.l1, self.l1_sectors,
+                self.l1_stream.threads.astype(np.int64), split)
+        return self._l1_rd[split]
 
     def events(self, policy: SectorPolicy) -> CacheEvents:
         policy.validate(self.machine)
         final = self.config.iterations - 1
-        l1_miss = self.l1_rd.miss_mask(policy.l1_sector1_ways)
-        l2_stream = inject_prefetches(self.l1_stream.select(l1_miss),
+        l1_stream = self.l1_stream
+        l1_miss = set_misses(self.l1_rd(policy.l1_enabled), self.machine.l1,
+                             self.l1_sectors, policy.l1_sector1_ways)
+        l2_stream = inject_prefetches(l1_stream.select(l1_miss),
                                       self.config.l2_prefetch_distance)
         cmgs = (l2_stream.threads // self.machine.cores_per_cmg).astype(np.int64)
-        l2_rd = simulate(l2_stream, self.machine.l2, self.assignment,
-                         level="l2", cache_ids=cmgs)
-        miss = l2_rd.miss_mask(policy.l2_sector1_ways) & (l2_stream.iteration == final)
+        l2_sectors = l2_stream.sectors(self.assignment)
+        l2_rd = set_distances(l2_stream, self.machine.l2, l2_sectors, cmgs,
+                              policy.l2_enabled)
+        miss = set_misses(l2_rd, self.machine.l2, l2_sectors,
+                          policy.l2_sector1_ways)
+        miss &= l2_stream.iteration == final
         return CacheEvents(
             l1_refill=int(np.count_nonzero(
-                l1_miss & (self.l1_stream.iteration == final))),
+                l1_miss & (l1_stream.iteration == final))),
             l2_refill=int(miss.sum()),
             l2_refill_demand=int((miss & ~l2_stream.is_prefetch).sum()),
             l2_refill_prefetch=int((miss & l2_stream.is_prefetch).sum()),

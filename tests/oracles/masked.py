@@ -1,10 +1,11 @@
-"""Method A priced by a full mask sweep over the reuse distances.
+"""Method A priced by a full mask sweep over exact reuse distances.
 
-:class:`repro.core.MethodA` condenses each stack pass into per-array
-:class:`repro.reuse.ReuseProfile` buckets and answers every policy with
-O(log n) lookups.  These functions are the original O(n)-per-policy
-evaluation over the same ``_rd_*`` arrays: one boolean miss mask per
-query, counted per array.
+:class:`repro.core.MethodA` runs window-floored stack passes, condenses
+each into per-array :class:`repro.reuse.ReuseProfile` buckets and answers
+every policy with O(log n) lookups.  These functions are the original
+O(n)-per-policy evaluation: an exact (unfloored) pass over the model's
+period with the same grouping, then one boolean miss mask per query,
+counted per array.
 """
 
 from __future__ import annotations
@@ -12,8 +13,24 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import MethodA, MissPrediction
-from repro.reuse import COLD, reuse_distances
+from repro.reuse import COLD, reuse_distances, steady_state_reuse_distances
 from repro.spmv.sector_policy import ARRAYS, SectorPolicy
+
+
+def exact_distances(model: MethodA, level: str, split: bool) -> np.ndarray:
+    """Exact distances of the model's period with one LRU stack per CMG
+    (``level="l2"``) or per thread (``"l1"``), split by sector when
+    ``split``: steady state from the second iteration on, cold otherwise."""
+    trace = model.trace
+    if level == "l2":
+        groups = (trace.threads // model.machine.cores_per_cmg).astype(np.int64)
+    else:
+        groups = trace.threads.astype(np.int64)
+    if split:
+        groups = groups * 2 + model._sectors
+    if model.periodic:
+        return steady_state_reuse_distances(trace.lines, groups)
+    return reuse_distances(trace.lines, groups)
 
 
 def masked_prediction(
@@ -44,11 +61,10 @@ def predict_masked(model: MethodA, policy: SectorPolicy) -> MissPrediction:
     """:meth:`MethodA.predict` by a mask sweep."""
     policy.validate(model.machine)
     n0, n1 = model.machine.l2.partition_lines(policy.l2_sector1_ways)
+    rd = exact_distances(model, "l2", split=policy.l2_enabled)
     if policy.l2_enabled:
-        rd = model._rd_partitioned
         capacity = np.where(model._sectors == 1, n1, n0)
     else:
-        rd = model._rd_shared
         capacity = np.int64(model.machine.l2.capacity_lines)
     return masked_prediction(rd, capacity, model.trace.arrays, policy)
 
@@ -57,11 +73,10 @@ def predict_l1_masked(model: MethodA, policy: SectorPolicy) -> MissPrediction:
     """:meth:`MethodA.predict_l1` by a mask sweep."""
     policy.validate(model.machine)
     n0, n1 = model.machine.l1.partition_lines(policy.l1_sector1_ways)
+    rd = exact_distances(model, "l1", split=policy.l1_enabled)
     if policy.l1_enabled:
-        rd = model._rd_l1_partitioned
         capacity = np.where(model._sectors == 1, n1, n0)
     else:
-        rd = model._rd_l1_shared
         capacity = np.int64(model.machine.l1.capacity_lines)
     return masked_prediction(rd, capacity, model.trace.arrays, policy)
 

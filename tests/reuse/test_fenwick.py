@@ -1,4 +1,4 @@
-"""compute_prev and the Fenwick-tree oracle."""
+"""compute_prev, stable_order and the Fenwick-tree oracle."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.reuse import compute_prev
+from repro.reuse.fenwick import stable_order
 from tests.oracles.fenwick import FenwickTree, reuse_distances_fenwick
 
 
@@ -83,3 +84,33 @@ def test_compute_prev_matches_dict_scan(keys):
             expected[i] = last[k]
         last[k] = i
     np.testing.assert_array_equal(compute_prev(keys), expected)
+
+
+@pytest.mark.parametrize("span", [0, 2**16 - 1, 2**16, 2**32 - 1, 2**32])
+@pytest.mark.parametrize("low", [0, -7, -(2**40)])
+def test_stable_order_is_stable_argsort_across_radix_widths(span, low):
+    # few distinct keys, so ties (whose input order must be kept) abound,
+    # and both ends of the range occur
+    rng = np.random.default_rng(span % 1000 + 3)
+    picks = np.array([0, span, span // 2, span // 3, 1 if span else 0], dtype=np.int64)
+    keys = low + picks[rng.integers(0, picks.size, 5000)]
+    keys[:2] = low, low + span
+    np.testing.assert_array_equal(stable_order(keys), np.argsort(keys, kind="stable"))
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64])
+@pytest.mark.parametrize("n", [0, 1, 2, 1000])
+def test_stable_order_handles_short_and_narrow_keys(dtype, n):
+    keys = np.random.default_rng(n).integers(-100, 100, n).astype(dtype)
+    order = stable_order(keys)
+    np.testing.assert_array_equal(order, np.argsort(keys, kind="stable"))
+    assert order.dtype == np.intp
+
+
+@settings(max_examples=100, deadline=None)
+@given(keys=st.lists(st.integers(-(2**40), 2**40), max_size=200),
+       shift=st.integers(0, 40))
+def test_stable_order_matches_stable_argsort(keys, shift):
+    keys = np.array(keys, dtype=np.int64) >> shift
+    np.testing.assert_array_equal(stable_order(keys),
+                                  np.argsort(keys, kind="stable"))

@@ -123,3 +123,66 @@ def test_coo_dense_roundtrip_property(n, seed):
     rows, cols, vals = m.to_coo()
     m2 = CSRMatrix.from_coo(n, n, rows, cols, vals)
     np.testing.assert_allclose(m2.to_dense(), dense)
+
+
+def _from_coo_by_lexsort(num_rows, num_cols, rows, cols, vals, sum_duplicates):
+    """The two-key assembly ``from_coo`` replaced: lexsort, then
+    scatter-add duplicates and row counts."""
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    if sum_duplicates and rows.size:
+        keep = np.ones(rows.shape[0], dtype=bool)
+        keep[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        group = np.cumsum(keep) - 1
+        summed = np.zeros(int(group[-1]) + 1)
+        np.add.at(summed, group, vals)
+        rows, cols, vals = rows[keep], cols[keep], summed
+    rowptr = np.zeros(num_rows + 1, dtype=np.int64)
+    np.add.at(rowptr, rows + 1, 1)
+    return np.cumsum(rowptr), cols.astype(np.int32), vals
+
+
+def _assert_assembles_like_lexsort(num_rows, num_cols, rows, cols, vals, sum_duplicates):
+    got = CSRMatrix.from_coo(num_rows, num_cols, rows, cols, vals,
+                             sum_duplicates=sum_duplicates)
+    rowptr, colidx, values = _from_coo_by_lexsort(
+        num_rows, num_cols, rows, cols, vals, sum_duplicates)
+    for actual, expected in ((got.rowptr, rowptr), (got.colidx, colidx),
+                             (got.values, values)):
+        assert actual.dtype == expected.dtype
+        assert actual.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    num_rows=st.integers(1, 30),
+    num_cols=st.integers(1, 30),
+    nnz=st.integers(0, 120),
+    seed=st.integers(0, 2**16),
+    sum_duplicates=st.booleans(),
+)
+def test_from_coo_orders_like_lexsort(num_rows, num_cols, nnz, seed, sum_duplicates):
+    # unsorted triplets with duplicate coordinates; rows above num_rows // 2
+    # stay empty so empty rows occur inside and at the end of rowptr
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, max(1, num_rows // 2), nnz)
+    cols = rng.integers(0, num_cols, nnz)
+    vals = rng.standard_normal(nnz)
+    _assert_assembles_like_lexsort(num_rows, num_cols, rows, cols, vals, sum_duplicates)
+
+
+def test_from_coo_with_no_entries():
+    empty = np.empty(0, dtype=np.int64)
+    _assert_assembles_like_lexsort(5, 3, empty, empty, np.empty(0), True)
+    assert CSRMatrix.from_coo(5, 3, empty, empty).rowptr.tolist() == [0] * 6
+
+
+def test_from_coo_falls_back_to_lexsort_when_the_position_key_overflows():
+    # rows * num_cols wraps int64 here, so a one-key sort would misorder
+    num_rows, num_cols = 4, 2**62
+    rows = np.array([3, 0, 2, 3, 0, 1, 3], dtype=np.int64)
+    cols = np.array([5, 9, 0, 5, 1, 2, 0], dtype=np.int64)
+    vals = np.arange(1.0, 8.0)
+    for sum_duplicates in (True, False):
+        _assert_assembles_like_lexsort(num_rows, num_cols, rows, cols, vals,
+                                       sum_duplicates)
