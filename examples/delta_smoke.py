@@ -20,7 +20,10 @@ drives the dynamic-matrix story end to end:
    multi-threaded base falling back with reason ``threads`` — priced
    correctly, just not incrementally;
 6. the ``/metrics`` delta families (``applied`` by path, ``fallback`` by
-   reason, the drift histogram) and their Prometheus rendering.
+   reason, the drift histogram) and their Prometheus rendering;
+7. a restart on the same ``--cache`` directory: the new daemon reads the
+   derived key's stored record back from disk, revalidates it, and steps
+   the chain to an answer byte-identical to a full re-submission.
 
 Run:  python examples/delta_smoke.py
 CI:   python examples/delta_smoke.py --selftest     (quiet, asserts only)
@@ -33,6 +36,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+from repro.analysis.report import canonical_json
 from repro.delta import MatrixDelta
 from repro.matrices.generators import banded
 from repro.obs import parse_prometheus_text
@@ -61,6 +65,20 @@ def launch_daemon(cache_dir: str):
     client = ServiceClient(match.group(1), int(match.group(2)), timeout=120.0)
     client.wait_ready()
     return proc, client
+
+
+def stop_daemon(proc, client):
+    """Shut a daemon down (if it still answers) and reap its process."""
+    try:
+        client.shutdown()
+    except (OSError, ServiceError):
+        pass
+    client.close()
+    try:
+        proc.wait(timeout=30)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.wait(timeout=10)
 
 
 def band_edits(matrix, rows):
@@ -102,9 +120,11 @@ def main():
     matrix = banded(3_000, 8, 6, seed=1)
     batch1 = band_edits(matrix, [10, 500, 1500])
     batch2 = band_edits(matrix, [40, 900, 2200])
+    batch3 = band_edits(matrix, [70, 1200, 2600])
 
     with tempfile.TemporaryDirectory() as tmp:
-        proc, client = launch_daemon(str(Path(tmp) / "cache"))
+        cache_dir = str(Path(tmp) / "cache")
+        proc, client = launch_daemon(cache_dir)
         try:
             # -- 1. the base request: its key is the delta base ---------
             base = client.advise(matrix=matrix, **SETUP)
@@ -189,14 +209,27 @@ def main():
                 f"fallback={snapshot['fallback']} "
                 f"drift count={snapshot['drift']['count']}")
 
-            client.shutdown()
+            # -- 7. a restart steps the chain from its disk record ------
+            stop_daemon(proc, client)
+            proc, client = launch_daemon(cache_dir)
+            d3 = client.delta(d2["key"], inserts=batch3[0],
+                              deletes=batch3[1])
+            assert d3["ok"] and d3["cached"] is None, d3
+            assert d3["delta"]["chain_length"] == 3, d3["delta"]
+            assert d3["delta"]["path"] == "incremental", d3["delta"]
+            thrice = edited
+            for batch in (batch2, batch3):
+                thrice = MatrixDelta.from_dict(
+                    {"inserts": batch[0], "deletes": batch[1]}
+                ).apply(thrice).matrix
+            full = client.advise(matrix=thrice, **SETUP)
+            assert canonical_json(d3["result"]) == canonical_json(
+                full["result"]), \
+                "delta after a restart diverged from the full re-submission"
+            say(f"restart: delta #3 off the disk-held key {d2['key']}, "
+                "byte-identical to the full re-submission")
         finally:
-            client.close()
-            try:
-                proc.wait(timeout=30)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait(timeout=10)
+            stop_daemon(proc, client)
 
     if args.selftest:
         print("delta_smoke selftest: OK")

@@ -28,9 +28,11 @@ fallback (conservative, always correct)
 chain (validating every batch) and answers at the ladder's tier 0.
 
 Reuse states live in a worker-local LRU keyed by a digest of the base's
-canonical encoding, the edit batches and the line size; the base (the
-whole inline matrix) is encoded once per evaluation, and the matrix name
-and both state keys derive from that one encoding.  The pool's fork
+canonical encoding, the edit batches and the line size.  The daemon
+sends that encoding — the chain's root JSON, which its registry holds —
+so the matrix name and both state keys hash it and no evaluation
+encodes the base (the whole inline matrix); a caller without it passes
+none and the base is encoded once here.  The pool's fork
 workers are long-lived, so a chain of deltas against the same base keeps
 hitting the state of its immediate prefix — ``"state": "warm"`` in the
 metadata — and only a cold worker pays one full capture of the prefix
@@ -60,13 +62,18 @@ _STATE_CAPACITY = 8
 _state_cache: OrderedDict[str, tuple[CSRMatrix, ReuseState]] = OrderedDict()
 
 
-def _spec_key(base_digest: str, batches: list, line_size: int) -> str:
-    """State-cache key of a base (by the digest of its encoding) plus its
-    first ``batches``: only the small edit batches are encoded here."""
+def _state_keys(spec: dict, base_json: str, line_size: int) -> tuple[str, str]:
+    """The state-cache keys of a delta spec and of its prefix (every
+    batch but the last): a digest of the base's encoding ``base_json``,
+    the line size and the batches, each batch encoded once."""
+    base_digest = hashlib.sha256(base_json.encode()).hexdigest()
     digest = hashlib.sha256(f"{base_digest}|{int(line_size)}".encode())
-    for batch in batches:
+    *prefix, last = spec["batches"]
+    for batch in prefix:
         digest.update(b"|" + canonical_json(batch).encode())
-    return digest.hexdigest()[:32]
+    prefix_key = digest.hexdigest()[:32]
+    digest.update(b"|" + canonical_json(last).encode())
+    return digest.hexdigest()[:32], prefix_key
 
 
 def _cache_put(key: str, matrix: CSRMatrix, state: ReuseState) -> None:
@@ -100,20 +107,20 @@ def _patched_state(
     (prefix state was cached in this worker) or ``"cold"`` (the prefix
     pattern had to be captured with one full pass first).  Raises
     :class:`BudgetExceeded` when the last batch's patch outgrows
-    ``budget`` — the caller falls back to full re-evaluation.
+    ``budget`` — the caller falls back to full re-evaluation of the
+    edited pattern, which the exception carries as ``matrix`` so that
+    the fallback does not rebuild the chain.
     """
     from ..service.protocol import matrix_from_task, matrix_name
 
     spec = task["matrix"]
     batches = spec["batches"]
-    base_digest = hashlib.sha256(base_json.encode()).hexdigest()
-    full_key = _spec_key(base_digest, batches, line_size)
+    full_key, prefix_key = _state_keys(spec, base_json, line_size)
     cached = _state_cache.get(full_key)
     if cached is not None:
         _state_cache.move_to_end(full_key)
         return cached[0], cached[1], "warm"
 
-    prefix_key = _spec_key(base_digest, batches[:-1], line_size)
     cached = _state_cache.get(prefix_key)
     if cached is not None:
         _state_cache.move_to_end(prefix_key)
@@ -132,13 +139,17 @@ def _patched_state(
         source = "cold"
 
     application = MatrixDelta.from_dict(batches[-1]).apply(prefix_matrix)
-    state = prefix_state.apply(application, budget)
+    matrix = replace(application.matrix, name=name)
+    try:
+        state = prefix_state.apply(application, budget)
+    except BudgetExceeded as exc:
+        exc.matrix = matrix
+        raise
     if source == "cold":
         # cached only once the patch fits the budget: a chain whose patch
         # overflows never caches its full state, so its next step misses
         # this prefix anyway — it would only evict a live chain's state
         _cache_put(prefix_key, prefix_matrix, prefix_state)
-    matrix = replace(application.matrix, name=name)
     _cache_put(full_key, matrix, state)
     return matrix, state, source
 
@@ -168,14 +179,15 @@ def evaluate_delta_task(task: dict, base_json: str | None = None,
     ``fidelity`` is non-None only on the drift-gated ladder path
     (``accuracy``/``max_tier`` flags), handled in
     :mod:`repro.delta.ladder`.  ``base_json`` is ``canonical_json`` of
-    the chain's base when the caller already holds it.
+    the chain's base (the task's root JSON) when the caller already
+    holds it.
     """
     from ..service.protocol import matrix_from_task, matrix_name, setup_from_task
 
     if has_ladder_flags(task):
         from .ladder import answer_delta_task
 
-        return answer_delta_task(task)
+        return answer_delta_task(task, base_json)
 
     setup = setup_from_task(task)
     ladder = Ladder(setup)
@@ -193,6 +205,7 @@ def evaluate_delta_task(task: dict, base_json: str | None = None,
     if base_json is None:
         base_json = canonical_json(spec["base"])
     name = matrix_name(task, base_json)
+    edited = None  # the edited pattern, once built
 
     if endpoint == "classify":
         # the taxonomy reads dims and pattern structure, never the stack
@@ -211,12 +224,14 @@ def evaluate_delta_task(task: dict, base_json: str | None = None,
         except BudgetExceeded as exc:
             meta.update(work=exc.work, budget=exc.budget)
             path, reason = "fallback", "budget"
+            edited = exc.matrix
         else:
             iterations = setup.iterations if endpoint == "predict" else 2
             model = seeded_model(matrix, machine, state, iterations=iterations)
             meta.update(path="incremental", state=source)
             return ladder.model_result(task, model), None, meta
     meta.update(path=path, reason=reason)
-    answer = ladder.answer_task(task, name,
-                                lambda: matrix_from_task(task, name))
+    answer = ladder.answer_task(
+        task, name,
+        lambda: edited if edited is not None else matrix_from_task(task, name))
     return answer.result, None, meta

@@ -75,10 +75,13 @@ def tier0_drift_bound(task: dict, machine, setup) -> tuple[float, float]:
     return tier2_apriori_bound(task, machine, setup) + tier0_term + drift, drift
 
 
-def answer_delta_task(task: dict) -> tuple[dict, dict, dict]:
+def answer_delta_task(task: dict, base_json: str | None = None,
+                      ) -> tuple[dict, dict, dict]:
     """Answer a delta task carrying ``accuracy``/``max_tier`` flags.
 
     Returns ``(result, fidelity, meta)`` for the worker payload.
+    ``base_json`` is ``canonical_json`` of the chain's base (the task's
+    root JSON) when the caller already holds it.
     """
     from ..analysis.report import canonical_json
     from ..service.protocol import matrix_from_task, matrix_name, setup_from_task
@@ -90,9 +93,10 @@ def answer_delta_task(task: dict) -> tuple[dict, dict, dict]:
     accuracy = task.get("accuracy")
     max_tier = task.get("max_tier")
     allowed = 3 if max_tier is None else max_tier
-    # the base is the whole inline matrix: encoded once, for the name here
-    # and for the engine's reuse-state keys on the escalation path
-    base_json = canonical_json(task["matrix"]["base"])
+    # the base is the whole inline matrix: encoded at most once, for the
+    # name here and for the engine's reuse-state keys on the escalation path
+    if base_json is None:
+        base_json = canonical_json(task["matrix"]["base"])
     name = matrix_name(task, base_json)
     ladder = Ladder(setup)
     dims = dims_from_task(task, machine)

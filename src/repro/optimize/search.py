@@ -437,15 +437,16 @@ def _winner_perms(matrix: CSRMatrix, entry: _Entry, seed: int):
     return entry.perms
 
 
-def optimize_task(task: dict) -> dict:
+def optimize_task(task: dict, name: str | None = None) -> dict:
     """Worker adapter: canonical ``optimize`` service task -> wire result.
 
     Imported by :mod:`repro.service.worker` so the search runs on the
-    fork pool like every other evaluation.
+    fork pool like every other evaluation.  ``name`` is the task's
+    ``matrix_name`` when the caller already holds it.
     """
     from ..service.protocol import matrix_from_task, setup_from_task
 
     setup = setup_from_task(task)
-    matrix = matrix_from_task(task)
+    matrix = matrix_from_task(task, name)
     config = SearchConfig.from_task(task)
     return optimize(matrix, setup, config).to_dict()

@@ -31,8 +31,10 @@ another host.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import time
+from collections.abc import Callable
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -76,6 +78,7 @@ from .protocol import (
     normalize_delta,
     normalize_request,
     request_key,
+    root_spec,
     setup_from_task,
 )
 from .registry import TaskRegistry
@@ -384,38 +387,56 @@ class LocalityService(HttpApp):
             _require_budget(task["budget_seconds"], cap)
         plan = (faults.FaultPlan.from_dict(task["faults"])
                 if "faults" in task else None)
+        # the request's one encoding of its matrix: the key and the stored
+        # record splice it, and the worker names the matrix from it
+        root_json = canonical_json(root_spec(task))
         # record the computation-defining task so a later POST /delta can
         # patch against this key (chaos requests are excluded: their
         # perturbed answers are never cached either)
-        key = self._keyed(task, register=(
+        key = self._keyed(task, root_json, register=(
             endpoint in DELTA_BASE_ENDPOINTS and plan is None))
-        return await self._finish_task(scope, endpoint, task, key, plan)
+        return await self._finish_task(scope, endpoint, task, key, plan,
+                                       root_json)
 
     async def _handle_delta(self, payload: object,
                             scope: RequestScope) -> tuple[int, dict]:
         """``POST /delta``: patch a stored request with one edit batch.
 
         The body references a base request by its cache key; the daemon
-        recovers the stored task from the registry, **revalidates** it
-        (the recomputed key must match — a tampered or truncated record
-        404s/409s instead of silently patching the wrong base), derives
-        the edited task with the batch appended to its delta chain, and
-        resolves it through the ordinary cache/coalesce/evaluate
-        machinery under the *derived* key.  The derived task is
+        recovers the stored task from the registry (404 when absent),
+        derives the edited task with the batch appended to its delta
+        chain, and resolves it through the ordinary cache/coalesce/
+        evaluate machinery under the *derived* key.  The derived task is
         registered too, so the key this response returns is itself a
         valid base — warm entries chain instead of going cold.
+
+        A step costs its batch, not its base.  A memory entry was keyed
+        in this process and is trusted; a delta chain's entry holds the
+        chain's root JSON, which keys, names and records the step by
+        splicing.  The first step off a plain base encodes the base once
+        and the base then holds the root too.  A record read back from
+        disk is **revalidated** with that one encode — its recomputed
+        key must match, or the request answers 409 instead of silently
+        patching the wrong base — and is only held once it matches.
         """
         normalized = normalize_delta(payload)
         base_key = normalized["base"]
-        stored = self.registry.get(base_key)
-        if stored is None:
+        entry = self.registry.get(base_key, entry=True)
+        if entry is None:
             raise RequestError(
                 f"unknown base key {base_key!r}: not in the stored-task "
                 "registry (never seen, or evicted/GC'd) — submit the "
                 "full request once and retry the delta",
                 status=404,
             )
-        if request_key(stored) != base_key:
+        stored, root_json, trusted = entry
+        if root_json is None:
+            try:
+                root_json = canonical_json(root_spec(stored))
+            except (KeyError, TypeError):
+                pass  # a disk record too malformed to key fails below
+        if not trusted and (root_json is None
+                            or request_key(stored, root_json) != base_key):
             raise RequestError(
                 f"stored record for base key {base_key!r} failed "
                 "revalidation (its recomputed key differs) — submit "
@@ -429,25 +450,29 @@ class LocalityService(HttpApp):
                 f"must be one of: {', '.join(DELTA_BASE_ENDPOINTS)}",
                 status=400,
             )
+        # the base now roots a chain: it holds the root JSON its steps share
+        self.registry.hold(base_key, keyed_form(stored), root_json)
         task = derive_delta_task(stored, normalized, self.config.delta_budget)
         self._ladder_defaults(task)
-        key = self._keyed(task, register=True)
+        key = self._keyed(task, root_json, register=True)
         envelope = {"delta": {
             "base": base_key,
             "chain_length": len(task["matrix"]["batches"]),
         }}
         return await self._finish_task(scope, endpoint, task, key, None,
-                                       envelope=envelope)
+                                       root_json, envelope=envelope)
 
-    def _keyed(self, task: dict, register: bool) -> str:
-        """The task's request key, registering its keyed form under it
-        when asked: the key's own encoding is the registry record, so an
-        inline matrix is encoded once for both."""
+    def _keyed(self, task: dict, root_json: str, register: bool) -> str:
+        """The task's request key, spliced around its root JSON, and
+        registering its keyed form under it when asked: the key's own
+        encoding is the registry record.  A delta task's entry holds the
+        root JSON for the chain's next step; a plain base's holds none."""
         if not register:
-            return request_key(task)
+            return request_key(task, root_json)
         keyed = keyed_form(task)
-        key, record = request_key(keyed, with_record=True)
-        self.registry.put(key, keyed, record)
+        key, record = request_key(keyed, root_json, with_record=True)
+        chained = keyed["matrix"]["kind"] == "delta"
+        self.registry.put(key, keyed, record, root_json if chained else None)
         return key
 
     def _ladder_defaults(self, task: dict) -> None:
@@ -463,27 +488,33 @@ class LocalityService(HttpApp):
 
     async def _finish_task(
         self, scope: RequestScope, endpoint: str, task: dict, key: str,
-        plan: faults.FaultPlan | None,
+        plan: faults.FaultPlan | None, root_json: str,
         envelope: dict | None = None,
     ) -> tuple[int, dict]:
         """Resolve a normalized task and build its response envelope.
 
         The shared tail of ``_handle_model`` and ``_handle_delta``: the
         resolve pipeline inside the request's trace, degraded/error
-        handling, and the wire envelope.  ``envelope`` entries are
-        merged into every response (success or not); the delta metadata
-        of a fresh delta evaluation is folded into the envelope's
-        ``"delta"`` object.
+        handling, and the wire envelope.  ``root_json`` is the task's
+        root JSON (see :func:`~repro.service.protocol.root_spec`): the
+        worker and the matrix name take it instead of encoding the
+        matrix.  ``envelope`` entries are merged into every response
+        (success or not); the delta metadata of a fresh delta evaluation
+        is folded into the envelope's ``"delta"`` object.
         """
         extra = envelope or {}
         scope.endpoint, scope.key = endpoint, key
+        # derived at most once, by whichever of sweep's disk entry and the
+        # degraded answer asks first
+        name = functools.cache(functools.partial(matrix_name, task, root_json))
         try:
             with scope.traced(task):
                 result, cached, trace, fidelity, meta = await self._resolve(
-                    endpoint, task, key, plan, tracer=scope.tracer
+                    endpoint, task, key, plan, root_json, name,
+                    tracer=scope.tracer
                 )
         except _DegradedService as exc:
-            result = self._degraded_result(task)
+            result = self._degraded_result(task, name)
             if result is None:
                 # sweep and optimize have no analytic surrogate (sweep's
                 # whole point is the stack-distance measurement)
@@ -545,10 +576,15 @@ class LocalityService(HttpApp):
         task: dict,
         key: str,
         plan: faults.FaultPlan | None,
+        root_json: str,
+        name: Callable[[], str],
         tracer: Tracer | None = None,
     ) -> tuple[dict, str | None, dict | None, dict | None, dict | None]:
         """Resolve a key via a stored answer, coalescing, or a fresh
         evaluation, under the :data:`STORED_TIERS` policy.
+
+        ``root_json`` rides to the worker; ``name()`` is the task's
+        matrix name (see :meth:`_disk_entry`).
 
         Returns ``(result, cache_tier, span_tree, fidelity, delta)``; the
         span tree is only non-None for a fresh evaluation of a ``"trace":
@@ -568,7 +604,8 @@ class LocalityService(HttpApp):
         """
         ladder = endpoint != "optimize" and has_ladder_flags(task)
         chaos = plan is not None
-        entries = {tier: (key + suffix, *self._disk_entry(task, key + suffix))
+        entries = {tier: (key + suffix,
+                          *self._disk_entry(task, key + suffix, name))
                    for tier, suffix in STORED_TIERS.items()
                    if ladder or tier == 2}
         with request_span(tracer, "cache.lookup") as sp:
@@ -603,7 +640,7 @@ class LocalityService(HttpApp):
             return (result, "coalesced", None,
                     self._served_fidelity(endpoint, task, result), None)
 
-        payload = await self._run(endpoint, task, plan, tracer,
+        payload = await self._run(endpoint, task, plan, root_json, tracer,
                                   lead=key if shared else None)
         result, fidelity = payload["result"], payload.get("fidelity")
         if endpoint == "optimize":
@@ -633,8 +670,8 @@ class LocalityService(HttpApp):
         )
 
     async def _run(self, endpoint: str, task: dict,
-                   plan: faults.FaultPlan | None, tracer: Tracer | None,
-                   lead: str | None = None) -> dict:
+                   plan: faults.FaultPlan | None, root_json: str,
+                   tracer: Tracer | None, lead: str | None = None) -> dict:
         """Admit, evaluate and account one fresh evaluation.
 
         ``lead`` is the key this evaluation leads for coalescing: once
@@ -649,7 +686,8 @@ class LocalityService(HttpApp):
             future = asyncio.get_running_loop().create_future()
             self._inflight[lead] = future
         try:
-            payload = await self._evaluate(endpoint, task, tracer=tracer)
+            payload = await self._evaluate(endpoint, task, root_json,
+                                           tracer=tracer)
             breaker.record_success()
             if future is not None:
                 future.set_result(payload["result"])
@@ -753,7 +791,8 @@ class LocalityService(HttpApp):
         endpoint, key = item["endpoint"], item["key"]
         task = dict(item["task"])
         try:
-            disk_path, _ = self._disk_entry(task, key)
+            disk_path, _ = self._disk_entry(
+                task, key, functools.partial(matrix_name, task))
             reference, _tier = self.cache.get(key, disk_path)
             if reference is None:
                 payload = await self._evaluate(endpoint, task)
@@ -839,34 +878,48 @@ class LocalityService(HttpApp):
             raise _DegradedService("breaker_open",
                                    breaker.retry_after_seconds())
 
-    def _degraded_result(self, task: dict) -> dict | None:
+    def _degraded_result(self, task: dict,
+                         name: Callable[[], str]) -> dict | None:
         """The analytic degraded answer for a task, or None to shed (503).
 
         Uses Method B's closed forms (streaming-miss terms plus the
         ``s1``/``s2`` scaling factors) over the matrix *dimensions* only —
-        no stack pass, no pool, event-loop-cheap.  Any surprise in the
-        surrogate falls back to shedding rather than a dropped connection.
+        no stack pass, no pool, event-loop-cheap.  ``name()`` is the
+        task's matrix name.  Any surprise in the surrogate falls back to
+        shedding rather than a dropped connection.
         """
         try:
             machine = setup_from_task(task).machine()
-            return answer_task(task, machine, matrix_name(task))
+            return answer_task(task, machine, name())
         except Exception:  # noqa: BLE001 - degrade to 503, never to a hang
             return None
 
-    def _disk_entry(self, task: dict, key: str) -> tuple[Path | None, str | None]:
+    def _disk_entry(self, task: dict, key: str,
+                    name: Callable[[], str]) -> tuple[Path | None, str | None]:
+        """Where a task's answer lives on disk, and in which format.
+
+        ``name()`` gives the task's matrix name, which only a sweep's
+        record path asks for.
+        """
         if self.cache.cache_dir is None:
             return None, None
         if task["endpoint"] == "sweep":
             setup = setup_from_task(task)
             return (
-                cache_entry_path(self.cache.cache_dir, setup, matrix_name(task)),
+                cache_entry_path(self.cache.cache_dir, setup, name()),
                 "record",
             )
         return self.cache.cache_dir / f"{key}.{task['endpoint']}.json", "canonical"
 
     async def _evaluate(self, endpoint: str, task: dict,
+                        root_json: str | None = None,
                         tracer: Tracer | None = None) -> dict:
-        """One pool evaluation with queueing, timeout and fault isolation."""
+        """One pool evaluation with queueing, timeout and fault isolation.
+
+        ``root_json`` is the task's root JSON when the daemon holds it:
+        the worker then names the matrix and keys its reuse states
+        without encoding the matrix.
+        """
         timeout = task.get("timeout", self.config.request_timeout)
         self.meter.enqueue()
         try:
@@ -881,7 +934,8 @@ class LocalityService(HttpApp):
             try:
                 with request_span(tracer, "pool.evaluate", endpoint=endpoint):
                     payload = await asyncio.wait_for(
-                        loop.run_in_executor(self._executor, evaluate, task),
+                        loop.run_in_executor(self._executor, evaluate, task,
+                                             root_json),
                         timeout,
                     )
             except asyncio.TimeoutError:

@@ -30,9 +30,13 @@ encodes them to the same bytes as the lists they came from.
 :func:`request_key` hashes the task's :func:`keyed_form` — the task
 without its per-request :data:`REQUEST_FLAGS` — and is the key of the
 result cache, of in-flight coalescing, of the stored ``/delta`` bases
-and of ring placement.  The builder functions at the bottom
-(:func:`setup_from_task`, :func:`matrix_from_task`) run inside pool
-workers to reconstruct model inputs from a task.
+and of ring placement.  The inline matrix dominates every encoding, so
+a caller holding its *root JSON* (``canonical_json`` of
+:func:`root_spec`) passes it to :func:`request_key` and
+:func:`matrix_name`, which splice it in instead of encoding it again.
+The builder functions at the bottom (:func:`setup_from_task`,
+:func:`matrix_from_task`) run inside pool workers to reconstruct model
+inputs from a task.
 """
 
 from __future__ import annotations
@@ -490,18 +494,35 @@ def derive_delta_task(stored: dict, normalized: dict, delta_budget: int) -> dict
     return task
 
 
-def request_key(task: dict, *, with_record: bool = False):
+def request_key(task: dict, root_json: str | None = None, *,
+                with_record: bool = False):
     """Cache/coalescing key of a canonical task: the hash of its
     :func:`keyed_form`, so requests differing only in their
     :data:`REQUEST_FLAGS` share one result.  (Fault-carrying requests
     never *write* the cache — the key only lets them read what a healthy
     request stored.)
 
+    ``root_json`` is ``canonical_json(root_spec(task))`` when the caller
+    already holds it: the keyed form's other fields (and a delta spec's
+    batches) are encoded and the matrix is spliced in, byte for byte
+    ``canonical_json(keyed_form(task))``.
+
     With ``with_record`` it returns ``(key, record)``: ``record`` is the
     canonical JSON of the keyed form, the bytes the stored-task registry
     persists, so one encoding of an inline matrix serves both.
     """
-    record = canonical_json(keyed_form(task))
+    keyed = keyed_form(task)
+    if root_json is None:
+        record = canonical_json(keyed)
+    else:
+        # the fields sorting before and after "matrix", each encoded as
+        # one object whose braces are dropped
+        head = canonical_json({k: v for k, v in keyed.items() if k < "matrix"})
+        tail = canonical_json({k: v for k, v in keyed.items() if k > "matrix"})
+        record = "".join((
+            head[:-1], "," if len(head) > 2 else "", '"matrix":',
+            _spec_json(keyed["matrix"], root_json),
+            "," if len(tail) > 2 else "", tail[1:]))
     # the bytes of canonical_json(["v1", keyed]), hashed without the copy
     digest = hashlib.sha256(b'["v1",')
     digest.update(record.encode())
@@ -528,15 +549,31 @@ def setup_from_task(task: dict) -> ExperimentSetup:
     )
 
 
-def _delta_spec_json(spec: dict, base_json: str) -> str:
-    """``canonical_json(spec)`` of a delta spec whose base is encoded.
+def root_spec(task: dict) -> dict:
+    """The matrix spec a task's matrix roots in: a delta spec's ``base``,
+    else the spec itself.  Its ``canonical_json`` is the *root JSON*
+    that :func:`request_key` and :func:`matrix_name` splice."""
+    matrix = task["matrix"]
+    return matrix["base"] if matrix["kind"] == "delta" else matrix
 
-    Only the edit batches are encoded here; the base — the whole inline
-    matrix — is spliced in as the caller's ``base_json``.  The spec is
-    :func:`derive_delta_task`'s, whose keys sort base < batches < kind.
+
+def _spec_json(spec: dict, root_json: str) -> str:
+    """``canonical_json(spec)`` of a matrix spec whose root is encoded.
+
+    Only a delta spec's edit batches are encoded here; the base — the
+    whole inline matrix — is spliced in as ``root_json``.  A spec with
+    any other shape than :func:`derive_delta_task`'s (whose keys sort
+    base < batches < kind) can only come from a hand-edited registry
+    record, and is encoded whole, so that revalidating it hashes exactly
+    its bytes.
     """
+    if spec["kind"] != "delta":
+        return root_json
+    if spec.keys() != {"base", "batches", "kind"} or not isinstance(
+            spec["batches"], list):
+        return canonical_json(spec)
     batches = ",".join(canonical_json(batch) for batch in spec["batches"])
-    return f'{{"base":{base_json},"batches":[{batches}],"kind":"delta"}}'
+    return f'{{"base":{root_json},"batches":[{batches}],"kind":"delta"}}'
 
 
 def matrix_name(task: dict, root_json: str | None = None) -> str:
@@ -545,16 +582,15 @@ def matrix_name(task: dict, root_json: str | None = None) -> str:
     For named matrices this is the collection name, so service ``sweep``
     requests share on-disk records with ``python -m repro.experiments``
     sweeps of the same setup.  ``root_json`` is ``canonical_json`` of
-    the inline matrix the spec roots in (the spec itself, or a delta
-    spec's ``base``) when the caller already holds it.
+    :func:`root_spec` when the caller already holds it.
     """
     matrix = task["matrix"]
     kind = matrix["kind"]
     if kind == "named":
         return matrix["name"]
     if root_json is None:
-        root_json = canonical_json(matrix["base"] if kind == "delta" else matrix)
-    text = _delta_spec_json(matrix, root_json) if kind == "delta" else root_json
+        root_json = canonical_json(root_spec(task))
+    text = _spec_json(matrix, root_json)
     digest = hashlib.sha256(text.encode()).hexdigest()[:12]
     return f"{'delta' if kind == 'delta' else 'inline'}-{digest}"
 

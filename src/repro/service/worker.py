@@ -1,8 +1,9 @@
 """Pool-worker body of the advisor service.
 
 :func:`evaluate` is the only function the daemon submits to the process
-pool.  It receives a canonical task (see :mod:`repro.service.protocol`),
-runs the requested model, and returns a plain-JSON payload:
+pool.  It receives a canonical task (see :mod:`repro.service.protocol`)
+and the task's root JSON, runs the requested model, and returns a
+plain-JSON payload:
 ``{"result": ...}`` on success or ``{"error": ...}`` on failure.
 Exceptions are caught *inside* the worker — the same fault isolation the
 sweep engine uses — so a pathological matrix produces a structured error
@@ -14,6 +15,13 @@ tier-2 answer, byte-identical to direct :class:`~repro.core.MethodB` /
 :class:`~repro.core.SectorAdvisor` calls), delta chains through
 :func:`repro.delta.engine.evaluate_delta_task`, ``optimize`` through the
 reordering search and ``sweep`` through the experiment measurement.
+
+The root JSON (``canonical_json`` of
+:func:`~repro.service.protocol.root_spec`) is the daemon's own encoding
+of the matrix, sent along so that naming the matrix and keying a delta
+chain's reuse states hash it instead of encoding the matrix again.  A
+caller without it (a replay, a test) passes none and the worker encodes
+the matrix itself, to the same bytes.
 """
 
 from __future__ import annotations
@@ -31,8 +39,10 @@ from ..resilience import faults
 from .protocol import matrix_from_task, matrix_name, setup_from_task
 
 
-def evaluate(task: dict) -> dict:
+def evaluate(task: dict, root_json: str | None = None) -> dict:
     """Run one canonical task; never raises (fault isolation).
+
+    ``root_json`` is the task's root JSON when the caller holds it.
 
     Every evaluation runs under a worker-local tracer: per-phase self
     seconds always travel back for the daemon's ``/metrics`` aggregation,
@@ -68,7 +78,7 @@ def evaluate(task: dict) -> dict:
             faults.perform(faults.fire("worker.evaluate"))
             with Tracer(memory="rss" if want_trace else None) as tracer:
                 with installed(tracer), tracer.span("evaluate", **span_attrs):
-                    result, fidelity, delta_meta = _dispatch(task)
+                    result, fidelity, delta_meta = _dispatch(task, root_json)
         obs_events.emit(
             "worker.evaluate", trace_id=ctx.get("trace_id"),
             endpoint=task.get("endpoint", ""), status="ok",
@@ -109,7 +119,8 @@ def evaluate(task: dict) -> dict:
         return payload
 
 
-def _dispatch(task: dict) -> tuple[dict, dict | None, dict | None]:
+def _dispatch(task: dict, root_json: str | None = None,
+              ) -> tuple[dict, dict | None, dict | None]:
     """Run one task; returns ``(result, fidelity, delta_meta)``.
 
     ``fidelity`` is set for ladder-flagged tasks (``accuracy``/
@@ -120,18 +131,19 @@ def _dispatch(task: dict) -> tuple[dict, dict | None, dict | None]:
     if task["matrix"]["kind"] == "delta":
         from ..delta.engine import evaluate_delta_task
 
-        return evaluate_delta_task(task)
+        return evaluate_delta_task(task, root_json)
     endpoint = task["endpoint"]
+    # hashed once: the ladder (or the search) and the matrix builder
+    # share the name
+    name = matrix_name(task, root_json)
     if endpoint == "optimize":
         # optimize's "accuracy" is a confirmation SLO consumed by the
         # search itself, not a request to answer the task on the ladder
         from ..optimize import optimize_task
 
-        result = optimize_task(task)
+        result = optimize_task(task, name)
         return result, result["fidelity"], None
     setup = setup_from_task(task)
-    # hashed once: the ladder and the matrix builder share the name
-    name = matrix_name(task)
     if endpoint == "sweep":
         return measure_matrix(matrix_from_task(task, name),
                               setup).to_dict(), None, None

@@ -64,9 +64,11 @@ def test_failover_keeps_one_trace_id_across_both_attempts(tmp_path):
     caller = TraceContext.new()
     payload = _predict_payload(NAMES[1])
     key = request_key(normalize_request("predict", payload))
+    # no probe loop: its first round runs at start-up and, landing after
+    # the kill, would eject the victim before the data path tries it
     with ClusterHarness(
         replicas=3, jobs=1, cache_root=tmp_path / "cache",
-        gateway_config={"probe_interval_seconds": 30.0},
+        gateway_config={"probe_interval_seconds": 0},
     ) as harness:
         preferred = harness.gateway.membership.preference(key)[0]
         victim = next(r for r in harness.replicas

@@ -7,6 +7,7 @@ import pytest
 from repro.analysis.report import canonical_json
 from repro.delta import MatrixDelta
 from repro.matrices.generators import banded
+from repro.service import ServiceClient, ServiceConfig, ServiceThread
 from repro.service.client import ServiceError
 from repro.service.protocol import derive_delta_task, normalize_delta, request_key
 from repro.service.registry import TaskRegistry
@@ -77,24 +78,44 @@ def test_unknown_base_is_404(client):
 
 
 def test_tampered_registry_record_is_409(server, client):
-    base = client.advise(matrix=MATRIX, **SEQ)
-    key = base["key"]
+    """Memory entries are trusted, so tampering happens on disk: a
+    record read back must revalidate, and one that failed is never held,
+    so the next request reads and refuses it again."""
+    matrix = banded(1_000, 8, 6, seed=5)
+    key = client.advise(matrix=matrix, **SEQ)["key"]
     registry = server.service.registry
-    original = registry._memory[key]
-    tampered = dict(original, setup=dict(original["setup"], scale=17))
-    registry._memory[key] = tampered
-    try:
-        ins, del_ = band_edits(MATRIX, [5])
+    path = registry.cache_dir / f"{key}.task.json"
+    record = json.loads(path.read_text())
+    path.write_text(canonical_json(
+        dict(record, setup=dict(record["setup"], scale=17))))
+    del registry._memory[key]  # the next lookup reads the file back
+
+    ins, del_ = band_edits(matrix, [5])
+    for _ in range(2):
         exc = expect_error(
             lambda: client.delta(key, inserts=ins, deletes=del_), 409)
         assert "revalidation" in exc.error["message"]
-    finally:
-        registry._memory[key] = original
+        assert key not in registry._memory
+
+
+def test_malformed_registry_record_is_409(server, client):
+    matrix = banded(1_000, 8, 6, seed=6)
+    key = client.advise(matrix=matrix, **SEQ)["key"]
+    registry = server.service.registry
+    path = registry.cache_dir / f"{key}.task.json"
+    record = json.loads(path.read_text())
+    ins, del_ = band_edits(matrix, [5])
+    for broken in ({k: v for k, v in record.items() if k != "matrix"},
+                   dict(record, matrix=[1, 2]),
+                   dict(record, matrix={"kind": "delta"})):
+        path.write_text(json.dumps(broken))
+        registry._memory.pop(key, None)
+        expect_error(lambda: client.delta(key, inserts=ins, deletes=del_), 409)
 
 
 def test_records_read_back_from_disk_respect_the_registry_capacity(tmp_path):
-    """A ``/delta`` whose base fails revalidation ends before any ``put``,
-    so the disk read of ``get`` must trim the memory map by itself."""
+    """A record read back from disk is not held until it is trusted, and
+    trusting records keeps the memory map within its capacity."""
     tasks = {f"{i:032x}": {"endpoint": "advise", "n": i} for i in range(3)}
     writer = TaskRegistry(tmp_path, capacity=2)
     for key, task in tasks.items():
@@ -102,8 +123,52 @@ def test_records_read_back_from_disk_respect_the_registry_capacity(tmp_path):
     reader = TaskRegistry(tmp_path, capacity=2)
     for key, task in tasks.items():
         assert reader.get(key) == task
-    assert len(reader._memory) <= 2
+        assert reader.get(key, entry=True) == (task, None, False)
+    assert not reader._memory
+    for key, task in tasks.items():
+        reader.hold(key, task, "{}")
+        assert reader.get(key, entry=True) == (task, "{}", True)
     assert list(reader._memory) == list(tasks)[1:]
+
+
+def test_a_chain_continues_after_a_restart(tmp_path):
+    """A restarted daemon reads the chain's derived base back from its
+    cache directory and steps it to the key and answer bytes a daemon
+    holding the chain in memory gives."""
+    edited = MatrixDelta.from_dict(
+        dict(zip(("inserts", "deletes"), band_edits(MATRIX, [10, 400])))
+    ).apply(MATRIX).matrix
+    batches = [band_edits(MATRIX, [10, 400]), band_edits(edited, [60, 700])]
+
+    def chain(cache_dir, restart_after=None):
+        steps = []
+        config = ServiceConfig(jobs=1, cache_dir=str(cache_dir))
+        thread = ServiceThread(config)
+        host, port = thread.start()
+        client = ServiceClient(host, port, timeout=120.0)
+        key = client.advise(matrix=MATRIX, **SEQ)["key"]
+        for index, (ins, del_) in enumerate(batches):
+            if index == restart_after:
+                client.close()
+                thread.stop()
+                thread = ServiceThread(config)
+                client = ServiceClient(*thread.start(), timeout=120.0)
+                assert not thread.service.registry._memory
+            step = client.delta(key, inserts=ins, deletes=del_)
+            assert step["ok"] and step["cached"] is None, step
+            steps.append(step)
+            key = step["key"]
+        client.close()
+        thread.stop()
+        return steps
+
+    memory = chain(tmp_path / "memory")
+    restarted = chain(tmp_path / "restarted", restart_after=1)
+    assert restarted[1]["delta"]["chain_length"] == 2
+    assert restarted[1]["delta"]["path"] == "incremental"
+    for held, read in zip(memory, restarted):
+        assert read["key"] == held["key"]
+        assert canonical_json(read["result"]) == canonical_json(held["result"])
 
 
 def test_flags_written_into_a_stored_record_stay_out_of_the_delta(server, client):

@@ -1,13 +1,17 @@
 """How many times one request canonically encodes its whole inline matrix.
 
 Encoding the matrix is the dominant daemon-side cost of an inline or
-``/delta`` request, so the budgets are pinned: a plain inline request
-encodes it twice (the daemon's request key, whose encoding is also the
-stored-task record; the worker's matrix name), and a delta step three
-times (the daemon revalidating the base key and keying the derived task;
-the worker encoding the base once for the name and both reuse-state
-keys).  An encode is counted when ``canonical_json`` emits more bytes
-than the base's column indices alone take.
+``/delta`` request, so the budgets are pinned.  A plain inline request
+encodes it once: the daemon's root JSON, which the request key and the
+stored-task record splice and which the worker receives to name the
+matrix.  A ``/delta`` step costs its batch, not its base: the first step
+off a plain base held in memory encodes the base once (and the base then
+holds that root JSON), later steps of the chain encode it zero times —
+the registry entry holds the chain's root JSON, and the worker hashes it
+for the name and both reuse-state keys — and a base read back from disk
+encodes once, to revalidate.  An encode is counted when
+``canonical_json`` emits more bytes than the base's column indices alone
+take.
 """
 
 import types
@@ -40,16 +44,48 @@ def encodes(monkeypatch):
     return counter
 
 
+class _Recording:
+    """A pool that records the arguments of every submitted evaluation."""
+
+    def __init__(self, pool, calls: list) -> None:
+        self.pool, self.calls = pool, calls
+
+    def submit(self, fn, *args):
+        assert fn is worker.evaluate
+        self.calls.append(args)
+        return self.pool.submit(fn, *args)
+
+    def __getattr__(self, name):
+        return getattr(self.pool, name)
+
+
 @pytest.fixture
-def daemon(tmp_path):
-    """A daemon thread in this process (its encodes are counted); its
-    pool worker is a forked process, so the worker's share is counted by
-    evaluating the same task here."""
-    thread = ServiceThread(ServiceConfig(jobs=1, cache_dir=str(tmp_path)))
-    with thread as (host, port):
-        client = ServiceClient(host, port, timeout=120.0)
-        yield client, thread.service.registry
+def submitted():
+    """The ``(task, root_json)`` pairs the daemons hand their pools."""
+    return []
+
+
+@pytest.fixture
+def start(tmp_path, submitted):
+    """Starts daemon threads on one cache directory, in this process (their
+    encodes are counted); a pool worker is a forked process, so the
+    worker's share is counted by evaluating what it was sent here."""
+    threads, clients = [], []
+
+    def launch():
+        thread = ServiceThread(ServiceConfig(jobs=1, cache_dir=str(tmp_path)))
+        client = ServiceClient(*thread.start(), timeout=120.0)
+        service = thread.service
+        service._executor = _Recording(service._executor, submitted)
+        threads.append(thread)
+        clients.append(client)
+        return client
+
+    yield launch
+    for client in clients:
         client.close()
+    for thread in threads:
+        thread.stop()
 
 
 def _counted(encodes, call):
@@ -58,34 +94,52 @@ def _counted(encodes, call):
     return encodes["n"] - before, value
 
 
-def _worker_encodes(encodes, task) -> int:
-    count, payload = _counted(encodes, lambda: worker.evaluate(task))
+def _worker_encodes(encodes, submitted) -> int:
+    task, root_json = submitted.pop()
+    assert not submitted
+    count, payload = _counted(encodes, lambda: worker.evaluate(task, root_json))
     assert "error" not in payload, payload
     if task["matrix"]["kind"] == "delta":
         assert payload["delta"]["path"] == "incremental"
     return count
 
 
-def test_plain_inline_request_encodes_twice(daemon, encodes):
-    client, registry = daemon
+def _step(client, encodes, key, rows):
+    # disjoint rows, so every batch is valid on the chained pattern
+    inserts, deletes = band_edits(MATRIX, rows)
+    daemon_side, step = _counted(
+        encodes, lambda: client.delta(key, inserts=inserts, deletes=deletes))
+    assert step["cached"] is None and step["delta"]["path"] == "incremental"
+    return daemon_side, step["key"]
+
+
+def test_plain_inline_request_encodes_once(start, encodes, submitted):
+    client = start()
     daemon_side, envelope = _counted(
         encodes, lambda: client.advise(matrix=MATRIX, **SEQ))
     assert envelope["cached"] is None
     assert daemon_side == 1
-    task = registry.get(envelope["key"])
-    assert daemon_side + _worker_encodes(encodes, task) == 2
+    assert _worker_encodes(encodes, submitted) == 0
 
 
-def test_delta_step_encodes_three_times(daemon, encodes):
-    client, registry = daemon
+def test_a_delta_step_encodes_its_base_at_most_once(start, encodes, submitted):
+    client = start()
     key = client.advise(matrix=MATRIX, **SEQ)["key"]
-    # disjoint rows, so every batch is valid on the chained pattern; the
-    # first step's worker starts cold, the later ones find their prefix
-    for rows in ([5], [40, 41], [90]):
-        inserts, deletes = band_edits(MATRIX, rows)
-        daemon_side, step = _counted(
-            encodes, lambda: client.delta(key, inserts=inserts, deletes=deletes))
-        assert step["delta"]["path"] == "incremental"
-        assert daemon_side == 2
-        key = step["key"]
-        assert daemon_side + _worker_encodes(encodes, registry.get(key)) == 3
+    submitted.clear()
+    # the first step's worker starts cold, the later ones find their prefix
+    for index, rows in enumerate(([5], [40, 41], [90])):
+        daemon_side, key = _step(client, encodes, key, rows)
+        assert daemon_side == (1 if index == 0 else 0)
+        assert _worker_encodes(encodes, submitted) == 0
+
+
+def test_a_base_read_back_from_disk_encodes_once(start, encodes, submitted):
+    client = start()
+    key = client.advise(matrix=MATRIX, **SEQ)["key"]
+    _, key = _step(client, encodes, key, [5])
+    client = start()  # a second daemon on the cache directory: cold memory
+    submitted.clear()
+    for index, rows in enumerate(([40, 41], [90])):
+        daemon_side, key = _step(client, encodes, key, rows)
+        assert daemon_side == (1 if index == 0 else 0)
+        assert _worker_encodes(encodes, submitted) == 0
