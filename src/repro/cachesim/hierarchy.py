@@ -47,7 +47,6 @@ class SimConfig:
     iterations: int = 2
     l1_prefetch_distance: int = 2
     l2_prefetch_distance: int = 4
-    interleave_policy: str = "mcs"
     #: arrays assigned to sector 1 (Listing 1: the non-temporal matrix data)
     sector1_arrays: tuple[str, ...] = ("values", "colidx")
 
@@ -92,7 +91,7 @@ class SpMVCacheSim:
         with obs_span("sim.trace_build", matrix=matrix.name,
                       threads=self.config.num_threads):
             per_thread = spmv_trace(matrix, None, schedule, line_size=machine.line_size)
-            merged = interleave(per_thread, self.config.interleave_policy)
+            merged = interleave(per_thread)
         if self.periodic:
             self._demand = merged
             # warm-up period: iteration 0, with start-of-stream prefetch ramp

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from ..machine.a64fx import A64FX
 from ..machine.perfmodel import PerformanceModel
 from ..spmv.csr import CSRMatrix
-from ..spmv.schedule import RowSchedule
 from ..spmv.sector_policy import SectorPolicy, isolate_x_policy, listing1_policy, no_sector_cache
 from ..cachesim.events import CacheEvents
 from .analytic import stream_misses
@@ -271,13 +270,9 @@ class SectorAdvisor:
         self.min_ways = min_sector1_ways_with_prefetch
         self.perf = PerformanceModel(machine)
 
-    def recommend(
-        self, matrix: CSRMatrix, schedule: RowSchedule | None = None
-    ) -> Recommendation:
+    def recommend(self, matrix: CSRMatrix) -> Recommendation:
         """Evaluate candidates and return the ranked recommendation."""
-        model = MethodB(
-            matrix, self.machine, num_threads=self.num_threads, schedule=schedule
-        )
+        model = MethodB(matrix, self.machine, num_threads=self.num_threads)
         num_cmgs = -(-self.num_threads // self.machine.cores_per_cmg)
         cls = classify(matrix, self.machine, max(self.way_options), num_cmgs)
         streams = stream_misses(matrix, self.machine.line_size)

@@ -48,8 +48,8 @@ from ..reuse.cdq import reuse_distances
 from ..reuse.histogram import ReuseProfile, partition_profiles
 from ..reuse.periodic import steady_state_reuse_distances
 from ..spmv.csr import CSRMatrix
-from ..spmv.schedule import RowSchedule, static_schedule
-from ..spmv.sector_policy import ARRAYS, SectorPolicy
+from ..spmv.schedule import static_schedule
+from ..spmv.sector_policy import ARRAYS, MATRIX_DATA, SectorPolicy
 from .trace import MemoryTrace, spmv_trace
 
 
@@ -93,10 +93,7 @@ class MethodA:
         matrix: CSRMatrix,
         machine: A64FX,
         num_threads: int = 1,
-        schedule: RowSchedule | None = None,
         iterations: int = 2,
-        interleave_policy: str = "mcs",
-        sector1_arrays: frozenset[str] = frozenset({"values", "colidx"}),
     ) -> None:
         if num_threads > machine.num_cores:
             raise ValueError("more threads than cores")
@@ -106,22 +103,17 @@ class MethodA:
         self.machine = machine
         self.num_threads = num_threads
         self.iterations = iterations
-        self.sector1_arrays = frozenset(sector1_arrays)
-        if schedule is None:
-            schedule = static_schedule(matrix, num_threads)
-        self.schedule = schedule
+        schedule = static_schedule(matrix, num_threads)
         with obs_span("method_a.trace_build", matrix=matrix.name,
                       threads=num_threads):
             per_thread = spmv_trace(matrix, None, schedule, line_size=machine.line_size)
-            with obs_span("interleave", policy=interleave_policy):
+            with obs_span("interleave"):
                 # one SpMV period: every stack pass runs over it alone
-                self.trace: MemoryTrace = interleave(per_thread, interleave_policy)
-        self._sectors = self.trace.sectors(
-            SectorPolicy(sector1_arrays=self.sector1_arrays, l2_sector1_ways=1)
-        )
+                self.trace: MemoryTrace = interleave(per_thread)
+        self._sectors = self.trace.sectors(SectorPolicy(l2_sector1_ways=1))
         self._cmgs = (self.trace.threads // machine.cores_per_cmg).astype(np.int64)
         self._array_sector = tuple(
-            1 if name in self.sector1_arrays else 0 for name in ARRAYS
+            1 if name in MATRIX_DATA else 0 for name in ARRAYS
         )
 
     @property
@@ -224,7 +216,7 @@ class MethodA:
     def predict(self, policy: SectorPolicy) -> MissPrediction:
         """Predicted L2 misses of one steady-state iteration (Eq. 2)."""
         policy.validate(self.machine)
-        if policy.l2_enabled and frozenset(policy.sector1_arrays) != self.sector1_arrays:
+        if policy.l2_enabled and frozenset(policy.sector1_arrays) != MATRIX_DATA:
             raise ValueError("policy sector assignment differs from the modelled one")
         n0, n1 = self.machine.l2.partition_lines(policy.l2_sector1_ways)
         if policy.l2_enabled:

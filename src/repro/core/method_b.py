@@ -39,7 +39,7 @@ from ..reuse.cdq import reuse_distances
 from ..reuse.histogram import ReuseProfile, scale_distances, window_floor
 from ..reuse.periodic import steady_state_reuse_distances
 from ..spmv.csr import CSRMatrix
-from ..spmv.schedule import RowSchedule, static_schedule
+from ..spmv.schedule import static_schedule
 from ..spmv.sector_policy import SectorPolicy
 from .analytic import method_b_per_array, method_b_scale_factors, stream_misses
 from .method_a import MissPrediction
@@ -54,9 +54,7 @@ class MethodB:
         matrix: CSRMatrix,
         machine: A64FX,
         num_threads: int = 1,
-        schedule: RowSchedule | None = None,
         iterations: int = 2,
-        interleave_policy: str = "mcs",
         query_points: Iterable[tuple[float, int]] | None = None,
     ) -> None:
         if matrix.nnz == 0:
@@ -67,15 +65,13 @@ class MethodB:
         self.machine = machine
         self.num_threads = num_threads
         self.iterations = iterations
-        if schedule is None:
-            schedule = static_schedule(matrix, num_threads)
-        self.schedule = schedule
+        schedule = static_schedule(matrix, num_threads)
         with obs_span("method_b.trace_build", matrix=matrix.name,
                       threads=num_threads):
             per_thread = x_only_trace(matrix, None, schedule, line_size=machine.line_size)
-            with obs_span("interleave", policy=interleave_policy):
+            with obs_span("interleave"):
                 # one period of x references: every stack pass runs over it
-                self.trace = interleave(per_thread, interleave_policy)
+                self.trace = interleave(per_thread)
         self._cmgs = (self.trace.threads // machine.cores_per_cmg).astype(np.int64)
         self.s1, self.s2 = method_b_scale_factors(matrix)
         self._streams = stream_misses(matrix, machine.line_size)

@@ -15,7 +15,6 @@ from typing import Sequence
 from ..cachesim.events import CacheEvents
 from ..machine.a64fx import A64FX
 from ..spmv.csr import CSRMatrix
-from ..spmv.schedule import RowSchedule
 from ..spmv.sector_policy import SectorPolicy
 from .classification import MatrixClass, classify
 from .method_a import MethodA, MissPrediction
@@ -41,7 +40,8 @@ class CacheMissModel:
     """Reuse-distance cache-miss model of iterative CSR SpMV.
 
     Parameters mirror the experimental setup: thread count (1 or 48 in the
-    paper), schedule, interleaving, and the steady-state iteration count.
+    paper) and the steady-state iteration count.  Both methods model the
+    static schedule with the threads' traces merged in MCS order.
     """
 
     def __init__(
@@ -49,18 +49,14 @@ class CacheMissModel:
         matrix: CSRMatrix,
         machine: A64FX,
         num_threads: int = 1,
-        schedule: RowSchedule | None = None,
         iterations: int = 2,
-        interleave_policy: str = "mcs",
     ) -> None:
         if iterations <= 0:
             raise ValueError("iterations must be positive")
         self.matrix = matrix
         self.machine = machine
         self.num_threads = num_threads
-        self.schedule = schedule
         self.iterations = iterations
-        self.interleave_policy = interleave_policy
         self._method_a: MethodA | None = None
         self._method_b: MethodB | None = None
 
@@ -71,9 +67,7 @@ class CacheMissModel:
                 self.matrix,
                 self.machine,
                 num_threads=self.num_threads,
-                schedule=self.schedule,
                 iterations=self.iterations,
-                interleave_policy=self.interleave_policy,
             )
         return self._method_a
 
@@ -84,9 +78,7 @@ class CacheMissModel:
                 self.matrix,
                 self.machine,
                 num_threads=self.num_threads,
-                schedule=self.schedule,
                 iterations=self.iterations,
-                interleave_policy=self.interleave_policy,
             )
         return self._method_b
 

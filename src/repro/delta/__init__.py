@@ -6,7 +6,7 @@ is exactly the cost the fidelity ladder and the cluster cache were built
 to avoid.  This package makes pattern edits first-class:
 
 * :mod:`repro.delta.delta` — canonical edge-delta batches
-  (:class:`MatrixDelta`) with validation, stable fingerprints, and exact
+  (:class:`MatrixDelta`) with validation, a stable canonical form, and exact
   CSR patching that reports trace-coordinate mappings;
 * :mod:`repro.delta.state` — :class:`ReuseState`, steady-state reuse
   distances patched *exactly* through a delta (byte-identical to a fresh

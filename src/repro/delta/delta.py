@@ -4,7 +4,7 @@ A :class:`MatrixDelta` is one batch of sparsity-pattern edits — edge
 *inserts* (an insert's optional value is checked and dropped: inserted
 entries hold 1) and edge *deletes* — in canonical form: each list sorted
 by ``(row, col)``, no duplicates, no overlap between the two lists.
-Canonicalization makes the :meth:`fingerprint` stable, which is what
+Canonicalization makes :meth:`MatrixDelta.to_dict` stable, which is what
 lets the service derive deterministic chained cache keys from a base key
 plus its accumulated deltas.
 
@@ -25,12 +25,10 @@ its cached profiles have drifted.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..analysis.report import canonical_json
 from ..spmv.csr import CSRMatrix
 
 #: Hard cap on edits per batch — bounds request size and patch work.
@@ -132,11 +130,6 @@ class MatrixDelta:
                 for r, c in zip(self.delete_rows, self.delete_cols)
             ],
         }
-
-    def fingerprint(self) -> str:
-        """Stable content hash of the canonical form (16 hex chars)."""
-        digest = hashlib.sha256(canonical_json(self.to_dict()).encode())
-        return digest.hexdigest()[:16]
 
     def apply(self, matrix: CSRMatrix) -> "DeltaApplication":
         """Patch ``matrix`` and report the nonzero-coordinate mappings.
@@ -247,7 +240,7 @@ class MatrixDelta:
 
         patched = CSRMatrix(
             num_rows, num_cols, new_rowptr, new_colidx, new_values,
-            name=f"{matrix.name}+{self.fingerprint()[:8]}",
+            name=matrix.name,
         )
         return DeltaApplication(
             matrix=patched,

@@ -119,15 +119,13 @@ class ReuseState:
     ``rd`` is in program (nonzero) order and byte-identical to
     ``steady_state_reuse_distances(x_lines(matrix, line_size))`` — the
     invariant every :meth:`apply` preserves.  ``prev`` is the matching
-    previous-occurrence array (``compute_prev`` of the same line trace);
-    a state without one still patches correctly but pays a fresh
-    ``compute_prev`` pass per delta.
+    previous-occurrence array (``compute_prev`` of the same line trace).
     """
 
     nnz: int
     line_size: int
     rd: np.ndarray
-    prev: np.ndarray | None = None
+    prev: np.ndarray
 
     def _patched_prev(self, application: DeltaApplication,
                       lines: np.ndarray) -> np.ndarray:
@@ -140,8 +138,6 @@ class ReuseState:
         with one ``np.isin`` pass — O(n log e) against the O(n log n)
         sort a fresh ``compute_prev`` costs.
         """
-        if self.prev is None:
-            return compute_prev(lines)
         npo = application.new_pos_of_old
         n_new = lines.shape[0]
         # carry: old prev composed with the coordinate mapping.  Kept

@@ -41,7 +41,7 @@ from ..obs.tracer import span as obs_span
 from ..parallel.interleave import interleave
 from ..reuse.sampling import SpatialSampledProfile, spatial_sample_profile
 from ..spmv.csr import CSRMatrix
-from ..spmv.schedule import RowSchedule, static_schedule
+from ..spmv.schedule import static_schedule
 from ..spmv.sector_policy import (
     SectorPolicy,
     isolate_x_policy,
@@ -61,9 +61,7 @@ class SampledMethodB:
         matrix: CSRMatrix,
         machine: A64FX,
         num_threads: int = 1,
-        schedule: RowSchedule | None = None,
         rate: float = 0.1,
-        interleave_policy: str = "mcs",
     ) -> None:
         if matrix.nnz == 0:
             raise ValueError("method B requires a non-empty matrix")
@@ -71,14 +69,13 @@ class SampledMethodB:
         self.machine = machine
         self.num_threads = num_threads
         self.rate = rate
-        if schedule is None:
-            schedule = static_schedule(matrix, num_threads)
+        schedule = static_schedule(matrix, num_threads)
         with obs_span("sampled_b.trace_build", matrix=matrix.name,
                       threads=num_threads):
             per_thread = x_only_trace(
                 matrix, None, schedule, line_size=machine.line_size
             )
-            merged = interleave(per_thread, interleave_policy)
+            merged = interleave(per_thread)
         cmgs = (merged.threads // machine.cores_per_cmg).astype(np.int64)
         self.num_cmgs_used = int(cmgs.max()) + 1 if len(merged) else 1
         with obs_span("sampled_b.sample_pass", rate=rate,

@@ -3,8 +3,8 @@
 The cache behaviour of a shared cache depends on how the threads' reference
 streams interleave (concurrent reuse distance, Schuff et al.).  The paper
 collates per-thread accesses through a queue-based MCS lock, whose FIFO
-fairness yields a near round-robin global order; that is the default policy
-here.  Block and random interleavings are provided for sensitivity studies.
+fairness yields a near round-robin global order; every model merges its
+threads' traces in that one order.
 """
 
 from __future__ import annotations
@@ -14,61 +14,19 @@ import numpy as np
 from ..core.trace import MemoryTrace, concat_traces
 
 
-def _concat(traces: list[MemoryTrace]) -> tuple[MemoryTrace, np.ndarray]:
-    """Concatenate traces; also return each reference's within-thread index."""
+def interleave(traces: list[MemoryTrace]) -> MemoryTrace:
+    """Merge per-thread traces into one shared-cache reference order.
+
+    FIFO round-robin at single-reference granularity — the fair
+    interleaving produced by MCS-lock collation (the paper's choice): the
+    ``k``-th references of all threads come before any ``k+1``-th one, in
+    thread order.
+    """
+    merged = concat_traces(traces)
+    if len(merged) == 0:
+        return merged
     position = np.concatenate(
         [np.arange(len(t), dtype=np.int64) for t in traces]
     )
-    return concat_traces(traces), position
-
-
-def interleave(
-    traces: list[MemoryTrace],
-    policy: str = "mcs",
-    block: int = 1,
-    seed: int | None = None,
-) -> MemoryTrace:
-    """Merge per-thread traces into one shared-cache reference order.
-
-    Policies
-    --------
-    ``"mcs"``
-        FIFO round-robin at single-reference granularity — the fair
-        interleaving produced by MCS-lock collation (the paper's choice).
-    ``"block"``
-        Round-robin in blocks of ``block`` references (coarser batching,
-        e.g. one store-buffer flush at a time).
-    ``"random"``
-        Uniformly random merge preserving per-thread order; requires
-        ``seed`` for reproducibility.
-    ``"sequential"``
-        Thread 0's trace, then thread 1's, ... (no concurrency; useful as a
-        degenerate baseline in tests).
-    """
-    merged, position = _concat(traces)
-    if len(merged) == 0:
-        return merged
-    threads = merged.threads.astype(np.int64)
-    if policy == "mcs":
-        keys = position
-    elif policy == "block":
-        if block <= 0:
-            raise ValueError("block must be positive")
-        keys = position // block
-    elif policy == "random":
-        rng = np.random.default_rng(seed)
-        # uniform arrival time per reference, sorted within each thread so
-        # per-thread program order is preserved; a single lexsort assigns
-        # each thread its draws in ascending order (no per-thread pass)
-        keys_f = rng.random(len(merged))
-        slots = np.argsort(threads, kind="stable")
-        arrival = np.empty(len(merged))
-        arrival[slots] = keys_f[np.lexsort((keys_f, threads))]
-        order = np.argsort(arrival, kind="stable")
-        return merged.reorder(order)
-    elif policy == "sequential":
-        keys = threads * (position.max() + 1) + position
-    else:
-        raise ValueError(f"unknown interleaving policy {policy!r}")
-    order = np.lexsort((threads, keys))
+    order = np.lexsort((merged.threads.astype(np.int64), position))
     return merged.reorder(order)

@@ -16,7 +16,7 @@ def build_trace(num_threads=1):
     traces = spmv_trace(matrix, layout, sched)
     from repro.parallel import interleave
 
-    return matrix, interleave(traces, "mcs")
+    return matrix, interleave(traces)
 
 
 def test_distance_zero_is_identity():

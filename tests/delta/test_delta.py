@@ -1,4 +1,4 @@
-"""MatrixDelta canonicalization, fingerprints, and exact CSR patching."""
+"""MatrixDelta canonicalization and exact CSR patching."""
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ def test_from_dict_canonicalizes_order_and_fingerprint():
         "deletes": [[2, 0], [9, 9]],
     })
     assert a.to_dict() == b.to_dict()
-    assert a.fingerprint() == b.fingerprint()
     # sorted by (row, col); an insert's value is validated and dropped
     assert a.to_dict()["inserts"] == [[0, 1], [0, 3], [5, 1]]
     assert a.to_dict()["deletes"] == [[2, 0], [9, 9]]
@@ -30,8 +29,8 @@ def test_different_batches_have_different_fingerprints():
     b = MatrixDelta.from_dict({"inserts": [[0, 2]]})
     # a value is not part of the batch: only the pattern edit counts
     c = MatrixDelta.from_dict({"inserts": [[0, 1, 2.0]]})
-    assert a.fingerprint() != b.fingerprint()
-    assert a.fingerprint() == c.fingerprint()
+    assert a.to_dict() != b.to_dict()
+    assert a.to_dict() == c.to_dict()
 
 
 @pytest.mark.parametrize("payload, fragment", [
@@ -113,7 +112,7 @@ def test_apply_matches_brute_force_including_mappings():
     assert inserted == {(int(r), int(c)) for r, c
                         in zip(delta.insert_rows, delta.insert_cols)}
     assert np.array_equal(app.deleted_pos, np.sort(app.deleted_pos))
-    assert matrix.name in app.matrix.name  # fingerprint-suffixed
+    assert app.matrix.name == matrix.name
 
 
 def test_apply_rejects_inconsistent_edits():

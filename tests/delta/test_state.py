@@ -87,20 +87,6 @@ def test_patched_prev_matches_compute_prev():
                           compute_prev(lines))
 
 
-def test_stateless_prev_still_patches_correctly():
-    """A ``prev``-less state (e.g. deserialized) pays a fresh pass."""
-    from repro.delta import ReuseState
-
-    matrix = CLASS_MATRICES["block"]
-    full = full_reuse_state(matrix, LINE_SIZE)
-    bare = ReuseState(nnz=full.nnz, line_size=full.line_size, rd=full.rd)
-    application = random_edits(matrix, 16, seed=4).apply(matrix)
-    patched = bare.apply(application, budget=10**12)
-    fresh = full_reuse_state(application.matrix, LINE_SIZE)
-    assert np.array_equal(patched.rd, fresh.rd)
-    assert np.array_equal(patched.prev, fresh.prev)
-
-
 def test_zero_budget_raises_budget_exceeded_with_measured_work():
     matrix = CLASS_MATRICES["random"]
     state = full_reuse_state(matrix, LINE_SIZE)

@@ -29,5 +29,5 @@ production computes faster.  None of them is importable from ``src/``.
 * :mod:`.plru` — sequential tree-PLRU caches, checks the vectorized LRU
   simulator :func:`repro.cachesim.simulate` (equal at 2 ways, close at 16).
 * :mod:`.mcs` — an emulated MCS queue lock collating per-thread streams,
-  checks the ``"mcs"`` order of :func:`repro.parallel.interleave`.
+  checks the order of :func:`repro.parallel.interleave`.
 """

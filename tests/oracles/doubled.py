@@ -46,26 +46,23 @@ from repro.spmv.sector_policy import SectorPolicy
 from .masked import masked_prediction
 
 
-def _repeated(per_thread, interleave_policy: str, iterations: int):
+def _repeated(per_thread, iterations: int):
     """The interleaved period repeated ``iterations`` times, plus the mask
     of its final (steady-state) iteration."""
-    trace = repeat_trace(interleave(per_thread, interleave_policy), iterations)
+    trace = repeat_trace(interleave(per_thread), iterations)
     return trace, trace.iteration == iterations - 1
 
 
 class DoubledMethodA:
     """:class:`repro.core.MethodA` predictions from the repeated trace."""
 
-    def __init__(self, matrix, machine, num_threads=1, schedule=None,
-                 iterations=2, interleave_policy="mcs",
-                 sector1_arrays=frozenset({"values", "colidx"})) -> None:
-        schedule = schedule or static_schedule(matrix, num_threads)
+    def __init__(self, matrix, machine, num_threads=1, iterations=2) -> None:
+        schedule = static_schedule(matrix, num_threads)
         self.machine = machine
         self.trace, self.window = _repeated(
             spmv_trace(matrix, None, schedule, line_size=machine.line_size),
-            interleave_policy, iterations)
-        self.sectors = self.trace.sectors(SectorPolicy(
-            sector1_arrays=frozenset(sector1_arrays), l2_sector1_ways=1))
+            iterations)
+        self.sectors = self.trace.sectors(SectorPolicy(l2_sector1_ways=1))
         self.cmgs = (self.trace.threads // machine.cores_per_cmg).astype(np.int64)
         self.threads = self.trace.threads.astype(np.int64)
         self._rd: dict[tuple[str, bool], np.ndarray] = {}
@@ -114,14 +111,13 @@ class DoubledMethodA:
 class DoubledMethodB:
     """:class:`repro.core.MethodB` predictions from the repeated x trace."""
 
-    def __init__(self, matrix, machine, num_threads=1, schedule=None,
-                 iterations=2, interleave_policy="mcs") -> None:
-        schedule = schedule or static_schedule(matrix, num_threads)
+    def __init__(self, matrix, machine, num_threads=1, iterations=2) -> None:
+        schedule = static_schedule(matrix, num_threads)
         self.matrix = matrix
         self.machine = machine
         trace, window = _repeated(
             x_only_trace(matrix, None, schedule, line_size=machine.line_size),
-            interleave_policy, iterations)
+            iterations)
         cmgs = (trace.threads // machine.cores_per_cmg).astype(np.int64)
         self.num_cmgs_used = int(cmgs.max()) + 1 if len(trace) else 1
         self.x_rd = {
@@ -166,10 +162,8 @@ class DoubledModel:
     """The :class:`repro.core.CacheMissModel` surface over both doubled
     methods."""
 
-    def __init__(self, matrix, machine, num_threads=1, schedule=None,
-                 iterations=2, interleave_policy="mcs") -> None:
-        kwargs = dict(num_threads=num_threads, schedule=schedule,
-                      iterations=iterations, interleave_policy=interleave_policy)
+    def __init__(self, matrix, machine, num_threads=1, iterations=2) -> None:
+        kwargs = dict(num_threads=num_threads, iterations=iterations)
         self.methods = {"A": DoubledMethodA(matrix, machine, **kwargs),
                         "B": DoubledMethodB(matrix, machine, **kwargs)}
 
@@ -215,7 +209,7 @@ class DoubledSim:
             sector1_arrays=frozenset(config.sector1_arrays), l2_sector1_ways=1)
         self.demand_trace, _ = _repeated(
             spmv_trace(matrix, None, schedule, line_size=machine.line_size),
-            config.interleave_policy, config.iterations)
+            config.iterations)
         self.l1_stream = inject_prefetches(self.demand_trace,
                                            config.l1_prefetch_distance)
         self.l1_sectors = self.l1_stream.sectors(self.assignment)

@@ -1,4 +1,4 @@
-"""Trace interleaving policies and the MCS collator."""
+"""MCS interleaving of per-thread traces and the MCS collator."""
 
 import numpy as np
 import pytest
@@ -24,50 +24,30 @@ def per_thread_order_preserved(merged, originals):
         np.testing.assert_array_equal(sub, original.lines)
 
 
-@pytest.mark.parametrize("policy", ["mcs", "block", "random", "sequential"])
-def test_policies_preserve_per_thread_order(policy):
+def test_interleave_preserves_per_thread_order():
     traces = make_traces()
-    merged = interleave(traces, policy, block=4, seed=42)
+    merged = interleave(traces)
     assert len(merged) == sum(len(t) for t in traces)
     per_thread_order_preserved(merged, traces)
 
 
 def test_mcs_is_per_access_round_robin():
     traces = make_traces(num_threads=2)
-    merged = interleave(traces, "mcs")
+    merged = interleave(traces)
     shorter = min(len(t) for t in traces)
     head = merged.threads[: 2 * shorter]
     np.testing.assert_array_equal(head[::2], 0)
     np.testing.assert_array_equal(head[1::2], 1)
 
 
-def test_sequential_policy_concatenates():
-    traces = make_traces(num_threads=2)
-    merged = interleave(traces, "sequential")
-    boundary = len(traces[0])
-    assert np.all(merged.threads[:boundary] == 0)
-    assert np.all(merged.threads[boundary:] == 1)
-
-
-def test_random_policy_is_seeded():
-    traces = make_traces()
-    a = interleave(traces, "random", seed=7)
-    b = interleave(traces, "random", seed=7)
-    np.testing.assert_array_equal(a.lines, b.lines)
-
-
-def test_unknown_policy_rejected():
+def test_empty_trace_list_rejected():
     with pytest.raises(ValueError):
-        interleave(make_traces(), "bogus")
-    with pytest.raises(ValueError):
-        interleave(make_traces(), "block", block=0)
-    with pytest.raises(ValueError):
-        interleave([], "mcs")
+        interleave([])
 
 
 def test_interleave_matches_mcs_collation():
     traces = make_traces(num_threads=4)
-    merged = interleave(traces, "mcs")
+    merged = interleave(traces)
     items, owners = collate_fifo([t.lines for t in traces])
     np.testing.assert_array_equal(merged.lines, items)
     np.testing.assert_array_equal(merged.threads, owners)
@@ -104,28 +84,3 @@ def test_collate_fifo_drains_all_streams(lengths):
     assert len(items) == sum(lengths)
     for t, stream in enumerate(streams):
         np.testing.assert_array_equal(items[owners == t], stream)
-
-
-def random_policy_reference(traces, seed):
-    """The pre-vectorization random merge: per-thread sorted uniform draws."""
-    from repro.core import concat_traces
-
-    merged = concat_traces(traces)
-    threads = merged.threads.astype(np.int64)
-    rng = np.random.default_rng(seed)
-    keys = rng.random(len(merged))
-    for t in np.unique(threads):
-        mask = threads == t
-        keys[mask] = np.sort(keys[mask])
-    return merged.reorder(np.argsort(keys, kind="stable"))
-
-
-@pytest.mark.parametrize("seed", [0, 7, 123])
-@pytest.mark.parametrize("num_threads", [1, 2, 5])
-def test_vectorized_random_matches_per_thread_loop(seed, num_threads):
-    traces = make_traces(num_threads=num_threads)
-    merged = interleave(traces, "random", seed=seed)
-    reference = random_policy_reference(traces, seed)
-    np.testing.assert_array_equal(merged.lines, reference.lines)
-    np.testing.assert_array_equal(merged.threads, reference.threads)
-    np.testing.assert_array_equal(merged.arrays, reference.arrays)

@@ -128,15 +128,3 @@ def test_miss_monotonicity_in_cache_size():
     misses_small = SpMVCacheSim(matrix, small, SimConfig(num_threads=4)).baseline_events().l2_misses
     misses_large = SpMVCacheSim(matrix, large, SimConfig(num_threads=4)).baseline_events().l2_misses
     assert misses_large <= misses_small
-
-
-def test_interleaving_policies_change_little_for_symmetric_loads():
-    matrix = banded(4_000, 80, 25, seed=5)
-    results = []
-    for policy in ("mcs", "random"):
-        sim = SpMVCacheSim(
-            matrix, MACHINE, SimConfig(num_threads=12, interleave_policy=policy)
-        )
-        results.append(sim.baseline_events().l2_misses)
-    a, b = results
-    assert abs(a - b) / max(a, 1) < 0.1
