@@ -19,9 +19,13 @@ drives the dynamic-matrix story end to end:
    an unknown base key (404), an empty batch (400), and a
    multi-threaded base falling back with reason ``threads`` — priced
    correctly, just not incrementally;
-6. the ``/metrics`` delta families (``applied`` by path, ``fallback`` by
+6. a class-3 (random) base and two chained batches of scattered edits:
+   each patch overflows the budget, so both steps fall back with reason
+   ``budget`` and report ``work > budget``, and both answers are
+   byte-identical to re-submitting the edited matrix in full;
+7. the ``/metrics`` delta families (``applied`` by path, ``fallback`` by
    reason, the drift histogram) and their Prometheus rendering;
-7. a restart on the same ``--cache`` directory: the new daemon reads the
+8. a restart on the same ``--cache`` directory: the new daemon reads the
    derived key's stored record back from disk, revalidates it, and steps
    the chain to an answer byte-identical to a full re-submission.
 
@@ -36,9 +40,11 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from repro.analysis.report import canonical_json
 from repro.delta import MatrixDelta
-from repro.matrices.generators import banded
+from repro.matrices.generators import banded, random_uniform
 from repro.obs import parse_prometheus_text
 from repro.service import ServiceClient
 from repro.service.client import ServiceError
@@ -96,6 +102,20 @@ def band_edits(matrix, rows):
                    if 0 <= c < matrix.num_cols and c not in colset)
         inserts.append([r, int(ins), 1.0])
         deletes.append([r, int(cols[0])])
+    return inserts, deletes
+
+
+def scattered_edits(matrix, rows, rng):
+    """One absent insert at a random column and one existing delete per
+    row: in a class-3 pattern every such edit sits inside reuse windows
+    that span the trace, which is what overflows the patch budget."""
+    inserts, deletes = [], []
+    for r in rows:
+        cols = set(matrix.colidx[matrix.rowptr[r]:matrix.rowptr[r + 1]].tolist())
+        ins = next(c for c in rng.permutation(matrix.num_cols).tolist()
+                   if c not in cols)
+        inserts.append([r, int(ins), 1.0])
+        deletes.append([r, min(cols)])
     return inserts, deletes
 
 
@@ -194,7 +214,34 @@ def main():
                 "batch 400; parallel base fell back "
                 f"(reason={fb['delta']['reason']}) but still answered")
 
-            # -- 6. the delta metric families ---------------------------
+            # -- 6. a class-3 chain overflows the budget at every step --
+            class3 = random_uniform(3_000, 6, seed=5)
+            rng = np.random.default_rng(3)
+            key = client.advise(matrix=class3, **SETUP)["key"]
+            for step in (1, 2):
+                rows = sorted(rng.choice(class3.num_rows, 8,
+                                         replace=False).tolist())
+                inserts, deletes = scattered_edits(class3, rows, rng)
+                d = client.delta(key, inserts=inserts, deletes=deletes)
+                assert d["ok"], d
+                meta = d["delta"]
+                assert meta["chain_length"] == step, meta
+                assert meta["path"] == "fallback", meta
+                assert meta["reason"] == "budget", meta
+                assert meta["work"] > meta["budget"], meta
+                class3 = MatrixDelta.from_dict(
+                    {"inserts": inserts, "deletes": deletes}
+                ).apply(class3).matrix
+                full = client.advise(matrix=class3, **SETUP)
+                assert canonical_json(d["result"]) == canonical_json(
+                    full["result"]), \
+                    "class-3 delta diverged from the full re-submission"
+                key = d["key"]
+                say(f"class-3 delta #{step}: reason={meta['reason']} "
+                    f"work={meta['work']} > budget={meta['budget']}, "
+                    "byte-identical to the full re-submission")
+
+            # -- 7. the delta metric families ---------------------------
             snapshot = client.metrics()["delta"]
             applied = snapshot["applied"].get("advise", {})
             assert applied.get("incremental", 0) >= 2, snapshot
@@ -204,12 +251,15 @@ def main():
             samples = parse_prometheus_text(
                 client.metrics(format="prometheus"))
             assert samples["repro_delta_applied_total"]
-            assert samples["repro_delta_fallback_total"]
+            budget_fallbacks = sum(
+                value for labels, value in samples["repro_delta_fallback_total"]
+                if labels.get("reason") == "budget")
+            assert budget_fallbacks >= 2, samples["repro_delta_fallback_total"]
             say(f"metrics: applied={snapshot['applied']} "
                 f"fallback={snapshot['fallback']} "
                 f"drift count={snapshot['drift']['count']}")
 
-            # -- 7. a restart steps the chain from its disk record ------
+            # -- 8. a restart steps the chain from its disk record ------
             stop_daemon(proc, client)
             proc, client = launch_daemon(cache_dir)
             d3 = client.delta(d2["key"], inserts=batch3[0],

@@ -32,11 +32,16 @@ canonical encoding, the edit batches and the line size.  The daemon
 sends that encoding — the chain's root JSON, which its registry holds —
 so the matrix name and both state keys hash it and no evaluation
 encodes the base (the whole inline matrix); a caller without it passes
-none and the base is encoded once here.  The pool's fork
-workers are long-lived, so a chain of deltas against the same base keeps
-hitting the state of its immediate prefix — ``"state": "warm"`` in the
-metadata — and only a cold worker pays one full capture of the prefix
-pattern.
+none and the base is encoded once here.  The pool's fork workers are
+long-lived, so a step usually finds a state of its own chain in its
+worker: its immediate prefix's, or an older ancestor's when another
+worker priced the steps in between, which it patches forward through the
+missing batches — ``"state": "warm"`` in the metadata.  A worker that
+holds none of the chain's states builds the prefix pattern and patches
+only its previous-occurrence array through the last batch, which prices
+the budget; it captures the edited pattern with one full pass
+(``"cold"``) only when the patch fits, so a budget fallback costs no
+capture.  Each step caches one state, its own.
 """
 
 from __future__ import annotations
@@ -49,9 +54,16 @@ from ..analysis.report import canonical_json
 from ..core.method_b import MethodB
 from ..ladder.engine import Ladder, has_ladder_flags
 from ..ladder.tier0 import dims_from_task
+from ..reuse.fenwick import compute_prev
 from ..spmv.csr import CSRMatrix
 from .delta import MatrixDelta
-from .state import BudgetExceeded, ReuseState, full_reuse_state
+from .state import (
+    BudgetExceeded,
+    ReuseState,
+    full_reuse_state,
+    patch_prev,
+    x_lines,
+)
 
 #: Default patch budget (summed dirty-window elements) — overridable per
 #: daemon with ``--delta-budget`` (rides in the task as ``delta_budget``,
@@ -62,18 +74,18 @@ _STATE_CAPACITY = 8
 _state_cache: OrderedDict[str, tuple[CSRMatrix, ReuseState]] = OrderedDict()
 
 
-def _state_keys(spec: dict, base_json: str, line_size: int) -> tuple[str, str]:
-    """The state-cache keys of a delta spec and of its prefix (every
-    batch but the last): a digest of the base's encoding ``base_json``,
-    the line size and the batches, each batch encoded once."""
+def _state_keys(spec: dict, base_json: str, line_size: int) -> tuple[str, ...]:
+    """The state-cache keys of a delta spec's chain, newest first: the
+    spec's own, its prefix's (every batch but the last), and so on down
+    to the base's.  Each digests the base's encoding ``base_json``, the
+    line size and the batches so far, each batch encoded once."""
     base_digest = hashlib.sha256(base_json.encode()).hexdigest()
     digest = hashlib.sha256(f"{base_digest}|{int(line_size)}".encode())
-    *prefix, last = spec["batches"]
-    for batch in prefix:
+    keys = [digest.hexdigest()[:32]]
+    for batch in spec["batches"]:
         digest.update(b"|" + canonical_json(batch).encode())
-    prefix_key = digest.hexdigest()[:32]
-    digest.update(b"|" + canonical_json(last).encode())
-    return digest.hexdigest()[:32], prefix_key
+        keys.append(digest.hexdigest()[:32])
+    return tuple(reversed(keys))
 
 
 def _cache_put(key: str, matrix: CSRMatrix, state: ReuseState) -> None:
@@ -99,14 +111,22 @@ def chain_drift(spec: dict, base_nnz: int) -> float:
 def _patched_state(
     task: dict, name: str, base_json: str, line_size: int, budget: int
 ) -> tuple[CSRMatrix, ReuseState, str]:
-    """The patched pattern + distances, via the warmest available prefix.
+    """The edited pattern + distances, from the newest state this worker holds.
 
     ``base_json`` is the canonical encoding of the chain's base, from
-    which both state-cache keys (and the prefix's name) derive.
-    Returns ``(matrix, state, source)`` with ``source`` one of ``"warm"``
-    (prefix state was cached in this worker) or ``"cold"`` (the prefix
-    pattern had to be captured with one full pass first).  Raises
-    :class:`BudgetExceeded` when the last batch's patch outgrows
+    which the state-cache keys derive.  The walk takes the step's own
+    state, else its prefix's, and so on down the chain, at most
+    ``_STATE_CAPACITY`` batches back, and patches the newest held state
+    forward through the batches after it: ``source`` ``"warm"``.
+
+    Without a held state, or when a batch before the last overflows the
+    budget, the prefix pattern is built (from what the walk reached, else
+    from the base) and only its ``prev`` is patched through the last
+    batch, which prices the budget without a steady-state pass.  The
+    edited pattern is captured with one full pass only when that patch
+    fits: ``source`` ``"cold"``.  Only the step's own state is cached.
+
+    Raises :class:`BudgetExceeded` when the last batch's patch outgrows
     ``budget`` — the caller falls back to full re-evaluation of the
     edited pattern, which the exception carries as ``matrix`` so that
     the fallback does not rebuild the chain.
@@ -115,43 +135,43 @@ def _patched_state(
 
     spec = task["matrix"]
     batches = spec["batches"]
-    full_key, prefix_key = _state_keys(spec, base_json, line_size)
-    cached = _state_cache.get(full_key)
-    if cached is not None:
-        _state_cache.move_to_end(full_key)
-        return cached[0], cached[1], "warm"
-
-    cached = _state_cache.get(prefix_key)
-    if cached is not None:
-        _state_cache.move_to_end(prefix_key)
-        prefix_matrix, prefix_state = cached
-        source = "warm"
+    keys = _state_keys(spec, base_json, line_size)
+    back = next((k for k, key in enumerate(keys[:_STATE_CAPACITY + 1])
+                 if key in _state_cache), None)
+    if back is None:
+        base = {"matrix": spec["base"], "setup": task["setup"]}
+        matrix = matrix_from_task(base, matrix_name(base, base_json))
+        state, back = None, len(batches)
     else:
-        prefix = {
-            "matrix": (spec["base"] if len(batches) == 1 else
-                       {"kind": "delta", "base": spec["base"],
-                        "batches": batches[:-1]}),
-            "setup": task["setup"],
-        }
-        prefix_matrix = matrix_from_task(prefix,
-                                         matrix_name(prefix, base_json))
-        prefix_state = full_reuse_state(prefix_matrix, line_size)
-        source = "cold"
+        _state_cache.move_to_end(keys[back])
+        matrix, state = _state_cache[keys[back]]
+        if back == 0:
+            return matrix, state, "warm"
 
-    application = MatrixDelta.from_dict(batches[-1]).apply(prefix_matrix)
-    matrix = replace(application.matrix, name=name)
+    for batch in batches[len(batches) - back:-1]:
+        application = MatrixDelta.from_dict(batch).apply(matrix)
+        matrix = application.matrix
+        if state is not None:
+            try:
+                state = state.apply(application, budget)
+            except BudgetExceeded:
+                state = None  # capture cold from the pattern reached
+    application = MatrixDelta.from_dict(batches[-1]).apply(matrix)
+    edited = replace(application.matrix, name=name)
     try:
-        state = prefix_state.apply(application, budget)
+        if state is not None:
+            state, source = state.apply(application, budget), "warm"
+        else:
+            prev = compute_prev(x_lines(matrix, line_size))
+            work = patch_prev(prev, line_size, application).work
+            if work > budget:
+                raise BudgetExceeded(work, budget)
+            state, source = full_reuse_state(edited, line_size), "cold"
     except BudgetExceeded as exc:
-        exc.matrix = matrix
+        exc.matrix = edited
         raise
-    if source == "cold":
-        # cached only once the patch fits the budget: a chain whose patch
-        # overflows never caches its full state, so its next step misses
-        # this prefix anyway — it would only evict a live chain's state
-        _cache_put(prefix_key, prefix_matrix, prefix_state)
-    _cache_put(full_key, matrix, state)
-    return matrix, state, source
+    _cache_put(keys[0], edited, state)
+    return edited, state, source
 
 
 def seeded_model(matrix: CSRMatrix, machine, state: ReuseState,

@@ -31,12 +31,16 @@ random classes (3a/3b) a single edit can sit inside one long window per
 distinct line — the budget overflows and the caller falls back to the
 full pass, which is the conservative behaviour the ROADMAP asks for.
 :class:`BudgetExceeded` carries the measured work so callers can report
-*why* they fell back.
+*why* they fell back.  The work is measured from ``prev`` alone
+(:func:`patch_prev`), so a caller holding only the pre-delta pattern
+learns that a patch overflows for one ``compute_prev``, without the
+steady-state pass a :class:`ReuseState` costs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,6 +106,107 @@ def _wrap_distances(lines: np.ndarray, prev: np.ndarray,
     rd[first_pos] = ranks + suffix_lasts - overlap
 
 
+def _carried_prev(prev: np.ndarray, line_size: int,
+                  application: DeltaApplication,
+                  lines: np.ndarray) -> np.ndarray:
+    """The edited trace's previous-occurrence array, incrementally.
+
+    The old ``prev`` maps through the coordinate mapping unchanged for
+    every line no edit touched (the mapping is monotone, so occurrence
+    order is preserved).  Lines that gained an inserted access or lost
+    a deleted one are re-chained from their occurrence lists, found
+    with one ``np.isin`` pass — O(n log e) against the O(n log n)
+    sort a fresh ``compute_prev`` costs.
+    """
+    npo = application.new_pos_of_old
+    n_new = lines.shape[0]
+    # carry: old prev composed with the coordinate mapping.  Kept
+    # entries occupy exactly the non-inserted new slots in order, so
+    # one boolean scatter places every carried value (fancy-index
+    # chains re-gather 8-byte indices several times over and lose to
+    # a fresh compute_prev).  A ``prev`` of -1 wraps the gather to
+    # npo's last element; the mask store right after overwrites it.
+    carried = npo[prev]
+    carried[prev < 0] = -1
+    new_prev = np.full(n_new, -1, dtype=np.int64)
+    kept_slots = np.ones(n_new, dtype=bool)
+    kept_slots[application.inserted_pos] = False
+    new_prev[kept_slots] = carried[npo >= 0]
+
+    touched = np.concatenate((
+        lines[application.inserted_pos],
+        application.deleted_cols.astype(np.int64)
+        * X_ELEM_BYTES // line_size,
+    ))
+    if touched.shape[0]:
+        pos = np.flatnonzero(np.isin(lines, np.unique(touched)))
+        if pos.shape[0]:
+            order = np.argsort(lines[pos], kind="stable")
+            gpos = pos[order]
+            glines = lines[pos][order]
+            gprev = np.full(pos.shape[0], -1, dtype=np.int64)
+            same = glines[1:] == glines[:-1]
+            gprev[1:][same] = gpos[:-1][same]
+            new_prev[gpos] = gprev
+    return new_prev
+
+
+class PrevPatch(NamedTuple):
+    """A delta's effect on a trace's previous-occurrence array: the
+    edited trace's ``lines`` and ``prev``, the positions whose reuse
+    window an edit dirtied, and ``work``, the summed span of those
+    windows that the budget bounds."""
+
+    lines: np.ndarray
+    prev: np.ndarray
+    dirty: np.ndarray
+    work: int
+
+
+def patch_prev(prev: np.ndarray, line_size: int,
+               application: DeltaApplication) -> PrevPatch:
+    """Patch ``prev`` (``compute_prev`` of the pre-delta x-line trace)
+    through an applied delta and find the windows it dirtied.
+
+    Reads no reuse distance, so a caller holding only the pre-delta
+    pattern learns the patch's ``work`` for the price of one
+    ``compute_prev``, before any steady-state pass runs.  Raises
+    ``ValueError`` when ``prev`` is not the trace the delta was applied to.
+    """
+    if prev.shape[0] != application.n_old:
+        raise ValueError(
+            f"state holds {prev.shape[0]} nonzeros, delta was applied to "
+            f"{application.n_old}"
+        )
+    lines = x_lines(application.matrix, line_size)
+    n_new = lines.shape[0]
+    new_prev = _carried_prev(prev, line_size, application, lines)
+
+    # every access whose reuse window [prev, i) brushes a modification
+    # is dirty; so is every inserted non-first access (it has no
+    # carried value at all).  The interval is left-closed so that an
+    # access whose *new* predecessor is an inserted occurrence of its
+    # own line is caught even though the insert sits exactly at
+    # ``prev``.  F(pos) counts modifications below ``pos``: a mod at
+    # coordinate x (integer insert or half-position junction) is
+    # below pos iff floor(x) + 1 <= pos, so one bincount/cumsum
+    # answers every window-overlap query in O(n).
+    mods = np.concatenate((
+        application.inserted_pos.astype(np.float64),
+        application.junctions(),
+    ))
+    idx = np.floor(mods).astype(np.int64) + 1
+    mods_below = np.cumsum(np.bincount(idx, minlength=n_new + 2))
+    dirty_mask = (new_prev >= 0) & (
+        mods_below[:n_new] > mods_below[np.maximum(new_prev, 0)]
+    )
+    inserted = application.inserted_pos
+    dirty_mask[inserted[new_prev[inserted] >= 0]] = True
+    dirty = np.flatnonzero(dirty_mask)
+    work = int((dirty - new_prev[dirty] - 1).sum())
+    return PrevPatch(lines, new_prev, dirty, work)
+
+
 def full_reuse_state(matrix: CSRMatrix, line_size: int) -> "ReuseState":
     """Price a pattern from scratch (the cold-capture path)."""
     from ..reuse.periodic import steady_state_reuse_distances
@@ -129,93 +234,28 @@ class ReuseState:
 
     def _patched_prev(self, application: DeltaApplication,
                       lines: np.ndarray) -> np.ndarray:
-        """The edited trace's previous-occurrence array, incrementally.
-
-        The old ``prev`` maps through the coordinate mapping unchanged for
-        every line no edit touched (the mapping is monotone, so occurrence
-        order is preserved).  Lines that gained an inserted access or lost
-        a deleted one are re-chained from their occurrence lists, found
-        with one ``np.isin`` pass — O(n log e) against the O(n log n)
-        sort a fresh ``compute_prev`` costs.
-        """
-        npo = application.new_pos_of_old
-        n_new = lines.shape[0]
-        # carry: old prev composed with the coordinate mapping.  Kept
-        # entries occupy exactly the non-inserted new slots in order, so
-        # one boolean scatter places every carried value (fancy-index
-        # chains re-gather 8-byte indices several times over and lose to
-        # a fresh compute_prev).  A ``prev`` of -1 wraps the gather to
-        # npo's last element; the mask store right after overwrites it.
-        carried = npo[self.prev]
-        carried[self.prev < 0] = -1
-        prev = np.full(n_new, -1, dtype=np.int64)
-        kept_slots = np.ones(n_new, dtype=bool)
-        kept_slots[application.inserted_pos] = False
-        prev[kept_slots] = carried[npo >= 0]
-
-        touched = np.concatenate((
-            lines[application.inserted_pos],
-            application.deleted_cols.astype(np.int64)
-            * X_ELEM_BYTES // self.line_size,
-        ))
-        if touched.shape[0]:
-            pos = np.flatnonzero(np.isin(lines, np.unique(touched)))
-            if pos.shape[0]:
-                order = np.argsort(lines[pos], kind="stable")
-                gpos = pos[order]
-                glines = lines[pos][order]
-                gprev = np.full(pos.shape[0], -1, dtype=np.int64)
-                same = glines[1:] == glines[:-1]
-                gprev[1:][same] = gpos[:-1][same]
-                prev[gpos] = gprev
-        return prev
+        """The edited trace's previous-occurrence array, patched from this
+        state's (see :func:`_carried_prev`)."""
+        return _carried_prev(self.prev, self.line_size, application, lines)
 
     def apply(self, application: DeltaApplication, budget: int) -> "ReuseState":
         """Patch the distances through an applied delta, exactly.
 
+        :func:`patch_prev` patches ``prev`` and measures the dirtied
+        windows from ``prev`` alone; only a patch that fits reads ``rd``.
         Raises :class:`BudgetExceeded` when the dirtied windows sum past
         ``budget`` elements; the state is unchanged in that case.
         """
-        if application.n_old != self.nnz:
-            raise ValueError(
-                f"state holds {self.nnz} nonzeros, delta was applied to "
-                f"{application.n_old}"
-            )
-        lines = x_lines(application.matrix, self.line_size)
-        n_new = lines.shape[0]
-        prev = self._patched_prev(application, lines)
+        lines, prev, dirty, work = patch_prev(self.prev, self.line_size,
+                                              application)
+        if work > budget:
+            raise BudgetExceeded(work, budget)
 
+        n_new = lines.shape[0]
         rd = np.full(n_new, -1, dtype=np.int64)
         kept_slots = np.ones(n_new, dtype=bool)
         kept_slots[application.inserted_pos] = False
         rd[kept_slots] = self.rd[application.new_pos_of_old >= 0]
-
-        # every access whose reuse window [prev, i) brushes a modification
-        # is dirty; so is every inserted non-first access (it has no
-        # carried value at all).  The interval is left-closed so that an
-        # access whose *new* predecessor is an inserted occurrence of its
-        # own line is caught even though the insert sits exactly at
-        # ``prev``.  F(pos) counts modifications below ``pos``: a mod at
-        # coordinate x (integer insert or half-position junction) is
-        # below pos iff floor(x) + 1 <= pos, so one bincount/cumsum
-        # answers every window-overlap query in O(n).
-        mods = np.concatenate((
-            application.inserted_pos.astype(np.float64),
-            application.junctions(),
-        ))
-        idx = np.floor(mods).astype(np.int64) + 1
-        mods_below = np.cumsum(np.bincount(idx, minlength=n_new + 2))
-        dirty_mask = (prev >= 0) & (
-            mods_below[:n_new] > mods_below[np.maximum(prev, 0)]
-        )
-        inserted = application.inserted_pos
-        dirty_mask[inserted[prev[inserted] >= 0]] = True
-        dirty = np.flatnonzero(dirty_mask)
-
-        spans = dirty - prev[dirty] - 1
-        work = int(spans.sum())
-        if work > budget:
-            raise BudgetExceeded(work, budget)
         for i in dirty.tolist():
             rd[i] = np.unique(lines[prev[i] + 1: i]).shape[0]
 

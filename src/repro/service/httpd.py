@@ -24,8 +24,9 @@ routes and background loops.  It holds:
 The parser is deliberately small: no pipelining guarantees beyond
 serial request/response on one socket, no request chunked bodies, no
 TLS — the service's unit of work is a model evaluation, not a socket.
-A request line or ``Content-Length`` it cannot read is answered 400 and
-the connection closed.
+A request line or ``Content-Length`` it cannot read, or two
+``Content-Length`` headers that differ, is answered 400, a request
+``Transfer-Encoding`` 501, and the connection closed.
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ MAX_BODY_BYTES = 64 * 2**20
 REASONS = {200: "OK", 400: "Bad Request", 403: "Forbidden",
            404: "Not Found", 405: "Method Not Allowed",
            413: "Payload Too Large", 500: "Internal Server Error",
-           502: "Bad Gateway", 503: "Service Unavailable",
-           504: "Gateway Timeout"}
+           501: "Not Implemented", 502: "Bad Gateway",
+           503: "Service Unavailable", 504: "Gateway Timeout"}
 
 
 class PayloadTooLarge(Exception):
@@ -85,10 +86,13 @@ class ParsedRequest:
     close: bool
     #: why the request cannot be served (empty for a well-formed one)
     problem: str = ""
+    #: the status that answers the problem
+    status: int = 400
 
 
-def _malformed(problem: str) -> ParsedRequest:
-    return ParsedRequest("", "", {}, b"", close=True, problem=problem)
+def _malformed(problem: str, status: int = 400) -> ParsedRequest:
+    return ParsedRequest("", "", {}, b"", close=True, problem=problem,
+                         status=status)
 
 
 async def read_request(
@@ -97,9 +101,11 @@ async def read_request(
     """Parse one request off the stream.
 
     Returns ``None`` at a clean end of stream (the peer closed between
-    requests), a :class:`ParsedRequest` naming its ``problem`` for an
-    unparseable request line or ``Content-Length`` (its body is left
-    unread, so the connection must close), and raises
+    requests), a :class:`ParsedRequest` naming its ``problem`` and
+    ``status`` for an unparseable request line, a malformed
+    ``Content-Length`` or two that differ (400), or a request
+    ``Transfer-Encoding``, which neither server decodes (501): its body
+    is left unread, so the connection must close.  Raises
     :class:`PayloadTooLarge` when the declared body exceeds the cap.
     """
     request_line = await reader.readline()
@@ -115,7 +121,15 @@ async def read_request(
         if line in (b"\r\n", b"\n", b""):
             break
         name, _, value = line.decode("latin1").partition(":")
-        headers[name.strip().lower()] = value.strip()
+        name, value = name.strip().lower(), value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            return _malformed("conflicting Content-Length headers")
+        headers[name] = value
+    if "transfer-encoding" in headers:
+        # a chunked body read as empty would leave its chunks on the
+        # stream to be parsed as a second request
+        return _malformed("Transfer-Encoding is not supported; send the "
+                          "body with a Content-Length", status=501)
     declared = headers.get("content-length") or "0"
     if not (declared.isascii() and declared.isdigit()):
         return _malformed("malformed Content-Length header")
@@ -480,9 +494,9 @@ class HttpApp:
                 if request is None:
                     return
                 if request.problem:
-                    await respond(writer, 400,
-                                  error_payload("", "BadRequest",
-                                                request.problem),
+                    reason = REASONS[request.status].replace(" ", "")
+                    await respond(writer, request.status,
+                                  error_payload("", reason, request.problem),
                                   close=True)
                     return
                 if await self.stream(request, writer):

@@ -11,6 +11,7 @@ differs.
 import numpy as np
 import pytest
 
+from repro.analysis.report import canonical_json
 from repro.delta import engine
 from repro.delta.delta import MatrixDelta
 from repro.matrices.generators import banded, random_uniform
@@ -201,5 +202,127 @@ def test_tight_slo_escalates_onto_the_incremental_path():
     assert fidelity["tiers_tried"] == [0, 2]
     assert fidelity["drift"] > 0
     oracle = full_result("advise", edited_matrix(batch))
+    assert {k: v for k, v in result.items() if k != "name"} == \
+        {k: v for k, v in oracle.items() if k != "name"}
+
+
+def chain_tasks(endpoint, batches, *, matrix=MATRIX, budget=None):
+    """The derived task of every step of one chain, in order."""
+    task = normalize_request(endpoint, {"matrix": csr_payload(matrix),
+                                        "setup": SETUP})
+    steps = []
+    for batch in batches:
+        task = derive_delta_task(
+            task, normalize_delta({"base": request_key(task), "delta": batch}),
+            engine.DEFAULT_BUDGET if budget is None else budget)
+        steps.append(task)
+    return steps
+
+
+def band_chain(count, matrix=MATRIX):
+    """``count`` band-local batches, each valid on the pattern the
+    previous ones left, and the final pattern."""
+    batches = []
+    for step in range(count):
+        batch = band_edits(matrix, [60 + 150 * step, 130 + 150 * step])
+        batches.append(batch)
+        matrix = edited_matrix(batch, matrix)
+    return batches, matrix
+
+
+@pytest.fixture
+def stack_passes(monkeypatch):
+    """Counts of the full captures and of every steady-state stack pass
+    (the capture's and the ladder's tier 2) the engine runs."""
+    from repro.core import method_b
+    from repro.reuse import periodic
+
+    counts = {"captures": 0, "passes": 0}
+    capture, stack_pass = engine.full_reuse_state, \
+        periodic.steady_state_reuse_distances
+
+    def counted_capture(*args, **kwargs):
+        counts["captures"] += 1
+        return capture(*args, **kwargs)
+
+    def counted_pass(*args, **kwargs):
+        counts["passes"] += 1
+        return stack_pass(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "full_reuse_state", counted_capture)
+    monkeypatch.setattr(periodic, "steady_state_reuse_distances", counted_pass)
+    monkeypatch.setattr(method_b, "steady_state_reuse_distances", counted_pass)
+    return counts
+
+
+def test_budget_overflow_on_a_cold_worker_runs_no_capture(stack_passes):
+    # scattered class-3 edits: the patch overflows the default budget.
+    # The work is decided from the prefix's prev alone, so the only
+    # steady-state pass is tier 2's on the edited pattern.
+    matrix = random_uniform(3000, 6, seed=5)
+    rng = np.random.default_rng(3)
+    inserts, deletes = [], []
+    for r in sorted(rng.choice(matrix.num_rows, 8, replace=False).tolist()):
+        cols = set(matrix.colidx[matrix.rowptr[r]:matrix.rowptr[r + 1]].tolist())
+        c = next(c for c in rng.permutation(matrix.num_cols).tolist()
+                 if c not in cols)
+        inserts.append([r, c, 1.0])
+        deletes.append([r, min(cols)])
+    batch = {"inserts": inserts, "deletes": deletes}
+    result, _, meta = engine.evaluate_delta_task(
+        delta_task("advise", batch, matrix=matrix))
+    assert meta["path"] == "fallback" and meta["reason"] == "budget"
+    # the work a full capture followed by the patch measured
+    assert (meta["work"], meta["budget"]) == (125_441, engine.DEFAULT_BUDGET)
+    assert stack_passes == {"captures": 0, "passes": 1}
+    assert not engine._state_cache  # an overflow caches nothing
+    oracle = full_result("advise", edited_matrix(batch, matrix))
+    assert {k: v for k, v in result.items() if k != "name"} == \
+        {k: v for k, v in oracle.items() if k != "name"}
+
+
+def test_a_held_ancestor_is_patched_forward(stack_passes):
+    batches, final = band_chain(3)
+    steps = chain_tasks("advise", batches)
+    engine.evaluate_delta_task(steps[0])
+    assert stack_passes["captures"] == 1 and len(engine._state_cache) == 1
+
+    # the worker holds only the state of two steps back
+    result, _, meta = engine.evaluate_delta_task(steps[2])
+    assert meta["path"] == "incremental" and meta["state"] == "warm"
+    assert stack_passes["captures"] == 1
+    # one entry per step: no intermediate state is stored
+    assert len(engine._state_cache) == 2
+    oracle = full_result("advise", final)
+    assert {k: v for k, v in result.items() if k != "name"} == \
+        {k: v for k, v in oracle.items() if k != "name"}
+    engine._state_cache.clear()
+    cold, _, cold_meta = engine.evaluate_delta_task(steps[2])
+    assert cold_meta["state"] == "cold"
+    assert canonical_json(result) == canonical_json(cold)
+
+
+def test_an_overflowing_middle_batch_falls_back_to_the_cold_path(
+        stack_passes):
+    # a far-off insert in a banded pattern opens one long reuse window:
+    # over a budget the band-local batches outside that window stay under
+    budget = 500
+    first = band_edits(MATRIX, [40])
+    once = edited_matrix(first)
+    far = {"inserts": [[5, 590, 1.0]]}
+    twice = edited_matrix(far, once)
+    last = band_edits(twice, [597])
+    steps = chain_tasks("advise", [first, far, last], budget=budget)
+
+    _, _, middle = engine.evaluate_delta_task(steps[1])
+    assert middle["reason"] == "budget" and middle["work"] > budget
+    engine._state_cache.clear()
+
+    engine.evaluate_delta_task(steps[0])
+    captures = stack_passes["captures"]
+    result, _, meta = engine.evaluate_delta_task(steps[2])
+    assert meta["path"] == "incremental" and meta["state"] == "cold"
+    assert stack_passes["captures"] == captures + 1
+    oracle = full_result("advise", edited_matrix(last, twice))
     assert {k: v for k, v in result.items() if k != "name"} == \
         {k: v for k, v in oracle.items() if k != "name"}

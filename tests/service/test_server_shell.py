@@ -73,8 +73,9 @@ def _closed(sock: socket.socket) -> bool:
     return sock.recv(1) == b""
 
 
-def _exchange(address, raw: bytes) -> tuple[int, dict, bytes, socket.socket]:
-    sock = socket.create_connection(address, timeout=30.0)
+def _exchange(address, raw: bytes, timeout: float = 30.0,
+              ) -> tuple[int, dict, bytes, socket.socket]:
+    sock = socket.create_connection(address, timeout=timeout)
     sock.sendall(raw)
     return (*_read_response(sock), sock)
 
@@ -111,6 +112,42 @@ def test_malformed_content_length_is_400_and_closes(address, length):
         assert status == 400
         assert headers["connection"] == "close"
         assert json.loads(payload)["error"]["type"] == "BadRequest"
+        assert _closed(sock)
+
+
+def test_conflicting_content_lengths_are_400_and_close(address):
+    # answered from the head: a server that took either length would
+    # wait for bytes that never come (the short timeout fails that fast)
+    raw = (b"POST /predict HTTP/1.1\r\nHost: test\r\nContent-Length: 5\r\n"
+           b"Content-Length: 7\r\n\r\n{\"a\"}")
+    status, headers, payload, sock = _exchange(address, raw, timeout=5.0)
+    with sock:
+        assert status == 400
+        assert headers["connection"] == "close"
+        assert json.loads(payload)["error"] == {
+            "type": "BadRequest",
+            "message": "conflicting Content-Length headers"}
+        assert _closed(sock)
+
+
+def test_repeated_equal_content_lengths_are_one(address):
+    raw = (b"GET /healthz HTTP/1.1\r\nHost: test\r\nContent-Length: 0\r\n"
+           b"Content-Length: 0\r\n\r\n")
+    status, headers, _, sock = _exchange(address, raw, timeout=5.0)
+    with sock:
+        assert status == 200
+        assert headers["connection"] == "keep-alive"
+
+
+def test_request_transfer_encoding_is_501_and_closes(address):
+    # one answer for one request: the chunk must not be read as a second
+    raw = (b"POST /predict HTTP/1.1\r\nHost: test\r\n"
+           b"Transfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n")
+    status, headers, payload, sock = _exchange(address, raw, timeout=5.0)
+    with sock:
+        assert status == 501
+        assert headers["connection"] == "close"
+        assert json.loads(payload)["error"]["type"] == "NotImplemented"
         assert _closed(sock)
 
 

@@ -102,6 +102,7 @@ def test_spliced_keys_records_names_and_state_keys_equal_full_ones(
 
     stored, key = keyed_form(base), request_key(base)
     previous_state = None
+    own_keys = []
     for batch, extra in zip(batches, flags):
         task = derive_delta_task(
             stored, normalize_delta({"base": key, "delta": batch, **extra}),
@@ -111,12 +112,17 @@ def test_spliced_keys_records_names_and_state_keys_equal_full_ones(
 
         # the worker's reuse-state keys: from the root JSON it is sent,
         # and from encoding the base itself; a step's prefix is the state
-        # its previous step left
+        # its previous step left, and each older ancestor the state of
+        # the matching shorter chain, down to the base's
         state = _state_keys(task["matrix"], root_json, line_size)
         assert state == _state_keys(
             task["matrix"], canonical_json(task["matrix"]["base"]), line_size)
         if previous_state is not None:
             assert state[1] == previous_state[0]
+            assert state[-1] == previous_state[-1]
+        own_keys.append(state[0])
+        assert state[:-1] == tuple(reversed(own_keys))
+        assert len(set(state)) == len(state)
         previous_state = state
 
         # a restarted daemon reads the record back as lists: its one
