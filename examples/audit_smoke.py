@@ -27,20 +27,19 @@ CI:   python examples/audit_smoke.py --selftest     (quiet, asserts only)
 """
 
 import argparse
-import re
+import contextlib
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
+from repro.cluster.harness import launch_replica, stop_replica
 from repro.matrices.collection import collection
 from repro.obs import parse_prometheus_text, validate_tree
 from repro.obs.context import TraceContext
 from repro.obs.events import validate_log_text
 from repro.service import ServiceClient
-
-_ANNOUNCE = re.compile(r"repro-service listening on http://([^:]+):(\d+)")
 
 SETUP = {"num_threads": 8}
 AUDIT_RATE = 0.25
@@ -54,24 +53,6 @@ AUDIT_SEED = 2
 #: these two ``small`` stencils overflow the cache, so auditing them
 #: lands observed-error samples in a second paper class
 OVERFLOW_NAMES = ("stencil_2d_005", "stencil_2d_029")
-
-
-def launch_daemon(cache_dir, event_log):
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.service", "--port", "0",
-         "--jobs", "2", "--cache", cache_dir,
-         "--audit-rate", str(AUDIT_RATE), "--audit-seed", str(AUDIT_SEED),
-         "--event-log", event_log],
-        stdout=subprocess.PIPE, text=True,
-    )
-    line = proc.stdout.readline()
-    match = _ANNOUNCE.search(line)
-    if match is None:
-        proc.terminate()
-        raise RuntimeError(f"daemon did not announce its port: {line!r}")
-    client = ServiceClient(match.group(1), int(match.group(2)), timeout=120.0)
-    client.wait_ready()
-    return proc, client
 
 
 def drain_audit(client, deadline_seconds=180.0):
@@ -100,7 +81,11 @@ def main():
     names = [spec.name for spec in collection("tiny")]
     with tempfile.TemporaryDirectory() as tmp:
         event_log = str(Path(tmp) / "events.jsonl")
-        proc, client = launch_daemon(str(Path(tmp) / "cache"), event_log)
+        proc, host, port = launch_replica(
+            ["--jobs", "2", "--cache", str(Path(tmp) / "cache"),
+             "--audit-rate", str(AUDIT_RATE), "--audit-seed", str(AUDIT_SEED),
+             "--event-log", event_log])
+        client = ServiceClient(host, port, timeout=120.0)
         try:
             # -- 1. cheap-tier answers for the sampler to shadow-audit --
             say(f"sweeping {len(names)} matrices at max_tier 0 and 1 "
@@ -177,11 +162,9 @@ def main():
             except Exception:
                 pass  # already down, or never came up
             client.close()
-            try:
+            with contextlib.suppress(subprocess.TimeoutExpired):
                 proc.wait(timeout=30)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait(timeout=10)
+            stop_replica(proc)
 
         # -- 4. the event log validates and correlates processes --------
         entries, problems = validate_log_text(

@@ -26,18 +26,15 @@ CI:   python examples/chaos_smoke.py --selftest       (quiet, asserts only)
 
 import argparse
 import json
-import re
-import subprocess
 import sys
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 
+from repro.cluster.harness import launch_replica, stop_replica
 from repro.matrices import banded
 from repro.resilience.schema import validate_plan
 from repro.service import ServiceClient, ServiceError
-
-_ANNOUNCE = re.compile(r"repro-service listening on http://([^:]+):(\d+)")
 
 #: The seeded plan CI validates with the schema CLI and this script uses
 #: to crash workers: the first two advise evaluations die like segfaults.
@@ -53,24 +50,6 @@ CRASH_PLAN = {
 def one_rule(site, kind, **fields):
     rule = {"site": site, "kind": kind, **fields}
     return {"schema": "repro.resilience.plan/v1", "seed": 7, "rules": [rule]}
-
-
-def launch_daemon(cache_dir, jobs):
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.service", "--port", "0",
-         "--jobs", str(jobs), "--cache", cache_dir,
-         "--allow-fault-injection",
-         "--breaker-threshold", "2", "--breaker-recovery", "0.5"],
-        stdout=subprocess.PIPE, text=True,
-    )
-    line = proc.stdout.readline()
-    match = _ANNOUNCE.search(line)
-    if match is None:
-        proc.terminate()
-        raise RuntimeError(f"daemon did not announce its port: {line!r}")
-    client = ServiceClient(match.group(1), int(match.group(2)), timeout=120.0)
-    client.wait_ready()
-    return proc, client
 
 
 def classify_outcome(call):
@@ -112,7 +91,11 @@ def main():
     assert not problems, problems
 
     with tempfile.TemporaryDirectory(prefix="chaos-smoke-") as cache_dir:
-        proc, client = launch_daemon(cache_dir, args.jobs)
+        proc, host, port = launch_replica(
+            ["--jobs", str(args.jobs), "--cache", cache_dir,
+             "--allow-fault-injection",
+             "--breaker-threshold", "2", "--breaker-recovery", "0.5"])
+        client = ServiceClient(host, port, timeout=120.0)
         try:
             say(f"daemon up at http://{client.host}:{client.port} "
                 f"(--allow-fault-injection, breaker threshold 2)\n")
@@ -201,8 +184,7 @@ def main():
             assert proc.wait(timeout=30) == 0, "daemon exited uncleanly"
             say("daemon shut down cleanly")
         finally:
-            if proc.poll() is None:
-                proc.terminate()
+            stop_replica(proc)
     if args.selftest:
         print("chaos_smoke selftest: OK")
     return 0

@@ -34,7 +34,7 @@ CI:   python examples/delta_smoke.py --selftest     (quiet, asserts only)
 """
 
 import argparse
-import re
+import contextlib
 import subprocess
 import sys
 import tempfile
@@ -43,13 +43,12 @@ from pathlib import Path
 import numpy as np
 
 from repro.analysis.report import canonical_json
+from repro.cluster.harness import launch_replica, stop_replica
 from repro.delta import MatrixDelta
 from repro.matrices.generators import banded, random_uniform
 from repro.obs import parse_prometheus_text
 from repro.service import ServiceClient
 from repro.service.client import ServiceError
-
-_ANNOUNCE = re.compile(r"repro-service listening on http://([^:]+):(\d+)")
 
 #: The incremental engine patches the single-thread Method B trace, so
 #: the base request must be sequential; a parallel base falls back (the
@@ -58,33 +57,20 @@ SETUP = {"num_threads": 1, "scale": 16}
 
 
 def launch_daemon(cache_dir: str):
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.service", "--port", "0",
-         "--jobs", "1", "--cache", cache_dir],
-        stdout=subprocess.PIPE, text=True,
-    )
-    line = proc.stdout.readline()
-    match = _ANNOUNCE.search(line)
-    if match is None:
-        proc.terminate()
-        raise RuntimeError(f"daemon did not announce its port: {line!r}")
-    client = ServiceClient(match.group(1), int(match.group(2)), timeout=120.0)
-    client.wait_ready()
-    return proc, client
+    proc, host, port = launch_replica(["--jobs", "1", "--cache", cache_dir])
+    return proc, ServiceClient(host, port, timeout=120.0)
 
 
 def stop_daemon(proc, client):
-    """Shut a daemon down (if it still answers) and reap its process."""
+    """Shut a daemon down (if it still answers) and reap its process group."""
     try:
         client.shutdown()
     except (OSError, ServiceError):
         pass
     client.close()
-    try:
+    with contextlib.suppress(subprocess.TimeoutExpired):
         proc.wait(timeout=30)
-    except subprocess.TimeoutExpired:
-        proc.kill()
-        proc.wait(timeout=10)
+    stop_replica(proc)
 
 
 def band_edits(matrix, rows):

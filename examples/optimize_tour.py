@@ -20,36 +20,17 @@ CI:   python examples/optimize_tour.py --selftest   (quiet, asserts only)
 
 import argparse
 import dataclasses
-import re
-import subprocess
 import sys
 import tempfile
 
 import numpy as np
 
+from repro.cluster.harness import launch_replica, stop_replica
 from repro.matrices import banded
 from repro.service import ServiceClient
 
-_ANNOUNCE = re.compile(r"repro-service listening on http://([^:]+):(\d+)")
-
 #: one-CMG setup at 1/64 machine scale: small matrices, all classes reachable
 SETUP = {"scale": 64, "num_threads": 8}
-
-
-def launch_daemon(cache_dir: str) -> tuple[subprocess.Popen, ServiceClient]:
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.service", "--port", "0",
-         "--jobs", "2", "--cache", cache_dir],
-        stdout=subprocess.PIPE, text=True,
-    )
-    line = proc.stdout.readline()
-    match = _ANNOUNCE.search(line)
-    if match is None:
-        proc.terminate()
-        raise RuntimeError(f"daemon did not announce its port: {line!r}")
-    client = ServiceClient(match.group(1), int(match.group(2)), timeout=300.0)
-    client.wait_ready()
-    return proc, client
 
 
 def shuffled_band():
@@ -67,7 +48,8 @@ def main() -> int:
     say = (lambda *_: None) if args.selftest else print
 
     with tempfile.TemporaryDirectory(prefix="optimize-tour-") as cache_dir:
-        proc, client = launch_daemon(cache_dir)
+        proc, host, port = launch_replica(["--jobs", "2", "--cache", cache_dir])
+        client = ServiceClient(host, port, timeout=300.0)
         try:
             say(f"daemon up at http://{client.host}:{client.port} "
                 f"(cache: {cache_dir})\n")
@@ -132,8 +114,7 @@ def main() -> int:
             assert proc.wait(timeout=30) == 0, "daemon exited uncleanly"
             say("\ndaemon shut down cleanly")
         finally:
-            if proc.poll() is None:
-                proc.terminate()
+            stop_replica(proc)
     if args.selftest:
         print("optimize_tour selftest: OK")
     return 0

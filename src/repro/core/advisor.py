@@ -180,6 +180,58 @@ def isolate_x_choice(
     )
 
 
+def advisor_class(matrix, machine: A64FX, num_threads: int, way_options) -> MatrixClass:
+    """The class gating the isolate-x candidates: the footprint of a
+    ``CSRMatrix`` or its dims at the widest way split offered."""
+    if not way_options:
+        raise ValueError("way_options must not be empty")
+    return classify(matrix, machine, max(way_options),
+                    machine.cmgs_used(num_threads))
+
+
+def candidate_ways(
+    way_options, consider_isolate_x: bool, min_ways: int, matrix_class: MatrixClass
+) -> tuple[list[int], list[int]]:
+    """Sector-1 way counts of the Listing-1 and the isolate-x candidates:
+    none below ``min_ways`` (prefetched lines would be evicted early,
+    Section 4.3), and isolate-x only for class (3a)/(3b)."""
+    if not way_options:
+        raise ValueError("way_options must not be empty")
+    ways = [w for w in way_options if w >= min_ways]
+    isolate = consider_isolate_x and matrix_class in (
+        MatrixClass.CLASS3A, MatrixClass.CLASS3B
+    )
+    return ways, ways if isolate else []
+
+
+def rank_candidates(
+    *,
+    way_options,
+    consider_isolate_x: bool,
+    min_ways: int,
+    matrix_class: MatrixClass,
+    price,
+    price_isolate_x,
+) -> Recommendation:
+    """The sector advisor's rule, whichever tier prices it.
+
+    ``price(policy)`` prices the baseline and each Listing-1 split and
+    ``price_isolate_x(ways)`` each isolate-x split, as a
+    :class:`PolicyChoice`.  The fastest wins; ties break toward fewer
+    sector-1 ways (more space for the reusable data).
+    """
+    listing1, isolate = candidate_ways(
+        way_options, consider_isolate_x, min_ways, matrix_class
+    )
+    candidates = [price(no_sector_cache())]
+    candidates += [price(listing1_policy(ways)) for ways in listing1]
+    candidates += [price_isolate_x(ways) for ways in isolate]
+    best = min(candidates,
+               key=lambda c: (c.predicted_seconds, c.policy.l2_sector1_ways))
+    return Recommendation(best=best, baseline=candidates[0],
+                          candidates=tuple(candidates), matrix_class=matrix_class)
+
+
 def recommend_from_predictions(
     *,
     machine: A64FX,
@@ -193,52 +245,33 @@ def recommend_from_predictions(
     per_array_fn,
     x_misses_fn,
 ) -> Recommendation:
-    """Shared candidate enumeration and ranking of the sector advisor.
+    """The advisor's ranking priced by a miss model (tiers 0 to 2).
 
     ``per_array_fn(policy)`` supplies the per-array miss counts of one
     candidate and ``x_misses_fn(scale, capacity_lines)`` the x pricing for
-    the isolate-x candidates; everything else — the candidate field, the
-    prefetch-premature-eviction gate (``min_ways``), the class gate on
-    isolate-x, the performance-model ranking and the fewer-ways tie-break
-    — is identical no matter which fidelity tier computed the misses.
+    the isolate-x candidates; both feed the event surrogate, whichever
+    fidelity tier computed the misses.
     """
-    if not way_options:
-        raise ValueError("way_options must not be empty")
     perf = PerformanceModel(machine)
 
-    base_policy = no_sector_cache()
-    baseline = surrogate_choice(
-        perf, nnz, streams, num_threads, base_policy, per_array_fn(base_policy)
-    )
-    candidates = [baseline]
-    for ways in way_options:
-        if ways < min_ways:
-            continue
-        policy = listing1_policy(ways)
-        candidates.append(
-            surrogate_choice(
-                perf, nnz, streams, num_threads, policy, per_array_fn(policy)
-            )
+    def price(policy: SectorPolicy) -> PolicyChoice:
+        return surrogate_choice(
+            perf, nnz, streams, num_threads, policy, per_array_fn(policy)
         )
-    if consider_isolate_x and matrix_class in (MatrixClass.CLASS3A, MatrixClass.CLASS3B):
-        for ways in way_options:
-            if ways < min_ways:
-                continue
-            n0, _ = machine.l2.partition_lines(ways)
-            candidates.append(
-                isolate_x_choice(
-                    perf, nnz, streams, num_threads, ways, x_misses_fn(1.0, n0)
-                )
-            )
-    best = min(
-        candidates,
-        key=lambda c: (c.predicted_seconds, c.policy.l2_sector1_ways),
-    )
-    return Recommendation(
-        best=best,
-        baseline=baseline,
-        candidates=tuple(candidates),
+
+    def price_isolate_x(ways: int) -> PolicyChoice:
+        n0, _ = machine.l2.partition_lines(ways)
+        return isolate_x_choice(
+            perf, nnz, streams, num_threads, ways, x_misses_fn(1.0, n0)
+        )
+
+    return rank_candidates(
+        way_options=way_options,
+        consider_isolate_x=consider_isolate_x,
+        min_ways=min_ways,
         matrix_class=matrix_class,
+        price=price,
+        price_isolate_x=price_isolate_x,
     )
 
 
@@ -273,8 +306,6 @@ class SectorAdvisor:
     def recommend(self, matrix: CSRMatrix) -> Recommendation:
         """Evaluate candidates and return the ranked recommendation."""
         model = MethodB(matrix, self.machine, num_threads=self.num_threads)
-        num_cmgs = -(-self.num_threads // self.machine.cores_per_cmg)
-        cls = classify(matrix, self.machine, max(self.way_options), num_cmgs)
         streams = stream_misses(matrix, self.machine.line_size)
         return recommend_from_predictions(
             machine=self.machine,
@@ -282,7 +313,9 @@ class SectorAdvisor:
             way_options=self.way_options,
             consider_isolate_x=self.consider_isolate_x,
             min_ways=self.min_ways,
-            matrix_class=cls,
+            matrix_class=advisor_class(
+                matrix, self.machine, self.num_threads, self.way_options
+            ),
             nnz=matrix.nnz,
             streams=streams,
             per_array_fn=lambda policy: model.predict(policy).per_array,

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..spmv.csr import CSRMatrix
+from .classification import reusable_bytes
 
 
 def _lines(num_bytes: int, line_size: int) -> int:
@@ -93,15 +94,14 @@ def method_b_per_array(
             per_array["colidx"] = streams.colidx
         # rowptr and y share sector 0 with x: stream misses unless the
         # reusable data fits the partition (class-2 criterion)
-        reusable = (
-            matrix.x_bytes + (matrix.y_bytes + matrix.rowptr_bytes) // num_cmgs
-        )
-        if reusable > n0 * line:
+        if reusable_bytes(matrix, num_cmgs) > n0 * line:
             per_array["rowptr"] = streams.rowptr
             per_array["y"] = streams.y
         per_array["x"] = x_misses(s1, n0)
     else:
         total = machine.l2.capacity_lines
+        # one floor over the sum, unlike classification.working_set_bytes
+        # (two floors): the two spellings can differ by a byte
         working = (
             matrix.x_bytes + (matrix.total_bytes - matrix.x_bytes) // num_cmgs
         )

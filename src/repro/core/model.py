@@ -130,5 +130,5 @@ class CacheMissModel:
 
     def matrix_class(self, sector1_ways: int) -> MatrixClass:
         """Section 3.1 class of the matrix under this execution setup."""
-        num_cmgs = -(-self.num_threads // self.machine.cores_per_cmg)
-        return classify(self.matrix, self.machine, sector1_ways, num_cmgs)
+        return classify(self.matrix, self.machine, sector1_ways,
+                        self.machine.cmgs_used(self.num_threads))

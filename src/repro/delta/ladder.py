@@ -32,7 +32,7 @@ from ..core.classification import classify
 from ..ladder.calibration import DEFAULT_CALIBRATION
 from ..ladder.engine import Ladder, fidelity_payload, tier2_apriori_bound
 from ..ladder.tier0 import answer_task as tier0_answer_task
-from ..ladder.tier0 import dims_from_task, num_cmgs
+from ..ladder.tier0 import dims_from_task
 
 
 def _request_ways(task: dict) -> list[int]:
@@ -66,7 +66,7 @@ def tier0_drift_bound(task: dict, machine, setup) -> tuple[float, float]:
     drift = chain_drift(spec, base_dims.nnz)
     if task["endpoint"] == "classify":
         return 0.0, drift
-    cmgs = num_cmgs(machine, task["setup"]["num_threads"])
+    cmgs = machine.cmgs_used(task["setup"]["num_threads"])
     tier0_term = max(
         DEFAULT_CALIBRATION.tier0_term(classify(dims, machine, ways, cmgs).value,
                                        deep=False)

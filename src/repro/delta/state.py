@@ -232,12 +232,6 @@ class ReuseState:
     rd: np.ndarray
     prev: np.ndarray
 
-    def _patched_prev(self, application: DeltaApplication,
-                      lines: np.ndarray) -> np.ndarray:
-        """The edited trace's previous-occurrence array, patched from this
-        state's (see :func:`_carried_prev`)."""
-        return _carried_prev(self.prev, self.line_size, application, lines)
-
     def apply(self, application: DeltaApplication, budget: int) -> "ReuseState":
         """Patch the distances through an applied delta, exactly.
 

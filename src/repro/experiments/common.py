@@ -172,7 +172,7 @@ def measure_matrix(
     machine = setup.machine()
     stats = matrix_stats(matrix)
     perf_model = perf_model or PerformanceModel(machine)
-    num_cmgs = -(-setup.num_threads // machine.cores_per_cmg)
+    num_cmgs = machine.cmgs_used(setup.num_threads)
     record = MatrixRecord(
         name=matrix.name,
         num_rows=matrix.num_rows,

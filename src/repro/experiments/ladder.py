@@ -53,7 +53,7 @@ def run_ladder(
         from ..core.classification import classify
 
         cls = classify(dims, machine, max(setup.l2_way_options),
-                       -(-setup.num_threads // machine.cores_per_cmg))
+                       machine.cmgs_used(setup.num_threads))
         rows.append({
             "name": matrix.name,
             "class": cls.value,

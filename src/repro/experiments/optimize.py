@@ -42,7 +42,7 @@ def run_optimize(
         matrix = spec.materialize()
         dims = MatrixDims.of(matrix)
         cls = classify(dims, machine, max(setup.l2_way_options),
-                       -(-setup.num_threads // machine.cores_per_cmg))
+                       machine.cmgs_used(setup.num_threads))
         result = optimize(matrix, setup, config).to_dict()
         confirmation = result["confirmation"]
         rows.append({

@@ -40,30 +40,18 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from ..core.advisor import recommend_from_predictions
+from ..core.advisor import advisor_class, candidate_ways, recommend_from_predictions
 from ..core.analytic import method_b_scale_factors, stream_misses
-from ..core.classification import MatrixClass, classify
+from ..core.classification import classify
 from ..core.method_b import MethodB
 from ..machine.a64fx import A64FX
 from ..obs.tracer import NULL_SPAN
 from ..obs.tracer import span as obs_span
 from ..spmv.csr import CSRMatrix
-from ..spmv.sector_policy import (
-    SectorPolicy,
-    listing1_policy,
-    no_sector_cache,
-)
+from ..spmv.sector_policy import SectorPolicy
 from .calibration import DEFAULT_CALIBRATION
 from .cost import DEFAULT_COST_MODELS
-from .tier0 import (
-    MatrixDims,
-    closed_advise,
-    closed_classify,
-    closed_predict,
-    dims_from_task,
-    num_cmgs,
-    x_lines,
-)
+from .tier0 import MatrixDims, closed_answer, dims_from_task, x_lines
 from .tiers import SampledMethodB, simulated_predict, simulated_recommendation
 
 TIERS = (0, 1, 2, 3)
@@ -284,7 +272,7 @@ class Ladder:
     # -- bounds --------------------------------------------------------
     def _query_points(self, request: _Request) -> tuple[_QueryPoint, ...]:
         dims, machine = request.dims, self.machine
-        cmgs = num_cmgs(machine, self.setup.num_threads)
+        cmgs = machine.cmgs_used(self.setup.num_threads)
         s1, s2 = method_b_scale_factors(dims)
         line = machine.line_size
 
@@ -299,24 +287,17 @@ class Ladder:
                 return _QueryPoint(cls, s2, total)
             return _QueryPoint(cls, None, None)
 
-        points = []
         if request.endpoint == "predict":
-            for entry in request.policy_dicts:
-                policy = SectorPolicy.from_dict(entry)
-                points.append(point(policy.l2_sector1_ways))
-        else:  # advise: the candidate field's query points
-            points.append(point(no_sector_cache().l2_sector1_ways))
-            for ways in request.way_options:
-                if ways >= request.min_ways:
-                    points.append(point(listing1_policy(ways).l2_sector1_ways))
-            top_cls = classify(dims, machine, max(request.way_options), cmgs)
-            if request.consider_isolate_x and top_cls in (
-                MatrixClass.CLASS3A, MatrixClass.CLASS3B
-            ):
-                for ways in request.way_options:
-                    if ways >= request.min_ways:
-                        points.append(point(ways, scale_override=1.0))
-        return tuple(points)
+            return tuple(point(SectorPolicy.from_dict(entry).l2_sector1_ways)
+                         for entry in request.policy_dicts)
+        # advise: the query points of the advisor's candidate field
+        listing1, isolate = candidate_ways(
+            request.way_options, request.consider_isolate_x, request.min_ways,
+            advisor_class(dims, machine, self.setup.num_threads,
+                          request.way_options),
+        )
+        return (point(0), *map(point, listing1),
+                *(point(ways, scale_override=1.0) for ways in isolate))
 
     def _profile_queries(self, request: _Request) -> list | None:
         """The ``(scale, capacity)`` pairs tier 2 asks of its Method B, so
@@ -426,23 +407,14 @@ class Ladder:
     ) -> tuple[dict, SampledMethodB | None]:
         threads = self.setup.num_threads
         endpoint = request.endpoint
-        if endpoint == "classify":
-            return closed_classify(
-                request.dims, self.machine, threads,
-                list(request.way_options), request.name,
-            ), None
-        if tier == 0:
-            if endpoint == "predict":
-                return closed_predict(
-                    request.dims, self.machine, threads,
-                    list(request.policy_dicts), request.name,
-                ), None
-            return closed_advise(
-                request.dims, self.machine, threads,
-                list(request.way_options),
+        if endpoint == "classify" or tier == 0:
+            return closed_answer(
+                endpoint, request.dims, self.machine, threads, request.name,
+                way_options=request.way_options,
+                policies=request.policy_dicts,
                 consider_isolate_x=request.consider_isolate_x,
-                min_sector1_ways_with_prefetch=request.min_ways,
-            ).to_dict(), None
+                min_ways=request.min_ways,
+            ), None
         matrix = request.materialize()
         if tier == 3:
             if endpoint == "predict":
@@ -453,7 +425,8 @@ class Ladder:
             return simulated_recommendation(
                 matrix, self.machine, self.setup.sim_config(), threads,
                 tuple(request.way_options), request.consider_isolate_x,
-                request.min_ways, self._matrix_class(matrix, request),
+                request.min_ways,
+                advisor_class(matrix, self.machine, threads, request.way_options),
             ).to_dict(), None
         if tier == 1:
             model: SampledMethodB | MethodB = SampledMethodB(
@@ -469,10 +442,6 @@ class Ladder:
                             query_points=self._profile_queries(request))
         return (self._model_result(request, model),
                 model if tier == 1 else None)
-
-    def _matrix_class(self, matrix: CSRMatrix, request: _Request):
-        cmgs = num_cmgs(self.machine, self.setup.num_threads)
-        return classify(matrix, self.machine, max(request.way_options), cmgs)
 
     def _model_result(self, request: _Request,
                       model: SampledMethodB | MethodB) -> dict:
@@ -496,7 +465,9 @@ class Ladder:
             way_options=tuple(request.way_options),
             consider_isolate_x=request.consider_isolate_x,
             min_ways=request.min_ways,
-            matrix_class=self._matrix_class(matrix, request),
+            matrix_class=advisor_class(matrix, self.machine,
+                                       self.setup.num_threads,
+                                       request.way_options),
             nnz=matrix.nnz,
             streams=stream_misses(matrix, self.machine.line_size),
             per_array_fn=lambda policy: model.predict(policy).per_array,

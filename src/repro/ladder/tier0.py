@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from ..core.advisor import Recommendation, recommend_from_predictions
+from ..core.advisor import Recommendation, advisor_class, recommend_from_predictions
 from ..core.analytic import (
     method_b_per_array,
     method_b_scale_factors,
@@ -41,23 +41,18 @@ from ..core.analytic import (
 )
 from ..core.classification import classify
 from ..machine.a64fx import A64FX
+from ..spmv.csr import ArrayFootprint
 from ..spmv.sector_policy import SectorPolicy
-
-# Mirrors repro.spmv.csr element sizes (8-byte values/rowptr/vectors,
-# 4-byte column indices); asserted against CSRMatrix in the tests.
-_VALUE_BYTES = 8
-_COLIDX_BYTES = 4
-_ROWPTR_BYTES = 8
-_VECTOR_BYTES = 8
 
 
 @dataclass(frozen=True)
-class MatrixDims:
+class MatrixDims(ArrayFootprint):
     """The three integers every closed-form term depends on.
 
-    Exposes the same ``*_bytes`` properties as
-    :class:`~repro.spmv.csr.CSRMatrix`, so :func:`repro.core.classification.classify`
-    and :func:`repro.core.analytic.stream_misses` accept it unchanged.
+    Its ``*_bytes`` properties are :class:`~repro.spmv.csr.CSRMatrix`'s
+    (both are an :class:`~repro.spmv.csr.ArrayFootprint`), so
+    :func:`repro.core.classification.classify` and
+    :func:`repro.core.analytic.stream_misses` accept it unchanged.
     """
 
     num_rows: int
@@ -68,42 +63,10 @@ class MatrixDims:
         if self.num_rows < 0 or self.num_cols < 0 or self.nnz < 0:
             raise ValueError("matrix dimensions must be non-negative")
 
-    @property
-    def values_bytes(self) -> int:
-        return _VALUE_BYTES * self.nnz
-
-    @property
-    def colidx_bytes(self) -> int:
-        return _COLIDX_BYTES * self.nnz
-
-    @property
-    def rowptr_bytes(self) -> int:
-        return _ROWPTR_BYTES * (self.num_rows + 1)
-
-    @property
-    def x_bytes(self) -> int:
-        return _VECTOR_BYTES * self.num_cols
-
-    @property
-    def y_bytes(self) -> int:
-        return _VECTOR_BYTES * self.num_rows
-
-    @property
-    def matrix_bytes(self) -> int:
-        return self.values_bytes + self.colidx_bytes + self.rowptr_bytes
-
-    @property
-    def total_bytes(self) -> int:
-        return self.matrix_bytes + self.x_bytes + self.y_bytes
-
     @classmethod
     def of(cls, matrix) -> "MatrixDims":
         """Dims of anything CSR-shaped (a :class:`CSRMatrix`, typically)."""
         return cls(int(matrix.num_rows), int(matrix.num_cols), int(matrix.nnz))
-
-
-def num_cmgs(machine: A64FX, num_threads: int) -> int:
-    return -(-num_threads // machine.cores_per_cmg)
 
 
 def x_lines(dims: MatrixDims, line: int) -> int:
@@ -135,7 +98,7 @@ def predict_policy(
     per_array = method_b_per_array(
         dims,
         machine,
-        num_cmgs(machine, num_threads),
+        machine.cmgs_used(num_threads),
         streams,
         s1,
         s2,
@@ -150,7 +113,7 @@ def closed_classify(
     way_options: list[int], name: str,
 ) -> dict:
     """The ``classify`` wire result — exact, the taxonomy is closed-form."""
-    cmgs = num_cmgs(machine, num_threads)
+    cmgs = machine.cmgs_used(num_threads)
     return {
         "name": name,
         "num_cmgs": cmgs,
@@ -192,10 +155,6 @@ def closed_advise(
     :func:`~repro.core.advisor.recommend_from_predictions`; only the miss
     counts feeding the performance model are the analytic surrogates.
     """
-    if not way_options:
-        raise ValueError("way_options must not be empty")
-    streams = stream_misses(dims, machine.line_size)
-    cls = classify(dims, machine, max(way_options), num_cmgs(machine, num_threads))
     line = machine.line_size
     return recommend_from_predictions(
         machine=machine,
@@ -203,9 +162,9 @@ def closed_advise(
         way_options=way_options,
         consider_isolate_x=consider_isolate_x,
         min_ways=min_sector1_ways_with_prefetch,
-        matrix_class=cls,
+        matrix_class=advisor_class(dims, machine, num_threads, way_options),
         nnz=dims.nnz,
-        streams=streams,
+        streams=stream_misses(dims, line),
         per_array_fn=lambda policy: predict_policy(
             dims, machine, num_threads, policy
         ),
@@ -213,6 +172,27 @@ def closed_advise(
             dims, scale, capacity, line
         ),
     )
+
+
+def closed_answer(endpoint: str, dims: MatrixDims, machine: A64FX,
+                  num_threads: int, name: str, *, way_options=(), policies=(),
+                  consider_isolate_x: bool = True, min_ways: int = 4) -> dict:
+    """The tier-0 wire result of a classify, predict or advise request.
+
+    The one endpoint switch over the closed forms, for the ladder's tier
+    0 and the daemon's degraded path alike.
+    """
+    if endpoint == "classify":
+        return closed_classify(dims, machine, num_threads, way_options, name)
+    if endpoint == "predict":
+        return closed_predict(dims, machine, num_threads, policies, name)
+    if endpoint == "advise":
+        return closed_advise(
+            dims, machine, num_threads, way_options,
+            consider_isolate_x=consider_isolate_x,
+            min_sector1_ways_with_prefetch=min_ways,
+        ).to_dict()
+    raise ValueError(f"unknown endpoint {endpoint!r}")
 
 
 # ----------------------------------------------------------------------
@@ -274,18 +254,11 @@ def answer_task(task: dict, machine: A64FX, name: str) -> dict | None:
         # sweep measures the simulator; optimize needs the real pattern
         # (closed forms are permutation-invariant) — neither degrades
         return None
-    dims = dims_from_task(task, machine)
-    num_threads = task["setup"]["num_threads"]
-    if endpoint == "classify":
-        return closed_classify(dims, machine, num_threads,
-                               task["way_options"], name)
-    if endpoint == "predict":
-        return closed_predict(dims, machine, num_threads,
-                              task["policies"], name)
-    if endpoint == "advise":
-        return closed_advise(
-            dims, machine, num_threads, task["way_options"],
-            consider_isolate_x=task["consider_isolate_x"],
-            min_sector1_ways_with_prefetch=task["min_sector1_ways_with_prefetch"],
-        ).to_dict()
-    raise ValueError(f"unknown endpoint {endpoint!r}")
+    return closed_answer(
+        endpoint, dims_from_task(task, machine), machine,
+        task["setup"]["num_threads"], name,
+        way_options=task.get("way_options", ()),
+        policies=task.get("policies", ()),
+        consider_isolate_x=task.get("consider_isolate_x", True),
+        min_ways=task.get("min_sector1_ways_with_prefetch", 4),
+    )

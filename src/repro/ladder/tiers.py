@@ -12,8 +12,8 @@ shared :func:`repro.core.analytic.method_b_per_array`).
 Tier 3 adapters evaluate the set-associative cache simulation
 (:mod:`repro.cachesim`) — the model's ground truth — in the ladder's wire
 shapes.  ``predict`` reports simulated refill counts per policy;
-``advise`` ranks the same candidate field as the other tiers but with
-simulated events feeding the performance model.  Isolate-x candidates
+``advise`` ranks through the same advisor rule as the other tiers but
+with simulated events feeding the performance model.  Isolate-x candidates
 need a second simulator instance (the sector *assignment* differs, which
 the simulator bakes into its grouping).
 """
@@ -25,7 +25,7 @@ from dataclasses import replace
 import numpy as np
 
 from ..cachesim.hierarchy import SimConfig, SpMVCacheSim
-from ..core.advisor import PolicyChoice, Recommendation
+from ..core.advisor import PolicyChoice, Recommendation, rank_candidates
 from ..core.analytic import (
     method_b_per_array,
     method_b_scale_factors,
@@ -42,12 +42,7 @@ from ..parallel.interleave import interleave
 from ..reuse.sampling import SpatialSampledProfile, spatial_sample_profile
 from ..spmv.csr import CSRMatrix
 from ..spmv.schedule import static_schedule
-from ..spmv.sector_policy import (
-    SectorPolicy,
-    isolate_x_policy,
-    listing1_policy,
-    no_sector_cache,
-)
+from ..spmv.sector_policy import SectorPolicy, isolate_x_policy
 
 #: Sector-1 assignment of the isolate-x candidates (Section 3.1).
 ISOLATE_X_ARRAYS = ("values", "colidx", "rowptr", "y")
@@ -182,22 +177,21 @@ def simulated_recommendation(
     min_ways: int,
     matrix_class: MatrixClass,
 ) -> Recommendation:
-    """The advisor's candidate field ranked by *simulated* events.
+    """The advisor's ranking priced by *simulated* events.
 
-    The candidate enumeration (baseline, Listing-1 ways, class-gated
-    isolate-x, the ``min_ways`` prefetch gate) and the
-    ``(seconds, ways)`` ranking mirror
-    :func:`repro.core.advisor.recommend_from_predictions`; only the events
-    feeding the performance model come from the simulation instead of the
-    analytic surrogate.
+    :func:`repro.core.advisor.rank_candidates` enumerates and ranks the
+    candidates; the events feeding the performance model come from the
+    simulation instead of the analytic surrogate.  The isolate-x
+    simulator is built on the first isolate-x candidate priced.
     """
-    if not way_options:
-        raise ValueError("way_options must not be empty")
     perf = PerformanceModel(machine)
-    sim = build_sim(matrix, machine, base_config)
+    sims: dict[tuple[str, ...] | None, SpMVCacheSim] = {}
 
-    def choice(sim: SpMVCacheSim, policy: SectorPolicy) -> PolicyChoice:
-        events = sim.events(policy)
+    def simulated(arrays: tuple[str, ...] | None,
+                  policy: SectorPolicy) -> PolicyChoice:
+        if arrays not in sims:
+            sims[arrays] = build_sim(matrix, machine, base_config, arrays)
+        events = sims[arrays].events(policy)
         est = perf.estimate(matrix, events, num_threads)
         return PolicyChoice(
             policy=policy,
@@ -205,27 +199,12 @@ def simulated_recommendation(
             predicted_seconds=est.seconds,
         )
 
-    baseline = choice(sim, no_sector_cache())
-    candidates = [baseline]
-    for ways in way_options:
-        if ways < min_ways:
-            continue
-        candidates.append(choice(sim, listing1_policy(ways)))
-    if consider_isolate_x and matrix_class in (
-        MatrixClass.CLASS3A, MatrixClass.CLASS3B
-    ):
-        isolate_sim = build_sim(matrix, machine, base_config, ISOLATE_X_ARRAYS)
-        for ways in way_options:
-            if ways < min_ways:
-                continue
-            candidates.append(choice(isolate_sim, isolate_x_policy(ways)))
-    best = min(
-        candidates,
-        key=lambda c: (c.predicted_seconds, c.policy.l2_sector1_ways),
-    )
-    return Recommendation(
-        best=best,
-        baseline=baseline,
-        candidates=tuple(candidates),
+    return rank_candidates(
+        way_options=way_options,
+        consider_isolate_x=consider_isolate_x,
+        min_ways=min_ways,
         matrix_class=matrix_class,
+        price=lambda policy: simulated(None, policy),
+        price_isolate_x=lambda ways: simulated(
+            ISOLATE_X_ARRAYS, isolate_x_policy(ways)),
     )

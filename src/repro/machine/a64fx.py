@@ -150,6 +150,10 @@ class A64FX:
             raise ValueError(f"thread must be in [0, {self.num_cores}), got {thread}")
         return thread // self.cores_per_cmg
 
+    def cmgs_used(self, num_threads: int) -> int:
+        """CMGs occupied by ``num_threads`` threads under close binding."""
+        return -(-num_threads // self.cores_per_cmg)
+
     def scaled(self, factor: int, l1_factor: int | None = None) -> "A64FX":
         """Return a machine with the cache levels scaled down.
 

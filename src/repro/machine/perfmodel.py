@@ -85,7 +85,7 @@ class PerformanceModel:
         machine = self.machine
         line = machine.line_size
         flops = 2.0 * nnz
-        cmgs_used = -(-num_threads // machine.cores_per_cmg)
+        cmgs_used = machine.cmgs_used(num_threads)
 
         t_compute = flops / (num_threads * self.core_spmv_flops)
         l1l2_bytes = float(events.l1_refill) * line

@@ -46,7 +46,7 @@ from ..experiments.common import cache_entry_path
 from ..experiments.pool import fork_executor
 from ..ladder.calibration import DEFAULT_CALIBRATION
 from ..ladder.engine import fidelity_payload, has_ladder_flags, tier2_apriori_bound
-from ..ladder.tier0 import answer_task, dims_from_task, num_cmgs
+from ..ladder.tier0 import answer_task, dims_from_task
 from ..obs import events as obs_events
 from ..obs.audit import AccuracyAuditor, compare_results
 from ..obs.events import EventLog
@@ -802,7 +802,7 @@ class LocalityService(HttpApp):
             machine = setup.machine()
             dims = dims_from_task(task, machine)
             floor = float(max(1, stream_misses(dims, machine.line_size).total))
-            cmgs = num_cmgs(machine, setup.num_threads)
+            cmgs = machine.cmgs_used(setup.num_threads)
             cal = DEFAULT_CALIBRATION
 
             def policy_class(policy: dict) -> str:

@@ -26,7 +26,9 @@ serial request/response on one socket, no request chunked bodies, no
 TLS — the service's unit of work is a model evaluation, not a socket.
 A request line or ``Content-Length`` it cannot read, or two
 ``Content-Length`` headers that differ, is answered 400, a request
-``Transfer-Encoding`` 501, and the connection closed.
+``Transfer-Encoding`` 501, a head over the limits both sides share
+(:data:`MAX_HEAD_LINE_BYTES`, :data:`MAX_HEADER_FIELDS`) 431, and the
+connection closed.
 """
 
 from __future__ import annotations
@@ -49,18 +51,25 @@ from ..obs.tracer import NULL_SPAN, Tracer
 from .protocol import RequestError
 
 __all__ = ["CONNECTION_ERRORS", "HttpApp", "KeptAlive", "MAX_BODY_BYTES",
-           "ParsedRequest", "PayloadTooLarge", "RequestScope",
-           "ServerThread", "error_payload", "finish_chunked_response",
-           "json_body", "read_request", "request_span", "respond",
-           "serve", "start_chunked_response", "write_chunk"]
+           "MAX_HEADER_FIELDS", "MAX_HEAD_LINE_BYTES", "ParsedRequest",
+           "PayloadTooLarge", "RequestScope", "ServerThread",
+           "error_payload", "finish_chunked_response", "json_body",
+           "read_request", "request_span", "respond", "serve",
+           "start_chunked_response", "write_chunk"]
 
 #: the default request-body cap of both servers (a gateway relays a
 #: caller's bytes unchanged; a replica capped lower answers them 413)
 MAX_BODY_BYTES = 64 * 2**20
+#: the longest head line either side reads (the stream buffer limit of
+#: every socket this module opens; asyncio's default)
+MAX_HEAD_LINE_BYTES = 2**16
+#: the most header fields either side reads in one head
+MAX_HEADER_FIELDS = 100
 
 REASONS = {200: "OK", 400: "Bad Request", 403: "Forbidden",
            404: "Not Found", 405: "Method Not Allowed",
-           413: "Payload Too Large", 500: "Internal Server Error",
+           413: "Payload Too Large", 431: "Request Header Fields Too Large",
+           500: "Internal Server Error",
            501: "Not Implemented", 502: "Bad Gateway",
            503: "Service Unavailable", 504: "Gateway Timeout"}
 
@@ -95,6 +104,27 @@ def _malformed(problem: str, status: int = 400) -> ParsedRequest:
                          status=status)
 
 
+async def _head_line(reader: asyncio.StreamReader) -> bytes:
+    try:
+        return await reader.readline()
+    except ValueError:  # readline's form of asyncio.LimitOverrunError
+        raise ValueError(
+            f"a head line exceeds {MAX_HEAD_LINE_BYTES} bytes") from None
+
+
+async def _read_fields(reader: asyncio.StreamReader) -> list[tuple[str, str]]:
+    """The header fields of one head, up to its blank line, as
+    ``(lower-cased name, value)`` pairs; a head over the limits raises
+    ``ValueError``."""
+    fields: list[tuple[str, str]] = []
+    while (line := await _head_line(reader)) not in (b"\r\n", b"\n", b""):
+        if len(fields) == MAX_HEADER_FIELDS:
+            raise ValueError(f"more than {MAX_HEADER_FIELDS} header fields")
+        name, _, value = line.decode("latin1").partition(":")
+        fields.append((name.strip().lower(), value.strip()))
+    return fields
+
+
 async def read_request(
     reader: asyncio.StreamReader, max_body_bytes: int
 ) -> ParsedRequest | None:
@@ -103,25 +133,25 @@ async def read_request(
     Returns ``None`` at a clean end of stream (the peer closed between
     requests), a :class:`ParsedRequest` naming its ``problem`` and
     ``status`` for an unparseable request line, a malformed
-    ``Content-Length`` or two that differ (400), or a request
-    ``Transfer-Encoding``, which neither server decodes (501): its body
-    is left unread, so the connection must close.  Raises
-    :class:`PayloadTooLarge` when the declared body exceeds the cap.
+    ``Content-Length`` or two that differ (400), a request
+    ``Transfer-Encoding``, which neither server decodes (501), or a head
+    over its limits (431): its body is left unread, so the connection
+    must close.  Raises :class:`PayloadTooLarge` when the declared body
+    exceeds the cap.
     """
-    request_line = await reader.readline()
-    if not request_line:
-        return None
-    parts = request_line.decode("latin1").split()
-    if len(parts) < 2:
-        return _malformed("malformed request line")
+    try:
+        request_line = await _head_line(reader)
+        if not request_line:
+            return None
+        parts = request_line.decode("latin1").split()
+        if len(parts) < 2:
+            return _malformed("malformed request line")
+        fields = await _read_fields(reader)
+    except ValueError as exc:  # the head overran a limit
+        return _malformed(str(exc), status=431)
     method, target = parts[0].upper(), parts[1]
     headers: dict[str, str] = {}
-    while True:
-        line = await reader.readline()
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.decode("latin1").partition(":")
-        name, value = name.strip().lower(), value.strip()
+    for name, value in fields:
         if name == "content-length" and headers.get(name, value) != value:
             return _malformed("conflicting Content-Length headers")
         headers[name] = value
@@ -498,6 +528,10 @@ class HttpApp:
                     await respond(writer, request.status,
                                   error_payload("", reason, request.problem),
                                   close=True)
+                    if request.status == 431:
+                        # the rest of the head is unread: read it off, as
+                        # after a 413, so the close does not reset the answer
+                        await _drain_refused(reader, writer, MAX_BODY_BYTES)
                     return
                 if await self.stream(request, writer):
                     return
@@ -554,7 +588,8 @@ async def serve(app: HttpApp, host: str, port: int, ready=None,
     """
     idle: set[asyncio.Task] = set()
     server = await asyncio.start_server(
-        functools.partial(app.handle_connection, idle=idle), host, port)
+        functools.partial(app.handle_connection, idle=idle), host, port,
+        limit=MAX_HEAD_LINE_BYTES)
     # forked evaluator workers must close their inherited copy of this
     # listener or the port keeps accepting (and black-holing) connections
     # after the server stops — fatal to gateway failover, which relies on
@@ -661,7 +696,8 @@ class ServerThread:
 
 #: what a dead or misbehaving peer raises out of one exchange
 #: (``ConnectionError`` and a refused connect are ``OSError``s; an
-#: unreadable status line or length is a ``ValueError``)
+#: unreadable status line or length and a head over the limits are
+#: ``ValueError``s)
 CONNECTION_ERRORS = (OSError, asyncio.IncompleteReadError, ValueError)
 
 
@@ -686,20 +722,15 @@ async def read_response(
 
     Chunked bodies are de-chunked.  ``reusable`` says the connection can
     carry a next request: an HTTP/1.1 answer without ``Connection:
-    close`` whose body had a known end.
+    close`` whose body had a known end.  A head over the limits raises
+    ``ValueError``.
     """
-    status_line = await reader.readline()
+    status_line = await _head_line(reader)
     parts = status_line.split()
     if len(parts) < 2:
         raise ConnectionError(f"malformed status line {status_line!r}")
     status = int(parts[1])
-    headers: dict[str, str] = {}
-    while True:
-        line = await reader.readline()
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.decode("latin1").partition(":")
-        headers[name.strip().lower()] = value.strip()
+    headers = dict(await _read_fields(reader))
     reusable = (parts[0] == b"HTTP/1.1"
                 and headers.get("connection", "").lower() != "close")
     if headers.get("transfer-encoding", "").lower() == "chunked":
@@ -755,7 +786,8 @@ class KeptAlive:
                                               body, headers), True)
             except CONNECTION_ERRORS:
                 self.close()  # its siblings idled as long as it did
-        connection = await asyncio.open_connection(self.host, self.port)
+        connection = await asyncio.open_connection(
+            self.host, self.port, limit=MAX_HEAD_LINE_BYTES)
         return (*await self._exchange(connection, method, path, body,
                                       headers), False)
 

@@ -23,8 +23,44 @@ VALUE_BYTES = 8
 VECTOR_BYTES = 8
 
 
+class ArrayFootprint:
+    """Byte sizes of the five SpMV arrays from ``num_rows``, ``num_cols``
+    and ``nnz``: the one definition behind :class:`CSRMatrix` and the
+    dims-only :class:`repro.ladder.tier0.MatrixDims`."""
+
+    @property
+    def values_bytes(self) -> int:
+        return VALUE_BYTES * self.nnz
+
+    @property
+    def colidx_bytes(self) -> int:
+        return COLIDX_BYTES * self.nnz
+
+    @property
+    def rowptr_bytes(self) -> int:
+        return ROWPTR_BYTES * (self.num_rows + 1)
+
+    @property
+    def x_bytes(self) -> int:
+        return VECTOR_BYTES * self.num_cols
+
+    @property
+    def y_bytes(self) -> int:
+        return VECTOR_BYTES * self.num_rows
+
+    @property
+    def matrix_bytes(self) -> int:
+        """Bytes of the non-temporal matrix data (values + colidx + rowptr)."""
+        return self.values_bytes + self.colidx_bytes + self.rowptr_bytes
+
+    @property
+    def total_bytes(self) -> int:
+        """Full SpMV working set: matrix data plus both vectors."""
+        return self.matrix_bytes + self.x_bytes + self.y_bytes
+
+
 @dataclass(frozen=True)
-class CSRMatrix:
+class CSRMatrix(ArrayFootprint):
     """A sparse matrix in CSR format.
 
     Rows are ``num_rows``, columns ``num_cols``; ``rowptr[r]:rowptr[r+1]``
@@ -77,39 +113,6 @@ class CSRMatrix:
     def row_lengths(self) -> np.ndarray:
         """Nonzeros per row."""
         return np.diff(self.rowptr)
-
-    # ------------------------------------------------------------------
-    # byte sizes of the five data structures of the SpMV kernel
-    # ------------------------------------------------------------------
-    @property
-    def values_bytes(self) -> int:
-        return VALUE_BYTES * self.nnz
-
-    @property
-    def colidx_bytes(self) -> int:
-        return COLIDX_BYTES * self.nnz
-
-    @property
-    def rowptr_bytes(self) -> int:
-        return ROWPTR_BYTES * (self.num_rows + 1)
-
-    @property
-    def x_bytes(self) -> int:
-        return VECTOR_BYTES * self.num_cols
-
-    @property
-    def y_bytes(self) -> int:
-        return VECTOR_BYTES * self.num_rows
-
-    @property
-    def matrix_bytes(self) -> int:
-        """Bytes of the non-temporal matrix data (values + colidx + rowptr)."""
-        return self.values_bytes + self.colidx_bytes + self.rowptr_bytes
-
-    @property
-    def total_bytes(self) -> int:
-        """Full SpMV working set: matrix data plus both vectors."""
-        return self.matrix_bytes + self.x_bytes + self.y_bytes
 
     # ------------------------------------------------------------------
     # construction helpers

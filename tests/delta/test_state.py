@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.delta import BudgetExceeded, MatrixDelta, full_reuse_state
-from repro.delta.state import x_lines
+from repro.delta.state import patch_prev, x_lines
 from repro.matrices.generators import (
     banded,
     block_diagonal,
@@ -83,8 +83,8 @@ def test_patched_prev_matches_compute_prev():
     state = full_reuse_state(matrix, LINE_SIZE)
     application = random_edits(matrix, 24, seed=9).apply(matrix)
     lines = x_lines(application.matrix, LINE_SIZE)
-    assert np.array_equal(state._patched_prev(application, lines),
-                          compute_prev(lines))
+    patch = patch_prev(state.prev, LINE_SIZE, application)
+    assert np.array_equal(patch.prev, compute_prev(lines))
 
 
 def test_zero_budget_raises_budget_exceeded_with_measured_work():

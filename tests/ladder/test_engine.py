@@ -28,6 +28,7 @@ from repro.experiments import ExperimentSetup
 from repro.ladder import (DEFAULT_CALIBRATION, Ladder, MatrixDims,
                           SampledMethodB, build_sim)
 from repro.ladder import tier0 as ladder_tier0
+from repro.ladder import tiers as ladder_tiers
 from repro.matrices import banded, random_uniform
 from repro.matrices.collection import MatrixSpec
 from repro.service import matrix_payload, protocol, worker
@@ -267,6 +268,26 @@ def test_tier3_predict_matches_raw_simulator():
         events = sim.events(SectorPolicy.from_dict(entry["policy"]))
         assert entry["l2_misses"] == int(events.l2_refill)
     assert answer.result["method"] == "sim"
+
+
+@pytest.mark.parametrize("ways, builds", [((2, 3), 1), ((2, 5), 2)])
+def test_tier3_builds_the_isolate_x_simulator_only_to_price_one(
+        monkeypatch, ways, builds):
+    setup = ExperimentSetup(scale=16, num_threads=1)
+    matrix = random_uniform(20_000, 8, seed=3)  # class 3a at one thread
+    built = []
+
+    def counting_build_sim(*args, **kwargs):
+        built.append(args)
+        return build_sim(*args, **kwargs)
+
+    monkeypatch.setattr(ladder_tiers, "build_sim", counting_build_sim)
+    answer = Ladder(setup).answer(
+        "advise", MatrixDims.of(matrix), lambda: matrix, name=matrix.name,
+        accuracy=1e-9, way_options=list(ways))
+    assert answer.tier == 3
+    assert answer.result["matrix_class"] == "3a"
+    assert len(built) == builds
 
 
 # -- degraded mode delegates to tier 0 ----------------------------------

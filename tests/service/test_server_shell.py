@@ -19,7 +19,14 @@ import pytest
 from repro.cluster import GatewayConfig, GatewayThread
 from repro.obs.traces import TraceBuffer
 from repro.service import ServiceConfig, ServiceThread
-from repro.service.httpd import HttpApp, read_response, serve
+from repro.service.httpd import (
+    CONNECTION_ERRORS,
+    MAX_HEAD_LINE_BYTES,
+    MAX_HEADER_FIELDS,
+    HttpApp,
+    read_response,
+    serve,
+)
 
 #: small enough that a test body trips it
 MAX_BODY = 1024
@@ -149,6 +156,49 @@ def test_request_transfer_encoding_is_501_and_closes(address):
         assert headers["connection"] == "close"
         assert json.loads(payload)["error"]["type"] == "NotImplemented"
         assert _closed(sock)
+
+
+def test_overlong_header_line_is_431_and_closes(address):
+    # past asyncio's 64 KiB line limit: answered, not a dropped connection
+    raw = _request("GET", "/healthz", headers={"X-Long": "a" * 70_000})
+    status, headers, payload, sock = _exchange(address, raw, timeout=5.0)
+    with sock:
+        assert status == 431
+        assert headers["connection"] == "close"
+        assert json.loads(payload)["error"] == {
+            "type": "RequestHeaderFieldsTooLarge",
+            "message": f"a head line exceeds {MAX_HEAD_LINE_BYTES} bytes"}
+        assert _closed(sock)
+
+
+def test_too_many_header_fields_are_431_and_close(address):
+    raw = _request("GET", "/healthz",
+                   headers={f"X-H{i}": "1" for i in range(20_000)})
+    status, headers, payload, sock = _exchange(address, raw, timeout=5.0)
+    with sock:
+        assert status == 431
+        assert headers["connection"] == "close"
+        assert json.loads(payload)["error"] == {
+            "type": "RequestHeaderFieldsTooLarge",
+            "message": f"more than {MAX_HEADER_FIELDS} header fields"}
+        assert _closed(sock)
+
+
+@pytest.mark.parametrize("head", [
+    b"X-Long: " + b"a" * 70_000 + b"\r\n",
+    b"".join(b"X-H%d: 1\r\n" % i for i in range(MAX_HEADER_FIELDS + 1)),
+], ids=["overlong-line", "too-many-fields"])
+def test_response_head_overruns_are_connection_errors(head):
+    # what a gateway's forward or probe raises, so it fails over
+    async def read():
+        reader = asyncio.StreamReader(limit=MAX_HEAD_LINE_BYTES)
+        reader.feed_data(b"HTTP/1.1 200 OK\r\n" + head
+                         + b"Content-Length: 0\r\n\r\n")
+        reader.feed_eof()
+        return await read_response(reader)
+
+    with pytest.raises(CONNECTION_ERRORS):
+        asyncio.run(read())
 
 
 def test_put_is_405(address):
