@@ -19,13 +19,19 @@ drives the dynamic-matrix story end to end:
    an unknown base key (404), an empty batch (400), and a
    multi-threaded base falling back with reason ``threads`` — priced
    correctly, just not incrementally;
-6. a class-3 (random) base and two chained batches of scattered edits:
+6. ladder-flagged steps: ``advise`` and ``predict`` deltas under
+   ``max_tier: 0``, ``max_tier: 1`` and ``accuracy: 1e-9, max_tier: 3``
+   (the simulator, end to end) each answer — result and fidelity — as a
+   flagged full re-submission of the edited matrix does, and an
+   inapplicable batch under ``max_tier: 0`` is still a 400
+   ``DeltaError``;
+7. a class-3 (random) base and two chained batches of scattered edits:
    each patch overflows the budget, so both steps fall back with reason
    ``budget`` and report ``work > budget``, and both answers are
    byte-identical to re-submitting the edited matrix in full;
-7. the ``/metrics`` delta families (``applied`` by path, ``fallback`` by
+8. the ``/metrics`` delta families (``applied`` by path, ``fallback`` by
    reason, the drift histogram) and their Prometheus rendering;
-8. a restart on the same ``--cache`` directory: the new daemon reads the
+9. a restart on the same ``--cache`` directory: the new daemon reads the
    derived key's stored record back from disk, revalidates it, and steps
    the chain to an answer byte-identical to a full re-submission.
 
@@ -116,6 +122,10 @@ def expect_error(fn, status, error_type=None):
     raise AssertionError(f"expected a {status} ServiceError")
 
 
+def without(mapping, key):
+    return {k: v for k, v in mapping.items() if k != key}
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--selftest", action="store_true",
@@ -200,7 +210,39 @@ def main():
                 "batch 400; parallel base fell back "
                 f"(reason={fb['delta']['reason']}) but still answered")
 
-            # -- 6. a class-3 chain overflows the budget at every step --
+            # -- 6. flagged steps answer as flagged full submissions ---
+            small = banded(600, 6, 4, seed=3)
+            batch = band_edits(small, [30, 300])
+            edited_small = MatrixDelta.from_dict(
+                {"inserts": batch[0], "deletes": batch[1]}
+            ).apply(small).matrix
+            policies = [{"l2_sector1_ways": w} for w in (0, 3, 6)]
+            submit = {"advise": client.advise, "predict": client.predict}
+            for endpoint, extra in (("advise", {}),
+                                    ("predict", {"policies": policies})):
+                key = submit[endpoint](matrix=small, **extra, **SETUP)["key"]
+                for flags in ({"max_tier": 0}, {"max_tier": 1},
+                              {"accuracy": 1e-9, "max_tier": 3}):
+                    d = client.delta(key, inserts=batch[0],
+                                     deletes=batch[1], **flags)
+                    full = submit[endpoint](matrix=edited_small, **extra,
+                                            **flags, **SETUP)
+                    assert d["ok"] and full["ok"], (d, full)
+                    assert without(d["result"], "name") == \
+                        without(full["result"], "name"), (endpoint, flags)
+                    assert without(d["fidelity"], "cost_seconds") == \
+                        without(full["fidelity"], "cost_seconds"), \
+                        (endpoint, flags, d["fidelity"], full["fidelity"])
+                    say(f"flagged {endpoint} delta {flags}: tier "
+                        f"{d['fidelity']['tier']}, path {d['delta']['path']}, "
+                        "same answer as the flagged full re-submission")
+            expect_error(
+                lambda: client.delta(base_key, inserts=existing, max_tier=0),
+                400, "DeltaError",
+            )
+            say("an inapplicable batch under max_tier 0: DeltaError 400")
+
+            # -- 7. a class-3 chain overflows the budget at every step --
             class3 = random_uniform(3_000, 6, seed=5)
             rng = np.random.default_rng(3)
             key = client.advise(matrix=class3, **SETUP)["key"]
@@ -227,7 +269,7 @@ def main():
                     f"work={meta['work']} > budget={meta['budget']}, "
                     "byte-identical to the full re-submission")
 
-            # -- 7. the delta metric families ---------------------------
+            # -- 8. the delta metric families ---------------------------
             snapshot = client.metrics()["delta"]
             applied = snapshot["applied"].get("advise", {})
             assert applied.get("incremental", 0) >= 2, snapshot
@@ -245,7 +287,7 @@ def main():
                 f"fallback={snapshot['fallback']} "
                 f"drift count={snapshot['drift']['count']}")
 
-            # -- 8. a restart steps the chain from its disk record ------
+            # -- 9. a restart steps the chain from its disk record ------
             stop_daemon(proc, client)
             proc, client = launch_daemon(cache_dir)
             d3 = client.delta(d2["key"], inserts=batch3[0],

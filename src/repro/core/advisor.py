@@ -301,7 +301,6 @@ class SectorAdvisor:
         #: Section 4.3: smaller sectors suffer premature eviction of
         #: prefetched lines; the advisor refuses them unless told otherwise.
         self.min_ways = min_sector1_ways_with_prefetch
-        self.perf = PerformanceModel(machine)
 
     def recommend(self, matrix: CSRMatrix) -> Recommendation:
         """Evaluate candidates and return the ranked recommendation."""

@@ -62,6 +62,28 @@ def stream_misses(matrix: CSRMatrix, line_size: int) -> StreamMisses:
     )
 
 
+def x_query(
+    matrix, machine, num_cmgs: int, ways: int, s1: float, s2: float
+) -> tuple[float, int] | None:
+    """The reuse-profile query that prices ``x`` under ``ways`` sector-1 ways.
+
+    A split queries ``(s1, n0)``: x shares sector 0 with ``rowptr`` and
+    ``y``.  Without a split x is queried at ``(s2, capacity_lines)`` only
+    when the working set overflows the L2; otherwise it is retained and
+    ``None`` says it costs nothing (class 1).  Every tier that prices or
+    bounds x asks this one rule.
+    """
+    if ways > 0:
+        return s1, machine.l2.partition_lines(ways)[0]
+    total = machine.l2.capacity_lines
+    # one floor over the sum, unlike classification.working_set_bytes
+    # (two floors): the two spellings can differ by a byte
+    working = matrix.x_bytes + (matrix.total_bytes - matrix.x_bytes) // num_cmgs
+    if working > total * machine.line_size:
+        return s2, total
+    return None
+
+
 def method_b_per_array(
     matrix,
     machine,
@@ -77,15 +99,16 @@ def method_b_per_array(
     This is the single home of the Section-3.1/3.2.2 policy branching:
     streamed arrays contribute their line counts exactly when they cannot
     be retained in the space available to them, and the ``x`` term is
-    delegated to ``x_misses(scale, capacity_lines)`` — a reuse-profile
-    query (Method B proper), a sampled-profile query (ladder tier 1), or
-    the all-or-nothing fit test (tier 0 / degraded mode).  ``matrix`` is
-    anything exposing the CSR ``*_bytes`` properties (a ``CSRMatrix`` or
-    a ``MatrixDims``).  Zero entries are dropped, matching the wire
-    format.
+    delegated to ``x_misses(scale, capacity_lines)`` at the point
+    :func:`x_query` names — a reuse-profile query (Method B proper), a
+    sampled-profile query (ladder tier 1), or the all-or-nothing fit test
+    (tier 0 / degraded mode).  ``matrix`` is anything exposing the CSR
+    ``*_bytes`` properties (a ``CSRMatrix`` or a ``MatrixDims``).  Zero
+    entries are dropped, matching the wire format.
     """
     line = machine.line_size
     per_array: dict[str, int] = {}
+    query = x_query(matrix, machine, num_cmgs, policy.l2_sector1_ways, s1, s2)
     if policy.l2_enabled:
         n0, n1 = machine.l2.partition_lines(policy.l2_sector1_ways)
         # matrix data streams through sector 1: misses unless retained
@@ -97,22 +120,13 @@ def method_b_per_array(
         if reusable_bytes(matrix, num_cmgs) > n0 * line:
             per_array["rowptr"] = streams.rowptr
             per_array["y"] = streams.y
-        per_array["x"] = x_misses(s1, n0)
-    else:
-        total = machine.l2.capacity_lines
-        # one floor over the sum, unlike classification.working_set_bytes
-        # (two floors): the two spellings can differ by a byte
-        working = (
-            matrix.x_bytes + (matrix.total_bytes - matrix.x_bytes) // num_cmgs
-        )
-        if working > total * line:
-            per_array["values"] = streams.values
-            per_array["colidx"] = streams.colidx
-            per_array["rowptr"] = streams.rowptr
-            per_array["y"] = streams.y
-            per_array["x"] = x_misses(s2, total)
-        else:
-            per_array["x"] = 0  # class (1): no capacity misses
+    elif query is not None:
+        # the working set overflows the unpartitioned L2: everything streams
+        per_array["values"] = streams.values
+        per_array["colidx"] = streams.colidx
+        per_array["rowptr"] = streams.rowptr
+        per_array["y"] = streams.y
+    per_array["x"] = 0 if query is None else x_misses(*query)
     return {k: v for k, v in per_array.items() if v}
 
 

@@ -11,12 +11,10 @@ to avoid.  This package makes pattern edits first-class:
 * :mod:`repro.delta.state` — :class:`ReuseState`, steady-state reuse
   distances patched *exactly* through a delta (byte-identical to a fresh
   periodic pass) within a work budget, :class:`BudgetExceeded` past it;
-* :mod:`repro.delta.engine` — worker-side pricing of delta tasks:
-  incremental when the structure localizes the edit, conservative full
-  re-evaluation otherwise, with worker-local warm state chains;
-* :mod:`repro.delta.ladder` — drift-inflated tier-0 bounds so a delta
-  re-escalates fidelity tiers only when accumulated edits outgrow the
-  request's accuracy SLO.
+* :mod:`repro.delta.engine` — worker-side pricing of delta tasks: one
+  fidelity-ladder answer on the edited pattern, whose tier 2 is patched
+  incrementally when the structure localizes the edit and a full stack
+  pass otherwise, with worker-local warm state chains.
 
 The service surface is ``POST /delta`` (see :mod:`repro.service.app`):
 a stored base key plus one edit batch derives a chained cache key whose

@@ -4,28 +4,33 @@ A delta task is an ordinary ``classify``/``predict``/``advise`` task
 whose matrix spec is ``{"kind": "delta", "base": <root spec>,
 "batches": [<edit batch>, ...]}`` — the service derives it from a stored
 base task plus the client's edit batch (see ``POST /delta`` in
-:mod:`repro.service.app`).  This module decides *how* to price it:
+:mod:`repro.service.app`).  Every delta task, plain or carrying
+``accuracy``/``max_tier``, is one :meth:`repro.ladder.Ladder.answer_task`
+call on the edited pattern, so a step answers exactly as a full
+submission of that pattern would.  This module supplies the two things
+that make it cheaper:
 
-incremental (the point of the subsystem)
-    Patch the stored steady-state reuse distances through the last batch
-    (:meth:`repro.delta.state.ReuseState.apply`), seed a
-    :class:`~repro.core.method_b.MethodB` with the patched array, and
-    hand it to :meth:`repro.ladder.Ladder.model_result` — the code that
-    builds every tier-1/2 result from a model.  The seeded array is
-    byte-identical to a fresh stack pass, so the wire result is
-    byte-identical to full re-evaluation — only cheaper.
+the edited pattern
+    The ladder's ``materialize`` applies only the batches after the
+    newest pattern this worker holds of the chain, validating each batch
+    against the pattern it lands on.
 
-fallback (conservative, always correct)
-    The ladder's tier 2 on the materialized chain, taken when the patch
-    budget overflows (class-3 structures whose reuse windows span the
-    trace), when the trace is interleaved (``num_threads > 1``), or when
-    the model is non-periodic (``iterations < 2`` — except ``advise``,
-    whose advisor always prices with the default periodic model).  The
-    fallback *reason* travels back to the daemon for the
-    ``repro_delta_fallback_total`` metric family.
-
-``classify`` reads dims and pattern structure only: it materializes the
-chain (validating every batch) and answers at the ladder's tier 0.
+incremental tier 2 (the point of the subsystem)
+    When the ladder prices tier 2, the stored steady-state reuse
+    distances are patched through the applied batches
+    (:meth:`repro.delta.state.ReuseState.apply`) and seed a
+    :class:`~repro.core.method_b.MethodB`.  The seeded array is
+    byte-identical to a fresh stack pass, so the answer is too — only
+    cheaper.  Tier 2 falls back to the ladder's own stack pass when the
+    patch budget overflows (class-3 structures whose reuse windows span
+    the trace), when the trace is interleaved (``num_threads > 1``), or
+    when the model is non-periodic (``iterations < 2`` — except
+    ``advise``, whose advisor always prices with the default periodic
+    model).  The fallback *reason* travels back to the daemon for the
+    ``repro_delta_fallback_total`` metric family.  An answer at tier 0, 1
+    or 3 patches and captures nothing (path ``"ladder"``); ``classify``
+    reads dims and pattern structure only (``"incremental"``,
+    ``"structural"``).
 
 Reuse states live in a worker-local LRU keyed by a digest of the base's
 canonical encoding, the edit batches and the line size.  The daemon
@@ -56,7 +61,7 @@ from ..ladder.engine import Ladder, has_ladder_flags
 from ..ladder.tier0 import dims_from_task
 from ..reuse.fenwick import compute_prev
 from ..spmv.csr import CSRMatrix
-from .delta import MatrixDelta
+from .delta import DeltaApplication, MatrixDelta
 from .state import (
     BudgetExceeded,
     ReuseState,
@@ -108,70 +113,97 @@ def chain_drift(spec: dict, base_nnz: int) -> float:
     return chain_edits(spec) / max(base_nnz, 1)
 
 
-def _patched_state(
-    task: dict, name: str, base_json: str, line_size: int, budget: int
-) -> tuple[CSRMatrix, ReuseState, str]:
-    """The edited pattern + distances, from the newest state this worker holds.
+class _Chain:
+    """One delta task's edited pattern, built from the newest state this
+    worker holds, and its patched reuse state.
 
-    ``base_json`` is the canonical encoding of the chain's base, from
-    which the state-cache keys derive.  The walk takes the step's own
-    state, else its prefix's, and so on down the chain, at most
-    ``_STATE_CAPACITY`` batches back, and patches the newest held state
-    forward through the batches after it: ``source`` ``"warm"``.
-
-    Without a held state, or when a batch before the last overflows the
-    budget, the prefix pattern is built (from what the walk reached, else
-    from the base) and only its ``prev`` is patched through the last
-    batch, which prices the budget without a steady-state pass.  The
-    edited pattern is captured with one full pass only when that patch
-    fits: ``source`` ``"cold"``.  Only the step's own state is cached.
-
-    Raises :class:`BudgetExceeded` when the last batch's patch outgrows
-    ``budget`` — the caller falls back to full re-evaluation of the
-    edited pattern, which the exception carries as ``matrix`` so that
-    the fallback does not rebuild the chain.
+    :meth:`materialize` is the ladder's matrix: it walks the state-cache
+    keys from the step's own, through its prefix's, down the chain at
+    most ``_STATE_CAPACITY`` batches back, and applies the batches after
+    the newest held pattern (from the base when none is held), keeping
+    the :class:`~repro.delta.delta.DeltaApplication` objects a patch
+    reads: every one after a held state, else the last.
+    :meth:`patched_state` is tier 2's: it patches the held state through
+    those applications, so no batch is applied twice.
     """
-    from ..service.protocol import matrix_from_task, matrix_name
 
-    spec = task["matrix"]
-    batches = spec["batches"]
-    keys = _state_keys(spec, base_json, line_size)
-    back = next((k for k, key in enumerate(keys[:_STATE_CAPACITY + 1])
-                 if key in _state_cache), None)
-    if back is None:
-        base = {"matrix": spec["base"], "setup": task["setup"]}
-        matrix = matrix_from_task(base, matrix_name(base, base_json))
-        state, back = None, len(batches)
-    else:
-        _state_cache.move_to_end(keys[back])
-        matrix, state = _state_cache[keys[back]]
-        if back == 0:
-            return matrix, state, "warm"
+    def __init__(self, task: dict, name: str, base_json: str,
+                 line_size: int) -> None:
+        self.task = task
+        self.name = name
+        self.base_json = base_json
+        self.line_size = line_size
+        self.keys = _state_keys(task["matrix"], base_json, line_size)
+        self.edited: CSRMatrix | None = None
+        #: filled by :meth:`materialize`: the newest held state (if any),
+        #: the pattern the last batch lands on, and the kept applications
+        self.state: ReuseState | None = None
+        self.prefix: CSRMatrix | None = None
+        self.applications: list[DeltaApplication] = []
 
-    for batch in batches[len(batches) - back:-1]:
-        application = MatrixDelta.from_dict(batch).apply(matrix)
-        matrix = application.matrix
-        if state is not None:
-            try:
-                state = state.apply(application, budget)
-            except BudgetExceeded:
-                state = None  # capture cold from the pattern reached
-    application = MatrixDelta.from_dict(batches[-1]).apply(matrix)
-    edited = replace(application.matrix, name=name)
-    try:
-        if state is not None:
-            state, source = state.apply(application, budget), "warm"
+    def materialize(self) -> CSRMatrix:
+        if self.edited is not None:
+            return self.edited
+        from ..service.protocol import matrix_from_task, matrix_name
+
+        spec = self.task["matrix"]
+        batches = spec["batches"]
+        back = next((k for k, key in enumerate(self.keys[:_STATE_CAPACITY + 1])
+                     if key in _state_cache), None)
+        if back is None:
+            base = {"matrix": spec["base"], "setup": self.task["setup"]}
+            matrix = matrix_from_task(base, matrix_name(base, self.base_json))
+            self.state, back = None, len(batches)
         else:
-            prev = compute_prev(x_lines(matrix, line_size))
-            work = patch_prev(prev, line_size, application).work
+            _state_cache.move_to_end(self.keys[back])
+            matrix, self.state = _state_cache[self.keys[back]]
+        for batch in batches[len(batches) - back:]:
+            self.prefix = matrix
+            application = MatrixDelta.from_dict(batch).apply(matrix)
+            if self.state is None:
+                self.applications.clear()  # a cold capture reads the last only
+            self.applications.append(application)
+            matrix = application.matrix
+        self.edited = (replace(matrix, name=self.name) if self.applications
+                       else matrix)
+        return self.edited
+
+    def patched_state(self, budget: int) -> tuple[ReuseState, str]:
+        """The edited pattern's reuse state and its ``source``.
+
+        A held state is patched forward through the applied batches:
+        ``"warm"``.  Without one, or when a batch before the last
+        overflows the budget, only the prefix pattern's ``prev`` is
+        patched through the last batch, which prices the budget without
+        a steady-state pass; the edited pattern is captured with one full
+        pass only when that patch fits: ``"cold"``.  Only the step's own
+        state is cached.
+
+        Raises :class:`BudgetExceeded` when the last batch's patch
+        outgrows ``budget``: tier 2 then runs its ordinary stack pass on
+        the materialized pattern.
+        """
+        edited = self.materialize()
+        state = self.state
+        if not self.applications:
+            return state, "warm"
+        *middle, last = self.applications
+        for application in middle:
+            if state is not None:
+                try:
+                    state = state.apply(application, budget)
+                except BudgetExceeded:
+                    state = None  # capture cold from the pattern reached
+        if state is not None:
+            state, source = state.apply(last, budget), "warm"
+        else:
+            prev = compute_prev(x_lines(self.prefix, self.line_size))
+            work = patch_prev(prev, self.line_size, last).work
             if work > budget:
                 raise BudgetExceeded(work, budget)
-            state, source = full_reuse_state(edited, line_size), "cold"
-    except BudgetExceeded as exc:
-        exc.matrix = edited
-        raise
-    _cache_put(keys[0], edited, state)
-    return edited, state, source
+            state, source = full_reuse_state(edited, self.line_size), "cold"
+        _cache_put(self.keys[0], edited, state)
+        return state, source
 
 
 def seeded_model(matrix: CSRMatrix, machine, state: ReuseState,
@@ -191,23 +223,18 @@ def seeded_model(matrix: CSRMatrix, machine, state: ReuseState,
 
 def evaluate_delta_task(task: dict, base_json: str | None = None,
                         ) -> tuple[dict, dict | None, dict]:
-    """Price one delta task; returns ``(result, fidelity, meta)``.
+    """Price one delta task on the ladder; returns ``(result, fidelity, meta)``.
 
-    ``meta`` is the daemon-facing delta metadata (``path``/``reason``/
-    ``state``/``drift``/...) that rides the worker payload *outside* the
-    result — keeping the result byte-identical to full re-evaluation.
-    ``fidelity`` is non-None only on the drift-gated ladder path
-    (``accuracy``/``max_tier`` flags), handled in
-    :mod:`repro.delta.ladder`.  ``base_json`` is ``canonical_json`` of
-    the chain's base (the task's root JSON) when the caller already
-    holds it.
+    The answer is :meth:`Ladder.answer_task` on the edited pattern, so a
+    step answers exactly as a full submission of that pattern with the
+    same flags would: ``fidelity`` is non-None only for a task carrying
+    ``accuracy``/``max_tier``.  ``meta`` is the daemon-facing delta
+    metadata (``path``/``reason``/``state``/``drift``/...) that rides the
+    worker payload *outside* the result.  ``base_json`` is
+    ``canonical_json`` of the chain's base (the task's root JSON) when
+    the caller already holds it.
     """
-    from ..service.protocol import matrix_from_task, matrix_name, setup_from_task
-
-    if has_ladder_flags(task):
-        from .ladder import answer_delta_task
-
-        return answer_delta_task(task, base_json)
+    from ..service.protocol import matrix_name, setup_from_task
 
     setup = setup_from_task(task)
     ladder = Ladder(setup)
@@ -225,33 +252,34 @@ def evaluate_delta_task(task: dict, base_json: str | None = None,
     if base_json is None:
         base_json = canonical_json(spec["base"])
     name = matrix_name(task, base_json)
-    edited = None  # the edited pattern, once built
+    chain = _Chain(task, name, base_json, machine.line_size)
 
+    def tier2() -> MethodB | None:
+        """The patched-state Method B, or ``None`` (with the fallback
+        reason in ``meta``) for the ladder's own stack pass."""
+        if setup.num_threads != 1:
+            meta.update(path="fallback", reason="threads")
+            return None
+        if endpoint == "predict" and setup.iterations < 2:
+            meta.update(path="fallback", reason="iterations")
+            return None
+        try:
+            state, source = chain.patched_state(
+                int(task.get("delta_budget", DEFAULT_BUDGET)))
+        except BudgetExceeded as exc:
+            meta.update(work=exc.work, budget=exc.budget,
+                        path="fallback", reason="budget")
+            return None
+        meta.update(path="incremental", state=source)
+        iterations = setup.iterations if endpoint == "predict" else 2
+        return seeded_model(chain.edited, machine, state, iterations=iterations)
+
+    answer = ladder.answer_task(task, name, chain.materialize, tier2)
     if endpoint == "classify":
         # the taxonomy reads dims and pattern structure, never the stack
-        # pass — applying the chain is the whole cost
-        path, reason = "incremental", "structural"
-    elif setup.num_threads != 1:
-        path, reason = "fallback", "threads"
-    elif endpoint == "predict" and setup.iterations < 2:
-        path, reason = "fallback", "iterations"
+        # pass: applying the chain is the whole cost
+        meta.update(path="incremental", reason="structural")
     else:
-        budget = int(task.get("delta_budget", DEFAULT_BUDGET))
-        try:
-            matrix, state, source = _patched_state(
-                task, name, base_json, machine.line_size, budget
-            )
-        except BudgetExceeded as exc:
-            meta.update(work=exc.work, budget=exc.budget)
-            path, reason = "fallback", "budget"
-            edited = exc.matrix
-        else:
-            iterations = setup.iterations if endpoint == "predict" else 2
-            model = seeded_model(matrix, machine, state, iterations=iterations)
-            meta.update(path="incremental", state=source)
-            return ladder.model_result(task, model), None, meta
-    meta.update(path=path, reason=reason)
-    answer = ladder.answer_task(
-        task, name,
-        lambda: edited if edited is not None else matrix_from_task(task, name))
-    return answer.result, None, meta
+        meta.setdefault("path", "ladder")  # answered at tier 0, 1 or 3
+    return (answer.result,
+            answer.fidelity() if has_ladder_flags(task) else None, meta)

@@ -22,9 +22,10 @@ Bounds are floored relative errors against tier-3 ground truth (see
 bound 0.  With no SLO the ladder answers at ``min(2, max_tier)``, the
 default fidelity.  This is the only answer path: the service worker
 sends every classify/predict/advise task through :meth:`Ladder.answer_task`
-(a plain request is a tier-2 answer without fidelity metadata), and the
-delta engine prices its patched stack pass through
-:meth:`Ladder.model_result`, the same code that builds tier-1/2 results.
+(a plain request is a tier-2 answer without fidelity metadata), and so
+does the delta engine for every ``/delta`` step, plain or flagged, on
+the edited pattern: its tier 2 is a Method B seeded with patched reuse
+distances whenever the patch applies.
 
 Each tier evaluation of a ladder-flagged request runs under an ``obs``
 span named ``ladder.tier<N>``, so per-tier self seconds flow into the
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..core.advisor import advisor_class, candidate_ways, recommend_from_predictions
-from ..core.analytic import method_b_scale_factors, stream_misses
+from ..core.analytic import method_b_scale_factors, stream_misses, x_query
 from ..core.classification import classify
 from ..core.method_b import MethodB
 from ..machine.a64fx import A64FX
@@ -107,8 +108,8 @@ def fidelity_payload(
 ) -> dict:
     """The wire ``fidelity`` object of one answer, in its one key order.
 
-    Built here for ladder answers, cache-served answers (no cost, no
-    tiers tried) and delta answers (which append ``drift``).
+    Built here for ladder answers (fresh ones, delta steps included) and
+    cache-served answers (no cost, no tiers tried).
     """
     return {
         "tier": tier,
@@ -137,10 +138,14 @@ class _Request:
     min_ways: int = 4
     #: open a ``ladder.tier<N>`` span per evaluated tier
     tier_spans: bool = True
+    #: the prepared tier-2 model, or ``None`` for the floored stack pass
+    tier2: Callable[[], MethodB | None] | None = None
 
     @classmethod
     def from_task(cls, task: dict, dims: MatrixDims, name: str,
-                  materialize: Callable[[], CSRMatrix]) -> "_Request":
+                  materialize: Callable[[], CSRMatrix],
+                  tier2: Callable[[], MethodB | None] | None = None,
+                  ) -> "_Request":
         """The request a canonical service task asks (see service.protocol)."""
         return cls(
             endpoint=task["endpoint"],
@@ -152,6 +157,7 @@ class _Request:
             consider_isolate_x=task.get("consider_isolate_x", True),
             min_ways=task.get("min_sector1_ways_with_prefetch", 4),
             tier_spans=has_ladder_flags(task),
+            tier2=tier2,
         )
 
 
@@ -212,7 +218,9 @@ class Ladder:
         )
 
     def answer_task(self, task: dict, name: str,
-                    materialize: Callable[[], CSRMatrix]) -> LadderAnswer:
+                    materialize: Callable[[], CSRMatrix],
+                    tier2: Callable[[], MethodB | None] | None = None,
+                    ) -> LadderAnswer:
         """Answer a canonical service task (see service.protocol).
 
         ``name`` is the task's ``matrix_name``, computed once by the
@@ -220,25 +228,19 @@ class Ladder:
         inline matrix fails exactly as a direct model call would and COO
         duplicates count once; only a named matrix reads the per-process
         dims memo, seeded by this same build on its first touch.
+
+        ``tier2``, called only when the ladder prices tier 2, returns the
+        prepared Method B of the materialized matrix (the delta engine's
+        is seeded with patched distances), or ``None`` for the ordinary
+        floored stack pass.
         """
         materialize = _memoize(materialize)
         dims = (dims_from_task(task, self.machine, materialize)
                 if task["matrix"]["kind"] == "named"
                 else MatrixDims.of(materialize()))
         return self._answer(
-            _Request.from_task(task, dims, name, materialize),
+            _Request.from_task(task, dims, name, materialize, tier2),
             task.get("accuracy"), task.get("max_tier", 3),
-        )
-
-    def model_result(self, task: dict, model: MethodB) -> dict:
-        """The predict/advise result of a task priced by a prepared model:
-        the tier-2 answer when the caller supplies the stack pass (the
-        delta engine seeds it with patched distances)."""
-        matrix = model.matrix
-        return self._model_result(
-            _Request.from_task(task, MatrixDims.of(matrix), matrix.name,
-                               lambda: matrix),
-            model,
         )
 
     def _answer(self, request: _Request, accuracy: float | None,
@@ -274,18 +276,14 @@ class Ladder:
         dims, machine = request.dims, self.machine
         cmgs = machine.cmgs_used(self.setup.num_threads)
         s1, s2 = method_b_scale_factors(dims)
-        line = machine.line_size
 
         def point(ways: int, scale_override: float | None = None) -> _QueryPoint:
             cls = classify(dims, machine, ways, cmgs).value
-            if ways > 0:
-                n0, _ = machine.l2.partition_lines(ways)
-                return _QueryPoint(cls, scale_override or s1, n0)
-            total = machine.l2.capacity_lines
-            working = dims.x_bytes + (dims.total_bytes - dims.x_bytes) // cmgs
-            if working > total * line:
-                return _QueryPoint(cls, s2, total)
-            return _QueryPoint(cls, None, None)
+            query = x_query(dims, machine, cmgs, ways, s1, s2)
+            if query is None:
+                return _QueryPoint(cls, None, None)
+            scale, capacity = query
+            return _QueryPoint(cls, scale_override or scale, capacity)
 
         if request.endpoint == "predict":
             return tuple(point(SectorPolicy.from_dict(entry).l2_sector1_ways)
@@ -429,17 +427,19 @@ class Ladder:
                 advisor_class(matrix, self.machine, threads, request.way_options),
             ).to_dict(), None
         if tier == 1:
-            model: SampledMethodB | MethodB = SampledMethodB(
+            model: SampledMethodB | MethodB | None = SampledMethodB(
                 matrix, self.machine, num_threads=threads,
                 rate=self.sampling_rate,
             )
         else:
-            # the advisor always prices with the two-iteration periodic
-            # model, whatever iteration count the setup measures
-            model = MethodB(matrix, self.machine, num_threads=threads,
-                            iterations=(self.setup.iterations
-                                        if endpoint == "predict" else 2),
-                            query_points=self._profile_queries(request))
+            model = request.tier2() if request.tier2 is not None else None
+            if model is None:
+                # the advisor always prices with the two-iteration periodic
+                # model, whatever iteration count the setup measures
+                model = MethodB(matrix, self.machine, num_threads=threads,
+                                iterations=(self.setup.iterations
+                                            if endpoint == "predict" else 2),
+                                query_points=self._profile_queries(request))
         return (self._model_result(request, model),
                 model if tier == 1 else None)
 

@@ -3,9 +3,9 @@
 Every test routes a derived delta task through
 :func:`repro.delta.engine.evaluate_delta_task` exactly the way the pool
 worker does, and checks the one invariant that matters: whatever path
-priced it, the *result* is byte-identical to evaluating the edited
-matrix from scratch — only the metadata (path/reason/state/drift)
-differs.
+priced it, the *result* (and a flagged step's fidelity) is the one a
+full submission of the edited matrix gets — only the metadata
+(path/reason/state/drift) differs.
 """
 
 import numpy as np
@@ -181,15 +181,15 @@ def test_exhausted_budget_falls_back_and_reports_the_work():
         {k: v for k, v in oracle.items() if k != "name"}
 
 
-def test_loose_slo_stays_on_tier0_with_drift_inflated_bound():
+def test_loose_slo_stays_on_tier0_without_patching():
     batch = band_edits(MATRIX, [30])
     result, fidelity, meta = engine.evaluate_delta_task(
         delta_task("advise", batch, flags={"accuracy": 10.0}))
-    assert meta["path"] == "tier0"
-    assert meta["reason"] == "drift-within-bound"
+    assert meta["path"] == "ladder"
+    assert "reason" not in meta and "state" not in meta
+    assert meta["drift"] > 0 and "drift" not in fidelity
     assert fidelity["tier"] == 0 and fidelity["slo_met"]
-    assert fidelity["drift"] == meta["drift"] > 0
-    assert fidelity["error_bound"] >= fidelity["drift"]
+    assert not engine._state_cache  # tier 0 captures no state
     assert result["best"] and result["matrix_class"]
 
 
@@ -197,13 +197,48 @@ def test_tight_slo_escalates_onto_the_incremental_path():
     batch = band_edits(MATRIX, [30, 90])
     result, fidelity, meta = engine.evaluate_delta_task(
         delta_task("advise", batch, flags={"accuracy": 1e-9, "max_tier": 2}))
-    assert meta["path"] == "incremental"
+    assert meta["path"] == "incremental" and meta["state"] == "cold"
     assert fidelity["tier"] == 2
-    assert fidelity["tiers_tried"] == [0, 2]
-    assert fidelity["drift"] > 0
+    # no cheaper tier's a-priori bound meets the SLO: tier 2 answers alone
+    assert fidelity["tiers_tried"] == [2]
+    assert "drift" not in fidelity
     oracle = full_result("advise", edited_matrix(batch))
     assert {k: v for k, v in result.items() if k != "name"} == \
         {k: v for k, v in oracle.items() if k != "name"}
+
+
+FLAG_SETS = (
+    {"max_tier": 0}, {"max_tier": 1}, {"max_tier": 2},
+    {"accuracy": 10.0}, {"accuracy": 0.7}, {"accuracy": 0.3},
+    {"accuracy": 1e-9, "max_tier": 3},
+)
+
+
+def without(mapping, key):
+    return {k: v for k, v in mapping.items() if k != key}
+
+
+@pytest.mark.parametrize("flags", FLAG_SETS, ids=canonical_json)
+@pytest.mark.parametrize("endpoint", ["classify", "predict", "advise"])
+def test_a_flagged_step_answers_as_the_full_submission(endpoint, flags):
+    batch = band_edits(MATRIX, [30, 90, 400])
+    request = ({"policies": [{"l2_sector1_ways": w} for w in (0, 3, 6)]}
+               if endpoint == "predict" else {})
+    result, fidelity, meta = engine.evaluate_delta_task(
+        delta_task(endpoint, batch, flags=flags, request=request))
+    full = normalize_request(endpoint, {
+        "matrix": csr_payload(edited_matrix(batch)), "setup": SETUP,
+        **request, **flags})
+    oracle, oracle_fidelity, _ = _dispatch(full)
+    assert without(result, "name") == without(oracle, "name")
+    assert without(fidelity, "cost_seconds") == \
+        without(oracle_fidelity, "cost_seconds")
+    if endpoint == "classify":
+        assert (meta["path"], meta["reason"]) == ("incremental", "structural")
+    elif fidelity["tier"] == 2:
+        assert meta["path"] == "incremental" and "reason" not in meta
+    else:
+        assert meta["path"] == "ladder" and "reason" not in meta
 
 
 def chain_tasks(endpoint, batches, *, matrix=MATRIX, budget=None):
@@ -326,3 +361,55 @@ def test_an_overflowing_middle_batch_falls_back_to_the_cold_path(
     oracle = full_result("advise", edited_matrix(last, twice))
     assert {k: v for k, v in result.items() if k != "name"} == \
         {k: v for k, v in oracle.items() if k != "name"}
+
+
+@pytest.fixture
+def applies(monkeypatch):
+    """Counts of every batch apply and every reuse-state patch."""
+    counts = {"batches": 0, "states": 0}
+    apply_batch, apply_state = MatrixDelta.apply, engine.ReuseState.apply
+
+    def counted_batch(self, matrix):
+        counts["batches"] += 1
+        return apply_batch(self, matrix)
+
+    def counted_state(self, application, budget):
+        counts["states"] += 1
+        return apply_state(self, application, budget)
+
+    monkeypatch.setattr(MatrixDelta, "apply", counted_batch)
+    monkeypatch.setattr(engine.ReuseState, "apply", counted_state)
+    return counts
+
+
+def test_a_plain_step_applies_each_batch_after_the_held_state_once(applies):
+    batches, _ = band_chain(3)
+    steps = chain_tasks("advise", batches)
+
+    def batches_applied(step):
+        before = applies["batches"]
+        engine.evaluate_delta_task(step)
+        return applies["batches"] - before
+
+    assert batches_applied(steps[0]) == 1  # cold: the base plus one batch
+    assert batches_applied(steps[1]) == 1  # warm: the prefix's state
+    assert batches_applied(steps[1]) == 0  # its own state
+    engine._state_cache.clear()
+    assert batches_applied(steps[2]) == 3  # cold: the whole chain
+
+
+def test_a_tier0_step_patches_and_captures_nothing(applies, stack_passes):
+    batches, _ = band_chain(2)
+    plain = chain_tasks("advise", batches)
+    engine.evaluate_delta_task(plain[0])  # the worker holds step 0's state
+    counts = (dict(applies), dict(stack_passes))
+
+    flagged = normalize_delta({"base": request_key(plain[0]),
+                               "delta": batches[1], "max_tier": 0})
+    task = derive_delta_task(plain[0], flagged, engine.DEFAULT_BUDGET)
+    _, fidelity, meta = engine.evaluate_delta_task(task)
+    assert fidelity["tier"] == 0 and meta["path"] == "ladder"
+    assert applies["states"] == counts[0]["states"]
+    assert applies["batches"] == counts[0]["batches"] + 1
+    assert stack_passes == counts[1]
+    assert len(engine._state_cache) == 1

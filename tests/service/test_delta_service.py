@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.analysis.report import canonical_json
@@ -37,6 +38,10 @@ def expect_error(fn, status):
         fn()
     assert excinfo.value.status == status, excinfo.value.error
     return excinfo.value
+
+
+def without(mapping, key):
+    return {k: v for k, v in mapping.items() if k != key}
 
 
 def test_delta_answer_is_byte_identical_and_chains_keys(client):
@@ -245,10 +250,42 @@ def test_ladder_flags_ride_the_delta(client):
     loose = client.delta(base["key"], inserts=ins, deletes=del_,
                          accuracy=10.0)
     assert loose["ok"], loose
-    assert loose["delta"]["path"] == "tier0"
-    assert loose["delta"]["reason"] == "drift-within-bound"
-    assert loose["fidelity"]["tier"] == 0
-    assert loose["fidelity"]["drift"] == loose["delta"]["drift"] > 0
+    assert loose["delta"]["path"] == "ladder"
+    assert "reason" not in loose["delta"] and loose["delta"]["drift"] > 0
+    assert loose["fidelity"]["tier"] == 0 and "drift" not in loose["fidelity"]
+    # the step answers exactly as the edited pattern submitted in full
+    edited = MatrixDelta.from_dict(
+        {"inserts": ins, "deletes": del_}).apply(MATRIX).matrix
+    full = client.advise(matrix=edited, accuracy=10.0, **SEQ)
+    assert without(loose["result"], "name") == without(full["result"], "name")
+    assert without(loose["fidelity"], "cost_seconds") == \
+        without(full["fidelity"], "cost_seconds")
+
+
+@pytest.mark.parametrize("flags", [{"max_tier": 0}, {"accuracy": 10.0}])
+def test_an_inapplicable_flagged_batch_is_400(client, flags):
+    base = client.advise(matrix=MATRIX, **SEQ)
+    existing = [[3, int(MATRIX.colidx[MATRIX.rowptr[3]]), 1.0]]
+    exc = expect_error(
+        lambda: client.delta(base["key"], inserts=existing, **flags), 400)
+    assert exc.error["type"] == "DeltaError"
+
+
+def test_tier0_step_on_a_duplicated_coo_base_matches_the_full_submission(
+        client):
+    rows = np.repeat(np.arange(MATRIX.num_rows), np.diff(MATRIX.rowptr))
+    coo = {"coo": {"num_rows": MATRIX.num_rows, "num_cols": MATRIX.num_cols,
+                   "rows": np.tile(rows, 4).tolist(),
+                   "cols": np.tile(MATRIX.colidx, 4).tolist()}}
+    base = client.advise(matrix=coo, **SEQ)
+    ins, del_ = band_edits(MATRIX, [77, 500])
+    step = client.delta(base["key"], inserts=ins, deletes=del_, max_tier=0)
+    edited = MatrixDelta.from_dict(
+        {"inserts": ins, "deletes": del_}).apply(MATRIX).matrix
+    full = client.advise(matrix=edited, max_tier=0, **SEQ)
+    assert without(step["result"], "name") == without(full["result"], "name")
+    assert without(step["fidelity"], "cost_seconds") == \
+        without(full["fidelity"], "cost_seconds")
 
 
 def test_metrics_expose_the_delta_families(client):
