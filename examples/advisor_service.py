@@ -5,7 +5,9 @@ Launches ``python -m repro.service`` as a subprocess on an ephemeral
 port, then walks the client through the daemon's behaviour:
 
 1. an ``advise`` call (the class-(2) wide-band matrix) and its verdict,
-2. the same call again — served from the memory tier,
+2. the same call again — served from the memory tier, and once more
+   spelled as shuffled COO with every entry twice (a COO body is held as
+   the CSR spec of its distinct entries, so it shares the key),
 3. four *concurrent* duplicate calls on a fresh matrix, two of them
    spelled with ``values`` (the model reads the pattern only, so every
    spelling shares one key) — the daemon performs exactly one model
@@ -21,6 +23,8 @@ import argparse
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
 
 from repro.cluster.harness import launch_replica, stop_replica
 from repro.core.advisor import Recommendation
@@ -56,6 +60,20 @@ def main() -> int:
             assert again["result"] == envelope["result"]
             say("\nsame request again: served from the "
                 f"{again['cached']!r} tier")
+
+            # -- one pattern, one key: a COO spelling of the same matrix
+            rows = np.repeat(np.arange(matrix.num_rows), np.diff(matrix.rowptr))
+            order = np.random.default_rng(0).permutation(2 * matrix.nnz)
+            coo = {"coo": {
+                "num_rows": matrix.num_rows, "num_cols": matrix.num_cols,
+                "rows": np.tile(rows, 2)[order].tolist(),
+                "cols": np.tile(matrix.colidx, 2)[order].tolist()}}
+            spelled = client.advise(coo, num_threads=48)
+            assert spelled["key"] == envelope["key"]
+            assert spelled["cached"] == "memory"
+            assert spelled["result"] == envelope["result"]
+            say("shuffled COO, every entry twice: same key, served from the "
+                f"{spelled['cached']!r} tier")
 
             # -- coalescing: 4 concurrent duplicates, 1 evaluation ----
             other = banded(1_200, 40, 9, seed=5)

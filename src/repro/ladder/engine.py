@@ -225,9 +225,9 @@ class Ladder:
 
         ``name`` is the task's ``matrix_name``, computed once by the
         caller.  Dims come from the materialized matrix, so a malformed
-        inline matrix fails exactly as a direct model call would and COO
-        duplicates count once; only a named matrix reads the per-process
-        dims memo, seeded by this same build on its first touch.
+        inline matrix fails exactly as a direct model call would; only a
+        named matrix reads the per-process dims memo, seeded by this same
+        build on its first touch.
 
         ``tier2``, called only when the ladder prices tier 2, returns the
         prepared Method B of the materialized matrix (the delta engine's

@@ -227,8 +227,6 @@ def dims_from_task(task: dict, machine: A64FX,
         rowptr = spec["rowptr"]
         nnz = int(rowptr[-1]) if len(rowptr) else 0
         return MatrixDims(spec["num_rows"], spec["num_cols"], nnz)
-    if spec["kind"] == "coo":
-        return MatrixDims(spec["num_rows"], spec["num_cols"], len(spec["rows"]))
     key = (spec["collection"], task["setup"]["scale"], spec["name"])
     dims = _named_dims.get(key)
     if dims is None:

@@ -415,9 +415,10 @@ class LocalityService(HttpApp):
         chain's root JSON, which keys, names and records the step by
         splicing.  The first step off a plain base encodes the base once
         and the base then holds the root too.  A record read back from
-        disk is **revalidated** with that one encode — its recomputed
-        key must match, or the request answers 409 instead of silently
-        patching the wrong base — and is only held once it matches.
+        disk is **revalidated** with that one encode — its root must be a
+        named or CSR spec and its recomputed key must match, or the
+        request answers 409 instead of silently patching the wrong base —
+        and is only held once it matches.
         """
         normalized = normalize_delta(payload)
         base_key = normalized["base"]
@@ -432,7 +433,11 @@ class LocalityService(HttpApp):
         stored, root_json, trusted = entry
         if root_json is None:
             try:
-                root_json = canonical_json(root_spec(stored))
+                root = root_spec(stored)
+                # an older daemon's record may root in a spelling (inline
+                # COO) that no worker builds any more
+                if root["kind"] in ("named", "csr"):
+                    root_json = canonical_json(root)
             except (KeyError, TypeError):
                 pass  # a disk record too malformed to key fails below
         if not trusted and (root_json is None

@@ -48,7 +48,7 @@ from ..obs import events as obs_events
 from ..obs.context import TRACE_HEADER, TraceContext
 from ..obs.traces import TraceBuffer
 from ..obs.tracer import NULL_SPAN, Tracer
-from .protocol import RequestError
+from .protocol import MAX_BODY_BYTES, RequestError
 
 __all__ = ["CONNECTION_ERRORS", "HttpApp", "KeptAlive", "MAX_BODY_BYTES",
            "MAX_HEADER_FIELDS", "MAX_HEAD_LINE_BYTES", "ParsedRequest",
@@ -57,9 +57,6 @@ __all__ = ["CONNECTION_ERRORS", "HttpApp", "KeptAlive", "MAX_BODY_BYTES",
            "read_request", "request_span", "respond", "serve",
            "start_chunked_response", "write_chunk"]
 
-#: the default request-body cap of both servers (a gateway relays a
-#: caller's bytes unchanged; a replica capped lower answers them 413)
-MAX_BODY_BYTES = 64 * 2**20
 #: the longest head line either side reads (the stream buffer limit of
 #: every socket this module opens; asyncio's default)
 MAX_HEAD_LINE_BYTES = 2**16

@@ -13,9 +13,11 @@ or submitted *inline* as CSR or COO arrays::
                         "rows": [0, 1], "cols": [1, 2]}}}
 
 The service models the sparsity pattern only: a sent ``values`` list
-is validated (one number in float64 range per entry) and dropped, so two
-spellings of one pattern key and evaluate as one, and the worker builds
-unit values.  An optional ``"setup"`` object carries the
+is validated (one number in float64 range per entry) and dropped, and a
+COO body becomes the CSR spec of its distinct entries in row-major order,
+so two spellings of one pattern (with or without values, CSR or COO in
+any order, duplicates included) key and evaluate as one, and the worker
+builds unit values.  An optional ``"setup"`` object carries the
 :class:`~repro.experiments.common.ExperimentSetup` fields (scale, thread
 count, iterations, prefetch distances, way options); endpoint-specific
 knobs ride at the top level.
@@ -24,8 +26,8 @@ knobs ride at the top level.
 *canonical task*: a dict with every default filled in, so that two
 requests asking for the same computation normalize to identical bytes.
 Every value is plain JSON except an inline matrix's index lists, which
-are read-only NumPy arrays from parse to worker (int32, or int64 when
-one does not fit); :func:`~repro.analysis.report.canonical_json`
+are read-only NumPy arrays from parse to worker (int32, or an int64
+``rowptr`` when one does not fit); :func:`~repro.analysis.report.canonical_json`
 encodes them to the same bytes as the lists they came from.
 :func:`request_key` hashes the task's :func:`keyed_form` — the task
 without its per-request :data:`REQUEST_FLAGS` — and is the key of the
@@ -135,19 +137,25 @@ def _array(values: object, label: str, fast: frozenset, caster,
 
 
 _INT32 = np.iinfo(np.int32)
+#: the default request-body cap of both servers (a gateway relays a
+#: caller's bytes unchanged; a replica capped lower answers them 413)
+MAX_BODY_BYTES = 64 * 2**20
+
+
+def _held(array: np.ndarray) -> np.ndarray:
+    """Indices read-only, as int32 whenever they all fit: the numbers, and
+    so the encoding, are the same, and the task registry keeps every
+    base's arrays for the daemon's lifetime."""
+    if not array.size or (array.min() >= _INT32.min and array.max() <= _INT32.max):
+        array = array.astype(np.int32)
+    array.flags.writeable = False
+    return array
 
 
 def _index_array(values: object, label: str) -> np.ndarray:
-    """Indices validated as int64 and held as int32 whenever they all fit
-    (always, short of a column index the CSR layout cannot hold): the
-    numbers, and so the encoding, are the same, and the task registry
-    keeps every base's arrays for the daemon's lifetime."""
-    array = _array(values, label, frozenset({int}), int, np.int64,
-                   "integers", "integers that fit in int64")
-    if not array.size or (array.min() >= _INT32.min and array.max() <= _INT32.max):
-        array = array.astype(np.int32)
-        array.flags.writeable = False
-    return array
+    """Indices validated as int64 and :func:`_held`."""
+    return _held(_array(values, label, frozenset({int}), int, np.int64,
+                        "integers", "integers that fit in int64"))
 
 
 def _check_values(fields: dict, label: str, entries: int) -> None:
@@ -293,40 +301,42 @@ def _normalize_matrix(payload: object, scale: int) -> dict:
             status=404,
         )
         return {"kind": "named", "collection": size, "name": name}
-    if "csr" in payload:
-        csr = payload["csr"]
-        _require(isinstance(csr, dict), "'csr' must be an object")
-        task = {
-            "kind": "csr",
-            "num_rows": _cast(csr.get("num_rows", -1), int,
-                              "csr.num_rows must be an integer"),
-            "num_cols": _cast(csr.get("num_cols", -1), int,
-                              "csr.num_cols must be an integer"),
-            "rowptr": _index_array(csr.get("rowptr"), "csr.rowptr"),
-            "colidx": _index_array(csr.get("colidx"), "csr.colidx"),
-        }
-        _check_values(csr, "csr", len(task["colidx"]))
-        _require(task["num_rows"] >= 0 and task["num_cols"] >= 0,
-                 "csr.num_rows/num_cols must be non-negative integers")
-        return task
-    if "coo" in payload:
-        coo = payload["coo"]
-        _require(isinstance(coo, dict), "'coo' must be an object")
-        task = {
-            "kind": "coo",
-            "num_rows": _cast(coo.get("num_rows", -1), int,
-                              "coo.num_rows must be an integer"),
-            "num_cols": _cast(coo.get("num_cols", -1), int,
-                              "coo.num_cols must be an integer"),
-            "rows": _index_array(coo.get("rows"), "coo.rows"),
-            "cols": _index_array(coo.get("cols"), "coo.cols"),
-        }
-        _check_values(coo, "coo", len(task["rows"]))
-        _require(task["num_rows"] >= 0 and task["num_cols"] >= 0,
-                 "coo.num_rows/num_cols must be non-negative integers")
-        _require(len(task["rows"]) == len(task["cols"]),
+    for kind, (major, minor) in (("csr", ("rowptr", "colidx")),
+                                 ("coo", ("rows", "cols"))):
+        if kind not in payload:
+            continue
+        fields = payload[kind]
+        _require(isinstance(fields, dict), f"'{kind}' must be an object")
+        num_rows = _cast(fields.get("num_rows", -1), int,
+                         f"{kind}.num_rows must be an integer")
+        num_cols = _cast(fields.get("num_cols", -1), int,
+                         f"{kind}.num_cols must be an integer")
+        rows = _index_array(fields.get(major), f"{kind}.{major}")
+        cols = _index_array(fields.get(minor), f"{kind}.{minor}")
+        # 4-byte column indices in the CSR layout
+        _require(cols.dtype == np.int32,
+                 f"{kind}.{minor} must contain integers that fit in int32")
+        _require(kind == "csr" or len(rows) == len(cols),
                  "coo.rows and coo.cols must have the same length")
-        return task
+        _check_values(fields, kind, len(cols))
+        _require(num_rows >= 0 and num_cols >= 0,
+                 f"{kind}.num_rows/num_cols must be non-negative integers")
+        if kind == "coo":
+            # the CSR spelling of the distinct entries: one key, one name
+            # and one answer per pattern, however it was sent.  Its rowptr
+            # must fit in a request body (two bytes an entry at least),
+            # which bounds the rowptr a short body makes the parser build
+            # by that of a full-size CSR body
+            _require(num_rows < MAX_BODY_BYTES // 2,
+                     f"coo.num_rows must be below {MAX_BODY_BYTES // 2}: "
+                     "its CSR rowptr must fit in a request body")
+            try:
+                matrix = CSRMatrix.from_coo(num_rows, num_cols, rows, cols)
+            except ValueError as exc:
+                raise RequestError(str(exc)) from None
+            rows, cols = _held(matrix.rowptr), _held(matrix.colidx)
+        return {"kind": "csr", "num_rows": num_rows, "num_cols": num_cols,
+                "rowptr": rows, "colidx": cols}
     raise RequestError("matrix must carry 'name', 'csr' or 'coo'")
 
 
@@ -595,20 +605,6 @@ def matrix_name(task: dict, root_json: str | None = None) -> str:
     return f"{'delta' if kind == 'delta' else 'inline'}-{digest}"
 
 
-def _int32(values) -> np.ndarray:
-    """Column indices as ``int32``, overflow-checked like
-    ``np.asarray(list, np.int32)`` (``astype`` would wrap silently)."""
-    array = np.asarray(values)
-    if array.dtype == np.int32:
-        return array
-    array = array.astype(np.int64)
-    outside = (array < _INT32.min) | (array > _INT32.max)
-    if outside.any():
-        value = int(array[outside][0])
-        raise OverflowError(f"Python integer {value} out of bounds for int32")
-    return array.astype(np.int32)
-
-
 def matrix_from_task(task: dict, name: str | None = None) -> CSRMatrix:
     """Materialize a task's matrix (runs inside a pool worker).
 
@@ -639,15 +635,7 @@ def matrix_from_task(task: dict, name: str | None = None) -> CSRMatrix:
                 return candidate.materialize()
         raise KeyError(f"matrix {name!r} not in the {spec['collection']!r} collection")
     # the pattern is all a task holds: every entry gets the value 1
-    if spec["kind"] == "csr":
-        rowptr = np.asarray(spec["rowptr"], dtype=np.int64)
-        nnz = int(rowptr[-1]) if rowptr.size else 0
-        return CSRMatrix(spec["num_rows"], spec["num_cols"], rowptr,
-                         _int32(spec["colidx"]), np.ones(nnz), name=name)
-    return CSRMatrix.from_coo(
-        spec["num_rows"],
-        spec["num_cols"],
-        np.asarray(spec["rows"], dtype=np.int64),
-        np.asarray(spec["cols"], dtype=np.int64),
-        name=name,
-    )
+    rowptr = np.asarray(spec["rowptr"], dtype=np.int64)
+    nnz = int(rowptr[-1]) if rowptr.size else 0
+    return CSRMatrix(spec["num_rows"], spec["num_cols"], rowptr,
+                     spec["colidx"], np.ones(nnz), name=name)

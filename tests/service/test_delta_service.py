@@ -116,6 +116,18 @@ def test_malformed_registry_record_is_409(server, client):
         path.write_text(json.dumps(broken))
         registry._memory.pop(key, None)
         expect_error(lambda: client.delta(key, inserts=ins, deletes=del_), 409)
+    # an older daemon's record of an inline COO base: its key revalidates,
+    # but no worker builds that spelling any more
+    rows = np.repeat(np.arange(matrix.num_rows), np.diff(matrix.rowptr))
+    coo = dict(record, matrix={
+        "kind": "coo", "num_rows": matrix.num_rows,
+        "num_cols": matrix.num_cols, "rows": rows.tolist(),
+        "cols": matrix.colidx.tolist()})
+    coo_key, text = request_key(coo, with_record=True)
+    (registry.cache_dir / f"{coo_key}.task.json").write_text(text)
+    exc = expect_error(lambda: client.delta(coo_key, inserts=ins, deletes=del_),
+                       409)
+    assert "failed revalidation" in exc.error["message"]
 
 
 def test_records_read_back_from_disk_respect_the_registry_capacity(tmp_path):
@@ -271,13 +283,17 @@ def test_an_inapplicable_flagged_batch_is_400(client, flags):
     assert exc.error["type"] == "DeltaError"
 
 
+def duplicated_coo(matrix, copies: int = 4) -> dict:
+    """The COO body of ``matrix`` with every entry sent ``copies`` times."""
+    rows = np.repeat(np.arange(matrix.num_rows), np.diff(matrix.rowptr))
+    return {"coo": {"num_rows": matrix.num_rows, "num_cols": matrix.num_cols,
+                    "rows": np.tile(rows, copies).tolist(),
+                    "cols": np.tile(matrix.colidx, copies).tolist()}}
+
+
 def test_tier0_step_on_a_duplicated_coo_base_matches_the_full_submission(
         client):
-    rows = np.repeat(np.arange(MATRIX.num_rows), np.diff(MATRIX.rowptr))
-    coo = {"coo": {"num_rows": MATRIX.num_rows, "num_cols": MATRIX.num_cols,
-                   "rows": np.tile(rows, 4).tolist(),
-                   "cols": np.tile(MATRIX.colidx, 4).tolist()}}
-    base = client.advise(matrix=coo, **SEQ)
+    base = client.advise(matrix=duplicated_coo(MATRIX), **SEQ)
     ins, del_ = band_edits(MATRIX, [77, 500])
     step = client.delta(base["key"], inserts=ins, deletes=del_, max_tier=0)
     edited = MatrixDelta.from_dict(
@@ -286,6 +302,22 @@ def test_tier0_step_on_a_duplicated_coo_base_matches_the_full_submission(
     assert without(step["result"], "name") == without(full["result"], "name")
     assert without(step["fidelity"], "cost_seconds") == \
         without(full["fidelity"], "cost_seconds")
+
+
+def test_a_step_on_a_duplicated_coo_base_drifts_as_on_the_csr_base(client):
+    """Drift divides by the base's distinct nonzeros: the COO base keys as
+    the CSR base, and a fresh step on either reports one drift."""
+    ins, del_ = band_edits(MATRIX, [211, 988])
+    base = client.advise(matrix=duplicated_coo(MATRIX), **SEQ)
+    step = client.delta(base["key"], inserts=ins, deletes=del_)
+    with ServiceThread(ServiceConfig(jobs=1, cache_dir=None)) as (host, port):
+        other = ServiceClient(host, port, timeout=120.0)
+        csr_base = other.advise(matrix=MATRIX, **SEQ)
+        csr_step = other.delta(csr_base["key"], inserts=ins, deletes=del_)
+    assert step["cached"] is None and csr_step["cached"] is None
+    assert step["delta"]["drift"] == csr_step["delta"]["drift"] == \
+        (len(ins) + len(del_)) / MATRIX.nnz
+    assert csr_base["key"] == base["key"]
 
 
 def test_metrics_expose_the_delta_families(client):

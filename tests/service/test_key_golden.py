@@ -6,7 +6,9 @@ bytes, so they must survive any change to how a task is held in memory
 were captured from the list-based encoder; each record is pinned by its
 SHA-256 and length.  A sent ``values`` list never reaches the task, so
 the value-carrying CSR spellings share ``csr_bare``'s matrix name and
-delta inserts key as ``[r, c]``.
+delta inserts key as ``[r, c]``.  A COO body is held as the CSR spec of
+its distinct entries, so ``coo_dups`` keys, names and records as the CSR
+body of that pattern.
 """
 
 import hashlib
@@ -38,8 +40,8 @@ GOLDEN = {
         "dd0dce5538b83d6a9a5b55ad4bad6453", "inline-171919884311",
         "b7126d84072eb16c0297e2587b59af69c6971afed83cd15d840e2336a94d93d4", 469),
     "coo_dups": (
-        "141edb0a780855c765b3043ae92bdf07", "inline-2503c2ab7f74",
-        "1bf0a3d073b2e3c912c5d6e919f28ab61c61176038fa2978dca5add2e2aa8ea3", 308),
+        "fda617d3d7c3838cfb1e8d93c1ed9f5e", "inline-f78f437980c5",
+        "2e8b52471a29381652eba9ee9ee122c0368d7470820359b33e5f043ceb561b36", 310),
     "named": (
         "8639ec358b20cc963aee010ba37a5d3f", "banded_001",
         "688ed6f735dfe2c0dbec6db6a63a3e306a2f5e263e2d0fb1bce80be020df1e29", 337),
@@ -50,6 +52,20 @@ GOLDEN = {
         "b7c19ae32824a40e2ed8a6eed46042ad", "delta-0c03b9e01f31",
         "1501a1918c3b2117a20f2fe8bb0393880ffdbd28c07507d6f9410cdfb81c248b", 639),
 }
+
+
+#: duplicate (0, 1) entries; a float row and a numeric-string column
+#: take the per-element coercion path
+COO_DUPS = {"num_rows": 5, "num_cols": 6, "rows": [0, 4, 0, 2, 2, 3.0],
+            "cols": [1, 5, 1, 0, 3, "4"]}
+
+
+def _csr_of_distinct_entries(coo: dict) -> dict:
+    """The CSR body of a COO body's distinct entries, row-major."""
+    cells = sorted({(int(r), int(c)) for r, c in zip(coo["rows"], coo["cols"])})
+    rowptr = [sum(r < row for r, _ in cells) for row in range(coo["num_rows"] + 1)]
+    return {"csr": {"num_rows": coo["num_rows"], "num_cols": coo["num_cols"],
+                    "rowptr": rowptr, "colidx": [c for _, c in cells]}}
 
 
 def _corpus() -> dict:
@@ -67,12 +83,8 @@ def _corpus() -> dict:
             "policies": [{"l2_sector1_ways": 3}]}),
         "csr_mixed_values": normalize_request("classify", {
             "matrix": {"csr": mixed}}),
-        # duplicate (0, 1) entries; a float row and a numeric-string column
-        # take the per-element coercion path
-        "coo_dups": normalize_request("classify", {"matrix": {"coo": {
-            "num_rows": 5, "num_cols": 6, "rows": [0, 4, 0, 2, 2, 3.0],
-            "cols": [1, 5, 1, 0, 3, "4"],
-            "values": [1, 2.5, -1, 1e10, 0.25, 3]}}}),
+        "coo_dups": normalize_request("classify", {"matrix": {"coo": dict(
+            COO_DUPS, values=[1, 2.5, -1, 1e10, 0.25, 3])}}),
         "named": normalize_request("advise", {
             "matrix": {"name": "banded_001", "collection": "tiny"},
             "accuracy": 0.5}),
@@ -120,3 +132,11 @@ def test_registry_file_bytes_are_byte_stable(label, tmp_path):
     reloaded = TaskRegistry(tmp_path).get(key)
     assert request_key(reloaded) == key
     assert matrix_name(reloaded) == GOLDEN[label][1]
+
+
+def test_a_coo_body_keys_as_the_csr_body_of_its_distinct_entries():
+    csr = normalize_request("classify", {
+        "matrix": _csr_of_distinct_entries(COO_DUPS)})
+    coo = CORPUS["coo_dups"]
+    assert request_key(coo, with_record=True) == request_key(csr, with_record=True)
+    assert matrix_name(coo) == matrix_name(csr)

@@ -1,10 +1,13 @@
 """Request normalization, canonical keys, and worker-side builders."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.report import canonical_json
 from repro.matrices import banded
 from repro.matrices.collection import collection
 from repro.service.client import matrix_payload
@@ -12,6 +15,7 @@ from repro.cluster.batch import normalize_batch
 from repro.service.protocol import (
     DELTA_BASE_ENDPOINTS,
     ENDPOINTS,
+    MAX_BODY_BYTES,
     REQUEST_FLAGS,
     RequestError,
     derive_delta_task,
@@ -105,6 +109,10 @@ def test_named_matrix_materializes_from_collection():
     ({"matrix": {"coo": {"num_rows": 2, "num_cols": 2, "rows": [0],
                          "cols": [0]}}, "timeout": -1}, "timeout"),
     ({"matrix": {"name": "x", "collection": []}}, "collection"),
+    ({"matrix": {"coo": {"num_rows": 2, "num_cols": 2, "rows": [0, 2],
+                         "cols": [0, 1]}}}, "row indices out of range"),
+    ({"matrix": {"coo": {"num_rows": 2, "num_cols": 2, "rows": [0, 1],
+                         "cols": [-1, 1]}}}, "column indices out of range"),
 ])
 def test_malformed_requests_rejected(payload, fragment):
     with pytest.raises(RequestError) as err:
@@ -173,10 +181,14 @@ def test_inline_fields_are_read_only_arrays():
     # a sent values list is validated, then left out of the task
     assert "values" not in spec
     assert not spec["colidx"].flags.writeable
-    wide = normalize_request("classify", {"matrix": {"coo": {
-        "num_rows": 1, "num_cols": 2**40, "rows": [0], "cols": [2**33]}}})
-    assert wide["matrix"]["cols"].dtype == np.int64
-    assert wide["matrix"]["rows"].dtype == np.int32
+    # a column index beyond int32 is a 400 in both spellings
+    for wide in ({"csr": {"num_rows": 1, "num_cols": 2**40, "rowptr": [0, 1],
+                          "colidx": [2**33]}},
+                 {"coo": {"num_rows": 1, "num_cols": 2**40, "rows": [0],
+                          "cols": [2**33]}}):
+        with pytest.raises(RequestError, match="fit in int32") as err:
+            normalize_request("classify", {"matrix": wide})
+        assert err.value.status == 400
     # setup and way-option lists stay plain lists
     assert task["setup"]["l2_way_options"] == list(task["setup"]["l2_way_options"])
     assert isinstance(task["way_options"], list)
@@ -190,7 +202,7 @@ def test_non_int_indices_take_the_per_element_coercion():
         "num_rows": 3, "num_cols": 3, "rows": [0.0, True, "2"],
         "cols": [1.9, 2, 0], "values": ["1", 2, 3.0]}}})
     assert request_key(fast) == request_key(slow)
-    assert slow["matrix"]["cols"].tolist() == [1, 2, 0]
+    assert slow["matrix"]["colidx"].tolist() == [1, 2, 0]
 
 
 @pytest.mark.parametrize("field, value, fragment", [
@@ -212,13 +224,54 @@ def test_out_of_range_inline_numbers_are_400(field, value, fragment):
     assert fragment in str(err.value)
 
 
-def test_colidx_beyond_int32_still_overflows_in_the_worker():
-    task = normalize_request("classify", {"matrix": {"csr": {
-        "num_rows": 1, "num_cols": 2**32, "rowptr": [0, 2],
-        "colidx": [1, 2**31]}}})
-    with pytest.raises(OverflowError,
-                       match="Python integer 2147483648 out of bounds for int32"):
-        matrix_from_task(task)
+@pytest.mark.parametrize("matrix", [
+    {"csr": {"num_rows": 1, "num_cols": 2**32, "rowptr": [0, 2],
+             "colidx": [1, 2**31]}},
+    {"coo": {"num_rows": 1, "num_cols": 2**32, "rows": [0, 0],
+             "cols": [1, 2**31]}},
+], ids=["csr", "coo"])
+def test_colidx_beyond_int32_is_400(matrix):
+    kind = next(iter(matrix))
+    label = "csr.colidx" if kind == "csr" else "coo.cols"
+    with pytest.raises(RequestError,
+                       match=f"{label} must contain integers that fit in int32"):
+        normalize_request("classify", {"matrix": matrix})
+
+
+@pytest.mark.parametrize("num_rows", [MAX_BODY_BYTES // 2, 2**40])
+def test_a_coo_num_rows_whose_rowptr_cannot_fit_a_body_is_400(num_rows):
+    """Refused before the CSR build: a short body allocates no rowptr."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(RequestError,
+                           match="coo.num_rows must be below") as err:
+            normalize_request("classify", {"matrix": {"coo": {
+                "num_rows": num_rows, "num_cols": 1, "rows": [0],
+                "cols": [0]}}})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.status == 400
+    assert peak < 2**20
+
+
+def test_a_coo_body_is_the_csr_spec_of_its_distinct_entries():
+    """Shuffled and duplicated COO triplets normalize to the CSR spec of
+    the distinct entries in row-major order: one task, one key."""
+    matrix = banded(64, 4, 3, seed=0)
+    rows = np.repeat(np.arange(matrix.num_rows), np.diff(matrix.rowptr))
+    order = np.random.default_rng(1).permutation(rows.size)
+    coo = normalize_request("advise", {"matrix": {"coo": {
+        "num_rows": 64, "num_cols": 64,
+        "rows": np.tile(rows[order], 3).tolist(),
+        "cols": np.tile(matrix.colidx[order], 3).tolist()}}})
+    csr = normalize_request("advise", {"matrix": _inline(matrix)})
+    assert canonical_json(coo) == canonical_json(csr)
+    assert request_key(coo) == request_key(csr)
+    spec = coo["matrix"]
+    assert spec.keys() == {"kind", "num_rows", "num_cols", "rowptr", "colidx"}
+    for field in ("rowptr", "colidx"):
+        assert spec[field].dtype == np.int32 and not spec[field].flags.writeable
 
 
 _ODD_NUMBERS = st.one_of(

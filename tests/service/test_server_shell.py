@@ -364,9 +364,27 @@ _CSR = '"csr": {"num_rows": 2, "num_cols": 2, "rowptr": [0, 1, 2]'
                '[[1e999, 0]]}}', "inserts[0]"),
     ("/delta", '{"base": "' + "0" * 32 + '", "delta": {"deletes": '
                '[[0, 0]]}, "max_tier": 1e999}', "max_tier"),
+    # a column index must fit the CSR layout's 4 bytes in both spellings,
+    # and a COO index its dimensions
+    ("/classify", '{"matrix": {"csr": {"num_rows": 1, "num_cols": '
+                  + str(2**40) + ', "rowptr": [0, 1], "colidx": ['
+                  + str(2**33 + 5) + ']}}}',
+     "csr.colidx must contain integers that fit in int32"),
+    ("/classify", '{"matrix": {"coo": {"num_rows": 1, "num_cols": '
+                  + str(2**40) + ', "rows": [0], "cols": ['
+                  + str(2**33 + 5) + ']}}}',
+     "coo.cols must contain integers that fit in int32"),
+    ("/classify", '{"matrix": {"coo": {"num_rows": 2, "num_cols": 2, '
+                  '"rows": [0, 2], "cols": [0, 1]}}}', "row indices out of range"),
+    # a COO body whose CSR rowptr could not fit in a body is refused
+    # before the rowptr is built
+    ("/classify", '{"matrix": {"coo": {"num_rows": ' + str(2**40)
+                  + ', "num_cols": 1, "rows": [0], "cols": [0]}}}',
+     "coo.num_rows must be below"),
 ], ids=["num_rows-string", "colidx-inf", "values-400-digits",
         "colidx-beyond-int64", "num_threads-inf", "ways-string",
-        "delta-insert-inf", "delta-max_tier-inf"])
+        "delta-insert-inf", "delta-max_tier-inf", "colidx-beyond-int32",
+        "coo-cols-beyond-int32", "coo-row-out-of-range", "coo-num_rows-huge"])
 def test_malformed_numbers_are_400_not_a_dropped_connection(
         address, route, body, fragment):
     status, headers, payload, sock = _exchange(
